@@ -23,7 +23,7 @@ use dsolve::{JobError, Row, Status, Table};
 use dsolve_bench::{load, BENCHMARKS};
 use dsolve_obs::{Obs, Snapshot};
 use std::fmt::Write as _;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One benchmark's machine-readable record.
 struct JsonRow {
@@ -104,21 +104,26 @@ fn main() {
             }
             Err(e) => {
                 eprintln!("load error: {e}");
-                table.push(error_row(b.name, b.properties, &e));
+                table.push(error_row(b.name, b.properties, &e, Duration::ZERO));
                 continue;
             }
         };
         let obs = job.config.obs.clone();
-        match job.run_isolated() {
+        let started = Instant::now();
+        let outcome = job.run_isolated();
+        let wall = started.elapsed();
+        match outcome {
             Err(e) => {
                 // One bad job (front-end error or isolated panic) must
-                // not take down the rest of the suite.
+                // not take down the rest of the suite. Its time is what
+                // it ran before failing, so a wall-time gate never sees
+                // a failed row as instant.
                 eprintln!("{e}");
-                table.push(error_row(b.name, b.properties, &e));
+                table.push(error_row(b.name, b.properties, &e, wall));
                 records.push(JsonRow {
                     name: b.name.into(),
                     outcome: format!("{}", e.outcome()),
-                    wall_s: 0.0,
+                    wall_s: wall.as_secs_f64(),
                     smt_queries: 0,
                     cache_hits: 0,
                     cache_lookups: 0,
@@ -205,7 +210,7 @@ fn render_json(records: &[JsonRow]) -> String {
         let outcome = r.outcome.split([':', ' ']).next().unwrap_or("UNKNOWN");
         let _ = writeln!(
             out,
-            "  {{\"name\": \"{}\", \"outcome\": \"{}\", \"wall_s\": {:.3}, \"smt_queries\": {}, \"cache_hits\": {}, \"cache_lookups\": {}, \"smt_sessions\": {}, \"smt_scoped_checks\": {}, \"jobs\": {},",
+            "  {{\"name\": \"{}\", \"outcome\": \"{}\", \"wall_s\": {:.6}, \"smt_queries\": {}, \"cache_hits\": {}, \"cache_lookups\": {}, \"smt_sessions\": {}, \"smt_scoped_checks\": {}, \"jobs\": {},",
             r.name, outcome, r.wall_s, r.smt_queries, r.cache_hits, r.cache_lookups,
             r.smt_sessions, r.smt_scoped_checks, r.jobs
         );
@@ -215,7 +220,7 @@ fn render_json(records: &[JsonRow]) -> String {
     out
 }
 
-fn error_row(name: &str, properties: &str, e: &JobError) -> Row {
+fn error_row(name: &str, properties: &str, e: &JobError, time: Duration) -> Row {
     let status = match e {
         JobError::Panic(_) => Status::from(&e.outcome()),
         _ => Status::Error(e.to_string()),
@@ -224,7 +229,7 @@ fn error_row(name: &str, properties: &str, e: &JobError) -> Row {
         program: name.into(),
         loc: 0,
         annotations: 0,
-        time: Duration::ZERO,
+        time,
         properties: properties.into(),
         status,
     }

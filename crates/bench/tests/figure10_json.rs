@@ -1,0 +1,44 @@
+//! The `figure10 --json` record of a row that fails: its `wall_s` is the
+//! time the row ran before failing, never a placeholder zero that a
+//! wall-time gate would read as an instant run.
+
+use dsolve_obs::parse_json;
+use std::process::Command;
+
+#[test]
+fn panicked_row_records_its_wall_time() {
+    let path = std::env::temp_dir().join(format!("figure10-panic-{}.json", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_figure10"))
+        .args([
+            "--json",
+            path.to_str().expect("utf-8 temp path"),
+            "stablesort",
+        ])
+        .env("DSOLVE_FORCE_PANIC", "stablesort")
+        .output()
+        .expect("figure10 runs");
+    // The panicked row is not SAFE, so the suite exits 1.
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&path).expect("figure10 wrote its record");
+    let _ = std::fs::remove_file(&path);
+    let rows = parse_json(&text).expect("valid JSON");
+    let rows = rows.as_arr().expect("an array of rows");
+    assert_eq!(rows.len(), 1, "{text}");
+    let row = &rows[0];
+    assert_eq!(row.get("name").and_then(|v| v.as_str()), Some("stablesort"));
+    assert_eq!(
+        row.get("outcome").and_then(|v| v.as_str()),
+        Some("UNKNOWN"),
+        "{text}"
+    );
+    let wall = row.get("wall_s").and_then(|v| v.as_num()).expect("wall_s");
+    assert!(
+        wall > 0.0,
+        "a failed row must record the time it ran: {text}"
+    );
+}

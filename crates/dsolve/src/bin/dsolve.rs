@@ -268,6 +268,16 @@ fn main() -> ExitCode {
                 if !micro.is_empty() {
                     eprintln!("micro: {}", micro.join(" "));
                 }
+                let m = |c: dsolve_obs::MicroCounter| res.metrics.micro[c.index()];
+                let assignments = m(dsolve_obs::MicroCounter::TheoryAssignments);
+                if assignments > 0 {
+                    let checks = m(dsolve_obs::MicroCounter::TheoryChecks);
+                    eprintln!(
+                        "theory: assignments={assignments} checks={checks} ({:.1} per assignment) core_fallbacks={}",
+                        checks as f64 / assignments as f64,
+                        m(dsolve_obs::MicroCounter::TheoryCoreFallbacks)
+                    );
+                }
                 if res.metrics.query_time_count > 0 {
                     // Self-describing latency histogram: `floor_us:count`
                     // pairs, each floor the bucket's inclusive lower

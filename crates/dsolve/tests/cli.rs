@@ -312,8 +312,12 @@ fn dsolve_fault_env_is_honored() {
 fn quiet_silences_progress_output() {
     let dir = tempdir("quiet");
     write_temp(&dir, "m.ml", "let one = assert (1 > 0)\n");
+    // One worker everywhere, so the progress line reads `solve:` (not
+    // `solve[N jobs]:`) and the negative check below means something on
+    // any host.
     let noisy = dsolve()
         .arg(dir.join("m.ml"))
+        .args(["--jobs", "1"])
         .env("DSOLVE_PROGRESS", "1")
         .output()
         .unwrap();
@@ -321,7 +325,7 @@ fn quiet_silences_progress_output() {
     assert!(noisy_err.contains("solve:"), "{noisy_err}");
     let quiet = dsolve()
         .arg(dir.join("m.ml"))
-        .arg("--quiet")
+        .args(["--jobs", "1", "--quiet"])
         .env("DSOLVE_PROGRESS", "1")
         .output()
         .unwrap();

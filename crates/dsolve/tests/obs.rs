@@ -3,7 +3,7 @@
 //! query attribution, and trace well-formedness on abnormal runs.
 
 use dsolve::Job;
-use dsolve_obs::trace::validate_trace_file;
+use dsolve_obs::trace::{parse_json, validate_trace_file};
 use dsolve_obs::{MicroCounter, Obs, TheoryKind};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -242,6 +242,72 @@ fn micro_counter_invariants_hold_across_configs() {
     }
 }
 
+/// Asserts that the trace's fixpoint `round` spans lie inside the
+/// `fixpoint` phase span of their thread, one after another without
+/// overlap, and returns how many there are. Timestamps are whole
+/// microseconds: start and duration are each truncated, so a span can
+/// appear to end up to 1 µs past the true end of the span containing it.
+fn assert_rounds_nest_in_fixpoint(path: &std::path::Path) -> usize {
+    let text = std::fs::read_to_string(path).unwrap();
+    let events = parse_json(&text).unwrap();
+    let spans: Vec<(&str, u64, u64, u64)> = events
+        .as_arr()
+        .unwrap()
+        .iter()
+        .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
+        .map(|e| {
+            let num = |k: &str| e.get(k).and_then(|v| v.as_num()).unwrap() as u64;
+            let name = e.get("name").and_then(|n| n.as_str()).unwrap();
+            (name, num("tid"), num("ts"), num("ts") + num("dur"))
+        })
+        .collect();
+    let mut rounds: Vec<_> = spans.iter().filter(|s| s.0.starts_with("round ")).collect();
+    rounds.sort_by_key(|s| s.2);
+    for r in &rounds {
+        assert!(
+            spans
+                .iter()
+                .any(|f| f.0 == "fixpoint" && f.1 == r.1 && f.2 <= r.2 && r.3 <= f.3 + 1),
+            "{} [{}, {}] lies outside every fixpoint span",
+            r.0,
+            r.2,
+            r.3
+        );
+    }
+    for w in rounds.windows(2) {
+        assert!(
+            w[0].3 <= w[1].2,
+            "{} [{}, {}] overlaps {} [{}, {}]",
+            w[0].0,
+            w[0].2,
+            w[0].3,
+            w[1].0,
+            w[1].2,
+            w[1].3
+        );
+    }
+    rounds.len()
+}
+
+#[test]
+fn round_spans_are_disjoint_and_inside_fixpoint() {
+    let path = std::env::temp_dir().join(format!("dsolve-obs-rounds-{}.json", std::process::id()));
+    let mut j = job(1);
+    j.config.obs = Obs::with_trace(&path).unwrap();
+    let obs = j.config.obs.clone();
+    let res = j.run().unwrap();
+    assert!(res.is_safe());
+    obs.finish();
+    validate_trace_file(&path).unwrap();
+    let rounds = assert_rounds_nest_in_fixpoint(&path);
+    assert!(
+        rounds >= 2,
+        "the module must take several rounds, got {rounds}"
+    );
+    assert_eq!(rounds as u64, res.result.stats.rounds);
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn trace_valid_after_budget_exhaustion() {
     let dir = std::env::temp_dir();
@@ -258,6 +324,7 @@ fn trace_valid_after_budget_exhaustion() {
     // for the phases that ran are present and well-formed.
     assert!(summary.has_span("parse"), "{:?}", summary.names);
     assert!(summary.has_span("fixpoint"), "{:?}", summary.names);
+    assert_rounds_nest_in_fixpoint(&path);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -305,5 +372,6 @@ fn trace_names_queries_by_source_location() {
         summary.names
     );
     assert!(summary.has_span_prefix("round "), "{:?}", summary.names);
+    assert_rounds_nest_in_fixpoint(&path);
     let _ = std::fs::remove_file(&path);
 }

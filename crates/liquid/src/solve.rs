@@ -526,12 +526,14 @@ fn solve_sequential(
     let mut round_start = Instant::now();
     let mut round_checked = 0u64;
     let mut traj: HashMap<KVar, Vec<(u64, usize)>> = HashMap::new();
-    let mut round_span = obs.tracing().then(|| {
-        obs.span("fixpoint", "round 1").arg("constraints", round_left as u64)
-    });
 
     {
         let _fixpoint_span = obs.phase_span(ObsPhase::Fixpoint);
+        // Round spans nest inside the phase span, one after another.
+        let mut round_span = obs.tracing().then(|| {
+            obs.span("fixpoint", "round 1")
+                .arg("constraints", round_left as u64)
+        });
         while let Some(ci) = queue.pop_front() {
             queued.remove(&ci);
             if round_left == 0 {
@@ -545,6 +547,8 @@ fn solve_sequential(
                 round_start = Instant::now();
                 round += 1;
                 round_left = queue.len() + 1;
+                // Close the finished round before the next one opens.
+                drop(round_span.take());
                 round_span = obs.tracing().then(|| {
                     obs.span("fixpoint", format!("round {round}"))
                         .arg("constraints", round_left as u64)
@@ -644,7 +648,6 @@ fn solve_sequential(
                 }
             }
         }
-        drop(round_span);
     }
 
     // Close out the last (possibly partial) round and count rounds on

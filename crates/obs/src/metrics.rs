@@ -279,10 +279,20 @@ pub enum MicroCounter {
     SetsUnionTerms,
     /// `ite` expressions expanded into fresh definitions.
     IteExpansions,
+    /// Propositional models handed to the theory layer for a
+    /// consistency verdict (one per `check_assignment` call).
+    TheoryAssignments,
+    /// Theory consistency checks run: a fresh EUF + simplex +
+    /// Nelson–Oppen combination each, including the checks that confirm
+    /// and shrink a conflict core.
+    TheoryChecks,
+    /// Conflict explanations that failed their confirming check, so the
+    /// core was found by deletion over the whole model instead.
+    TheoryCoreFallbacks,
 }
 
 /// Number of [`MicroCounter`] variants.
-pub const NMICRO: usize = 15;
+pub const NMICRO: usize = 18;
 
 impl MicroCounter {
     /// Snake-case names used in JSON snapshots, prefixed by engine.
@@ -302,6 +312,9 @@ impl MicroCounter {
         "sets_saturation_lemmas",
         "sets_union_terms",
         "ite_expansions",
+        "theory_assignments",
+        "theory_checks",
+        "theory_core_fallbacks",
     ];
 
     /// All variants, in index order.
@@ -321,6 +334,9 @@ impl MicroCounter {
         MicroCounter::SetsSaturationLemmas,
         MicroCounter::SetsUnionTerms,
         MicroCounter::IteExpansions,
+        MicroCounter::TheoryAssignments,
+        MicroCounter::TheoryChecks,
+        MicroCounter::TheoryCoreFallbacks,
     ];
 
     /// Index into micro-keyed arrays.

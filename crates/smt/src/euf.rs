@@ -5,6 +5,17 @@
 //! arguments) are merged transitively, and a conflict is reported when a
 //! disequality spans one class or a class contains two distinct constants
 //! (integer literals, `true`/`false`).
+//!
+//! The engine works on the terms it is given, not on the whole arena:
+//! asserting a literal registers its terms and their subterms, and the
+//! congruence and conflict passes range over those alone.
+//!
+//! Every merge also records a *proof-forest* edge — the asserted equality
+//! behind it, or the congruence of two applications — so that two terms
+//! in one class can be explained by the reasons on the forest path
+//! between them, recursing into the arguments of congruence edges
+//! (Nieuwenhuis & Oliveras, *Fast congruence closure and extensions*,
+//! 2007). A conflict is explained this way ([`Euf::conflict`]).
 
 use crate::{Term, TermArena, TermId};
 use dsolve_obs::{micro, MicroCounter};
@@ -19,131 +30,210 @@ pub enum EufResult {
     Unsat,
 }
 
-/// Congruence closure engine over a [`TermArena`].
+/// Why two terms were merged.
+#[derive(Clone, Copy, Debug)]
+enum Why {
+    /// An asserted equality, with the caller's reason tag.
+    Asserted(u32),
+    /// Two applications with one head and pairwise-equal arguments.
+    Congruent,
+}
+
+/// One performed merge: the union-find link it set (for undo) and the
+/// proof-forest edge it added between the two terms that caused it.
+#[derive(Clone, Copy, Debug)]
+struct Merge {
+    child: u32,
+    root: u32,
+    rank_bumped: bool,
+    a: u32,
+    b: u32,
+    why: Why,
+}
+
+/// Congruence closure engine over the terms of a [`TermArena`].
 ///
-/// The engine supports assertion scopes: [`Euf::push`] snapshots the
-/// state and [`Euf::pop`] rolls back every merge, disequality, and
-/// pending assertion made since, by replaying a union undo trail in
-/// reverse. Union is by rank *without* path compression — compressed
-/// parent pointers could skip across a scope boundary and survive the
-/// rollback — so `find` stays O(log n) instead of O(α(n)), a fine trade
-/// at this scale.
-pub struct Euf {
+/// Terms are numbered locally in registration order. The engine
+/// supports assertion scopes: [`Euf::push`] snapshots the state and
+/// [`Euf::pop`] rolls back every merge (with its proof-forest edge),
+/// disequality, and pending assertion made since, by replaying the
+/// merge trail in reverse. Union is by rank *without* path compression
+/// — compressed parent pointers could skip across a scope boundary and
+/// survive the rollback — so `find` stays O(log n) instead of O(α(n)),
+/// a fine trade at this scale.
+pub struct Euf<'a> {
+    arena: &'a TermArena,
+    /// Local number of each registered term.
+    local: HashMap<TermId, u32>,
+    /// Registered terms, by local number.
+    terms: Vec<TermId>,
+    /// Local numbers of each registered term's arguments (empty unless
+    /// it is an application).
+    args: Vec<Vec<u32>>,
+    /// Registered applications and interpreted constants.
+    apps: Vec<u32>,
+    consts: Vec<u32>,
     parent: Vec<u32>,
     rank: Vec<u32>,
-    /// Asserted disequalities.
-    diseqs: Vec<(TermId, TermId)>,
-    /// Asserted equalities, append-only; `applied` marks how many have
-    /// been merged into the union-find so far. A rollback rewinds
-    /// `applied` instead of losing assertions that were merged late.
-    eqs: Vec<(TermId, TermId)>,
+    /// Proof-forest adjacency: indices into `merges` of each term's
+    /// edges, in creation order.
+    adj: Vec<Vec<u32>>,
+    /// Asserted disequalities, with reason tags.
+    diseqs: Vec<(u32, u32, u32)>,
+    /// Asserted equalities with reason tags, append-only; `applied`
+    /// marks how many have been merged into the union-find so far. A
+    /// rollback rewinds `applied` instead of losing assertions that were
+    /// merged late.
+    eqs: Vec<(u32, u32, u32)>,
     applied: usize,
-    /// Undo trail of performed merges: `(child_root, root, rank_bumped)`.
-    undo: Vec<(u32, u32, bool)>,
-    /// Scope marks: watermarks into `undo`, `diseqs`, and `eqs`, plus
+    /// Performed merges, in order: the undo trail and the proof forest.
+    merges: Vec<Merge>,
+    /// Scope marks: watermarks into `merges`, `diseqs`, and `eqs`, plus
     /// the `applied` cursor at push time.
     scopes: Vec<(usize, usize, usize, usize)>,
+    /// Reasons behind the last conflict.
+    conflict: Vec<u32>,
     /// Lifetime work counters, flushed as deltas to the thread-local
     /// micro accumulator at the end of each [`Euf::check`].
     n_merges: u64,
     n_congruence_pairs: u64,
 }
 
-impl Euf {
-    /// Creates a closure engine over all terms currently in the arena.
-    pub fn new(arena: &TermArena) -> Euf {
-        let n = arena.len();
+impl<'a> Euf<'a> {
+    /// Creates an empty closure engine over terms of `arena`.
+    pub fn new(arena: &'a TermArena) -> Euf<'a> {
         Euf {
-            parent: (0..n as u32).collect(),
-            rank: vec![0; n],
+            arena,
+            local: HashMap::new(),
+            terms: Vec::new(),
+            args: Vec::new(),
+            apps: Vec::new(),
+            consts: Vec::new(),
+            parent: Vec::new(),
+            rank: Vec::new(),
+            adj: Vec::new(),
             diseqs: Vec::new(),
             eqs: Vec::new(),
             applied: 0,
-            undo: Vec::new(),
+            merges: Vec::new(),
             scopes: Vec::new(),
+            conflict: Vec::new(),
             n_merges: 0,
             n_congruence_pairs: 0,
         }
     }
 
-    /// Extends the union-find to cover terms interned since construction
-    /// (new terms start as singleton classes).
-    pub fn grow(&mut self, arena: &TermArena) {
-        let n = arena.len();
-        while self.parent.len() < n {
-            self.parent.push(self.parent.len() as u32);
-            self.rank.push(0);
+    /// Registers `t` and its subterms (a no-op for known terms), so that
+    /// congruence covers them.
+    ///
+    /// Terms registered inside a scope stay registered after
+    /// [`Euf::pop`], as singleton classes: stale terms are harmless.
+    pub(crate) fn add_term(&mut self, t: TermId) {
+        self.intern(t);
+    }
+
+    /// Registers `t` and its subterms; returns `t`'s local number.
+    fn intern(&mut self, t: TermId) -> u32 {
+        if let Some(&l) = self.local.get(&t) {
+            return l;
         }
+        let arena = self.arena;
+        let term = arena.term(t);
+        let args = match term {
+            Term::App(_, args) => args.iter().map(|&a| self.intern(a)).collect(),
+            _ => Vec::new(),
+        };
+        let l = u32::try_from(self.terms.len()).expect("EUF term overflow");
+        match term {
+            Term::App(..) => self.apps.push(l),
+            Term::Int(_) | Term::Bool(_) => self.consts.push(l),
+            Term::Var(..) => {}
+        }
+        self.local.insert(t, l);
+        self.terms.push(t);
+        self.args.push(args);
+        self.parent.push(l);
+        self.rank.push(0);
+        self.adj.push(Vec::new());
+        l
+    }
+
+    /// The registered terms, in registration order (every subterm before
+    /// the terms containing it).
+    pub(crate) fn terms(&self) -> &[TermId] {
+        &self.terms
     }
 
     /// Opens an assertion scope; [`Euf::pop`] undoes everything asserted
     /// and merged after this call.
     pub fn push(&mut self) {
         self.scopes.push((
-            self.undo.len(),
+            self.merges.len(),
             self.diseqs.len(),
             self.eqs.len(),
             self.applied,
         ));
     }
 
-    /// Closes the innermost scope, rolling back merges in reverse trail
-    /// order and discarding scoped disequalities and equalities. The
-    /// `applied` cursor rewinds to its push-time value, so pre-scope
-    /// equalities that were merged *inside* the scope (and hence rolled
-    /// back with it) are re-merged by the next [`Euf::check`].
-    ///
-    /// Terms interned (and [`Euf::grow`]n) inside the scope are kept as
-    /// singleton classes: stale terms are harmless and the arena itself
-    /// is monotone.
+    /// Closes the innermost scope, rolling back merges (and their
+    /// proof-forest edges) in reverse order and discarding scoped
+    /// disequalities and equalities. The `applied` cursor rewinds to its
+    /// push-time value, so pre-scope equalities that were merged
+    /// *inside* the scope (and hence rolled back with it) are re-merged
+    /// by the next [`Euf::check`].
     pub fn pop(&mut self) {
-        let (undo_mark, diseq_mark, eqs_mark, applied_mark) =
+        let (merge_mark, diseq_mark, eqs_mark, applied_mark) =
             self.scopes.pop().expect("pop without matching push");
-        while self.undo.len() > undo_mark {
-            let (child, root, bumped) = self.undo.pop().expect("nonempty undo");
-            self.parent[child as usize] = child;
-            if bumped {
-                self.rank[root as usize] -= 1;
+        while self.merges.len() > merge_mark {
+            let m = self.merges.pop().expect("nonempty merge trail");
+            self.parent[m.child as usize] = m.child;
+            if m.rank_bumped {
+                self.rank[m.root as usize] -= 1;
             }
+            // Edges are appended in order, so the newest is last in both
+            // endpoints' lists.
+            self.adj[m.a as usize].pop();
+            self.adj[m.b as usize].pop();
         }
         self.diseqs.truncate(diseq_mark);
         self.eqs.truncate(eqs_mark);
         self.applied = applied_mark;
     }
 
-    /// Representative of `t`'s class.
-    pub fn find(&mut self, t: TermId) -> TermId {
-        let mut r = t.0;
-        while self.parent[r as usize] != r {
-            r = self.parent[r as usize];
+    fn find(&self, mut l: u32) -> u32 {
+        while self.parent[l as usize] != l {
+            l = self.parent[l as usize];
         }
-        TermId(r)
+        l
     }
 
-    /// Asserts `a = b`.
-    pub fn assert_eq(&mut self, a: TermId, b: TermId) {
-        self.eqs.push((a, b));
+    /// Asserts `a = b` for reason `why`.
+    pub fn assert_eq(&mut self, a: TermId, b: TermId, why: u32) {
+        let (a, b) = (self.intern(a), self.intern(b));
+        self.eqs.push((a, b, why));
     }
 
-    /// Asserts `a != b`.
-    pub fn assert_ne(&mut self, a: TermId, b: TermId) {
-        self.diseqs.push((a, b));
+    /// Asserts `a != b` for reason `why`.
+    pub fn assert_ne(&mut self, a: TermId, b: TermId, why: u32) {
+        let (a, b) = (self.intern(a), self.intern(b));
+        self.diseqs.push((a, b, why));
     }
 
-    /// Computes the closure and checks consistency.
-    pub fn check(&mut self, arena: &TermArena) -> EufResult {
+    /// Computes the closure and checks consistency; on `Unsat`,
+    /// [`Euf::conflict`] explains the conflict.
+    pub fn check(&mut self) -> EufResult {
         let base = (self.n_merges, self.n_congruence_pairs);
         // Fixpoint: merge unapplied asserted pairs, then recompute
         // congruences until no new merge appears. Congruence-derived
-        // merges go straight into the union-find (recorded on the undo
+        // merges go straight into the union-find (recorded on the merge
         // trail), not into `eqs`, so a rollback never replays them.
         loop {
             while self.applied < self.eqs.len() {
-                let (a, b) = self.eqs[self.applied];
+                let (a, b, why) = self.eqs[self.applied];
                 self.applied += 1;
-                self.merge(a, b);
+                self.merge(a, b, Why::Asserted(why));
             }
-            if !self.propagate_congruences(arena) {
+            if !self.propagate_congruences() {
                 break;
             }
         }
@@ -152,100 +242,203 @@ impl Euf {
             MicroCounter::EufCongruencePairs,
             self.n_congruence_pairs - base.1,
         );
-        if self.has_conflict(arena) {
-            EufResult::Unsat
-        } else {
-            EufResult::Sat
+        match self.find_conflict() {
+            Some(conflict) => {
+                self.conflict = conflict;
+                EufResult::Unsat
+            }
+            None => EufResult::Sat,
         }
     }
 
-    /// Whether `a` and `b` are in the same class (call after [`Euf::check`]).
-    pub fn same_class(&mut self, a: TermId, b: TermId) -> bool {
-        self.find(a) == self.find(b)
+    /// The reasons behind the last `Unsat` from [`Euf::check`],
+    /// unordered and possibly repeated.
+    pub fn conflict(&self) -> &[u32] {
+        &self.conflict
     }
 
-    fn merge(&mut self, a: TermId, b: TermId) {
+    /// Whether `a` and `b` are in the same class (call after
+    /// [`Euf::check`]). An unregistered term is its own class.
+    pub fn same_class(&self, a: TermId, b: TermId) -> bool {
+        match (self.local.get(&a), self.local.get(&b)) {
+            (Some(&la), Some(&lb)) => self.find(la) == self.find(lb),
+            _ => a == b,
+        }
+    }
+
+    /// The reasons that put `a` and `b` in one class (call after
+    /// [`Euf::check`]; both must be registered and in the same class).
+    pub(crate) fn explain(&self, a: TermId, b: TermId) -> Vec<u32> {
+        let mut out = Vec::new();
+        self.explain_into(self.local[&a], self.local[&b], &mut out);
+        out
+    }
+
+    fn merge(&mut self, a: u32, b: u32, why: Why) {
         let ra = self.find(a);
         let rb = self.find(b);
         if ra == rb {
             return;
         }
-        let (child, root) = if self.rank[ra.index()] < self.rank[rb.index()] {
+        let (child, root) = if self.rank[ra as usize] < self.rank[rb as usize] {
             (ra, rb)
         } else {
             (rb, ra)
         };
-        let bumped = self.rank[child.index()] == self.rank[root.index()];
-        if bumped {
-            self.rank[root.index()] += 1;
+        let rank_bumped = self.rank[child as usize] == self.rank[root as usize];
+        if rank_bumped {
+            self.rank[root as usize] += 1;
         }
-        self.parent[child.0 as usize] = root.0;
-        self.undo.push((child.0, root.0, bumped));
+        self.parent[child as usize] = root;
+        let edge = u32::try_from(self.merges.len()).expect("EUF merge overflow");
+        self.adj[a as usize].push(edge);
+        self.adj[b as usize].push(edge);
+        self.merges.push(Merge {
+            child,
+            root,
+            rank_bumped,
+            a,
+            b,
+            why,
+        });
         self.n_merges += 1;
     }
 
-    /// One congruence pass; returns true if any merge was performed.
-    fn propagate_congruences(&mut self, arena: &TermArena) -> bool {
-        let mut sigs: HashMap<(dsolve_logic::Symbol, Vec<TermId>), TermId> = HashMap::new();
-        let mut merges: Vec<(TermId, TermId)> = Vec::new();
-        for id in arena.ids() {
-            if let Term::App(f, args) = arena.term(id) {
-                let canon: Vec<TermId> = args.iter().map(|a| self.find(*a)).collect();
-                match sigs.entry((*f, canon)) {
-                    std::collections::hash_map::Entry::Occupied(prev) => {
-                        let other = *prev.get();
-                        if self.find(other) != self.find(id) {
-                            self.n_congruence_pairs += 1;
-                            merges.push((other, id));
-                        }
+    /// One congruence pass over the registered applications; returns
+    /// true if any merge was performed.
+    fn propagate_congruences(&mut self) -> bool {
+        let arena = self.arena;
+        let mut sigs: HashMap<(dsolve_logic::Symbol, Vec<u32>), u32> = HashMap::new();
+        let mut congruent: Vec<(u32, u32)> = Vec::new();
+        for &l in &self.apps {
+            let Term::App(f, _) = arena.term(self.terms[l as usize]) else {
+                unreachable!("registered as an application");
+            };
+            let canon: Vec<u32> = self.args[l as usize]
+                .iter()
+                .map(|&a| self.find(a))
+                .collect();
+            match sigs.entry((*f, canon)) {
+                std::collections::hash_map::Entry::Occupied(prev) => {
+                    let other = *prev.get();
+                    if self.find(other) != self.find(l) {
+                        self.n_congruence_pairs += 1;
+                        congruent.push((other, l));
                     }
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert(id);
-                    }
+                }
+                std::collections::hash_map::Entry::Vacant(v) => {
+                    v.insert(l);
                 }
             }
         }
-        let changed = !merges.is_empty();
-        for (a, b) in merges {
-            self.merge(a, b);
+        let changed = !congruent.is_empty();
+        for (a, b) in congruent {
+            self.merge(a, b, Why::Congruent);
         }
         changed
     }
 
-    fn has_conflict(&mut self, arena: &TermArena) -> bool {
-        // Disequality merged into one class.
-        for i in 0..self.diseqs.len() {
-            let (a, b) = self.diseqs[i];
+    /// The explanation of the first violated disequality or constant
+    /// clash, if any.
+    fn find_conflict(&self) -> Option<Vec<u32>> {
+        for &(a, b, why) in &self.diseqs {
             if self.find(a) == self.find(b) {
-                return true;
+                let mut out = vec![why];
+                self.explain_into(a, b, &mut out);
+                return Some(out);
             }
         }
-        // Two distinct constants in one class.
-        let mut const_of_class: HashMap<TermId, TermId> = HashMap::new();
-        for id in arena.ids() {
-            let t = arena.term(id);
-            if matches!(t, Term::Int(_) | Term::Bool(_)) {
-                let root = self.find(id);
-                if let Some(prev) = const_of_class.get(&root) {
-                    if *arena.term(*prev) != *t {
-                        return true;
-                    }
-                } else {
-                    const_of_class.insert(root, id);
+        // Two distinct constants in one class (hash-consing makes any two
+        // registered constants distinct).
+        let mut const_of_class: HashMap<u32, u32> = HashMap::new();
+        for &c in &self.consts {
+            match const_of_class.entry(self.find(c)) {
+                std::collections::hash_map::Entry::Occupied(prev) => {
+                    let mut out = Vec::new();
+                    self.explain_into(*prev.get(), c, &mut out);
+                    return Some(out);
+                }
+                std::collections::hash_map::Entry::Vacant(v) => {
+                    v.insert(c);
                 }
             }
         }
-        false
+        None
+    }
+
+    /// Appends the reasons for `a = b` to `out`: the asserted edges on
+    /// the proof-forest path, and for each congruence edge on it, the
+    /// explanations of its argument pairs. A congruence edge's arguments
+    /// were already joined by older edges when it was added, so the
+    /// recursion only descends to older edges and terminates; each edge
+    /// is expanded once.
+    fn explain_into(&self, a: u32, b: u32, out: &mut Vec<u32>) {
+        let mut expanded = vec![false; self.merges.len()];
+        let mut todo = vec![(a, b)];
+        while let Some((x, y)) = todo.pop() {
+            for e in self.path(x, y) {
+                if std::mem::replace(&mut expanded[e as usize], true) {
+                    continue;
+                }
+                let m = self.merges[e as usize];
+                match m.why {
+                    Why::Asserted(why) => out.push(why),
+                    Why::Congruent => todo.extend(
+                        self.args[m.a as usize]
+                            .iter()
+                            .copied()
+                            .zip(self.args[m.b as usize].iter().copied()),
+                    ),
+                }
+            }
+        }
+    }
+
+    /// The proof-forest edges on the path from `a` to `b` (one tree, so
+    /// the path is unique), found by breadth-first search.
+    fn path(&self, a: u32, b: u32) -> Vec<u32> {
+        if a == b {
+            return Vec::new();
+        }
+        // Node → (predecessor, edge used to reach it).
+        let mut via: HashMap<u32, (u32, u32)> = HashMap::new();
+        let mut frontier = std::collections::VecDeque::from([a]);
+        'search: while let Some(n) = frontier.pop_front() {
+            for &e in &self.adj[n as usize] {
+                let m = &self.merges[e as usize];
+                let next = if m.a == n { m.b } else { m.a };
+                if next == a || via.contains_key(&next) {
+                    continue;
+                }
+                via.insert(next, (n, e));
+                if next == b {
+                    break 'search;
+                }
+                frontier.push_back(next);
+            }
+        }
+        let mut edges = Vec::new();
+        let mut n = b;
+        while n != a {
+            let (prev, e) = via[&n];
+            edges.push(e);
+            n = prev;
+        }
+        edges
     }
 
     /// All pairs of distinct representatives that were merged, restricted
     /// to the given terms — used for Nelson–Oppen equality propagation.
-    pub fn equalities_among(&mut self, terms: &[TermId]) -> Vec<(TermId, TermId)> {
+    pub fn equalities_among(&self, terms: &[TermId]) -> Vec<(TermId, TermId)> {
+        let roots: Vec<Option<u32>> = terms
+            .iter()
+            .map(|t| self.local.get(t).map(|&l| self.find(l)))
+            .collect();
         let mut out = Vec::new();
-        for (i, &a) in terms.iter().enumerate() {
-            for &b in &terms[i + 1..] {
-                if self.find(a) == self.find(b) {
-                    out.push((a, b));
+        for (i, ri) in roots.iter().enumerate() {
+            for (j, rj) in roots.iter().enumerate().skip(i + 1) {
+                if ri.is_some() && ri == rj {
+                    out.push((terms[i], terms[j]));
                 }
             }
         }
@@ -270,13 +463,21 @@ mod tests {
         (a, vec![x, y, z, fx, fy, ffx])
     }
 
+    fn sorted(mut v: Vec<u32>) -> Vec<u32> {
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
     #[test]
     fn congruence_merges_applications() {
         let (arena, ids) = setup();
         let (x, y, _, fx, fy, _) = (ids[0], ids[1], ids[2], ids[3], ids[4], ids[5]);
         let mut euf = Euf::new(&arena);
-        euf.assert_eq(x, y);
-        assert_eq!(euf.check(&arena), EufResult::Sat);
+        euf.add_term(fx);
+        euf.add_term(fy);
+        euf.assert_eq(x, y, 0);
+        assert_eq!(euf.check(), EufResult::Sat);
         assert!(euf.same_class(fx, fy));
     }
 
@@ -285,10 +486,11 @@ mod tests {
         let (arena, ids) = setup();
         let (x, y, z) = (ids[0], ids[1], ids[2]);
         let mut euf = Euf::new(&arena);
-        euf.assert_eq(x, y);
-        euf.assert_eq(y, z);
-        euf.assert_ne(x, z);
-        assert_eq!(euf.check(&arena), EufResult::Unsat);
+        euf.assert_eq(x, y, 0);
+        euf.assert_eq(y, z, 1);
+        euf.assert_ne(x, z, 2);
+        assert_eq!(euf.check(), EufResult::Unsat);
+        assert_eq!(sorted(euf.conflict().to_vec()), vec![0, 1, 2]);
     }
 
     #[test]
@@ -298,9 +500,10 @@ mod tests {
         let (arena, ids) = setup();
         let (x, fx, ffx) = (ids[0], ids[3], ids[5]);
         let mut euf = Euf::new(&arena);
-        euf.assert_eq(x, fx);
-        euf.assert_ne(ffx, x);
-        assert_eq!(euf.check(&arena), EufResult::Unsat);
+        euf.assert_eq(x, fx, 0);
+        euf.assert_ne(ffx, x, 1);
+        assert_eq!(euf.check(), EufResult::Unsat);
+        assert_eq!(sorted(euf.conflict().to_vec()), vec![0, 1]);
     }
 
     #[test]
@@ -310,9 +513,10 @@ mod tests {
         let two = a.intern(Term::Int(2), Sort::Int);
         let x = a.intern(Term::Var(Symbol::new("x"), Sort::Int), Sort::Int);
         let mut euf = Euf::new(&a);
-        euf.assert_eq(x, one);
-        euf.assert_eq(x, two);
-        assert_eq!(euf.check(&a), EufResult::Unsat);
+        euf.assert_eq(x, one, 0);
+        euf.assert_eq(x, two, 1);
+        assert_eq!(euf.check(), EufResult::Unsat);
+        assert_eq!(sorted(euf.conflict().to_vec()), vec![0, 1]);
     }
 
     #[test]
@@ -321,8 +525,8 @@ mod tests {
         let t = a.intern(Term::Bool(true), Sort::Bool);
         let f = a.intern(Term::Bool(false), Sort::Bool);
         let mut euf = Euf::new(&a);
-        euf.assert_eq(t, f);
-        assert_eq!(euf.check(&a), EufResult::Unsat);
+        euf.assert_eq(t, f, 0);
+        assert_eq!(euf.check(), EufResult::Unsat);
     }
 
     #[test]
@@ -330,8 +534,8 @@ mod tests {
         let (arena, ids) = setup();
         let (x, y) = (ids[0], ids[1]);
         let mut euf = Euf::new(&arena);
-        euf.assert_ne(x, y);
-        assert_eq!(euf.check(&arena), EufResult::Sat);
+        euf.assert_ne(x, y, 0);
+        assert_eq!(euf.check(), EufResult::Sat);
         assert!(!euf.same_class(x, y));
     }
 
@@ -340,10 +544,67 @@ mod tests {
         let (arena, ids) = setup();
         let (x, y, z) = (ids[0], ids[1], ids[2]);
         let mut euf = Euf::new(&arena);
-        euf.assert_eq(x, y);
-        assert_eq!(euf.check(&arena), EufResult::Sat);
+        euf.add_term(z);
+        euf.assert_eq(x, y, 0);
+        assert_eq!(euf.check(), EufResult::Sat);
         let eqs = euf.equalities_among(&[x, y, z]);
         assert_eq!(eqs, vec![(x, y)]);
+    }
+
+    #[test]
+    fn only_registered_terms_take_part() {
+        // f(x) and f(y) are in the arena but never registered, so the
+        // closure does not touch them.
+        let (arena, ids) = setup();
+        let (x, y, fx, fy) = (ids[0], ids[1], ids[3], ids[4]);
+        let mut euf = Euf::new(&arena);
+        euf.assert_eq(x, y, 0);
+        assert_eq!(euf.check(), EufResult::Sat);
+        assert_eq!(euf.terms(), &[x, y]);
+        assert!(!euf.same_class(fx, fy));
+    }
+
+    #[test]
+    fn explanation_names_path_and_argument_literals_only() {
+        // x = y (0) makes f(x) = f(y) by congruence; f(y) = z (1) puts z
+        // in the class, and so does the unrelated z = w (2). Explaining
+        // f(x) = z needs the path f(x)—f(y)—z and the congruence's
+        // argument pair x = y, but not the edge to w.
+        let (mut arena, ids) = setup();
+        let (x, y, z, fx, fy) = (ids[0], ids[1], ids[2], ids[3], ids[4]);
+        let w = arena.intern(Term::Var(Symbol::new("w"), Sort::Int), Sort::Int);
+        let mut euf = Euf::new(&arena);
+        euf.assert_eq(x, y, 0);
+        euf.assert_eq(fy, z, 1);
+        euf.assert_eq(z, w, 2);
+        euf.add_term(fx);
+        assert_eq!(euf.check(), EufResult::Sat);
+        assert!(euf.same_class(fx, w));
+        assert_eq!(sorted(euf.explain(fx, z)), vec![0, 1]);
+        assert_eq!(sorted(euf.explain(fx, w)), vec![0, 1, 2]);
+        assert_eq!(euf.explain(w, w), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn explanation_never_names_a_popped_literal() {
+        // Inside a scope, x = z (1) and z = y (2) join x and y first;
+        // after pop only the base x = y (0) explains them.
+        let (arena, ids) = setup();
+        let (x, y, z, fx, fy) = (ids[0], ids[1], ids[2], ids[3], ids[4]);
+        let mut euf = Euf::new(&arena);
+        euf.add_term(fx);
+        euf.add_term(fy);
+        euf.push();
+        euf.assert_eq(x, z, 1);
+        euf.assert_eq(z, y, 2);
+        assert_eq!(euf.check(), EufResult::Sat);
+        assert_eq!(sorted(euf.explain(fx, fy)), vec![1, 2]);
+        euf.pop();
+        euf.assert_eq(x, y, 0);
+        euf.assert_ne(fx, fy, 3);
+        assert_eq!(euf.check(), EufResult::Unsat);
+        assert_eq!(sorted(euf.conflict().to_vec()), vec![0, 3]);
+        assert_eq!(sorted(euf.explain(fx, fy)), vec![0]);
     }
 
     #[test]
@@ -351,15 +612,17 @@ mod tests {
         let (arena, ids) = setup();
         let (x, y, z, fx, fy) = (ids[0], ids[1], ids[2], ids[3], ids[4]);
         let mut euf = Euf::new(&arena);
-        euf.assert_eq(x, y);
-        assert_eq!(euf.check(&arena), EufResult::Sat);
+        euf.add_term(fx);
+        euf.add_term(fy);
+        euf.assert_eq(x, y, 0);
+        assert_eq!(euf.check(), EufResult::Sat);
         euf.push();
-        euf.assert_eq(y, z);
-        euf.assert_ne(x, z);
-        assert_eq!(euf.check(&arena), EufResult::Unsat);
+        euf.assert_eq(y, z, 1);
+        euf.assert_ne(x, z, 2);
+        assert_eq!(euf.check(), EufResult::Unsat);
         euf.pop();
         // Base-scope facts survive, scoped ones are gone.
-        assert_eq!(euf.check(&arena), EufResult::Sat);
+        assert_eq!(euf.check(), EufResult::Sat);
         assert!(euf.same_class(x, y));
         assert!(euf.same_class(fx, fy));
         assert!(!euf.same_class(x, z));
@@ -373,12 +636,12 @@ mod tests {
         let (arena, ids) = setup();
         let (x, y, z) = (ids[0], ids[1], ids[2]);
         let mut euf = Euf::new(&arena);
-        euf.assert_eq(x, y);
+        euf.assert_eq(x, y, 0);
         euf.push();
-        euf.assert_eq(y, z);
-        assert_eq!(euf.check(&arena), EufResult::Sat);
+        euf.assert_eq(y, z, 1);
+        assert_eq!(euf.check(), EufResult::Sat);
         euf.pop();
-        assert_eq!(euf.check(&arena), EufResult::Sat);
+        assert_eq!(euf.check(), EufResult::Sat);
         assert!(euf.same_class(x, y));
         assert!(!euf.same_class(x, z));
     }
@@ -389,50 +652,53 @@ mod tests {
         let (x, y, z) = (ids[0], ids[1], ids[2]);
         let mut euf = Euf::new(&arena);
         euf.push();
-        euf.assert_eq(x, y);
-        assert_eq!(euf.check(&arena), EufResult::Sat);
+        euf.assert_eq(x, y, 0);
+        assert_eq!(euf.check(), EufResult::Sat);
         euf.push();
-        euf.assert_eq(y, z);
-        assert_eq!(euf.check(&arena), EufResult::Sat);
+        euf.assert_eq(y, z, 1);
+        assert_eq!(euf.check(), EufResult::Sat);
         assert!(euf.same_class(x, z));
         euf.pop();
-        assert_eq!(euf.check(&arena), EufResult::Sat);
+        assert_eq!(euf.check(), EufResult::Sat);
         assert!(euf.same_class(x, y));
         assert!(!euf.same_class(x, z));
         euf.pop();
-        assert_eq!(euf.check(&arena), EufResult::Sat);
+        assert_eq!(euf.check(), EufResult::Sat);
         assert!(!euf.same_class(x, y));
     }
 
     #[test]
-    fn grow_covers_new_terms() {
+    fn terms_registered_after_a_check_are_covered() {
         let (mut arena, ids) = setup();
         let (x, y) = (ids[0], ids[1]);
-        let mut euf = Euf::new(&arena);
-        euf.assert_eq(x, y);
-        assert_eq!(euf.check(&arena), EufResult::Sat);
-        // Intern a new application after construction; grow() must cover
-        // it and congruence must still fire.
         let gx = arena.intern(Term::App(Symbol::new("g"), vec![x]), Sort::Int);
         let gy = arena.intern(Term::App(Symbol::new("g"), vec![y]), Sort::Int);
-        euf.grow(&arena);
-        assert_eq!(euf.check(&arena), EufResult::Sat);
+        let mut euf = Euf::new(&arena);
+        euf.assert_eq(x, y, 0);
+        assert_eq!(euf.check(), EufResult::Sat);
+        // Register new applications after the first check; congruence
+        // must still fire.
+        euf.add_term(gx);
+        euf.add_term(gy);
+        assert_eq!(euf.check(), EufResult::Sat);
         assert!(euf.same_class(gx, gy));
     }
 
     #[test]
     fn congruence_merges_do_not_survive_pop() {
-        // Congruence-derived merges are recorded only on the undo trail,
+        // Congruence-derived merges are recorded only on the merge trail,
         // never in the assertion log, so pop must fully undo them.
         let (arena, ids) = setup();
         let (x, y, fx, fy) = (ids[0], ids[1], ids[3], ids[4]);
         let mut euf = Euf::new(&arena);
+        euf.add_term(fx);
+        euf.add_term(fy);
         euf.push();
-        euf.assert_eq(x, y);
-        assert_eq!(euf.check(&arena), EufResult::Sat);
+        euf.assert_eq(x, y, 0);
+        assert_eq!(euf.check(), EufResult::Sat);
         assert!(euf.same_class(fx, fy));
         euf.pop();
-        assert_eq!(euf.check(&arena), EufResult::Sat);
+        assert_eq!(euf.check(), EufResult::Sat);
         assert!(!euf.same_class(fx, fy));
         assert!(!euf.same_class(x, y));
     }

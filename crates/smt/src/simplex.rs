@@ -12,6 +12,15 @@
 //! the node budget (or the deadline) is exhausted the solver answers
 //! [`LpResult::Unknown`], which callers must surface rather than treat
 //! as either verdict.
+//!
+//! Every bound carries the caller's *reason* for it (an opaque tag, or
+//! `None` for a fact that needs none), and an infeasible verdict is
+//! explained by the reasons of the bounds that cause it
+//! ([`Simplex::conflict`]): the Farkas row of the violated basic
+//! variable — its violated bound plus the blocking bound of every
+//! nonbasic variable in its row — or, after branch-and-bound, the union
+//! of the leaves' explanations (branch bounds carry no reason, because
+//! the two branches together cover every integer).
 
 use crate::Rat;
 use dsolve_logic::{deadline_expired, Budget};
@@ -53,9 +62,14 @@ pub struct Simplex {
     rows: Vec<HashMap<usize, Rat>>,
     basic: Vec<usize>,
     row_of: HashMap<usize, usize>,
-    /// Displaced bounds: `(var, is_lower, previous bound)`. Recorded
-    /// only while at least one scope is open.
-    trail: Vec<(usize, bool, Option<Rat>)>,
+    /// Reason tag of each lower/upper bound, parallel to `lower`/`upper`.
+    lower_why: Vec<Option<u32>>,
+    upper_why: Vec<Option<u32>>,
+    /// Reasons behind the last infeasible verdict.
+    conflict: Vec<u32>,
+    /// Displaced bounds: `(var, is_lower, previous bound, its reason)`.
+    /// Recorded only while at least one scope is open.
+    trail: Vec<(usize, bool, Option<Rat>, Option<u32>)>,
     /// Trail watermarks for open scopes.
     scopes: Vec<usize>,
     /// Pivots performed since the last flush. Zeroed when [`Simplex::check`]
@@ -76,6 +90,8 @@ impl Simplex {
         self.nvars += 1;
         self.lower.push(None);
         self.upper.push(None);
+        self.lower_why.push(None);
+        self.upper_why.push(None);
         self.is_int.push(is_int);
         self.beta.push(Rat::ZERO);
         v
@@ -121,8 +137,9 @@ impl Simplex {
     }
 
     /// Opens an assertion scope; [`Simplex::pop`] restores every bound
-    /// tightened after this call. Variables and rows added inside the
-    /// scope are kept — both are definitional, not assertions.
+    /// (and its reason) tightened after this call. Variables and rows
+    /// added inside the scope are kept — both are definitional, not
+    /// assertions.
     pub fn push(&mut self) {
         self.scopes.push(self.trail.len());
     }
@@ -135,27 +152,33 @@ impl Simplex {
     pub fn pop(&mut self) {
         let mark = self.scopes.pop().expect("pop without matching push");
         while self.trail.len() > mark {
-            let (var, is_lower, old) = self.trail.pop().expect("nonempty trail");
+            let (var, is_lower, old, why) = self.trail.pop().expect("nonempty trail");
             if is_lower {
                 self.lower[var] = old;
+                self.lower_why[var] = why;
             } else {
                 self.upper[var] = old;
+                self.upper_why[var] = why;
             }
         }
     }
 
-    /// Asserts `var >= bound`; returns `false` on immediate conflict.
-    pub fn assert_lower(&mut self, var: usize, bound: Rat) -> bool {
+    /// Asserts `var >= bound` for reason `why`; returns `false` on
+    /// immediate conflict (explained by [`Simplex::conflict`]).
+    pub fn assert_lower(&mut self, var: usize, bound: Rat, why: Option<u32>) -> bool {
         if let Some(u) = self.upper[var] {
             if bound > u {
+                self.conflict = self.upper_why[var].into_iter().chain(why).collect();
                 return false;
             }
         }
         if self.lower[var].is_none_or(|l| bound > l) {
             if !self.scopes.is_empty() {
-                self.trail.push((var, true, self.lower[var]));
+                self.trail
+                    .push((var, true, self.lower[var], self.lower_why[var]));
             }
             self.lower[var] = Some(bound);
+            self.lower_why[var] = why;
             if !self.row_of.contains_key(&var) && self.beta[var] < bound {
                 self.update(var, bound);
             }
@@ -163,23 +186,34 @@ impl Simplex {
         true
     }
 
-    /// Asserts `var <= bound`; returns `false` on immediate conflict.
-    pub fn assert_upper(&mut self, var: usize, bound: Rat) -> bool {
+    /// Asserts `var <= bound` for reason `why`; returns `false` on
+    /// immediate conflict (explained by [`Simplex::conflict`]).
+    pub fn assert_upper(&mut self, var: usize, bound: Rat, why: Option<u32>) -> bool {
         if let Some(l) = self.lower[var] {
             if bound < l {
+                self.conflict = self.lower_why[var].into_iter().chain(why).collect();
                 return false;
             }
         }
         if self.upper[var].is_none_or(|u| bound < u) {
             if !self.scopes.is_empty() {
-                self.trail.push((var, false, self.upper[var]));
+                self.trail
+                    .push((var, false, self.upper[var], self.upper_why[var]));
             }
             self.upper[var] = Some(bound);
+            self.upper_why[var] = why;
             if !self.row_of.contains_key(&var) && self.beta[var] > bound {
                 self.update(var, bound);
             }
         }
         true
+    }
+
+    /// The reasons behind the last infeasible verdict — a `false` from
+    /// an assertion, or `Unsat` from a check — unordered and possibly
+    /// repeated. Bounds asserted without a reason do not appear.
+    pub fn conflict(&self) -> &[u32] {
+        &self.conflict
     }
 
     /// Current value of `var` in the candidate assignment.
@@ -304,10 +338,34 @@ impl Simplex {
                 }
             }
             let Some(xj) = choice else {
+                self.conflict = self.farkas_row(r, xi, increase);
                 return LpResult::Unsat;
             };
             self.pivot_and_update(r, xi, xj, target);
         }
+    }
+
+    /// Explains why basic `xi` (row `r`) cannot be repaired: its violated
+    /// bound, plus the bound every nonbasic variable of the row sits at —
+    /// the one that blocks moving `xi` in the needed direction.
+    fn farkas_row(&self, r: usize, xi: usize, increase: bool) -> Vec<u32> {
+        let mut out: Vec<u32> = Vec::with_capacity(self.rows[r].len() + 1);
+        out.extend(if increase {
+            self.lower_why[xi]
+        } else {
+            self.upper_why[xi]
+        });
+        for (&xj, &a) in &self.rows[r] {
+            // Raising xi needs xj up when a > 0, so xj's upper bound
+            // blocks it; every other case mirrors that.
+            let blocked_above = a.is_positive() == increase;
+            out.extend(if blocked_above {
+                self.upper_why[xj]
+            } else {
+                self.lower_why[xj]
+            });
+        }
+        out
     }
 
     /// Decides integer feasibility by branch-and-bound with the default
@@ -355,40 +413,37 @@ impl Simplex {
         }
         let val = self.beta[v];
         let mut unknown = false;
+        let mut conflict: Vec<u32> = Vec::new();
         // Each branch tightens one bound under a scope and pops it on
         // the way out (even on Sat: callers expect the tableau's
         // asserted bounds unchanged by the search, exactly as the old
-        // clone-per-branch version guaranteed).
-        // Branch: v <= floor(val).
-        self.push();
-        let res = if self.assert_upper(v, val.floor()) {
-            self.check_int_rec(nodes, deadline, depth + 1, max_depth)
-        } else {
-            LpResult::Unsat
-        };
-        self.pop();
-        match res {
-            LpResult::Sat => return LpResult::Sat,
-            LpResult::Unknown => unknown = true,
-            LpResult::Unsat => {}
-        }
-        // Branch: v >= ceil(val).
-        self.push();
-        let res = if self.assert_lower(v, val.ceil()) {
-            self.check_int_rec(nodes, deadline, depth + 1, max_depth)
-        } else {
-            LpResult::Unsat
-        };
-        self.pop();
-        match res {
-            LpResult::Sat => return LpResult::Sat,
-            LpResult::Unknown => unknown = true,
-            LpResult::Unsat => {}
+        // clone-per-branch version guaranteed). The branch bounds carry
+        // no reason: v ≤ ⌊val⌋ ∨ v ≥ ⌈val⌉ holds for every integer, so
+        // the union of both branches' explanations is infeasible alone.
+        for upper in [true, false] {
+            self.push();
+            let ok = if upper {
+                self.assert_upper(v, val.floor(), None)
+            } else {
+                self.assert_lower(v, val.ceil(), None)
+            };
+            let res = if ok {
+                self.check_int_rec(nodes, deadline, depth + 1, max_depth)
+            } else {
+                LpResult::Unsat
+            };
+            self.pop();
+            match res {
+                LpResult::Sat => return LpResult::Sat,
+                LpResult::Unknown => unknown = true,
+                LpResult::Unsat => conflict.append(&mut self.conflict),
+            }
         }
         // An undecided branch means infeasibility was not established.
         if unknown {
             LpResult::Unknown
         } else {
+            self.conflict = conflict;
             LpResult::Unsat
         }
     }
@@ -406,8 +461,8 @@ mod tests {
     fn trivial_bounds() {
         let mut s = Simplex::new();
         let x = s.new_var(true);
-        assert!(s.assert_lower(x, r(1)));
-        assert!(s.assert_upper(x, r(5)));
+        assert!(s.assert_lower(x, r(1), None));
+        assert!(s.assert_upper(x, r(5), None));
         assert_eq!(s.check(), LpResult::Sat);
         assert!(s.value(x) >= r(1) && s.value(x) <= r(5));
     }
@@ -416,8 +471,8 @@ mod tests {
     fn contradictory_bounds() {
         let mut s = Simplex::new();
         let x = s.new_var(true);
-        assert!(s.assert_lower(x, r(3)));
-        assert!(!s.assert_upper(x, r(2)));
+        assert!(s.assert_lower(x, r(3), None));
+        assert!(!s.assert_upper(x, r(2), None));
     }
 
     #[test]
@@ -427,9 +482,9 @@ mod tests {
         let x = s.new_var(true);
         let y = s.new_var(true);
         let sl = s.add_row(&[(x, r(1)), (y, r(1))]);
-        assert!(s.assert_upper(sl, r(4)));
-        assert!(s.assert_lower(x, r(3)));
-        assert!(s.assert_lower(y, r(2)));
+        assert!(s.assert_upper(sl, r(4), None));
+        assert!(s.assert_lower(x, r(3), None));
+        assert!(s.assert_lower(y, r(2), None));
         assert_eq!(s.check(), LpResult::Unsat);
     }
 
@@ -440,9 +495,9 @@ mod tests {
         let x = s.new_var(true);
         let y = s.new_var(true);
         let sl = s.add_row(&[(x, r(1)), (y, r(1))]);
-        assert!(s.assert_upper(sl, r(4)));
-        assert!(s.assert_lower(x, r(1)));
-        assert!(s.assert_lower(y, r(2)));
+        assert!(s.assert_upper(sl, r(4), None));
+        assert!(s.assert_lower(x, r(1), None));
+        assert!(s.assert_lower(y, r(2), None));
         assert_eq!(s.check(), LpResult::Sat);
         assert!(s.value(x) + s.value(y) <= r(4));
     }
@@ -455,11 +510,11 @@ mod tests {
         let y = s.new_var(true);
         let z = s.new_var(true);
         let r1 = s.add_row(&[(x, r(1)), (y, r(-1))]); // x - y = 1
-        assert!(s.assert_lower(r1, r(1)) && s.assert_upper(r1, r(1)));
+        assert!(s.assert_lower(r1, r(1), None) && s.assert_upper(r1, r(1), None));
         let r2 = s.add_row(&[(y, r(1)), (z, r(-1))]); // y - z = 1
-        assert!(s.assert_lower(r2, r(1)) && s.assert_upper(r2, r(1)));
+        assert!(s.assert_lower(r2, r(1), None) && s.assert_upper(r2, r(1), None));
         let r3 = s.add_row(&[(x, r(1)), (z, r(-1))]); // x - z = 0
-        assert!(s.assert_lower(r3, r(0)) && s.assert_upper(r3, r(0)));
+        assert!(s.assert_lower(r3, r(0), None) && s.assert_upper(r3, r(0), None));
         assert_eq!(s.check(), LpResult::Unsat);
     }
 
@@ -469,7 +524,7 @@ mod tests {
         let mut s = Simplex::new();
         let x = s.new_var(true);
         let row = s.add_row(&[(x, r(2))]);
-        assert!(s.assert_lower(row, r(1)) && s.assert_upper(row, r(1)));
+        assert!(s.assert_lower(row, r(1), None) && s.assert_upper(row, r(1), None));
         assert_eq!(s.check(), LpResult::Sat);
         assert_eq!(s.check_int(), LpResult::Unsat);
     }
@@ -481,9 +536,9 @@ mod tests {
         let x = s.new_var(true);
         let y = s.new_var(true);
         let row = s.add_row(&[(x, r(2)), (y, r(2))]);
-        assert!(s.assert_lower(row, r(4)) && s.assert_upper(row, r(4)));
-        assert!(s.assert_lower(x, r(0)));
-        assert!(s.assert_lower(y, r(0)));
+        assert!(s.assert_lower(row, r(4), None) && s.assert_upper(row, r(4), None));
+        assert!(s.assert_lower(x, r(0), None));
+        assert!(s.assert_lower(y, r(0), None));
         assert_eq!(s.check_int(), LpResult::Sat);
     }
 
@@ -494,7 +549,7 @@ mod tests {
         let mut s = Simplex::new();
         let x = s.new_var(true);
         let row = s.add_row(&[(x, r(2))]);
-        assert!(s.assert_lower(row, r(1)) && s.assert_upper(row, r(1)));
+        assert!(s.assert_lower(row, r(1), None) && s.assert_upper(row, r(1), None));
         assert_eq!(s.check_int_within(0, None), LpResult::Unknown);
         // With budget available the same system is decided exactly.
         assert_eq!(s.check_int_within(400, None), LpResult::Unsat);
@@ -505,7 +560,7 @@ mod tests {
         let mut s = Simplex::new();
         let x = s.new_var(true);
         let row = s.add_row(&[(x, r(2))]);
-        assert!(s.assert_lower(row, r(1)) && s.assert_upper(row, r(1)));
+        assert!(s.assert_lower(row, r(1), None) && s.assert_upper(row, r(1), None));
         let past = Instant::now() - std::time::Duration::from_millis(1);
         assert_eq!(s.check_int_within(400, Some(past)), LpResult::Unknown);
     }
@@ -518,9 +573,9 @@ mod tests {
         let x = s.new_var(true);
         let y = s.new_var(true);
         let d1 = s.add_row(&[(x, r(1)), (y, r(-1))]); // x - y
-        assert!(s.assert_upper(d1, r(-1)));
+        assert!(s.assert_upper(d1, r(-1), None));
         let d2 = s.add_row(&[(y, r(1)), (x, r(-1))]); // y - x
-        assert!(s.assert_upper(d2, r(0)));
+        assert!(s.assert_upper(d2, r(0), None));
         assert_eq!(s.check(), LpResult::Unsat);
     }
 
@@ -528,17 +583,17 @@ mod tests {
     fn pop_restores_displaced_bounds() {
         let mut s = Simplex::new();
         let x = s.new_var(true);
-        assert!(s.assert_lower(x, r(0)));
-        assert!(s.assert_upper(x, r(10)));
+        assert!(s.assert_lower(x, r(0), None));
+        assert!(s.assert_upper(x, r(10), None));
         s.push();
-        assert!(s.assert_lower(x, r(5)));
-        assert!(s.assert_upper(x, r(6)));
+        assert!(s.assert_lower(x, r(5), None));
+        assert!(s.assert_upper(x, r(6), None));
         assert_eq!(s.check(), LpResult::Sat);
         assert!(s.value(x) >= r(5) && s.value(x) <= r(6));
         s.pop();
         // The base bounds are back and a previously excluded point is
         // admissible again.
-        assert!(s.assert_upper(x, r(2)));
+        assert!(s.assert_upper(x, r(2), None));
         assert_eq!(s.check(), LpResult::Sat);
         assert!(s.value(x) <= r(2));
     }
@@ -551,15 +606,15 @@ mod tests {
         let x = s.new_var(true);
         let y = s.new_var(true);
         let sl = s.add_row(&[(x, r(1)), (y, r(1))]);
-        assert!(s.assert_upper(sl, r(4)));
+        assert!(s.assert_upper(sl, r(4), None));
         s.push();
-        assert!(s.assert_lower(x, r(3)));
-        assert!(s.assert_lower(y, r(2)));
+        assert!(s.assert_lower(x, r(3), None));
+        assert!(s.assert_lower(y, r(2), None));
         assert_eq!(s.check(), LpResult::Unsat);
         s.pop();
         assert_eq!(s.check(), LpResult::Sat);
-        assert!(s.assert_lower(x, r(1)));
-        assert!(s.assert_lower(y, r(2)));
+        assert!(s.assert_lower(x, r(1), None));
+        assert!(s.assert_lower(y, r(2), None));
         assert_eq!(s.check(), LpResult::Sat);
     }
 
@@ -567,19 +622,19 @@ mod tests {
     fn nested_scopes_restore_in_order() {
         let mut s = Simplex::new();
         let x = s.new_var(true);
-        assert!(s.assert_upper(x, r(10)));
+        assert!(s.assert_upper(x, r(10), None));
         s.push();
-        assert!(s.assert_upper(x, r(7)));
+        assert!(s.assert_upper(x, r(7), None));
         s.push();
-        assert!(s.assert_upper(x, r(3)));
-        assert!(!s.assert_lower(x, r(4)));
+        assert!(s.assert_upper(x, r(3), None));
+        assert!(!s.assert_lower(x, r(4), None));
         s.pop();
         // Middle scope: bound is 7 again.
-        assert!(s.assert_lower(x, r(5)));
+        assert!(s.assert_lower(x, r(5), None));
         assert_eq!(s.check(), LpResult::Sat);
         s.pop();
         // The scoped lower bound is gone and the base upper is back.
-        assert!(s.assert_lower(x, r(9)));
+        assert!(s.assert_lower(x, r(9), None));
         assert_eq!(s.check(), LpResult::Sat);
         assert!(s.value(x) >= r(9) && s.value(x) <= r(10));
     }
@@ -592,13 +647,13 @@ mod tests {
         let x = s.new_var(true);
         let y = s.new_var(true);
         let row = s.add_row(&[(x, r(2)), (y, r(2))]);
-        assert!(s.assert_lower(row, r(4)) && s.assert_upper(row, r(4)));
-        assert!(s.assert_lower(x, r(0)));
-        assert!(s.assert_lower(y, r(0)));
+        assert!(s.assert_lower(row, r(4), None) && s.assert_upper(row, r(4), None));
+        assert!(s.assert_lower(x, r(0), None));
+        assert!(s.assert_lower(y, r(0), None));
         assert_eq!(s.check_int(), LpResult::Sat);
         // x = 2 (forcing y = 0) must still be admissible: a leaked
         // branch bound like x <= 0 or x <= 1 would reject it.
-        assert!(s.assert_lower(x, r(2)));
+        assert!(s.assert_lower(x, r(2), None));
         assert_eq!(s.check_int(), LpResult::Sat);
         assert_eq!(s.value(y), r(0));
     }
@@ -611,10 +666,88 @@ mod tests {
         let y = s.new_var(true);
         let s1 = s.add_row(&[(x, r(1)), (y, r(1))]);
         let s2 = s.add_row(&[(s1, r(1)), (x, r(1))]); // 2x + y
-        assert!(s.assert_lower(s2, r(10)));
-        assert!(s.assert_upper(x, r(2)));
-        assert!(s.assert_upper(y, r(2)));
+        assert!(s.assert_lower(s2, r(10), None));
+        assert!(s.assert_upper(x, r(2), None));
+        assert!(s.assert_upper(y, r(2), None));
         // 2x + y <= 6 < 10: infeasible.
         assert_eq!(s.check(), LpResult::Unsat);
+    }
+
+    fn sorted(reasons: &[u32]) -> Vec<u32> {
+        let mut v = reasons.to_vec();
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
+    #[test]
+    fn farkas_explanation_omits_uninvolved_bounds() {
+        // x + y <= 4 (reason 0), x >= 3 (1), y >= 2 (2) conflict; the
+        // bounds z >= 7 (3) and x <= 9 (4) play no part.
+        let mut s = Simplex::new();
+        let x = s.new_var(true);
+        let y = s.new_var(true);
+        let z = s.new_var(true);
+        let sl = s.add_row(&[(x, r(1)), (y, r(1))]);
+        assert!(s.assert_upper(sl, r(4), Some(0)));
+        assert!(s.assert_lower(z, r(7), Some(3)));
+        assert!(s.assert_upper(x, r(9), Some(4)));
+        assert!(s.assert_lower(x, r(3), Some(1)));
+        assert!(s.assert_lower(y, r(2), Some(2)));
+        assert_eq!(s.check(), LpResult::Unsat);
+        assert_eq!(sorted(s.conflict()), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn immediate_bound_clash_names_both_bounds() {
+        let mut s = Simplex::new();
+        let x = s.new_var(true);
+        assert!(s.assert_lower(x, r(3), Some(5)));
+        assert!(s.assert_upper(x, r(8), Some(6)));
+        assert!(!s.assert_upper(x, r(2), Some(7)));
+        assert_eq!(sorted(s.conflict()), vec![5, 7]);
+    }
+
+    #[test]
+    fn branch_and_bound_explained_by_the_row_alone() {
+        // 2x = 1 is rationally feasible; branch-and-bound refutes it in
+        // two leaves whose branch bounds carry no reason, so the union
+        // is the row's own literal. The unrelated y bound stays out.
+        let mut s = Simplex::new();
+        let x = s.new_var(true);
+        let y = s.new_var(true);
+        assert!(s.assert_lower(y, r(0), Some(9)));
+        let row = s.add_row(&[(x, r(2))]);
+        assert!(s.assert_lower(row, r(1), Some(4)) && s.assert_upper(row, r(1), Some(4)));
+        assert_eq!(s.check_int(), LpResult::Unsat);
+        assert_eq!(sorted(s.conflict()), vec![4]);
+    }
+
+    #[test]
+    fn branch_and_bound_unions_both_leaves() {
+        // 1 <= 2x (reason 1) and 2x <= 1 (reason 2): the branch x <= 0
+        // is refuted by the first bound alone, x >= 1 by the second.
+        let mut s = Simplex::new();
+        let x = s.new_var(true);
+        let row = s.add_row(&[(x, r(2))]);
+        assert!(s.assert_lower(row, r(1), Some(1)) && s.assert_upper(row, r(1), Some(2)));
+        assert_eq!(s.check_int(), LpResult::Unsat);
+        assert_eq!(sorted(s.conflict()), vec![1, 2]);
+    }
+
+    #[test]
+    fn pop_restores_bound_reasons() {
+        // x >= 0 for reason 1; a scoped x >= 5 for reason 2 displaces
+        // it. After pop, a clash with x <= -1 must name reason 1 again.
+        let mut s = Simplex::new();
+        let x = s.new_var(true);
+        assert!(s.assert_lower(x, r(0), Some(1)));
+        s.push();
+        assert!(s.assert_lower(x, r(5), Some(2)));
+        assert!(!s.assert_upper(x, r(4), Some(3)));
+        assert_eq!(sorted(s.conflict()), vec![2, 3]);
+        s.pop();
+        assert!(!s.assert_upper(x, r(-1), Some(3)));
+        assert_eq!(sorted(s.conflict()), vec![1, 3]);
     }
 }

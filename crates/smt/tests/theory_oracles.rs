@@ -1,14 +1,17 @@
 //! Theory-solver oracles: the simplex and congruence-closure engines
 //! checked against brute-force reference implementations on randomly
-//! generated small instances, including through push/pop scopes.
+//! generated small instances, including through push/pop scopes, and
+//! the conflict cores of the combined theory check held to the same
+//! oracles.
 //!
 //! Case counts are deliberately small so `cargo test` stays fast; build
 //! with `--features slow-proptest` for a deeper local run.
 
 use dsolve_logic::{Expr, Pred, Rel, Sort, SortEnv, Symbol};
+use dsolve_obs::MicroCounter;
 use dsolve_smt::{
-    Euf, EufResult, LpResult, Rat, Simplex, SmtSolver, SolverConfig, Term, TermArena, TermId,
-    Validity,
+    check_assignment, AtomId, Atoms, Euf, EufResult, LpResult, Rat, Simplex, SmtSolver,
+    SolverConfig, Term, TermArena, TermId, TheoryBudget, TheoryResult, Validity,
 };
 use proptest::prelude::*;
 
@@ -83,9 +86,9 @@ fn assert_all(simplex: &mut Simplex, vars: &[usize], cs: &[Constraint]) -> bool 
         }
         let s = simplex.add_row(&combo);
         let ok = match c.2 {
-            0 => simplex.assert_upper(s, d),
-            1 => simplex.assert_lower(s, d),
-            _ => simplex.assert_lower(s, d) && simplex.assert_upper(s, d),
+            0 => simplex.assert_upper(s, d, None),
+            1 => simplex.assert_lower(s, d, None),
+            _ => simplex.assert_lower(s, d, None) && simplex.assert_upper(s, d, None),
         };
         if !ok {
             return false;
@@ -98,8 +101,8 @@ fn boxed_simplex() -> (Simplex, Vec<usize>) {
     let mut simplex = Simplex::new();
     let vars: Vec<usize> = (0..NVARS).map(|_| simplex.new_var(true)).collect();
     for &v in &vars {
-        assert!(simplex.assert_lower(v, Rat::from_int(-BOUND)));
-        assert!(simplex.assert_upper(v, Rat::from_int(BOUND)));
+        assert!(simplex.assert_lower(v, Rat::from_int(-BOUND), None));
+        assert!(simplex.assert_upper(v, Rat::from_int(BOUND), None));
     }
     (simplex, vars)
 }
@@ -264,7 +267,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     /// Congruence closure agrees with the naive fixpoint closure on
-    /// random (dis)equality sets over the fixed universe.
+    /// random (dis)equality sets over the fixed universe, and the
+    /// explanation of a conflict is itself a conflict.
     #[test]
     fn euf_matches_naive_closure(
         eq_picks in prop::collection::vec((0usize..11, 0usize..11), 0..6),
@@ -281,16 +285,31 @@ proptest! {
             .filter(|&&(i, j)| i != j)
             .map(|&(i, j)| (terms[i], terms[j]))
             .collect();
+        // Reason tags: equality i is i, disequality j is eqs.len() + j.
         let mut euf = Euf::new(&arena);
-        for &(a, b) in &eqs {
-            euf.assert_eq(a, b);
+        for (i, &(a, b)) in eqs.iter().enumerate() {
+            euf.assert_eq(a, b, i as u32);
         }
-        for &(a, b) in &nes {
-            euf.assert_ne(a, b);
+        for (j, &(a, b)) in nes.iter().enumerate() {
+            euf.assert_ne(a, b, (eqs.len() + j) as u32);
         }
-        let got = euf.check(&arena);
+        let got = euf.check();
         let want = naive_closure(&arena, &eqs, &nes);
-        prop_assert_eq!(got, want, "eqs {:?} nes {:?}", eqs, nes);
+        prop_assert_eq!(&got, &want, "eqs {:?} nes {:?}", eqs, nes);
+        if got == EufResult::Unsat {
+            let named = |i: usize| euf.conflict().contains(&(i as u32));
+            let core_eqs: Vec<_> = (0..eqs.len()).filter(|&i| named(i)).map(|i| eqs[i]).collect();
+            let core_nes: Vec<_> =
+                (0..nes.len()).filter(|&j| named(eqs.len() + j)).map(|j| nes[j]).collect();
+            prop_assert_eq!(
+                naive_closure(&arena, &core_eqs, &core_nes),
+                EufResult::Unsat,
+                "explanation {:?} of eqs {:?} nes {:?} is consistent",
+                euf.conflict(),
+                eqs,
+                nes
+            );
+        }
     }
 
     /// Scoped equalities roll back: check-pop-check agrees with the
@@ -313,22 +332,22 @@ proptest! {
             scoped_eqs.iter().map(|&(i, j)| (terms[i], terms[j])).collect();
         let mut euf = Euf::new(&arena);
         for &(a, b) in &eqs {
-            euf.assert_eq(a, b);
+            euf.assert_eq(a, b, 0);
         }
         for &(a, b) in &nes {
-            euf.assert_ne(a, b);
+            euf.assert_ne(a, b, 0);
         }
-        let base_verdict = euf.check(&arena);
+        let base_verdict = euf.check();
         prop_assert_eq!(&base_verdict, &naive_closure(&arena, &eqs, &nes));
         euf.push();
         let mut all = eqs.clone();
         all.extend(extra.iter().copied());
         for &(a, b) in &extra {
-            euf.assert_eq(a, b);
+            euf.assert_eq(a, b, 0);
         }
-        prop_assert_eq!(euf.check(&arena), naive_closure(&arena, &all, &nes));
+        prop_assert_eq!(euf.check(), naive_closure(&arena, &all, &nes));
         euf.pop();
-        prop_assert_eq!(euf.check(&arena), base_verdict, "verdict changed after pop");
+        prop_assert_eq!(euf.check(), base_verdict, "verdict changed after pop");
     }
 }
 
@@ -449,5 +468,174 @@ proptest! {
         let snap = obs.snapshot(0);
         prop_assert_eq!(snap.certs_failed, 0, "a certificate failed to replay");
         prop_assert!(snap.certs_checked >= 1, "no certificate was checked");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Theory conflict cores vs brute force over EUF + integer arithmetic.
+// ---------------------------------------------------------------------
+
+/// The integer terms literals range over: x, y, z, f(x), f(y).
+const CORE_TERMS: usize = 5;
+/// Every term is boxed into `[-CORE_BOX, CORE_BOX]`.
+const CORE_BOX: i64 = 1;
+
+/// A literal over the core terms.
+#[derive(Clone, Debug)]
+enum CoreLit {
+    /// `Σ cᵢ·tᵢ + d REL 0`.
+    Linear(Vec<i64>, i64, Rel),
+    /// `tᵢ = tⱼ` (or `≠` when the flag is false), a direct EUF
+    /// (dis)equality.
+    Terms(usize, usize, bool),
+}
+
+fn core_term(i: usize) -> Expr {
+    match i {
+        0..=2 => Expr::var(IMP_VARS[i]),
+        _ => Expr::app("f", vec![Expr::var(IMP_VARS[i - 3])]),
+    }
+}
+
+fn core_env() -> SortEnv {
+    let mut env = imp_env();
+    env.declare_func(
+        Symbol::new("f"),
+        dsolve_logic::FuncSort::new(vec![Sort::Int], Sort::Int),
+    );
+    env
+}
+
+fn arb_core_lit() -> impl Strategy<Value = CoreLit> {
+    prop_oneof![
+        (
+            prop::collection::vec(-2i64..=2, CORE_TERMS),
+            -3i64..=3,
+            prop_oneof![Just(Rel::Le), Just(Rel::Lt), Just(Rel::Eq), Just(Rel::Ne)],
+        )
+            .prop_map(|(c, d, r)| CoreLit::Linear(c, d, r)),
+        (0..CORE_TERMS, 1..CORE_TERMS, any::<bool>()).prop_map(|(i, k, eq)| {
+            let j = (i + k) % CORE_TERMS;
+            CoreLit::Terms(i, j, eq)
+        }),
+    ]
+}
+
+impl CoreLit {
+    fn holds(&self, v: &[i64; CORE_TERMS]) -> bool {
+        match self {
+            CoreLit::Linear(c, d, rel) => {
+                let s: i64 = d + c.iter().zip(v).map(|(a, b)| a * b).sum::<i64>();
+                match rel {
+                    Rel::Le => s <= 0,
+                    Rel::Lt => s < 0,
+                    Rel::Eq => s == 0,
+                    _ => s != 0,
+                }
+            }
+            CoreLit::Terms(i, j, eq) => (v[*i] == v[*j]) == *eq,
+        }
+    }
+
+    /// The literal as an atom of `atoms`, with the polarity that makes
+    /// it true.
+    fn atom(&self, atoms: &mut Atoms, env: &SortEnv) -> (AtomId, bool) {
+        let (rel, lhs, rhs) = match self {
+            CoreLit::Linear(c, d, rel) => {
+                let mut e = Expr::int(*d);
+                for (i, &ci) in c.iter().enumerate().filter(|(_, &ci)| ci != 0) {
+                    e = e.add(Expr::int(ci).mul(core_term(i)));
+                }
+                (*rel, e, Expr::int(0))
+            }
+            CoreLit::Terms(i, j, eq) => {
+                let rel = if *eq { Rel::Eq } else { Rel::Ne };
+                (rel, core_term(*i), core_term(*j))
+            }
+        };
+        atoms.atom_of_rel(rel, &lhs, &rhs, env)
+    }
+}
+
+/// The box literals `-CORE_BOX ≤ tᵢ ≤ CORE_BOX`.
+fn core_box() -> Vec<CoreLit> {
+    (0..CORE_TERMS)
+        .flat_map(|i| {
+            let unit = |s: i64| {
+                (0..CORE_TERMS)
+                    .map(|k| if k == i { s } else { 0 })
+                    .collect()
+            };
+            [
+                CoreLit::Linear(unit(1), -CORE_BOX, Rel::Le),
+                CoreLit::Linear(unit(-1), -CORE_BOX, Rel::Le),
+            ]
+        })
+        .collect()
+}
+
+/// Whether some assignment in the box satisfies every literal, with `f`
+/// functional (x = y forces f(x) = f(y)).
+fn core_feasible(lits: &[&CoreLit]) -> bool {
+    let r = -CORE_BOX..=CORE_BOX;
+    for x in r.clone() {
+        for y in r.clone() {
+            for z in r.clone() {
+                for fx in r.clone() {
+                    for fy in r.clone() {
+                        if x == y && fx != fy {
+                            continue;
+                        }
+                        let v = [x, y, z, fx, fy];
+                        if lits.iter().all(|l| l.holds(&v)) {
+                            return true;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    false
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    /// Every conflict core the theory check returns is itself infeasible
+    /// under the brute-force oracle, and each comes from an explanation
+    /// that passed its confirming check (no fallback to deletion over
+    /// the whole assignment).
+    #[test]
+    fn theory_cores_are_infeasible(
+        extra in prop::collection::vec(arb_core_lit(), 2..8),
+    ) {
+        let env = core_env();
+        let mut lits = core_box();
+        lits.extend(extra);
+        let mut atoms = Atoms::new();
+        let assignment: Vec<(AtomId, bool)> =
+            lits.iter().map(|l| l.atom(&mut atoms, &env)).collect();
+        let all: Vec<&CoreLit> = lits.iter().collect();
+        let feasible = core_feasible(&all);
+
+        dsolve_obs::micro::drain();
+        let result = check_assignment(&atoms, &assignment, true, &TheoryBudget::default());
+        let counts = dsolve_obs::micro::drain();
+        prop_assert_eq!(
+            counts[MicroCounter::TheoryCoreFallbacks.index()],
+            0,
+            "an explanation failed confirmation on {:?}",
+            lits
+        );
+        if let TheoryResult::Unsat(core) = result {
+            prop_assert!(!feasible, "Unsat on the feasible set {:?}", lits);
+            let core_lits: Vec<&CoreLit> = core.iter().map(|&i| &lits[i]).collect();
+            prop_assert!(
+                !core_feasible(&core_lits),
+                "core {:?} of {:?} is feasible",
+                core_lits,
+                lits
+            );
+        }
     }
 }
