@@ -273,8 +273,10 @@ fn main() -> ExitCode {
                 if assignments > 0 {
                     let checks = m(dsolve_obs::MicroCounter::TheoryChecks);
                     eprintln!(
-                        "theory: assignments={assignments} checks={checks} ({:.1} per assignment) core_fallbacks={}",
+                        "theory: assignments={assignments} checks={checks} ({:.1} per assignment) frames={} probes={} core_fallbacks={}",
                         checks as f64 / assignments as f64,
+                        m(dsolve_obs::MicroCounter::TheoryFrames),
+                        m(dsolve_obs::MicroCounter::TheoryProbes),
                         m(dsolve_obs::MicroCounter::TheoryCoreFallbacks)
                     );
                 }

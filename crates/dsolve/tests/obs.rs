@@ -4,7 +4,7 @@
 
 use dsolve::Job;
 use dsolve_obs::trace::{parse_json, validate_trace_file};
-use dsolve_obs::{MicroCounter, Obs, TheoryKind};
+use dsolve_obs::{MicroCounter, Obs, ObsPhase, TheoryKind};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -103,6 +103,33 @@ fn accounting_consistent_across_workers() {
     assert_eq!(s.smt_queries, snap.queries);
     assert_eq!(s.cache_hits, snap.cache_hits);
     assert_eq!(s.cache_lookups, snap.checks);
+}
+
+/// The registry's `fixpoint` phase time is the time `SolveStats`
+/// reports: the phase span opens with the fixpoint clock, before the
+/// qualifier instantiation and the dependency index, so none of the
+/// fixpoint's work falls outside every phase of a trace.
+#[test]
+fn fixpoint_phase_time_matches_solve_stats() {
+    for jobs in [1, 2] {
+        let mut j = Job::from_path(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../benchmarks/stablesort.ml"
+        ))
+        .unwrap();
+        j.config.jobs = jobs;
+        j.config.obs = Obs::new();
+        let obs = j.config.obs.clone();
+        let res = j.run().unwrap();
+        assert!(res.is_safe());
+        let phase = Duration::from_nanos(obs.snapshot(0).phase_ns[ObsPhase::Fixpoint.index()]);
+        let solve = res.result.stats.fixpoint_time;
+        let gap = phase.abs_diff(solve);
+        assert!(
+            gap <= Duration::from_millis(1) + solve / 50,
+            "jobs={jobs}: fixpoint phase {phase:?} vs SolveStats {solve:?}"
+        );
+    }
 }
 
 #[test]

@@ -289,12 +289,7 @@ fn weaken_constraint(
         for p in &rhs_preds {
             seeds.extend(p.free_vars());
         }
-        let no_prune = std::env::var_os("DSOLVE_NO_PRUNE").is_some();
-        let pruned = if no_prune {
-            antecedent.clone()
-        } else {
-            prune_conjuncts(antecedent.clone(), &mut seeds)
-        };
+        let pruned = prune_conjuncts(antecedent.clone(), &mut seeds);
         let lhs_full = Pred::and(vec![pruned, lhs.clone()]);
         // Pruning is a fast path, not a semantics: failures are
         // retried against the full antecedent before a qualifier is
@@ -486,6 +481,7 @@ fn solve_sequential(
     let incremental = use_incremental(config);
     let mut exhaustion: Option<Exhaustion> = None;
     let fixpoint_start = Instant::now();
+    let fixpoint_span = obs.phase_span(ObsPhase::Fixpoint);
     let mut stats = SolveStats {
         jobs: 1,
         ..SolveStats::default()
@@ -528,7 +524,6 @@ fn solve_sequential(
     let mut traj: HashMap<KVar, Vec<(u64, usize)>> = HashMap::new();
 
     {
-        let _fixpoint_span = obs.phase_span(ObsPhase::Fixpoint);
         // Round spans nest inside the phase span, one after another.
         let mut round_span = obs.tracing().then(|| {
             obs.span("fixpoint", "round 1")
@@ -672,6 +667,7 @@ fn solve_sequential(
     }
 
     stats.fixpoint_time = fixpoint_start.elapsed();
+    drop(fixpoint_span);
 
     // Final pass: concrete right-hand conjuncts.
     let obligation_start = Instant::now();
@@ -989,6 +985,7 @@ fn solve_parallel(
     let incremental = use_incremental(config);
     let mut exhaustion: Option<Exhaustion> = None;
     let fixpoint_start = Instant::now();
+    let fixpoint_span = obs.phase_span(ObsPhase::Fixpoint);
     let mut stats = SolveStats {
         jobs,
         worker_queries: vec![0; jobs],
@@ -1019,7 +1016,6 @@ fn solve_parallel(
     let mut queued: HashSet<usize> = queue.iter().copied().collect();
     let mut traj: HashMap<KVar, Vec<(u64, usize)>> = HashMap::new();
 
-    let fixpoint_span = obs.phase_span(ObsPhase::Fixpoint);
     while !queue.is_empty() {
         if deadline_expired(deadline) {
             exhaustion = Some(Exhaustion::new(Phase::Fixpoint, Resource::Deadline));
@@ -1221,10 +1217,10 @@ fn solve_parallel(
             break;
         }
     }
-    drop(fixpoint_span);
     stats.kvar_trajectories = finish_trajectories(traj);
 
     stats.fixpoint_time = fixpoint_start.elapsed();
+    drop(fixpoint_span);
 
     // Final pass: concrete right-hand conjuncts, fanned out in chunks
     // and merged back in constraint order so the error list is identical
@@ -1337,7 +1333,7 @@ fn check_group(
         [] => {}
         [(q, rhs_q)] => {
             let mut ok = smt.is_valid(sorts, lhs, rhs_q);
-            if !ok && !retry_disabled() {
+            if !ok {
                 if let Some(full) = full {
                     if full != lhs {
                         ok = smt.is_valid(sorts, full, rhs_q);
@@ -1396,7 +1392,7 @@ fn check_group_batched(
     }
     // Pruning is a fast path, not a semantics: retry failures against
     // the unpruned antecedent before dropping a qualifier for good.
-    if failed.is_empty() || retry_disabled() {
+    if failed.is_empty() {
         return;
     }
     let Some(full) = full else { return };
@@ -1452,10 +1448,6 @@ fn prune_conjuncts(
             .filter_map(|(c, k)| if k { Some(c) } else { None })
             .collect(),
     )
-}
-
-fn retry_disabled() -> bool {
-    std::env::var_os("DSOLVE_NO_RETRY").is_some()
 }
 
 fn bind_nu(sorts: &mut dsolve_logic::SortEnv, shape: &dsolve_nanoml::MlType) {

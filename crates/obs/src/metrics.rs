@@ -282,17 +282,23 @@ pub enum MicroCounter {
     /// Propositional models handed to the theory layer for a
     /// consistency verdict (one per `check_assignment` call).
     TheoryAssignments,
-    /// Theory consistency checks run: a fresh EUF + simplex +
-    /// Nelson–Oppen combination each, including the checks that confirm
-    /// and shrink a conflict core.
+    /// Nelson–Oppen closures run (EUF + simplex + equality exchange to
+    /// a verdict): each root frame's, each model's, and the fresh ones
+    /// that confirm and shrink a conflict core.
     TheoryChecks,
     /// Conflict explanations that failed their confirming check, so the
-    /// core was found by deletion over the whole model instead.
+    /// model was re-decided on fresh engines instead.
     TheoryCoreFallbacks,
+    /// Root frames built: segments of decision-level-0 literals asserted
+    /// once into the persistent theory context and closed there.
+    TheoryFrames,
+    /// Separation probes run: candidate pairs tested for a
+    /// simplex-forced equality (up to two LP checks each).
+    TheoryProbes,
 }
 
 /// Number of [`MicroCounter`] variants.
-pub const NMICRO: usize = 18;
+pub const NMICRO: usize = 20;
 
 impl MicroCounter {
     /// Snake-case names used in JSON snapshots, prefixed by engine.
@@ -315,6 +321,8 @@ impl MicroCounter {
         "theory_assignments",
         "theory_checks",
         "theory_core_fallbacks",
+        "theory_frames",
+        "theory_probes",
     ];
 
     /// All variants, in index order.
@@ -337,6 +345,8 @@ impl MicroCounter {
         MicroCounter::TheoryAssignments,
         MicroCounter::TheoryChecks,
         MicroCounter::TheoryCoreFallbacks,
+        MicroCounter::TheoryFrames,
+        MicroCounter::TheoryProbes,
     ];
 
     /// Index into micro-keyed arrays.

@@ -8,7 +8,11 @@
 //!
 //! The engine works on the terms it is given, not on the whole arena:
 //! asserting a literal registers its terms and their subterms, and the
-//! congruence and conflict passes range over those alone.
+//! congruence and conflict passes range over those alone. It does not
+//! borrow the arena — a long-lived engine sees the arena grow between
+//! checks — so each call that may register terms takes it, and an
+//! application's head symbol is stored when the application is
+//! registered.
 //!
 //! Every merge also records a *proof-forest* edge — the asserted equality
 //! behind it, or the congruence of two applications — so that two terms
@@ -18,6 +22,7 @@
 //! 2007). A conflict is explained this way ([`Euf::conflict`]).
 
 use crate::{Term, TermArena, TermId};
+use dsolve_logic::Symbol;
 use dsolve_obs::{micro, MicroCounter};
 use std::collections::HashMap;
 
@@ -56,13 +61,13 @@ struct Merge {
 /// Terms are numbered locally in registration order. The engine
 /// supports assertion scopes: [`Euf::push`] snapshots the state and
 /// [`Euf::pop`] rolls back every merge (with its proof-forest edge),
-/// disequality, and pending assertion made since, by replaying the
-/// merge trail in reverse. Union is by rank *without* path compression
-/// — compressed parent pointers could skip across a scope boundary and
-/// survive the rollback — so `find` stays O(log n) instead of O(α(n)),
-/// a fine trade at this scale.
-pub struct Euf<'a> {
-    arena: &'a TermArena,
+/// disequality, pending assertion, and term registration made since,
+/// by replaying the merge trail in reverse. Union is by rank *without*
+/// path compression — compressed parent pointers could skip across a
+/// scope boundary and survive the rollback — so `find` stays O(log n)
+/// instead of O(α(n)), a fine trade at this scale.
+#[derive(Default)]
+pub struct Euf {
     /// Local number of each registered term.
     local: HashMap<TermId, u32>,
     /// Registered terms, by local number.
@@ -70,8 +75,9 @@ pub struct Euf<'a> {
     /// Local numbers of each registered term's arguments (empty unless
     /// it is an application).
     args: Vec<Vec<u32>>,
-    /// Registered applications and interpreted constants.
-    apps: Vec<u32>,
+    /// Registered applications with their head symbols, and
+    /// interpreted constants.
+    apps: Vec<(u32, Symbol)>,
     consts: Vec<u32>,
     parent: Vec<u32>,
     rank: Vec<u32>,
@@ -88,9 +94,8 @@ pub struct Euf<'a> {
     applied: usize,
     /// Performed merges, in order: the undo trail and the proof forest.
     merges: Vec<Merge>,
-    /// Scope marks: watermarks into `merges`, `diseqs`, and `eqs`, plus
-    /// the `applied` cursor at push time.
-    scopes: Vec<(usize, usize, usize, usize)>,
+    /// Scope marks, one per open scope.
+    scopes: Vec<ScopeMark>,
     /// Reasons behind the last conflict.
     conflict: Vec<u32>,
     /// Lifetime work counters, flushed as deltas to the thread-local
@@ -99,53 +104,46 @@ pub struct Euf<'a> {
     n_congruence_pairs: u64,
 }
 
-impl<'a> Euf<'a> {
-    /// Creates an empty closure engine over terms of `arena`.
-    pub fn new(arena: &'a TermArena) -> Euf<'a> {
-        Euf {
-            arena,
-            local: HashMap::new(),
-            terms: Vec::new(),
-            args: Vec::new(),
-            apps: Vec::new(),
-            consts: Vec::new(),
-            parent: Vec::new(),
-            rank: Vec::new(),
-            adj: Vec::new(),
-            diseqs: Vec::new(),
-            eqs: Vec::new(),
-            applied: 0,
-            merges: Vec::new(),
-            scopes: Vec::new(),
-            conflict: Vec::new(),
-            n_merges: 0,
-            n_congruence_pairs: 0,
-        }
+/// Watermarks of one open scope: the lengths of the merge trail, the
+/// assertion logs and the registration lists, and the `applied` cursor,
+/// at push time.
+#[derive(Clone, Copy, Debug)]
+struct ScopeMark {
+    merges: usize,
+    diseqs: usize,
+    eqs: usize,
+    applied: usize,
+    terms: usize,
+    apps: usize,
+    consts: usize,
+}
+
+impl Euf {
+    /// Creates an empty closure engine.
+    pub fn new() -> Euf {
+        Euf::default()
     }
 
-    /// Registers `t` and its subterms (a no-op for known terms), so that
-    /// congruence covers them.
-    ///
-    /// Terms registered inside a scope stay registered after
-    /// [`Euf::pop`], as singleton classes: stale terms are harmless.
-    pub(crate) fn add_term(&mut self, t: TermId) {
-        self.intern(t);
+    /// Registers `t` (a term of `arena`) and its subterms — a no-op for
+    /// known terms — so that congruence covers them until the scope
+    /// that registered them is popped.
+    pub(crate) fn add_term(&mut self, arena: &TermArena, t: TermId) {
+        self.intern(arena, t);
     }
 
     /// Registers `t` and its subterms; returns `t`'s local number.
-    fn intern(&mut self, t: TermId) -> u32 {
+    fn intern(&mut self, arena: &TermArena, t: TermId) -> u32 {
         if let Some(&l) = self.local.get(&t) {
             return l;
         }
-        let arena = self.arena;
         let term = arena.term(t);
         let args = match term {
-            Term::App(_, args) => args.iter().map(|&a| self.intern(a)).collect(),
+            Term::App(_, args) => args.iter().map(|&a| self.intern(arena, a)).collect(),
             _ => Vec::new(),
         };
         let l = u32::try_from(self.terms.len()).expect("EUF term overflow");
         match term {
-            Term::App(..) => self.apps.push(l),
+            Term::App(f, _) => self.apps.push((l, *f)),
             Term::Int(_) | Term::Bool(_) => self.consts.push(l),
             Term::Var(..) => {}
         }
@@ -167,24 +165,28 @@ impl<'a> Euf<'a> {
     /// Opens an assertion scope; [`Euf::pop`] undoes everything asserted
     /// and merged after this call.
     pub fn push(&mut self) {
-        self.scopes.push((
-            self.merges.len(),
-            self.diseqs.len(),
-            self.eqs.len(),
-            self.applied,
-        ));
+        self.scopes.push(ScopeMark {
+            merges: self.merges.len(),
+            diseqs: self.diseqs.len(),
+            eqs: self.eqs.len(),
+            applied: self.applied,
+            terms: self.terms.len(),
+            apps: self.apps.len(),
+            consts: self.consts.len(),
+        });
     }
 
     /// Closes the innermost scope, rolling back merges (and their
-    /// proof-forest edges) in reverse order and discarding scoped
-    /// disequalities and equalities. The `applied` cursor rewinds to its
-    /// push-time value, so pre-scope equalities that were merged
-    /// *inside* the scope (and hence rolled back with it) are re-merged
-    /// by the next [`Euf::check`].
+    /// proof-forest edges) in reverse order, discarding scoped
+    /// disequalities and equalities, and unregistering the terms
+    /// registered since — every merge that touched them is among those
+    /// rolled back, so the engine is exactly as it was at push time.
+    /// The `applied` cursor rewinds to its push-time value, so pre-scope
+    /// equalities that were merged *inside* the scope (and hence rolled
+    /// back with it) are re-merged by the next [`Euf::check`].
     pub fn pop(&mut self) {
-        let (merge_mark, diseq_mark, eqs_mark, applied_mark) =
-            self.scopes.pop().expect("pop without matching push");
-        while self.merges.len() > merge_mark {
+        let mark = self.scopes.pop().expect("pop without matching push");
+        while self.merges.len() > mark.merges {
             let m = self.merges.pop().expect("nonempty merge trail");
             self.parent[m.child as usize] = m.child;
             if m.rank_bumped {
@@ -195,9 +197,18 @@ impl<'a> Euf<'a> {
             self.adj[m.a as usize].pop();
             self.adj[m.b as usize].pop();
         }
-        self.diseqs.truncate(diseq_mark);
-        self.eqs.truncate(eqs_mark);
-        self.applied = applied_mark;
+        self.diseqs.truncate(mark.diseqs);
+        self.eqs.truncate(mark.eqs);
+        self.applied = mark.applied;
+        for t in self.terms.drain(mark.terms..) {
+            self.local.remove(&t);
+        }
+        self.args.truncate(mark.terms);
+        self.parent.truncate(mark.terms);
+        self.rank.truncate(mark.terms);
+        self.adj.truncate(mark.terms);
+        self.apps.truncate(mark.apps);
+        self.consts.truncate(mark.consts);
     }
 
     fn find(&self, mut l: u32) -> u32 {
@@ -207,15 +218,15 @@ impl<'a> Euf<'a> {
         l
     }
 
-    /// Asserts `a = b` for reason `why`.
-    pub fn assert_eq(&mut self, a: TermId, b: TermId, why: u32) {
-        let (a, b) = (self.intern(a), self.intern(b));
+    /// Asserts `a = b` (terms of `arena`) for reason `why`.
+    pub fn assert_eq(&mut self, arena: &TermArena, a: TermId, b: TermId, why: u32) {
+        let (a, b) = (self.intern(arena, a), self.intern(arena, b));
         self.eqs.push((a, b, why));
     }
 
-    /// Asserts `a != b` for reason `why`.
-    pub fn assert_ne(&mut self, a: TermId, b: TermId, why: u32) {
-        let (a, b) = (self.intern(a), self.intern(b));
+    /// Asserts `a != b` (terms of `arena`) for reason `why`.
+    pub fn assert_ne(&mut self, arena: &TermArena, a: TermId, b: TermId, why: u32) {
+        let (a, b) = (self.intern(arena, a), self.intern(arena, b));
         self.diseqs.push((a, b, why));
     }
 
@@ -307,18 +318,14 @@ impl<'a> Euf<'a> {
     /// One congruence pass over the registered applications; returns
     /// true if any merge was performed.
     fn propagate_congruences(&mut self) -> bool {
-        let arena = self.arena;
-        let mut sigs: HashMap<(dsolve_logic::Symbol, Vec<u32>), u32> = HashMap::new();
+        let mut sigs: HashMap<(Symbol, Vec<u32>), u32> = HashMap::new();
         let mut congruent: Vec<(u32, u32)> = Vec::new();
-        for &l in &self.apps {
-            let Term::App(f, _) = arena.term(self.terms[l as usize]) else {
-                unreachable!("registered as an application");
-            };
+        for &(l, f) in &self.apps {
             let canon: Vec<u32> = self.args[l as usize]
                 .iter()
                 .map(|&a| self.find(a))
                 .collect();
-            match sigs.entry((*f, canon)) {
+            match sigs.entry((f, canon)) {
                 std::collections::hash_map::Entry::Occupied(prev) => {
                     let other = *prev.get();
                     if self.find(other) != self.find(l) {
@@ -427,18 +434,22 @@ impl<'a> Euf<'a> {
         edges
     }
 
-    /// All pairs of distinct representatives that were merged, restricted
-    /// to the given terms — used for Nelson–Oppen equality propagation.
-    pub fn equalities_among(&self, terms: &[TermId]) -> Vec<(TermId, TermId)> {
-        let roots: Vec<Option<u32>> = terms
-            .iter()
-            .map(|t| self.local.get(t).map(|&l| self.find(l)))
-            .collect();
+    /// Equalities that span every class among the given terms: each
+    /// registered term paired with the first registered term of its class
+    /// in `terms` order — used for Nelson–Oppen equality propagation.
+    /// Equality is transitive, so this linear-size set implies every
+    /// merged pair.
+    pub(crate) fn spanning_equalities(&self, terms: &[TermId]) -> Vec<(TermId, TermId)> {
+        let mut first: HashMap<u32, TermId> = HashMap::new();
         let mut out = Vec::new();
-        for (i, ri) in roots.iter().enumerate() {
-            for (j, rj) in roots.iter().enumerate().skip(i + 1) {
-                if ri.is_some() && ri == rj {
-                    out.push((terms[i], terms[j]));
+        for &t in terms {
+            let Some(&l) = self.local.get(&t) else {
+                continue;
+            };
+            match first.entry(self.find(l)) {
+                std::collections::hash_map::Entry::Occupied(f) => out.push((*f.get(), t)),
+                std::collections::hash_map::Entry::Vacant(v) => {
+                    v.insert(t);
                 }
             }
         }
@@ -473,10 +484,10 @@ mod tests {
     fn congruence_merges_applications() {
         let (arena, ids) = setup();
         let (x, y, _, fx, fy, _) = (ids[0], ids[1], ids[2], ids[3], ids[4], ids[5]);
-        let mut euf = Euf::new(&arena);
-        euf.add_term(fx);
-        euf.add_term(fy);
-        euf.assert_eq(x, y, 0);
+        let mut euf = Euf::new();
+        euf.add_term(&arena, fx);
+        euf.add_term(&arena, fy);
+        euf.assert_eq(&arena, x, y, 0);
         assert_eq!(euf.check(), EufResult::Sat);
         assert!(euf.same_class(fx, fy));
     }
@@ -485,10 +496,10 @@ mod tests {
     fn transitivity_and_conflict() {
         let (arena, ids) = setup();
         let (x, y, z) = (ids[0], ids[1], ids[2]);
-        let mut euf = Euf::new(&arena);
-        euf.assert_eq(x, y, 0);
-        euf.assert_eq(y, z, 1);
-        euf.assert_ne(x, z, 2);
+        let mut euf = Euf::new();
+        euf.assert_eq(&arena, x, y, 0);
+        euf.assert_eq(&arena, y, z, 1);
+        euf.assert_ne(&arena, x, z, 2);
         assert_eq!(euf.check(), EufResult::Unsat);
         assert_eq!(sorted(euf.conflict().to_vec()), vec![0, 1, 2]);
     }
@@ -499,9 +510,9 @@ mod tests {
         // congruence from x=f(x), hence x = f(x) = f(f(x)).
         let (arena, ids) = setup();
         let (x, fx, ffx) = (ids[0], ids[3], ids[5]);
-        let mut euf = Euf::new(&arena);
-        euf.assert_eq(x, fx, 0);
-        euf.assert_ne(ffx, x, 1);
+        let mut euf = Euf::new();
+        euf.assert_eq(&arena, x, fx, 0);
+        euf.assert_ne(&arena, ffx, x, 1);
         assert_eq!(euf.check(), EufResult::Unsat);
         assert_eq!(sorted(euf.conflict().to_vec()), vec![0, 1]);
     }
@@ -512,9 +523,9 @@ mod tests {
         let one = a.intern(Term::Int(1), Sort::Int);
         let two = a.intern(Term::Int(2), Sort::Int);
         let x = a.intern(Term::Var(Symbol::new("x"), Sort::Int), Sort::Int);
-        let mut euf = Euf::new(&a);
-        euf.assert_eq(x, one, 0);
-        euf.assert_eq(x, two, 1);
+        let mut euf = Euf::new();
+        euf.assert_eq(&a, x, one, 0);
+        euf.assert_eq(&a, x, two, 1);
         assert_eq!(euf.check(), EufResult::Unsat);
         assert_eq!(sorted(euf.conflict().to_vec()), vec![0, 1]);
     }
@@ -524,8 +535,8 @@ mod tests {
         let mut a = TermArena::new();
         let t = a.intern(Term::Bool(true), Sort::Bool);
         let f = a.intern(Term::Bool(false), Sort::Bool);
-        let mut euf = Euf::new(&a);
-        euf.assert_eq(t, f, 0);
+        let mut euf = Euf::new();
+        euf.assert_eq(&a, t, f, 0);
         assert_eq!(euf.check(), EufResult::Unsat);
     }
 
@@ -533,22 +544,25 @@ mod tests {
     fn consistent_disequalities() {
         let (arena, ids) = setup();
         let (x, y) = (ids[0], ids[1]);
-        let mut euf = Euf::new(&arena);
-        euf.assert_ne(x, y, 0);
+        let mut euf = Euf::new();
+        euf.assert_ne(&arena, x, y, 0);
         assert_eq!(euf.check(), EufResult::Sat);
         assert!(!euf.same_class(x, y));
     }
 
     #[test]
-    fn equalities_among_interface_terms() {
+    fn spanning_equalities_link_each_member_to_the_first() {
         let (arena, ids) = setup();
-        let (x, y, z) = (ids[0], ids[1], ids[2]);
-        let mut euf = Euf::new(&arena);
-        euf.add_term(z);
-        euf.assert_eq(x, y, 0);
+        let (x, y, z, fx) = (ids[0], ids[1], ids[2], ids[3]);
+        let mut euf = Euf::new();
+        euf.add_term(&arena, z);
+        euf.assert_eq(&arena, x, y, 0);
+        euf.assert_eq(&arena, y, z, 1);
         assert_eq!(euf.check(), EufResult::Sat);
-        let eqs = euf.equalities_among(&[x, y, z]);
-        assert_eq!(eqs, vec![(x, y)]);
+        // One class {x, y, z}: two edges from x, not all three pairs; an
+        // unregistered term (f(x)) takes no part.
+        let eqs = euf.spanning_equalities(&[fx, x, y, z]);
+        assert_eq!(eqs, vec![(x, y), (x, z)]);
     }
 
     #[test]
@@ -557,8 +571,8 @@ mod tests {
         // closure does not touch them.
         let (arena, ids) = setup();
         let (x, y, fx, fy) = (ids[0], ids[1], ids[3], ids[4]);
-        let mut euf = Euf::new(&arena);
-        euf.assert_eq(x, y, 0);
+        let mut euf = Euf::new();
+        euf.assert_eq(&arena, x, y, 0);
         assert_eq!(euf.check(), EufResult::Sat);
         assert_eq!(euf.terms(), &[x, y]);
         assert!(!euf.same_class(fx, fy));
@@ -573,11 +587,11 @@ mod tests {
         let (mut arena, ids) = setup();
         let (x, y, z, fx, fy) = (ids[0], ids[1], ids[2], ids[3], ids[4]);
         let w = arena.intern(Term::Var(Symbol::new("w"), Sort::Int), Sort::Int);
-        let mut euf = Euf::new(&arena);
-        euf.assert_eq(x, y, 0);
-        euf.assert_eq(fy, z, 1);
-        euf.assert_eq(z, w, 2);
-        euf.add_term(fx);
+        let mut euf = Euf::new();
+        euf.assert_eq(&arena, x, y, 0);
+        euf.assert_eq(&arena, fy, z, 1);
+        euf.assert_eq(&arena, z, w, 2);
+        euf.add_term(&arena, fx);
         assert_eq!(euf.check(), EufResult::Sat);
         assert!(euf.same_class(fx, w));
         assert_eq!(sorted(euf.explain(fx, z)), vec![0, 1]);
@@ -591,17 +605,17 @@ mod tests {
         // after pop only the base x = y (0) explains them.
         let (arena, ids) = setup();
         let (x, y, z, fx, fy) = (ids[0], ids[1], ids[2], ids[3], ids[4]);
-        let mut euf = Euf::new(&arena);
-        euf.add_term(fx);
-        euf.add_term(fy);
+        let mut euf = Euf::new();
+        euf.add_term(&arena, fx);
+        euf.add_term(&arena, fy);
         euf.push();
-        euf.assert_eq(x, z, 1);
-        euf.assert_eq(z, y, 2);
+        euf.assert_eq(&arena, x, z, 1);
+        euf.assert_eq(&arena, z, y, 2);
         assert_eq!(euf.check(), EufResult::Sat);
         assert_eq!(sorted(euf.explain(fx, fy)), vec![1, 2]);
         euf.pop();
-        euf.assert_eq(x, y, 0);
-        euf.assert_ne(fx, fy, 3);
+        euf.assert_eq(&arena, x, y, 0);
+        euf.assert_ne(&arena, fx, fy, 3);
         assert_eq!(euf.check(), EufResult::Unsat);
         assert_eq!(sorted(euf.conflict().to_vec()), vec![0, 3]);
         assert_eq!(sorted(euf.explain(fx, fy)), vec![0]);
@@ -611,14 +625,14 @@ mod tests {
     fn pop_rolls_back_scoped_merges() {
         let (arena, ids) = setup();
         let (x, y, z, fx, fy) = (ids[0], ids[1], ids[2], ids[3], ids[4]);
-        let mut euf = Euf::new(&arena);
-        euf.add_term(fx);
-        euf.add_term(fy);
-        euf.assert_eq(x, y, 0);
+        let mut euf = Euf::new();
+        euf.add_term(&arena, fx);
+        euf.add_term(&arena, fy);
+        euf.assert_eq(&arena, x, y, 0);
         assert_eq!(euf.check(), EufResult::Sat);
         euf.push();
-        euf.assert_eq(y, z, 1);
-        euf.assert_ne(x, z, 2);
+        euf.assert_eq(&arena, y, z, 1);
+        euf.assert_ne(&arena, x, z, 2);
         assert_eq!(euf.check(), EufResult::Unsat);
         euf.pop();
         // Base-scope facts survive, scoped ones are gone.
@@ -635,10 +649,10 @@ mod tests {
         // rewinds with the scope and the next check re-merges it.
         let (arena, ids) = setup();
         let (x, y, z) = (ids[0], ids[1], ids[2]);
-        let mut euf = Euf::new(&arena);
-        euf.assert_eq(x, y, 0);
+        let mut euf = Euf::new();
+        euf.assert_eq(&arena, x, y, 0);
         euf.push();
-        euf.assert_eq(y, z, 1);
+        euf.assert_eq(&arena, y, z, 1);
         assert_eq!(euf.check(), EufResult::Sat);
         euf.pop();
         assert_eq!(euf.check(), EufResult::Sat);
@@ -650,12 +664,12 @@ mod tests {
     fn nested_scopes_unwind_in_order() {
         let (arena, ids) = setup();
         let (x, y, z) = (ids[0], ids[1], ids[2]);
-        let mut euf = Euf::new(&arena);
+        let mut euf = Euf::new();
         euf.push();
-        euf.assert_eq(x, y, 0);
+        euf.assert_eq(&arena, x, y, 0);
         assert_eq!(euf.check(), EufResult::Sat);
         euf.push();
-        euf.assert_eq(y, z, 1);
+        euf.assert_eq(&arena, y, z, 1);
         assert_eq!(euf.check(), EufResult::Sat);
         assert!(euf.same_class(x, z));
         euf.pop();
@@ -668,18 +682,43 @@ mod tests {
     }
 
     #[test]
+    fn pop_unregisters_scoped_terms() {
+        // f(x) is registered inside a scope; after pop it is gone (the
+        // congruence passes no longer visit it) and a new scope can
+        // register it afresh.
+        let (arena, ids) = setup();
+        let (x, y, fx, fy) = (ids[0], ids[1], ids[3], ids[4]);
+        let mut euf = Euf::new();
+        euf.assert_eq(&arena, x, y, 0);
+        euf.push();
+        euf.add_term(&arena, fx);
+        euf.add_term(&arena, fy);
+        assert_eq!(euf.check(), EufResult::Sat);
+        assert!(euf.same_class(fx, fy));
+        euf.pop();
+        assert_eq!(euf.terms(), &[x, y]);
+        assert_eq!(euf.check(), EufResult::Sat);
+        euf.push();
+        euf.assert_ne(&arena, fx, fy, 1);
+        assert_eq!(euf.check(), EufResult::Unsat);
+        assert_eq!(sorted(euf.conflict().to_vec()), vec![0, 1]);
+        euf.pop();
+        assert_eq!(euf.check(), EufResult::Sat);
+    }
+
+    #[test]
     fn terms_registered_after_a_check_are_covered() {
         let (mut arena, ids) = setup();
         let (x, y) = (ids[0], ids[1]);
         let gx = arena.intern(Term::App(Symbol::new("g"), vec![x]), Sort::Int);
         let gy = arena.intern(Term::App(Symbol::new("g"), vec![y]), Sort::Int);
-        let mut euf = Euf::new(&arena);
-        euf.assert_eq(x, y, 0);
+        let mut euf = Euf::new();
+        euf.assert_eq(&arena, x, y, 0);
         assert_eq!(euf.check(), EufResult::Sat);
         // Register new applications after the first check; congruence
         // must still fire.
-        euf.add_term(gx);
-        euf.add_term(gy);
+        euf.add_term(&arena, gx);
+        euf.add_term(&arena, gy);
         assert_eq!(euf.check(), EufResult::Sat);
         assert!(euf.same_class(gx, gy));
     }
@@ -690,11 +729,11 @@ mod tests {
         // never in the assertion log, so pop must fully undo them.
         let (arena, ids) = setup();
         let (x, y, fx, fy) = (ids[0], ids[1], ids[3], ids[4]);
-        let mut euf = Euf::new(&arena);
-        euf.add_term(fx);
-        euf.add_term(fy);
+        let mut euf = Euf::new();
+        euf.add_term(&arena, fx);
+        euf.add_term(&arena, fy);
         euf.push();
-        euf.assert_eq(x, y, 0);
+        euf.assert_eq(&arena, x, y, 0);
         assert_eq!(euf.check(), EufResult::Sat);
         assert!(euf.same_class(fx, fy));
         euf.pop();

@@ -69,4 +69,4 @@ pub use sets::{canonicalize_sets, set_saturation_lemma_list, set_saturation_lemm
 pub use simplex::{LpResult, Simplex};
 pub use solver::{SmtResult, SmtSolver, SolverConfig, SolverStats, Validity};
 pub use term::{LinExpr, Term, TermArena, TermId};
-pub use theory::{check_assignment, TheoryBudget, TheoryResult};
+pub use theory::{check_assignment, TheoryBudget, TheoryContext, TheoryResult};

@@ -304,6 +304,14 @@ impl CdclSolver {
         }
     }
 
+    /// The root trail: the literals fixed at decision level 0, in the
+    /// order they were assigned. After `solve` returned `Sat` these are
+    /// the model's literals that hold in every model of the current
+    /// clause set.
+    pub(crate) fn root_trail(&self) -> &[Lit] {
+        &self.trail[..self.trail_lim.first().copied().unwrap_or(self.trail.len())]
+    }
+
     /// The model value of `v` after `solve` returned `Sat`.
     pub fn model_value(&self, v: BVar) -> bool {
         matches!(self.assign[v.0 as usize], Assign::True)
@@ -848,6 +856,26 @@ mod tests {
         s.add_clause(vec![Lit::pos(b)]);
         assert_eq!(s.solve(), SatResult::Sat);
         assert!(s.model_value(a));
+    }
+
+    #[test]
+    fn root_trail_holds_level_zero_literals_in_order() {
+        // b is a unit, a follows from it; c is free and must be decided,
+        // so it is not on the root trail.
+        let mut s = CdclSolver::new();
+        let v = lits(&mut s, 3);
+        s.add_clause(vec![Lit::pos(v[1])]);
+        s.add_clause(vec![Lit::neg(v[1]), Lit::neg(v[0])]);
+        s.add_clause(vec![Lit::pos(v[2]), Lit::neg(v[0])]);
+        assert_eq!(s.solve(), SatResult::Sat);
+        assert_eq!(s.root_trail(), &[Lit::pos(v[1]), Lit::neg(v[0])]);
+        s.reset_to_root();
+        s.add_clause(vec![Lit::pos(v[2])]);
+        assert_eq!(s.solve(), SatResult::Sat);
+        assert_eq!(
+            s.root_trail(),
+            &[Lit::pos(v[1]), Lit::neg(v[0]), Lit::pos(v[2])]
+        );
     }
 
     #[test]

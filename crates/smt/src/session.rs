@@ -23,8 +23,8 @@ use crate::arrays::array_axiom_lemmas;
 use crate::cnf::{encode_incremental, AtomId, Atoms, EncodeCtx};
 use crate::sat::{CdclSolver, Lit, SatResult};
 use crate::sets::{canonicalize_sets, set_saturation_lemma_list};
-use crate::solver::{eliminate_ite, SmtResult, SolverStats};
-use crate::theory::{check_assignment, TheoryBudget, TheoryResult};
+use crate::solver::{atoms_by_var, eliminate_ite, root_literals, SmtResult, SolverStats};
+use crate::theory::{TheoryBudget, TheoryContext, TheoryResult};
 use dsolve_logic::{deadline_expired, Budget, Exhaustion, Phase, Pred, Resource, SortEnv};
 use dsolve_obs::{theory as theory_timer, TheoryKind};
 use std::collections::HashSet;
@@ -66,6 +66,9 @@ pub(crate) struct Session {
     /// since the raw assertions may contain `ite` terms the encoder
     /// rewrote away.
     elim: Vec<Pred>,
+    /// Theory engines for the session's lifetime, holding one frame per
+    /// segment of the SAT core's root trail.
+    theory: TheoryContext,
 }
 
 impl Session {
@@ -85,6 +88,7 @@ impl Session {
             lemma_choice: false,
             certify,
             elim: Vec::new(),
+            theory: TheoryContext::new(),
         }
     }
 
@@ -257,6 +261,14 @@ impl Session {
             }
         };
 
+        let atom_of_var = atoms_by_var(
+            self.sat.num_vars(),
+            (0..self.atoms.len()).map(|i| {
+                self.ctx
+                    .lookup_atom(AtomId(i as u32))
+                    .expect("atom mapped above")
+            }),
+        );
         let minimize = self.choice;
         // Certificate material for an eventual `Unsat`: the literal sets
         // behind every theory blocking clause learned in this check.
@@ -293,8 +305,15 @@ impl Session {
                             (aid, self.sat.model_value(v))
                         })
                         .collect();
+                    let root = root_literals(&self.sat, &atom_of_var);
                     stats.theory_checks += 1;
-                    match check_assignment(&self.atoms, &assignment, minimize, &theory_budget) {
+                    match self.theory.check(
+                        &self.atoms,
+                        &assignment,
+                        &root,
+                        minimize,
+                        &theory_budget,
+                    ) {
                         TheoryResult::Sat => {
                             let verdict = sat_verdict(saturation_truncated);
                             if self.certify && verdict == SmtResult::Sat {

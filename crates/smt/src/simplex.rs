@@ -72,6 +72,9 @@ pub struct Simplex {
     trail: Vec<(usize, bool, Option<Rat>, Option<u32>)>,
     /// Trail watermarks for open scopes.
     scopes: Vec<usize>,
+    /// Whether the last integer check's infeasible verdict came from
+    /// branch-and-bound, not from the rational relaxation.
+    searched: bool,
     /// Pivots performed since the last flush. Zeroed when [`Simplex::check`]
     /// flushes it to the thread-local micro accumulator, so clones (the
     /// tableau is `Clone`) never carry residue into double counting.
@@ -94,6 +97,19 @@ impl Simplex {
         self.upper_why.push(None);
         self.is_int.push(is_int);
         self.beta.push(Rat::ZERO);
+        v
+    }
+
+    /// Adds a variable fixed to `value` for good (integer-valued when
+    /// `value` is). Its bounds are a definition, like a row, so no scope
+    /// restores them.
+    pub(crate) fn new_const(&mut self, value: Rat) -> usize {
+        let v = self.new_var(value.is_integer());
+        // A new variable is nonbasic and in no row, so moving it touches
+        // nothing else.
+        self.lower[v] = Some(value);
+        self.upper[v] = Some(value);
+        self.beta[v] = value;
         v
     }
 
@@ -134,6 +150,49 @@ impl Simplex {
         self.basic.push(s);
         self.rows.push(row);
         s
+    }
+
+    /// Removes the row that defines slack `s` (a variable returned by
+    /// [`Simplex::add_row`] that carries no bound), so that checks no
+    /// longer pay for it. An unbounded slack constrains nothing, so the
+    /// other variables are exactly as constrained as before; `s` is left
+    /// in no row, and a nonbasic `s` is first pivoted into the basis.
+    pub(crate) fn remove_row(&mut self, s: usize) {
+        // Dropping a bounded row would drop a constraint: unsound.
+        assert!(
+            self.lower[s].is_none() && self.upper[s].is_none(),
+            "removing a bounded row"
+        );
+        if !self.row_of.contains_key(&s) {
+            // Pivot on the row (mentioning s) whose basic variable has the
+            // fewest bounds, so that it rarely needs moving as a nonbasic.
+            let bounds = |v: usize| {
+                usize::from(self.lower[v].is_some()) + usize::from(self.upper[v].is_some())
+            };
+            let Some(r) = (0..self.rows.len())
+                .filter(|&r| self.rows[r].contains_key(&s))
+                .min_by_key(|&r| (bounds(self.basic[r]), self.basic[r]))
+            else {
+                // In no row: nothing to remove.
+                return;
+            };
+            let xi = self.basic[r];
+            self.pivot(r, xi, s);
+            // Nonbasic variables sit within their bounds.
+            let v = self.beta[xi];
+            let clamped = match (self.lower[xi], self.upper[xi]) {
+                (Some(l), _) if v < l => l,
+                (_, Some(u)) if v > u => u,
+                _ => v,
+            };
+            self.update(xi, clamped);
+        }
+        let r = self.row_of.remove(&s).expect("s is basic");
+        self.rows.swap_remove(r);
+        self.basic.swap_remove(r);
+        if r < self.rows.len() {
+            self.row_of.insert(self.basic[r], r);
+        }
     }
 
     /// Opens an assertion scope; [`Simplex::pop`] restores every bound
@@ -214,6 +273,15 @@ impl Simplex {
     /// repeated. Bounds asserted without a reason do not appear.
     pub fn conflict(&self) -> &[u32] {
         &self.conflict
+    }
+
+    /// Whether the last `Unsat` from an integer check rests on
+    /// branch-and-bound: its explanation is then the union of the
+    /// leaves' Farkas rows — sound, but a record of one search rather than
+    /// a certificate, and a search over the same facts from another
+    /// tableau may branch differently and not finish within its budget.
+    pub(crate) fn conflict_searched(&self) -> bool {
+        self.searched
     }
 
     /// Current value of `var` in the candidate assignment.
@@ -380,9 +448,25 @@ impl Simplex {
     /// Returns [`LpResult::Unknown`] when either budget runs out before
     /// the search is decided — never a guessed verdict.
     pub fn check_int_within(&mut self, max_nodes: u64, deadline: Option<Instant>) -> LpResult {
+        let ints: Vec<usize> = (0..self.nvars).filter(|&v| self.is_int[v]).collect();
+        self.check_int_among(&ints, max_nodes, deadline)
+    }
+
+    /// Like [`Simplex::check_int_within`], but integrality is required of
+    /// `ints` only, branching on the first fractional one in that order.
+    /// A long-lived tableau keeps the variables of terms no assertion
+    /// mentions any more; they are free, and branching on them would only
+    /// spend nodes.
+    pub(crate) fn check_int_among(
+        &mut self,
+        ints: &[usize],
+        max_nodes: u64,
+        deadline: Option<Instant>,
+    ) -> LpResult {
         let mut nodes = max_nodes;
         let mut max_depth = 0u64;
-        let r = self.check_int_rec(&mut nodes, deadline, 1, &mut max_depth);
+        let r = self.check_int_rec(ints, &mut nodes, deadline, 1, &mut max_depth);
+        self.searched = r == LpResult::Unsat && nodes < max_nodes;
         micro::add(MicroCounter::SimplexBbNodes, max_nodes - nodes);
         micro::record_max(MicroCounter::SimplexBbMaxDepth, max_depth);
         r
@@ -390,6 +474,7 @@ impl Simplex {
 
     fn check_int_rec(
         &mut self,
+        ints: &[usize],
         nodes: &mut u64,
         deadline: Option<Instant>,
         depth: u64,
@@ -399,8 +484,7 @@ impl Simplex {
             return LpResult::Unsat;
         }
         // Find an integer variable with a fractional value.
-        let frac = (0..self.nvars)
-            .find(|&v| self.is_int[v] && !self.beta[v].is_integer());
+        let frac = ints.iter().copied().find(|&v| !self.beta[v].is_integer());
         let Some(v) = frac else {
             return LpResult::Sat;
         };
@@ -428,7 +512,7 @@ impl Simplex {
                 self.assert_lower(v, val.ceil(), None)
             };
             let res = if ok {
-                self.check_int_rec(nodes, deadline, depth + 1, max_depth)
+                self.check_int_rec(ints, nodes, deadline, depth + 1, max_depth)
             } else {
                 LpResult::Unsat
             };
@@ -673,6 +757,83 @@ mod tests {
         assert_eq!(s.check(), LpResult::Unsat);
     }
 
+    #[test]
+    fn constants_survive_pop() {
+        // A constant created inside a scope keeps its value after pop.
+        let mut s = Simplex::new();
+        let x = s.new_var(true);
+        s.push();
+        let three = s.new_const(r(3));
+        let d = s.add_row(&[(x, r(1)), (three, r(-1))]);
+        assert!(s.assert_lower(d, r(0), None) && s.assert_upper(d, r(0), None));
+        assert_eq!(s.check(), LpResult::Sat);
+        s.pop();
+        assert!(!s.assert_upper(three, r(2), None));
+        assert!(s.assert_upper(x, r(10), None));
+        assert_eq!(s.check(), LpResult::Sat);
+        assert_eq!(s.value(three), r(3));
+    }
+
+    #[test]
+    fn integrality_only_among_the_given_variables() {
+        // 2x = 1 is integer-infeasible, but with x left out of the
+        // integer set the rational solution stands.
+        let mut s = Simplex::new();
+        let x = s.new_var(true);
+        let row = s.add_row(&[(x, r(2))]);
+        assert!(s.assert_lower(row, r(1), None) && s.assert_upper(row, r(1), None));
+        assert_eq!(s.check_int_among(&[], 400, None), LpResult::Sat);
+        assert_eq!(s.check_int_among(&[x], 400, None), LpResult::Unsat);
+    }
+
+    #[test]
+    fn removing_rows_keeps_the_rest_of_the_system() {
+        // x + y ≤ 4 stays; the rows x − y and 2x + y, once popped bounds
+        // leave them unbounded, are removed (after the failed check left
+        // some of them nonbasic).
+        let mut s = Simplex::new();
+        let x = s.new_var(true);
+        let y = s.new_var(true);
+        let sum = s.add_row(&[(x, r(1)), (y, r(1))]);
+        assert!(s.assert_upper(sum, r(4), None));
+        s.push();
+        let diff = s.add_row(&[(x, r(1)), (y, r(-1))]);
+        let t = s.add_row(&[(x, r(2)), (y, r(1))]);
+        assert!(s.assert_lower(y, r(0), None));
+        assert!(s.assert_lower(diff, r(3), None));
+        assert!(s.assert_lower(t, r(9), None));
+        assert_eq!(s.check(), LpResult::Unsat);
+        s.pop();
+        s.remove_row(t);
+        s.remove_row(diff);
+        assert_eq!(s.rows.len(), 1);
+        assert_eq!(s.check(), LpResult::Sat);
+        assert!(s.assert_lower(x, r(3), None) && s.assert_lower(y, r(2), None));
+        assert_eq!(s.check(), LpResult::Unsat);
+    }
+
+    #[test]
+    fn removing_a_nonbasic_slack_pivots_it_out_first() {
+        // d = x + y ≥ 3 pivots d out of the basis (x takes its place);
+        // after pop, removing d pivots it back and drops its row, and x
+        // is nonbasic again within its bounds.
+        let mut s = Simplex::new();
+        let x = s.new_var(true);
+        let y = s.new_var(true);
+        assert!(s.assert_lower(x, r(0), None) && s.assert_upper(x, r(5), None));
+        s.push();
+        let d = s.add_row(&[(x, r(1)), (y, r(1))]);
+        assert!(s.assert_lower(d, r(3), None));
+        assert_eq!(s.check(), LpResult::Sat);
+        assert!(!s.row_of.contains_key(&d), "d left the basis");
+        s.pop();
+        s.remove_row(d);
+        assert!(s.rows.is_empty() && !s.row_of.contains_key(&x));
+        assert!(s.value(x) >= r(0) && s.value(x) <= r(5));
+        assert_eq!(s.check(), LpResult::Sat);
+        assert!(!s.assert_lower(x, r(6), None));
+    }
+
     fn sorted(reasons: &[u32]) -> Vec<u32> {
         let mut v = reasons.to_vec();
         v.sort_unstable();
@@ -721,6 +882,20 @@ mod tests {
         assert!(s.assert_lower(row, r(1), Some(4)) && s.assert_upper(row, r(1), Some(4)));
         assert_eq!(s.check_int(), LpResult::Unsat);
         assert_eq!(sorted(s.conflict()), vec![4]);
+        assert!(s.conflict_searched());
+    }
+
+    #[test]
+    fn infeasible_relaxation_needs_no_search() {
+        let mut s = Simplex::new();
+        let x = s.new_var(true);
+        let y = s.new_var(true);
+        let sl = s.add_row(&[(x, r(1)), (y, r(1))]);
+        assert!(s.assert_upper(sl, r(4), Some(0)));
+        assert!(s.assert_lower(x, r(3), Some(1)));
+        assert!(s.assert_lower(y, r(2), Some(2)));
+        assert_eq!(s.check_int(), LpResult::Unsat);
+        assert!(!s.conflict_searched());
     }
 
     #[test]

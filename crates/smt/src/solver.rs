@@ -9,9 +9,9 @@
 use crate::arrays::instantiate_array_axioms;
 use crate::cache::QueryCache;
 use crate::cnf::{encode, Atoms};
-use crate::sat::{CdclSolver, Lit, SatResult};
+use crate::sat::{BVar, CdclSolver, Lit, SatResult};
 use crate::sets::{canonicalize_sets, set_saturation_lemmas};
-use crate::theory::{check_assignment, TheoryBudget, TheoryResult};
+use crate::theory::{TheoryBudget, TheoryContext, TheoryResult};
 use dsolve_logic::{
     deadline_expired, Budget, Exhaustion, Expr, FaultPlan, FaultPoint, Phase, Pred, Resource,
     Sort, SortEnv, Symbol,
@@ -687,6 +687,8 @@ impl SmtSolver {
         // tighter blocking clause) is wasted work.
         let minimize = sat_has_choice(&cnf_clauses_snapshot);
         let certify = self.config.certify;
+        let mut theory = TheoryContext::new();
+        let atom_of_var = atoms_by_var(cnf.num_vars, cnf.atom_vars.iter().copied());
         // Certificate material for an eventual `Unsat`: the literal sets
         // behind every theory blocking clause.
         let mut cores: Vec<Vec<(crate::AtomId, bool)>> = Vec::new();
@@ -721,8 +723,9 @@ impl SmtSolver {
                             (aid, sat.model_value(cnf.atom_vars[i]))
                         })
                         .collect();
+                    let root = root_literals(&sat, &atom_of_var);
                     self.stats.theory_checks += 1;
-                    match check_assignment(&atoms, &assignment, minimize, &theory_budget) {
+                    match theory.check(&atoms, &assignment, &root, minimize, &theory_budget) {
                         TheoryResult::Sat => {
                             let verdict = sat_verdict(saturation_truncated);
                             if certify && verdict == SmtResult::Sat {
@@ -771,6 +774,30 @@ impl SmtSolver {
             }
         }
     }
+}
+
+/// The atom of each SAT variable (`None` for Tseitin variables), from
+/// the variable of each atom in atom order.
+pub(crate) fn atoms_by_var(
+    num_vars: usize,
+    atom_vars: impl Iterator<Item = BVar>,
+) -> Vec<Option<crate::AtomId>> {
+    let mut out = vec![None; num_vars];
+    for (i, v) in atom_vars.enumerate() {
+        out[v.0 as usize] = Some(crate::AtomId(i as u32));
+    }
+    out
+}
+
+/// The theory literals among the SAT core's root trail, in trail order.
+pub(crate) fn root_literals(
+    sat: &CdclSolver,
+    atom_of_var: &[Option<crate::AtomId>],
+) -> Vec<(crate::AtomId, bool)> {
+    sat.root_trail()
+        .iter()
+        .filter_map(|l| atom_of_var[l.var().0 as usize].map(|aid| (aid, l.sign())))
+        .collect()
 }
 
 /// Whether the clause set leaves the SAT solver any real choice (some

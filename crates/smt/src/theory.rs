@@ -1,31 +1,57 @@
 //! Theory combination: EUF + linear integer arithmetic (+ ground arrays
 //! and canonicalized sets riding on EUF).
 //!
-//! A full propositional model is checked by asserting each theory atom to
-//! the congruence closure and/or the simplex and propagating equalities
-//! between the two in a Nelson–Oppen style loop:
+//! A propositional model is checked by asserting each theory atom to the
+//! congruence closure and/or the simplex and propagating equalities
+//! between the two in a Nelson–Oppen style loop, the *closure*:
 //!
-//! * EUF-derived equalities over shared integer terms become simplex rows;
+//! * EUF-derived equalities over shared integer terms become simplex
+//!   rows — a spanning set of each class, since equality is transitive;
 //! * simplex-implied equalities (pairs that can be separated in neither
 //!   direction) are pushed back into EUF.
 //!
-//! Each check builds fresh engines over the subterm closure of the
-//! literals it is given, never the whole (session-long) term arena.
+//! Each round checks the rational relaxation and EUF, and sends EUF's
+//! equalities over, before it branches on integers and probes for the
+//! equalities the integer solution suggests.
+//!
+//! Both DPLL(T) loops keep one [`TheoryContext`], per scratch query or
+//! for the lifetime of an incremental session, and its engines are never
+//! rebuilt. Its stack of *frames* mirrors the SAT core's root trail: the
+//! literals fixed at decision level 0, which every model of a query
+//! shares, and the scoped checks of a session share their prefix. A
+//! frame asserts a segment of root literals once, under its own engine
+//! scope, and keeps the verdict of their closure (closing them when a
+//! second model reuses the frame; the first model's closure covers
+//! them). A model is checked by matching the frames against its root
+//! trail by (atom, polarity) in trail order — popping back to the common
+//! prefix and pushing one frame for the rest — and then asserting the
+//! model's other literals under one more scope, popped afterwards.
+//! Simplex variables and rows are
+//! definitions, not assertions, so they outlive scopes and are cached:
+//! one variable per term and one slack row per linear form for the
+//! context's life, and one difference row per pair of variables (for an
+//! equality sent over, or a separation probe run on the live tableau
+//! under a scope) until the scope that made it is popped.
 //!
 //! On conflict, the engines *explain* it: every fact carries the literals
 //! it rests on — each asserted literal itself, an EUF→simplex equality
 //! its proof-forest path, a simplex→EUF equality the Farkas rows of both
 //! separation probes — and the conflicting engine's explanation, mapped
-//! back to literals, is the core. The core is confirmed by one plain
-//! check and then shrunk by deletion, which at that size costs a handful
-//! of checks instead of re-solving the whole model O(core·log n) times.
-//! An explanation that fails confirmation falls back to deletion over
-//! the whole model, so a wrong explanation costs time, never soundness.
+//! back to literals, is the core. No context verdict blocks a model on
+//! its own say: an Unsat explanation is confirmed by one closure on fresh
+//! engines before it becomes a core (and is then shrunk by deletion,
+//! when a small core is asked for). An explanation that fails
+//! confirmation sends the model to fresh engines ([`check_assignment`]),
+//! so a wrong frame costs time, never soundness. So do a context verdict
+//! of Unknown and an integer conflict that branch-and-bound found: that
+//! explanation records one search, and the same search from a cold
+//! tableau may branch differently and run out of nodes, so it is not
+//! something a fresh check can reliably confirm.
 
 use crate::cnf::{Atom, AtomId, Atoms};
 use crate::euf::{Euf, EufResult};
 use crate::simplex::{LpResult, Simplex};
-use crate::term::{Term, TermArena, TermId};
+use crate::term::{LinExpr, Term, TermArena, TermId};
 use crate::Rat;
 use dsolve_logic::{deadline_expired, Budget, Resource, Sort};
 use dsolve_obs::{micro, theory as theory_timer, MicroCounter, TheoryKind};
@@ -63,16 +89,23 @@ pub enum TheoryResult {
     Unknown(Resource),
 }
 
-/// Internal verdict of one consistency probe.
+/// Verdict of one closure.
+#[derive(Clone, Debug)]
 enum Consistency {
     Sat,
-    /// Inconsistent; the payload is the explanation (sorted indices into
-    /// the assignment, a subset of the probed ones).
+    /// Inconsistent; the payload is the explanation (sorted, unique
+    /// positions in the asserted-literal stack).
     Unsat(Vec<usize>),
+    /// Inconsistent over the integers only, refuted by branch-and-bound
+    /// (see [`Simplex::conflict_searched`]), with its explanation. Fresh
+    /// engines take it as `Unsat`; the context re-decides such a model on
+    /// fresh engines rather than confirm one search by another.
+    Searched(Vec<usize>),
     Unknown(Resource),
 }
 
-/// Checks a full atom assignment for theory consistency.
+/// Checks a full atom assignment for theory consistency on fresh
+/// engines.
 ///
 /// `minimize` requests a small core; callers skip it when one blocking
 /// clause of any size already ends the search (purely conjunctive
@@ -84,335 +117,667 @@ pub fn check_assignment(
     budget: &TheoryBudget,
 ) -> TheoryResult {
     micro::add(MicroCounter::TheoryAssignments, 1);
+    decide_fresh(atoms, assignment, minimize, budget)
+}
+
+/// [`check_assignment`] without counting the model.
+fn decide_fresh(
+    atoms: &Atoms,
+    assignment: &[(AtomId, bool)],
+    minimize: bool,
+    budget: &TheoryBudget,
+) -> TheoryResult {
+    let fresh = Fresh {
+        atoms,
+        assignment,
+        budget,
+    };
     let all: Vec<usize> = (0..assignment.len()).collect();
-    let explanation = match consistent(atoms, assignment, &all, budget) {
+    let explanation = match fresh.closure(&all) {
         Consistency::Sat => return TheoryResult::Sat,
         // The full check could not be decided: neither verdict is safe.
         Consistency::Unknown(r) => return TheoryResult::Unknown(r),
-        Consistency::Unsat(explanation) => explanation,
+        Consistency::Unsat(explanation) | Consistency::Searched(explanation) => explanation,
     };
     if !minimize {
         return TheoryResult::Unsat(all);
     }
-    let core = if matches!(
-        consistent(atoms, assignment, &explanation, budget),
-        Consistency::Unsat(_)
-    ) {
+    let core = if fresh.is_unsat(&explanation) {
         explanation
     } else {
         micro::add(MicroCounter::TheoryCoreFallbacks, 1);
         all
     };
-    TheoryResult::Unsat(shrink(atoms, assignment, core, budget))
+    TheoryResult::Unsat(fresh.shrink(core))
 }
 
-/// Chunked deletion minimization of an inconsistent `core`: drop halves
-/// while the conflict persists, then shrink the chunk size — O(core·log
-/// n) checks instead of O(n) for the typical small core. An Unknown
-/// trial keeps the chunk (the core stays a superset of a real conflict,
-/// which is sound — just less minimal).
-fn shrink(
-    atoms: &Atoms,
-    assignment: &[(AtomId, bool)],
-    mut core: Vec<usize>,
-    budget: &TheoryBudget,
-) -> Vec<usize> {
-    let mut chunk = (core.len() / 2).max(1);
-    loop {
-        let mut i = 0;
-        while i < core.len() {
-            let hi = (i + chunk).min(core.len());
-            let mut trial = Vec::with_capacity(core.len());
-            trial.extend_from_slice(&core[..i]);
-            trial.extend_from_slice(&core[hi..]);
-            if matches!(
-                consistent(atoms, assignment, &trial, budget),
-                Consistency::Unsat(_)
-            ) {
-                core = trial;
+/// Closures on fresh engines over subsets of one model: the model's own
+/// check, confirmation, and deletion. A core is what these accept, so it
+/// replays on its own (as `--certify` does).
+struct Fresh<'a> {
+    atoms: &'a Atoms,
+    assignment: &'a [(AtomId, bool)],
+    budget: &'a TheoryBudget,
+}
+
+impl Fresh<'_> {
+    /// The closure of the literals at `indices` (into the model), its
+    /// explanation mapped back to indices.
+    fn closure(&self, indices: &[usize]) -> Consistency {
+        let lits = indices.iter().map(|&i| self.assignment[i]);
+        // Fresh engines assert `indices` in order, so position p is
+        // `indices[p]`.
+        let to_indices =
+            |positions: Vec<usize>| positions.into_iter().map(|p| indices[p]).collect();
+        match Engines::default().assert_and_close(self.atoms, lits, self.budget) {
+            Consistency::Unsat(positions) => Consistency::Unsat(to_indices(positions)),
+            Consistency::Searched(positions) => Consistency::Searched(to_indices(positions)),
+            verdict => verdict,
+        }
+    }
+
+    /// Whether the literals at `indices` are inconsistent.
+    fn is_unsat(&self, indices: &[usize]) -> bool {
+        matches!(
+            self.closure(indices),
+            Consistency::Unsat(_) | Consistency::Searched(_)
+        )
+    }
+
+    /// Turns a context explanation into a core, but only once fresh
+    /// engines confirm it is inconsistent; otherwise the model is
+    /// re-decided on fresh engines.
+    fn confirm(&self, explanation: Vec<usize>, minimize: bool) -> TheoryResult {
+        if self.is_unsat(&explanation) {
+            return TheoryResult::Unsat(if minimize {
+                self.shrink(explanation)
             } else {
-                i = hi;
+                explanation
+            });
+        }
+        micro::add(MicroCounter::TheoryCoreFallbacks, 1);
+        decide_fresh(self.atoms, self.assignment, minimize, self.budget)
+    }
+
+    /// Chunked deletion minimization of an inconsistent `core`: drop
+    /// halves while the conflict persists, then shrink the chunk size —
+    /// O(core·log n) checks instead of O(n) for the typical small core.
+    /// An Unknown trial keeps the chunk (the core stays a superset of a
+    /// real conflict, which is sound — just less minimal).
+    fn shrink(&self, mut core: Vec<usize>) -> Vec<usize> {
+        let mut chunk = (core.len() / 2).max(1);
+        loop {
+            let mut i = 0;
+            while i < core.len() {
+                let hi = (i + chunk).min(core.len());
+                let mut trial = Vec::with_capacity(core.len());
+                trial.extend_from_slice(&core[..i]);
+                trial.extend_from_slice(&core[hi..]);
+                if self.is_unsat(&trial) {
+                    core = trial;
+                } else {
+                    i = hi;
+                }
+            }
+            if chunk == 1 {
+                return core;
+            }
+            chunk /= 2;
+        }
+    }
+}
+
+/// Persistent theory state for one DPLL(T) loop: warm engines under a
+/// stack of root frames (see the module docs).
+#[derive(Default)]
+pub struct TheoryContext {
+    engines: Engines,
+    frames: Vec<Frame>,
+}
+
+/// A segment of root literals asserted under one engine scope, with the
+/// verdict of closing it together with every frame below — `None` until
+/// a second model reuses the frame: the first model's own closure covers
+/// the frame's literals too, so a frame only one model sees is never
+/// closed on its own.
+struct Frame {
+    lits: Vec<(AtomId, bool)>,
+    verdict: Option<Consistency>,
+}
+
+impl TheoryContext {
+    /// An empty context.
+    pub fn new() -> TheoryContext {
+        TheoryContext::default()
+    }
+
+    /// Checks one propositional model over `atoms`, like
+    /// [`check_assignment`]. `root` lists the model's root literals —
+    /// those the SAT core fixed at decision level 0 — in trail order;
+    /// each also appears in `assignment`.
+    pub fn check(
+        &mut self,
+        atoms: &Atoms,
+        assignment: &[(AtomId, bool)],
+        root: &[(AtomId, bool)],
+        minimize: bool,
+        budget: &TheoryBudget,
+    ) -> TheoryResult {
+        micro::add(MicroCounter::TheoryAssignments, 1);
+        let covered = self.sync_frames(atoms, root, budget);
+        let mut index = vec![usize::MAX; atoms.len()];
+        for (i, &(aid, _)) in assignment.iter().enumerate() {
+            index[aid.index()] = i;
+        }
+        let top = self
+            .frames
+            .last()
+            .map_or(Some(Consistency::Sat), |f| f.verdict.clone());
+        let verdict = match top {
+            Some(Consistency::Sat) | None => {
+                let mut in_frames = vec![false; atoms.len()];
+                for &(aid, val) in &root[..covered] {
+                    debug_assert_eq!(assignment[index[aid.index()]], (aid, val));
+                    in_frames[aid.index()] = true;
+                }
+                let rest: Vec<(AtomId, bool)> = assignment
+                    .iter()
+                    .copied()
+                    .filter(|(aid, _)| !in_frames[aid.index()])
+                    .collect();
+                if rest.is_empty() {
+                    // The frames are the whole model.
+                    if top.is_some() {
+                        return TheoryResult::Sat;
+                    }
+                    let verdict = self.close_top(atoms, budget);
+                    self.engines.in_model(verdict, &index)
+                } else {
+                    self.engines.push();
+                    let verdict = self.engines.assert_and_close(atoms, rest, budget);
+                    let decided = self.engines.in_model(verdict, &index);
+                    self.engines.pop();
+                    decided
+                }
+            }
+            Some(verdict) => self.engines.in_model(verdict, &index),
+        };
+        let fresh = Fresh {
+            atoms,
+            assignment,
+            budget,
+        };
+        match verdict {
+            Consistency::Sat => TheoryResult::Sat,
+            Consistency::Unsat(explanation) => fresh.confirm(explanation, minimize),
+            Consistency::Searched(_) | Consistency::Unknown(_) => {
+                decide_fresh(atoms, assignment, minimize, budget)
             }
         }
-        if chunk == 1 {
-            return core;
+    }
+
+    /// Pops the frames that no longer match `root`, closes the top frame
+    /// if this model reuses it, and, unless that frame is inconsistent or
+    /// undecided, pushes one frame for the rest of `root`. Returns how
+    /// many root literals the frames cover.
+    fn sync_frames(
+        &mut self,
+        atoms: &Atoms,
+        root: &[(AtomId, bool)],
+        budget: &TheoryBudget,
+    ) -> usize {
+        let mut covered = 0;
+        let mut keep = 0;
+        for f in &self.frames {
+            if !root[covered..].starts_with(&f.lits) {
+                break;
+            }
+            covered += f.lits.len();
+            keep += 1;
         }
-        chunk /= 2;
+        while self.frames.len() > keep {
+            self.frames.pop();
+            self.engines.pop();
+        }
+        if self.frames.last().is_some_and(|f| f.verdict.is_none()) {
+            self.close_top(atoms, budget);
+        }
+        let open = self
+            .frames
+            .last()
+            .is_none_or(|f| matches!(f.verdict, Some(Consistency::Sat)));
+        if open && covered < root.len() {
+            micro::add(MicroCounter::TheoryFrames, 1);
+            let lits = root[covered..].to_vec();
+            self.engines.push();
+            let verdict = self
+                .engines
+                .assert_lits(atoms, lits.iter().copied())
+                .err()
+                .map(|explanation| {
+                    micro::add(MicroCounter::TheoryChecks, 1);
+                    Consistency::Unsat(explanation)
+                });
+            covered = root.len();
+            self.frames.push(Frame { lits, verdict });
+        }
+        covered
+    }
+
+    /// Closes the top frame, records its verdict and returns it.
+    fn close_top(&mut self, atoms: &Atoms, budget: &TheoryBudget) -> Consistency {
+        micro::add(MicroCounter::TheoryChecks, 1);
+        let verdict = self.engines.close(atoms, budget);
+        self.frames.last_mut().expect("a frame to close").verdict = Some(verdict.clone());
+        verdict
     }
 }
 
-/// The linear-arithmetic side of one check: the simplex plus the map
-/// from shared terms to its variables.
-struct Lra<'a> {
-    arena: &'a TermArena,
-    simplex: Simplex,
-    var_of: HashMap<TermId, usize>,
-    /// Terms with a simplex variable, in creation order.
-    shared: Vec<TermId>,
-}
-
-impl Lra<'_> {
-    /// The simplex variable of `t`, created on first use (and `t`
-    /// registered with EUF, so that shared terms take part in
-    /// congruence).
-    fn var(&mut self, euf: &mut Euf, t: TermId) -> usize {
-        if let Some(&v) = self.var_of.get(&t) {
-            return v;
-        }
-        let is_int = *self.arena.sort(t) == Sort::Int;
-        let v = self.simplex.new_var(is_int);
-        self.var_of.insert(t, v);
-        self.shared.push(t);
-        euf.add_term(t);
-        v
-    }
-
-    /// The slack variable of `lin`'s non-constant part.
-    fn row(&mut self, euf: &mut Euf, lin: &crate::LinExpr) -> usize {
-        let combo: Vec<(usize, Rat)> = lin
-            .terms
-            .iter()
-            .map(|(t, c)| (self.var(euf, *t), *c))
-            .collect();
-        self.simplex.add_row(&combo)
-    }
-
-    /// Asserts `lin ≤ 0` for reason `why`; `false` on immediate conflict.
-    fn assert_le(&mut self, euf: &mut Euf, lin: &crate::LinExpr, why: u32) -> bool {
-        if let Some(c) = lin.as_constant() {
-            return c <= Rat::ZERO;
-        }
-        let row = self.row(euf, lin);
-        self.simplex.assert_upper(row, -lin.constant, Some(why))
-    }
-
-    /// Asserts `lin = 0` for reason `why`; `false` on immediate conflict.
-    fn assert_eq(&mut self, euf: &mut Euf, lin: &crate::LinExpr, why: u32) -> bool {
-        if let Some(c) = lin.as_constant() {
-            return c.is_zero();
-        }
-        let row = self.row(euf, lin);
-        self.simplex.assert_upper(row, -lin.constant, Some(why))
-            && self.simplex.assert_lower(row, -lin.constant, Some(why))
-    }
-}
-
-/// The literals each reason rests on: `lits[r]` lists indices into the
-/// assignment. Reasons are the tags handed to the engines.
+/// EUF + simplex + the Nelson–Oppen bookkeeping between them, all under
+/// one scope stack.
 #[derive(Default)]
-struct Reasons {
-    lits: Vec<Vec<usize>>,
+struct Engines {
+    euf: Euf,
+    simplex: Simplex,
+    /// The simplex variable of each term that has one.
+    var_of: HashMap<TermId, usize>,
+    /// The slack of each row, by its combination of variables (sorted by
+    /// variable): one per linear form, one per difference `va − vb`.
+    rows: HashMap<Vec<(usize, Rat)>, usize>,
+    /// The difference rows' keys in creation order, to remove them with
+    /// their scope.
+    row_log: Vec<Vec<(usize, Rat)>>,
+    /// Asserted literals, in order; explanations are positions here.
+    lits: Vec<(AtomId, bool)>,
+    /// The literal positions each engine reason tag rests on.
+    reasons: Vec<Vec<usize>>,
+    /// Both sides of every asserted disequality.
+    diseq_terms: Vec<TermId>,
+    /// EUF equalities asserted to the simplex, and the order they were
+    /// sent in (to undo them).
+    sent: HashSet<(TermId, TermId)>,
+    sent_log: Vec<(TermId, TermId)>,
+    /// Per open scope: the lengths of `lits`, `reasons`, `diseq_terms`,
+    /// `sent_log` and `row_log` at push time.
+    scopes: Vec<[usize; 5]>,
 }
 
-impl Reasons {
-    /// A new reason resting on `lits`.
-    fn add(&mut self, lits: Vec<usize>) -> u32 {
-        let r = u32::try_from(self.lits.len()).expect("reason overflow");
-        self.lits.push(lits);
+impl Engines {
+    fn push(&mut self) {
+        self.euf.push();
+        self.simplex.push();
+        self.scopes.push([
+            self.lits.len(),
+            self.reasons.len(),
+            self.diseq_terms.len(),
+            self.sent_log.len(),
+            self.row_log.len(),
+        ]);
+    }
+
+    fn pop(&mut self) {
+        let [lits, reasons, diseqs, sent, rows] =
+            self.scopes.pop().expect("pop without matching push");
+        self.euf.pop();
+        self.simplex.pop();
+        self.lits.truncate(lits);
+        self.reasons.truncate(reasons);
+        self.diseq_terms.truncate(diseqs);
+        for key in self.sent_log.drain(sent..) {
+            self.sent.remove(&key);
+        }
+        // Difference rows made in the scope carry no bound once it is
+        // popped. There is one per pair probed or equated, so keeping them
+        // would make every later check pay for a number of rows that grows
+        // with the square of the terms; linear forms are few and recur.
+        let made: Vec<Vec<(usize, Rat)>> = self.row_log.drain(rows..).collect();
+        for key in made.into_iter().rev() {
+            let slack = self.rows.remove(&key).expect("logged row");
+            self.simplex.remove_row(slack);
+        }
+    }
+
+    /// A new reason tag resting on the literal positions `lits`.
+    fn add_reason(&mut self, lits: Vec<usize>) -> u32 {
+        let r = u32::try_from(self.reasons.len()).expect("reason overflow");
+        self.reasons.push(lits);
         r
     }
 
-    /// The literals behind a set of engine reasons, sorted and unique.
+    /// The literal positions behind a set of reason tags, sorted and
+    /// unique.
     fn expand(&self, reasons: &[u32]) -> Vec<usize> {
         let mut out: Vec<usize> = reasons
             .iter()
-            .flat_map(|&r| self.lits[r as usize].iter().copied())
+            .flat_map(|&r| self.reasons[r as usize].iter().copied())
             .collect();
         out.sort_unstable();
         out.dedup();
         out
     }
-}
 
-/// Whether the subset (`indices` into `assignment`) is theory-consistent,
-/// with an explanation when it is not.
-fn consistent(
-    atoms: &Atoms,
-    assignment: &[(AtomId, bool)],
-    indices: &[usize],
-    budget: &TheoryBudget,
-) -> Consistency {
-    micro::add(MicroCounter::TheoryChecks, 1);
-    let mut euf = Euf::new(&atoms.arena);
-    let mut lra = Lra {
-        arena: &atoms.arena,
-        simplex: Simplex::new(),
-        var_of: HashMap::new(),
-        shared: Vec::new(),
-    };
-    let mut reasons = Reasons::default();
-    let true_id = atoms.bool_const(true);
-    let false_id = atoms.bool_const(false);
+    /// A closure's verdict with its explanation mapped from literal
+    /// positions to indices into the model, through `index` (the model
+    /// index of each atom).
+    fn in_model(&self, verdict: Consistency, index: &[usize]) -> Consistency {
+        let indices = |positions: Vec<usize>| {
+            let mut out: Vec<usize> = positions
+                .into_iter()
+                .map(|p| index[self.lits[p].0.index()])
+                .collect();
+            out.sort_unstable();
+            out
+        };
+        match verdict {
+            Consistency::Unsat(positions) => Consistency::Unsat(indices(positions)),
+            Consistency::Searched(positions) => Consistency::Searched(indices(positions)),
+            verdict => verdict,
+        }
+    }
 
-    // Assert each literal to the relevant solver(s), its reason resting
-    // on the literal alone.
-    let mut diseq_terms: Vec<TermId> = Vec::new();
-    for &ix in indices {
-        let (aid, val) = assignment[ix];
-        let why = reasons.add(vec![ix]);
-        let ok = match atoms.atom(aid) {
+    /// The simplex variable of `t`, created on first use (a fixed one for
+    /// an integer constant). `t` is registered with EUF on every call, so
+    /// that shared terms take part in congruence in the current scope.
+    fn var(&mut self, arena: &TermArena, t: TermId) -> usize {
+        self.euf.add_term(arena, t);
+        if let Some(&v) = self.var_of.get(&t) {
+            return v;
+        }
+        let v = match arena.term(t) {
+            Term::Int(k) => self.simplex.new_const(Rat::from_int(*k)),
+            _ => self.simplex.new_var(*arena.sort(t) == Sort::Int),
+        };
+        self.var_of.insert(t, v);
+        v
+    }
+
+    /// The slack of the row `Σ c·v` over `combo`, made on first use; a
+    /// `scoped` row is removed when the scope that made it is popped.
+    fn row(&mut self, mut combo: Vec<(usize, Rat)>, scoped: bool) -> usize {
+        combo.sort_unstable_by_key(|&(v, _)| v);
+        if let Some(&slack) = self.rows.get(&combo) {
+            return slack;
+        }
+        let slack = self.simplex.add_row(&combo);
+        if scoped {
+            self.row_log.push(combo.clone());
+        }
+        self.rows.insert(combo, slack);
+        slack
+    }
+
+    /// The slack row of `lin`'s non-constant part.
+    fn form_row(&mut self, arena: &TermArena, lin: &LinExpr) -> usize {
+        let combo = lin
+            .terms
+            .iter()
+            .map(|(&t, &c)| (self.var(arena, t), c))
+            .collect();
+        self.row(combo, false)
+    }
+
+    /// The row `va − vb` for `va < vb` (callers bound it symmetrically).
+    fn diff_row(&mut self, va: usize, vb: usize) -> usize {
+        let (lo, hi) = (va.min(vb), va.max(vb));
+        self.row(vec![(lo, Rat::ONE), (hi, Rat::from_int(-1))], true)
+    }
+
+    /// Asserts `lo ≤ lin ≤ hi` for reason `why`; on an immediate
+    /// conflict, the reasons behind it.
+    fn assert_lin(
+        &mut self,
+        arena: &TermArena,
+        lin: &LinExpr,
+        lo: Option<Rat>,
+        hi: Option<Rat>,
+        why: u32,
+    ) -> Result<(), Vec<u32>> {
+        if let Some(c) = lin.as_constant() {
+            return if lo.is_none_or(|l| l <= c) && hi.is_none_or(|h| c <= h) {
+                Ok(())
+            } else {
+                Err(vec![why])
+            };
+        }
+        let row = self.form_row(arena, lin);
+        let c = lin.constant;
+        if hi.is_none_or(|h| self.simplex.assert_upper(row, h - c, Some(why)))
+            && lo.is_none_or(|l| self.simplex.assert_lower(row, l - c, Some(why)))
+        {
+            Ok(())
+        } else {
+            Err(self.simplex.conflict().to_vec())
+        }
+    }
+
+    /// Asserts one literal, its reason resting on the literal alone; on an
+    /// immediate conflict — a constant literal false on its own, or a
+    /// bound clashing with an earlier one — returns the explanation.
+    fn assert_lit(&mut self, atoms: &Atoms, (aid, val): (AtomId, bool)) -> Result<(), Vec<usize>> {
+        let arena = &atoms.arena;
+        let pos = self.lits.len();
+        self.lits.push((aid, val));
+        let why = self.add_reason(vec![pos]);
+        let clash = match atoms.atom(aid) {
             Atom::Eq { a, b, lin } => {
                 if val {
-                    euf.assert_eq(*a, *b, why);
-                    lin.as_ref()
-                        .is_none_or(|lin| lra.assert_eq(&mut euf, lin, why))
+                    self.euf.assert_eq(arena, *a, *b, why);
+                    match lin {
+                        Some(lin) => {
+                            self.assert_lin(arena, lin, Some(Rat::ZERO), Some(Rat::ZERO), why)
+                        }
+                        None => Ok(()),
+                    }
                 } else {
-                    euf.assert_ne(*a, *b, why);
-                    diseq_terms.push(*a);
-                    diseq_terms.push(*b);
-                    true
+                    self.euf.assert_ne(arena, *a, *b, why);
+                    self.diseq_terms.extend([*a, *b]);
+                    Ok(())
                 }
             }
-            Atom::IntLe(lin) => {
-                if val {
-                    lra.assert_le(&mut euf, lin, why)
-                } else {
-                    // ¬(lin ≤ 0) ⟺ −lin + 1 ≤ 0 over integers.
-                    let mut neg = lin.clone().scale(Rat::from_int(-1));
-                    neg.constant += Rat::ONE;
-                    lra.assert_le(&mut euf, &neg, why)
-                }
-            }
+            // lin ≤ 0, or over the integers ¬(lin ≤ 0) ⟺ lin ≥ 1, on the
+            // same row.
+            Atom::IntLe(lin) if val => self.assert_lin(arena, lin, None, Some(Rat::ZERO), why),
+            Atom::IntLe(lin) => self.assert_lin(arena, lin, Some(Rat::ONE), None, why),
             Atom::BoolTerm(t) => {
-                euf.assert_eq(*t, if val { true_id } else { false_id }, why);
-                true
+                self.euf.assert_eq(arena, *t, atoms.bool_const(val), why);
+                Ok(())
             }
         };
-        if !ok {
-            // A constant literal false on its own, or a bound clashing
-            // with an earlier one (whose explanation already names this
-            // literal).
-            let mut conflict = lra.simplex.conflict().to_vec();
-            conflict.push(why);
-            return Consistency::Unsat(reasons.expand(&conflict));
+        clash.map_err(|reasons| self.expand(&reasons))
+    }
+
+    /// Asserts `lits`, stopping at the first immediate conflict.
+    fn assert_lits(
+        &mut self,
+        atoms: &Atoms,
+        lits: impl IntoIterator<Item = (AtomId, bool)>,
+    ) -> Result<(), Vec<usize>> {
+        lits.into_iter()
+            .try_for_each(|lit| self.assert_lit(atoms, lit))
+    }
+
+    /// Asserts `lits` and closes: one Nelson–Oppen closure.
+    fn assert_and_close(
+        &mut self,
+        atoms: &Atoms,
+        lits: impl IntoIterator<Item = (AtomId, bool)>,
+        budget: &TheoryBudget,
+    ) -> Consistency {
+        micro::add(MicroCounter::TheoryChecks, 1);
+        match self.assert_lits(atoms, lits) {
+            Ok(()) => self.close(atoms, budget),
+            Err(explanation) => Consistency::Unsat(explanation),
         }
     }
 
-    // Seed the integer constants among the check's terms, so implied
-    // equalities with literals are discoverable (e.g. x ≤ 0 ∧ x ≥ 0 ⟹
-    // x = 0 reaching EUF). A constant's value needs no reason.
-    let terms = euf.terms().to_vec();
-    for &t in &terms {
-        if let Term::Int(k) = atoms.arena.term(t) {
-            let v = lra.var(&mut euf, t);
-            let ok = lra.simplex.assert_lower(v, Rat::from_int(*k), None)
-                && lra.simplex.assert_upper(v, Rat::from_int(*k), None);
-            debug_assert!(ok, "constant bounds are consistent");
-        }
-    }
-
-    // Simplex → EUF candidates: only pairs EUF could *use* matter —
-    // arguments of applications, constants, and disequality sides.
-    let mut interesting: HashSet<TermId> = diseq_terms.into_iter().collect();
-    for &t in &terms {
-        match atoms.arena.term(t) {
-            Term::App(_, args) => interesting.extend(args.iter().copied()),
-            Term::Int(_) => {
-                interesting.insert(t);
+    /// The Nelson–Oppen loop over everything asserted in the open scopes.
+    fn close(&mut self, atoms: &Atoms, budget: &TheoryBudget) -> Consistency {
+        let arena = &atoms.arena;
+        // The terms EUF holds are those of the asserted literals and their
+        // subterms. Integer constants among them get (fixed) simplex
+        // variables, so that implied equalities with literals are
+        // discoverable (x ≤ 0 ∧ x ≥ 0 ⟹ x = 0 reaching EUF). Simplex →
+        // EUF candidates are the terms EUF could *use*: arguments of
+        // applications, constants, and disequality sides.
+        let terms = self.euf.terms().to_vec();
+        let mut interesting: HashSet<TermId> = self.diseq_terms.iter().copied().collect();
+        for &t in &terms {
+            match arena.term(t) {
+                Term::App(_, args) => interesting.extend(args.iter().copied()),
+                Term::Int(_) => {
+                    self.var(arena, t);
+                    interesting.insert(t);
+                }
+                Term::Var(..) | Term::Bool(_) => {}
             }
-            _ => {}
         }
-    }
-    let candidates: Vec<TermId> = lra
-        .shared
-        .iter()
-        .copied()
-        .filter(|t| interesting.contains(t))
-        .collect();
+        // Shared terms, in simplex-variable order.
+        let mut shared: Vec<TermId> = terms
+            .into_iter()
+            .filter(|t| self.var_of.contains_key(t))
+            .collect();
+        shared.sort_unstable_by_key(|t| self.var_of[t]);
+        let ints: Vec<usize> = shared
+            .iter()
+            .filter(|&&t| *arena.sort(t) == Sort::Int)
+            .map(|t| self.var_of[t])
+            .collect();
+        let candidates: Vec<TermId> = shared
+            .iter()
+            .copied()
+            .filter(|t| interesting.contains(t))
+            .collect();
 
-    // Nelson–Oppen propagation loop. Arithmetic is checked first in
-    // every round, so that when a pure-arithmetic conflict exists it is
-    // the one that gets explained: its core blocks a whole region of
-    // models rather than one combination of EUF facts.
-    let mut sent_to_simplex: HashSet<(TermId, TermId)> = HashSet::new();
-    loop {
-        let lp_verdict = theory_timer::time(TheoryKind::Simplex, || {
-            lra.simplex
-                .check_int_within(budget.bb_nodes, budget.deadline)
-        });
-        if lp_verdict == LpResult::Unsat {
-            return Consistency::Unsat(reasons.expand(lra.simplex.conflict()));
-        }
-        if theory_timer::time(TheoryKind::Euf, || euf.check()) == EufResult::Unsat {
-            return Consistency::Unsat(reasons.expand(euf.conflict()));
-        }
-        if lp_verdict == LpResult::Unknown {
-            let r = if deadline_expired(budget.deadline) {
-                Resource::Deadline
-            } else {
-                Resource::BranchBoundNodes
-            };
-            return Consistency::Unknown(r);
-        }
-        // EUF → simplex, each equality resting on its proof-forest path.
-        let mut changed = false;
-        for (a, b) in euf.equalities_among(&lra.shared) {
-            let key = if a <= b { (a, b) } else { (b, a) };
-            if sent_to_simplex.insert(key) {
-                let why = reasons.add(reasons.expand(&euf.explain(a, b)));
-                let (va, vb) = (lra.var_of[&a], lra.var_of[&b]);
-                let row = lra
-                    .simplex
-                    .add_row(&[(va, Rat::ONE), (vb, Rat::from_int(-1))]);
-                if !(lra.simplex.assert_lower(row, Rat::ZERO, Some(why))
-                    && lra.simplex.assert_upper(row, Rat::ZERO, Some(why)))
+        // Arithmetic is checked first in every round, so that when a
+        // pure-arithmetic conflict exists it is the one that gets
+        // explained: its core blocks a whole region of models rather than
+        // one combination of EUF facts. Each round runs the rational
+        // simplex and EUF, and sends EUF's equalities over, before it
+        // branches on integers: an equality can make the relaxation
+        // infeasible outright, and a confirmation over a subset of the
+        // literals must not meet the branching first (without the bounds
+        // of the whole model, the search may not finish).
+        loop {
+            if theory_timer::time(TheoryKind::Simplex, || self.simplex.check()) == LpResult::Unsat {
+                return Consistency::Unsat(self.expand(self.simplex.conflict()));
+            }
+            if theory_timer::time(TheoryKind::Euf, || self.euf.check()) == EufResult::Unsat {
+                return Consistency::Unsat(self.expand(self.euf.conflict()));
+            }
+            // EUF → simplex, each equality resting on its proof-forest
+            // path.
+            let mut changed = false;
+            for (a, b) in self.euf.spanning_equalities(&shared) {
+                let key = if a <= b { (a, b) } else { (b, a) };
+                if !self.sent.insert(key) {
+                    continue;
+                }
+                self.sent_log.push(key);
+                let why = self.add_reason(self.expand(&self.euf.explain(a, b)));
+                let row = self.diff_row(self.var_of[&a], self.var_of[&b]);
+                if !(self.simplex.assert_lower(row, Rat::ZERO, Some(why))
+                    && self.simplex.assert_upper(row, Rat::ZERO, Some(why)))
                 {
-                    return Consistency::Unsat(reasons.expand(lra.simplex.conflict()));
+                    return Consistency::Unsat(self.expand(self.simplex.conflict()));
                 }
                 changed = true;
             }
+            if changed {
+                continue;
+            }
+            match theory_timer::time(TheoryKind::Simplex, || {
+                self.simplex
+                    .check_int_among(&ints, budget.bb_nodes, budget.deadline)
+            }) {
+                LpResult::Sat => {}
+                LpResult::Unsat => {
+                    let explanation = self.expand(self.simplex.conflict());
+                    return if self.simplex.conflict_searched() {
+                        Consistency::Searched(explanation)
+                    } else {
+                        Consistency::Unsat(explanation)
+                    };
+                }
+                LpResult::Unknown => {
+                    return Consistency::Unknown(if deadline_expired(budget.deadline) {
+                        Resource::Deadline
+                    } else {
+                        Resource::BranchBoundNodes
+                    })
+                }
+            }
+            // Simplex → EUF. The probes are simplex work, so they are
+            // timed as such.
+            let new_eq = theory_timer::time(TheoryKind::Simplex, || {
+                self.propagate_forced(arena, &candidates)
+            });
+            if !new_eq {
+                return Consistency::Sat;
+            }
         }
-        if changed {
-            continue;
-        }
-        // Simplex → EUF: implied equalities among the candidates, each
-        // resting on the explanations of both failed separations. The
-        // scan is simplex work (each candidate pair probes cloned
-        // tableaux), so it is timed as such.
-        let new_eq = theory_timer::time(TheoryKind::Simplex, || {
-            let mut new_eq = false;
-            for i in 0..candidates.len() {
-                for j in (i + 1)..candidates.len() {
+    }
+
+    /// Asserts to EUF every equality the simplex forces among
+    /// `candidates` that EUF lacks, each resting on the explanations of
+    /// both failed separations; returns whether there was one.
+    fn propagate_forced(&mut self, arena: &TermArena, candidates: &[TermId]) -> bool {
+        // Only pairs equal in the current (integer) solution can be
+        // forced. The probes move the solution, so it is read up front.
+        let vals: Vec<Rat> = candidates
+            .iter()
+            .map(|t| self.simplex.value(self.var_of[t]))
+            .collect();
+        let mut order: Vec<usize> = (0..candidates.len()).collect();
+        order.sort_by_key(|&i| vals[i]);
+        let mut new_eq = false;
+        for group in order.chunk_by(|&i, &j| vals[i] == vals[j]) {
+            for (k, &i) in group.iter().enumerate() {
+                for &j in &group[k + 1..] {
                     let (a, b) = (candidates[i], candidates[j]);
-                    if euf.same_class(a, b) {
+                    if self.euf.same_class(a, b) {
                         continue;
                     }
-                    let (va, vb) = (lra.var_of[&a], lra.var_of[&b]);
-                    if lra.simplex.value(va) != lra.simplex.value(vb) {
-                        continue;
-                    }
-                    if let Some(forced) = forced_equal(&lra.simplex, va, vb) {
-                        let why = reasons.add(reasons.expand(&forced));
-                        euf.assert_eq(a, b, why);
+                    if let Some(forced) = self.forced_equal(self.var_of[&a], self.var_of[&b]) {
+                        let why = self.add_reason(self.expand(&forced));
+                        self.euf.assert_eq(arena, a, b, why);
                         new_eq = true;
                     }
                 }
             }
-            new_eq
-        });
-        if !new_eq {
-            return Consistency::Sat;
         }
+        new_eq
     }
-}
 
-/// The reasons that force `va = vb`, or `None` when the two can take
-/// different values (tested in both strict directions over the
-/// rationals; rational inseparability implies integer equality).
-fn forced_equal(simplex: &Simplex, va: usize, vb: usize) -> Option<Vec<u32>> {
-    let mut forced = Vec::new();
-    for (lo, hi) in [(va, vb), (vb, va)] {
-        let mut s = simplex.clone();
-        let row = s.add_row(&[(lo, Rat::ONE), (hi, Rat::from_int(-1))]);
-        // lo - hi <= -1 (integer separation; all our terms are
-        // integers). The probe bound carries no reason, so a refutation
-        // names only the facts that force equality.
-        if s.assert_upper(row, Rat::from_int(-1), None) && s.check() == LpResult::Sat {
-            return None;
+    /// The reasons that force `va = vb`, or `None` when the two can take
+    /// different values. Both strict directions are tested over the
+    /// rationals (rational inseparability implies integer equality), each
+    /// as a bound on the pair's difference row under a scope on the live
+    /// tableau.
+    fn forced_equal(&mut self, va: usize, vb: usize) -> Option<Vec<u32>> {
+        micro::add(MicroCounter::TheoryProbes, 1);
+        let row = self.diff_row(va, vb);
+        let mut forced = Vec::new();
+        for below in [true, false] {
+            // |va − vb| ≥ 1 (integer separation; all our terms are
+            // integers). The probe bound carries no reason, so a
+            // refutation names only the facts that force equality.
+            self.simplex.push();
+            let bounded = if below {
+                self.simplex.assert_upper(row, Rat::from_int(-1), None)
+            } else {
+                self.simplex.assert_lower(row, Rat::ONE, None)
+            };
+            let separable = bounded && self.simplex.check() == LpResult::Sat;
+            if !separable {
+                forced.extend_from_slice(self.simplex.conflict());
+            }
+            self.simplex.pop();
+            if separable {
+                return None;
+            }
         }
-        forced.extend_from_slice(s.conflict());
+        Some(forced)
     }
-    Some(forced)
 }
 
 #[cfg(test)]
@@ -602,6 +967,74 @@ mod tests {
             check_assignment(&atoms, &lits, true, &TheoryBudget::default()),
             TheoryResult::Unsat(_)
         ));
+    }
+
+    #[test]
+    fn opposite_root_polarity_gets_its_own_frame() {
+        // Both checks hold atom A (x ≤ 0) first on the root trail, with
+        // opposite polarities. Were the frame built for A matched by atom
+        // alone, the second model (¬A ∧ ¬B: 0 < x < 1, no integer) would
+        // be checked against x ≤ 0 and pass.
+        let env = env();
+        let (atoms, lits) = lits_of(&["x <= 0", "1 <= x"], &env);
+        let (a, b) = (lits[0].0, lits[1].0);
+        let budget = TheoryBudget::default();
+        let mut ctx = TheoryContext::new();
+        micro::drain();
+        let first = [(a, true), (b, false)];
+        assert_eq!(
+            ctx.check(&atoms, &first, &first[..1], true, &budget),
+            TheoryResult::Sat
+        );
+        let second = [(a, false), (b, false)];
+        let TheoryResult::Unsat(core) = ctx.check(&atoms, &second, &second[..1], true, &budget)
+        else {
+            panic!("0 < x < 1 has no integer solution");
+        };
+        assert_eq!(core, vec![0, 1]);
+        let counts = micro::drain();
+        assert_eq!(counts[MicroCounter::TheoryFrames.index()], 2);
+        assert_eq!(counts[MicroCounter::TheoryCoreFallbacks.index()], 0);
+        assert_eq!(counts[MicroCounter::TheoryAssignments.index()], 2);
+    }
+
+    #[test]
+    fn frames_are_reused_along_a_common_prefix() {
+        // Three checks over one root prefix [x < y]: the first builds its
+        // frame, the second extends it with y < z, the third pops back to
+        // the prefix and extends it with z < x — a conflict only with the
+        // second frame's literal, which must be gone.
+        let env = env();
+        let (atoms, lits) = lits_of(&["x < y", "y < z", "z < x"], &env);
+        let budget = TheoryBudget::default();
+        let mut ctx = TheoryContext::new();
+        micro::drain();
+        let base = [lits[0]];
+        assert_eq!(
+            ctx.check(&atoms, &base, &base, true, &budget),
+            TheoryResult::Sat
+        );
+        let two = [lits[0], lits[1]];
+        assert_eq!(
+            ctx.check(&atoms, &two, &two, true, &budget),
+            TheoryResult::Sat
+        );
+        let other = [lits[0], lits[2]];
+        assert_eq!(
+            ctx.check(&atoms, &other, &other, true, &budget),
+            TheoryResult::Sat
+        );
+        let all = [lits[0], lits[1], lits[2]];
+        assert!(matches!(
+            ctx.check(&atoms, &all, &other, true, &budget),
+            TheoryResult::Unsat(_)
+        ));
+        let counts = micro::drain();
+        // [x<y], [y<z] on top of it, [z<x] on top of it again; the last
+        // check reuses both frames of its root and puts y < z in the
+        // model's own scope.
+        assert_eq!(counts[MicroCounter::TheoryFrames.index()], 3);
+        assert_eq!(counts[MicroCounter::TheoryCoreFallbacks.index()], 0);
     }
 
     #[test]

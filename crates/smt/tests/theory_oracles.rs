@@ -1,8 +1,8 @@
 //! Theory-solver oracles: the simplex and congruence-closure engines
 //! checked against brute-force reference implementations on randomly
-//! generated small instances, including through push/pop scopes, and
-//! the conflict cores of the combined theory check held to the same
-//! oracles.
+//! generated small instances, including through push/pop scopes; the
+//! conflict cores of the combined theory check held to the same oracles;
+//! and the persistent theory context held to fresh checks.
 //!
 //! Case counts are deliberately small so `cargo test` stays fast; build
 //! with `--features slow-proptest` for a deeper local run.
@@ -11,7 +11,7 @@ use dsolve_logic::{Expr, Pred, Rel, Sort, SortEnv, Symbol};
 use dsolve_obs::MicroCounter;
 use dsolve_smt::{
     check_assignment, AtomId, Atoms, Euf, EufResult, LpResult, Rat, Simplex, SmtSolver,
-    SolverConfig, Term, TermArena, TermId, TheoryBudget, TheoryResult, Validity,
+    SolverConfig, Term, TermArena, TermId, TheoryBudget, TheoryContext, TheoryResult, Validity,
 };
 use proptest::prelude::*;
 
@@ -286,12 +286,12 @@ proptest! {
             .map(|&(i, j)| (terms[i], terms[j]))
             .collect();
         // Reason tags: equality i is i, disequality j is eqs.len() + j.
-        let mut euf = Euf::new(&arena);
+        let mut euf = Euf::new();
         for (i, &(a, b)) in eqs.iter().enumerate() {
-            euf.assert_eq(a, b, i as u32);
+            euf.assert_eq(&arena, a, b, i as u32);
         }
         for (j, &(a, b)) in nes.iter().enumerate() {
-            euf.assert_ne(a, b, (eqs.len() + j) as u32);
+            euf.assert_ne(&arena, a, b, (eqs.len() + j) as u32);
         }
         let got = euf.check();
         let want = naive_closure(&arena, &eqs, &nes);
@@ -330,12 +330,12 @@ proptest! {
             .collect();
         let extra: Vec<(TermId, TermId)> =
             scoped_eqs.iter().map(|&(i, j)| (terms[i], terms[j])).collect();
-        let mut euf = Euf::new(&arena);
+        let mut euf = Euf::new();
         for &(a, b) in &eqs {
-            euf.assert_eq(a, b, 0);
+            euf.assert_eq(&arena, a, b, 0);
         }
         for &(a, b) in &nes {
-            euf.assert_ne(a, b, 0);
+            euf.assert_ne(&arena, a, b, 0);
         }
         let base_verdict = euf.check();
         prop_assert_eq!(&base_verdict, &naive_closure(&arena, &eqs, &nes));
@@ -343,7 +343,7 @@ proptest! {
         let mut all = eqs.clone();
         all.extend(extra.iter().copied());
         for &(a, b) in &extra {
-            euf.assert_eq(a, b, 0);
+            euf.assert_eq(&arena, a, b, 0);
         }
         prop_assert_eq!(euf.check(), naive_closure(&arena, &all, &nes));
         euf.pop();
@@ -636,6 +636,125 @@ proptest! {
                 core_lits,
                 lits
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The persistent theory context vs fresh checks.
+// ---------------------------------------------------------------------
+
+/// One step against a context: push a segment of root literals, pop the
+/// last segment, or check a model made of the root literals plus some
+/// others (with or without a minimized core).
+#[derive(Clone, Debug)]
+enum CtxOp {
+    Push(Vec<CoreLit>),
+    Pop,
+    Check(Vec<CoreLit>, bool),
+}
+
+fn arb_ctx_op() -> impl Strategy<Value = CtxOp> {
+    prop_oneof![
+        prop::collection::vec(arb_core_lit(), 1..4).prop_map(CtxOp::Push),
+        Just(CtxOp::Pop),
+        (prop::collection::vec(arb_core_lit(), 0..4), any::<bool>())
+            .prop_map(|(lits, minimize)| CtxOp::Check(lits, minimize)),
+    ]
+}
+
+/// Appends the literals whose atoms `taken` lacks (a trail assigns each
+/// atom once) to `out`, with the literal they came from.
+fn add_fresh_atoms(
+    lits: &[CoreLit],
+    atoms: &mut Atoms,
+    env: &SortEnv,
+    taken: &mut Vec<AtomId>,
+    out: &mut Vec<((AtomId, bool), CoreLit)>,
+) {
+    for l in lits {
+        let lit = l.atom(atoms, env);
+        if !taken.contains(&lit.0) {
+            taken.push(lit.0);
+            out.push((lit, l.clone()));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    /// A context driven through random push/check/pop sequences — its
+    /// root trail a stack of literal segments over a growing atom table,
+    /// the box at the bottom — answers every model as a fresh
+    /// `check_assignment` does; every core it returns is infeasible under
+    /// the brute-force oracle; and no explanation ever fails its
+    /// confirming check.
+    #[test]
+    fn context_matches_fresh_checks(
+        ops in prop::collection::vec(arb_ctx_op(), 1..12),
+    ) {
+        let env = core_env();
+        let budget = TheoryBudget::default();
+        let mut atoms = Atoms::new();
+        let mut ctx = TheoryContext::new();
+        let mut segments: Vec<Vec<((AtomId, bool), CoreLit)>> = Vec::new();
+        let mut bottom = Vec::new();
+        add_fresh_atoms(&core_box(), &mut atoms, &env, &mut Vec::new(), &mut bottom);
+        segments.push(bottom);
+        for op in ops {
+            let mut taken: Vec<AtomId> =
+                segments.iter().flatten().map(|((aid, _), _)| *aid).collect();
+            match op {
+                CtxOp::Push(lits) => {
+                    let mut seg = Vec::new();
+                    add_fresh_atoms(&lits, &mut atoms, &env, &mut taken, &mut seg);
+                    segments.push(seg);
+                }
+                CtxOp::Pop => {
+                    if segments.len() > 1 {
+                        segments.pop();
+                    }
+                }
+                CtxOp::Check(others, minimize) => {
+                    let mut model: Vec<((AtomId, bool), CoreLit)> =
+                        segments.iter().flatten().cloned().collect();
+                    let root: Vec<(AtomId, bool)> = model.iter().map(|(lit, _)| *lit).collect();
+                    add_fresh_atoms(&others, &mut atoms, &env, &mut taken, &mut model);
+                    let assignment: Vec<(AtomId, bool)> =
+                        model.iter().map(|(lit, _)| *lit).collect();
+                    dsolve_obs::micro::drain();
+                    let got = ctx.check(&atoms, &assignment, &root, minimize, &budget);
+                    let counts = dsolve_obs::micro::drain();
+                    prop_assert_eq!(
+                        counts[MicroCounter::TheoryCoreFallbacks.index()],
+                        0,
+                        "a context explanation failed confirmation on {:?}",
+                        model
+                    );
+                    let want = check_assignment(&atoms, &assignment, minimize, &budget);
+                    match (&got, &want) {
+                        (TheoryResult::Sat, TheoryResult::Sat) => {}
+                        (TheoryResult::Unsat(core), TheoryResult::Unsat(_)) => {
+                            let core_lits: Vec<&CoreLit> =
+                                core.iter().map(|&i| &model[i].1).collect();
+                            prop_assert!(
+                                !core_feasible(&core_lits),
+                                "core {:?} of {:?} is feasible",
+                                core_lits,
+                                model
+                            );
+                        }
+                        _ => prop_assert!(
+                            false,
+                            "context says {:?}, fresh engines {:?}, on {:?}",
+                            got,
+                            want,
+                            model
+                        ),
+                    }
+                }
+            }
         }
     }
 }

@@ -73,6 +73,12 @@ done
 echo "== dsolve-fleet --seed 42 --count 50 --matrix full"
 ./target/release/dsolve-fleet --seed 42 --count 50 --matrix full
 
+# The benchmark is a workspace of its own that builds against the
+# library crates' public API; build and test it here so an API change
+# that breaks it fails now, not when the benchmark next runs.
+echo "== cargo test --release --offline --manifest-path perfbench/Cargo.toml"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo build --release -p dsolve-bench --features bench --benches"
 cargo build --release -p dsolve-bench --features bench --benches
 
