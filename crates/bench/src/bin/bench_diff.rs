@@ -6,12 +6,12 @@
 //! ```
 //!
 //! Exit status: 0 when the current run is no worse than the baseline,
-//! 1 on a regression (verdict change, missing row, or — outside
-//! `--smoke` — a wall-time or SMT-query increase past the threshold,
-//! default +20%), 3 on usage or I/O errors. `--smoke` is
-//! verdict-strict only: wall times are ignored (a committed baseline
-//! was produced on a different machine) and counter changes are
-//! reported without failing the gate.
+//! 1 on a regression (verdict change, missing row, any change in a
+//! `--jobs 1` row's SMT queries, cache lookups or fixpoint iterations,
+//! or — outside `--smoke` — a wall-time or SMT-query increase past the
+//! threshold, default +20%), 3 on usage or I/O errors. `--smoke` ignores
+//! wall times (a committed baseline was produced on a different machine)
+//! and reports other counter changes without failing the gate.
 
 use dsolve_bench::diff::{diff, DiffOptions};
 

@@ -16,7 +16,7 @@
 //! definite SMT verdict through the independent certifier (the
 //! `certs_checked`/`certs_failed` counters land in each row's metrics).
 //! `--json` writes a machine-readable record per benchmark (wall time,
-//! SMT queries, cache hits, jobs) for trend tracking — see
+//! SMT queries, cache hits, jobs, `Q★` size and time) for trend tracking — see
 //! `BENCH_figure10.json`.
 
 use dsolve::{JobError, Row, Status, Table};
@@ -36,6 +36,10 @@ struct JsonRow {
     smt_sessions: u64,
     smt_scoped_checks: u64,
     jobs: usize,
+    /// `Q★` instances, distinct κ scope signatures, and seconds.
+    initial_quals: usize,
+    qstar_scopes: usize,
+    qstar_s: f64,
     /// Observability roll-up: counters, phase/theory nanoseconds, the
     /// query-latency histogram, and top expensive constraints. Present
     /// on every row — an UNKNOWN or panicked run reports whatever it
@@ -130,6 +134,9 @@ fn main() {
                     smt_sessions: 0,
                     smt_scoped_checks: 0,
                     jobs: jobs.unwrap_or(0),
+                    initial_quals: 0,
+                    qstar_scopes: 0,
+                    qstar_s: 0.0,
                     metrics: obs.snapshot(5),
                 });
             }
@@ -171,6 +178,9 @@ fn main() {
                     smt_sessions: s.smt_sessions,
                     smt_scoped_checks: s.smt_scoped_checks,
                     jobs: s.jobs,
+                    initial_quals: s.initial_quals,
+                    qstar_scopes: s.qstar_scopes,
+                    qstar_s: s.qstar_time.as_secs_f64(),
                     metrics: res.metrics.clone(),
                 });
                 table.push(Row::from_result(
@@ -210,9 +220,10 @@ fn render_json(records: &[JsonRow]) -> String {
         let outcome = r.outcome.split([':', ' ']).next().unwrap_or("UNKNOWN");
         let _ = writeln!(
             out,
-            "  {{\"name\": \"{}\", \"outcome\": \"{}\", \"wall_s\": {:.6}, \"smt_queries\": {}, \"cache_hits\": {}, \"cache_lookups\": {}, \"smt_sessions\": {}, \"smt_scoped_checks\": {}, \"jobs\": {},",
+            "  {{\"name\": \"{}\", \"outcome\": \"{}\", \"wall_s\": {:.6}, \"smt_queries\": {}, \"cache_hits\": {}, \"cache_lookups\": {}, \"smt_sessions\": {}, \"smt_scoped_checks\": {}, \"jobs\": {}, \"initial_quals\": {}, \"qstar_scopes\": {}, \"qstar_s\": {:.6},",
             r.name, outcome, r.wall_s, r.smt_queries, r.cache_hits, r.cache_lookups,
-            r.smt_sessions, r.smt_scoped_checks, r.jobs
+            r.smt_sessions, r.smt_scoped_checks, r.jobs, r.initial_quals, r.qstar_scopes,
+            r.qstar_s
         );
         let _ = writeln!(out, "   \"metrics\": {}}}{}", r.metrics.to_json(3), sep);
     }

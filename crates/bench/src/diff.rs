@@ -12,6 +12,12 @@
 //!   entirely (the committed baseline was produced on a different
 //!   machine) and counter changes are reported but never fail the gate.
 //!
+//! In both modes, a row that ran at `"jobs": 1` on both sides must repeat
+//! its work exactly: those runs are bit-reproducible, so any change in
+//! `smt_queries`, `cache_lookups` or `metrics.fixpoint_iterations`, up or
+//! down, is a regression. Rows at other worker counts keep the rules
+//! above.
+//!
 //! Micro-counter shifts (simplex pivots, SAT conflicts, …) are always
 //! reported as context, never gating: they move legitimately whenever
 //! the search is touched.
@@ -70,6 +76,23 @@ fn num(row: &Json, key: &str) -> f64 {
     row.get(key).and_then(Json::as_num).unwrap_or(0.0)
 }
 
+/// The work counters a `--jobs 1` row must repeat exactly.
+fn exact_counters(row: &Json) -> [(&'static str, Option<f64>); 3] {
+    let metric = |key| {
+        row.get("metrics")
+            .and_then(|m| m.get(key))
+            .and_then(Json::as_num)
+    };
+    [
+        ("smt_queries", row.get("smt_queries").and_then(Json::as_num)),
+        (
+            "cache_lookups",
+            row.get("cache_lookups").and_then(Json::as_num),
+        ),
+        ("fixpoint_iterations", metric("fixpoint_iterations")),
+    ]
+}
+
 fn micro(row: &Json) -> Vec<(String, u64)> {
     row.get("metrics")
         .and_then(|m| m.get("micro"))
@@ -123,9 +146,23 @@ pub fn diff(baseline: &str, current: &str, opts: &DiffOptions) -> Result<DiffRep
                 .notes
                 .push(format!("{name}: wall time improved {b_wall:.3}s -> {c_wall:.3}s"));
         }
+        let sequential = num(b, "jobs") == 1.0 && num(c, "jobs") == 1.0;
+        if sequential {
+            for ((key, bv), (_, cv)) in exact_counters(b).into_iter().zip(exact_counters(c)) {
+                if bv != cv {
+                    let show =
+                        |v: Option<f64>| v.map_or("missing".to_string(), |v| format!("{v:.0}"));
+                    report.regressions.push(format!(
+                        "{name}: {key} {} -> {} (exact at --jobs 1)",
+                        show(bv),
+                        show(cv)
+                    ));
+                }
+            }
+        }
         let b_q = num(b, "smt_queries");
         let c_q = num(c, "smt_queries");
-        if b_q > 0.0 && c_q > b_q * (1.0 + opts.query_threshold) {
+        if !sequential && b_q > 0.0 && c_q > b_q * (1.0 + opts.query_threshold) {
             let line = format!(
                 "{name}: smt_queries {b_q:.0} -> {c_q:.0} (+{:.0}%)",
                 100.0 * (c_q - b_q) / b_q
@@ -165,10 +202,34 @@ mod tests {
     use super::*;
 
     fn row(name: &str, outcome: &str, wall: f64, queries: u64, pivots: u64) -> String {
+        counted_row(
+            1,
+            name,
+            outcome,
+            wall,
+            queries,
+            2 * queries,
+            3 * queries,
+            pivots,
+        )
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn counted_row(
+        jobs: u64,
+        name: &str,
+        outcome: &str,
+        wall: f64,
+        queries: u64,
+        lookups: u64,
+        iterations: u64,
+        pivots: u64,
+    ) -> String {
         format!(
             "{{\"name\": \"{name}\", \"outcome\": \"{outcome}\", \"wall_s\": {wall:.3}, \
-             \"smt_queries\": {queries}, \"jobs\": 1, \
-             \"metrics\": {{ \"micro\": {{ \"simplex_pivots\": {pivots} }} }}}}"
+             \"smt_queries\": {queries}, \"cache_lookups\": {lookups}, \"jobs\": {jobs}, \
+             \"metrics\": {{ \"fixpoint_iterations\": {iterations}, \
+             \"micro\": {{ \"simplex_pivots\": {pivots} }} }}}}"
         )
     }
 
@@ -209,8 +270,8 @@ mod tests {
 
     #[test]
     fn query_growth_gates_default_but_only_notes_in_smoke() {
-        let b = doc(&[row("map", "SAFE", 1.0, 100, 500)]);
-        let c = doc(&[row("map", "SAFE", 1.0, 200, 500)]);
+        let b = doc(&[counted_row(2, "map", "SAFE", 1.0, 100, 200, 300, 500)]);
+        let c = doc(&[counted_row(2, "map", "SAFE", 1.0, 200, 400, 600, 500)]);
         assert!(!diff(&b, &c, &DiffOptions::default()).unwrap().ok());
         let opts = DiffOptions {
             smoke: true,
@@ -219,6 +280,65 @@ mod tests {
         let r = diff(&b, &c, &opts).unwrap();
         assert!(r.ok());
         assert!(r.notes.iter().any(|n| n.contains("smt_queries")), "{:?}", r.notes);
+    }
+
+    #[test]
+    fn any_jobs_one_counter_change_gates_both_modes() {
+        let b = doc(&[counted_row(1, "ralist", "SAFE", 1.0, 100, 200, 300, 500)]);
+        let changed = [
+            (
+                "smt_queries",
+                counted_row(1, "ralist", "SAFE", 1.0, 99, 200, 300, 500),
+            ),
+            (
+                "cache_lookups",
+                counted_row(1, "ralist", "SAFE", 1.0, 100, 201, 300, 500),
+            ),
+            (
+                "fixpoint_iterations",
+                counted_row(1, "ralist", "SAFE", 1.0, 100, 200, 299, 500),
+            ),
+        ]
+        .map(|(key, row)| (key, doc(&[row])));
+        for smoke in [false, true] {
+            let opts = DiffOptions {
+                smoke,
+                ..DiffOptions::default()
+            };
+            for (key, c) in &changed {
+                let r = diff(&b, c, &opts).unwrap();
+                assert_eq!(
+                    r.regressions.len(),
+                    1,
+                    "smoke={smoke} {key}: {:?}",
+                    r.regressions
+                );
+                assert!(r.regressions[0].contains(key), "{:?}", r.regressions);
+            }
+            // Micro-counter and wall-time shifts stay outside the exact gate.
+            let moved = doc(&[counted_row(1, "ralist", "SAFE", 1.1, 100, 200, 300, 900)]);
+            assert!(diff(&b, &moved, &opts).unwrap().ok(), "smoke={smoke}");
+        }
+    }
+
+    #[test]
+    fn rows_not_at_jobs_one_are_exempt_from_the_exact_gate() {
+        let smoke = DiffOptions {
+            smoke: true,
+            ..DiffOptions::default()
+        };
+        for (b_jobs, c_jobs) in [(2, 2), (1, 2), (2, 1), (0, 0)] {
+            let b = doc(&[counted_row(
+                b_jobs, "ralist", "SAFE", 1.0, 100, 200, 300, 500,
+            )]);
+            let c = doc(&[counted_row(
+                c_jobs, "ralist", "SAFE", 1.0, 105, 190, 310, 500,
+            )]);
+            for opts in [DiffOptions::default(), smoke.clone()] {
+                let r = diff(&b, &c, &opts).unwrap();
+                assert!(r.ok(), "jobs {b_jobs} -> {c_jobs}: {:?}", r.regressions);
+            }
+        }
     }
 
     #[test]

@@ -241,6 +241,13 @@ fn main() -> ExitCode {
                 );
                 let s = &res.result.stats;
                 eprintln!(
+                    "qstar: instances={} kvars={} scopes={} time={:.3}s",
+                    s.initial_quals,
+                    s.kvars,
+                    s.qstar_scopes,
+                    s.qstar_time.as_secs_f64()
+                );
+                eprintln!(
                     "jobs={} rounds={} max_partition={} cache_hits={}/{} ({:.1}%) worker_queries={:?}",
                     s.jobs,
                     s.rounds,

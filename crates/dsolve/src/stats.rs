@@ -44,6 +44,9 @@ pub fn stats_json(name: &str, res: &JobResult) -> String {
     let _ = writeln!(s, "  \"annotations\": {},", res.annotations);
     let _ = writeln!(s, "  \"constraints\": {},", res.result.num_constraints);
     let _ = writeln!(s, "  \"kvars\": {},", st.kvars);
+    let _ = writeln!(s, "  \"initial_quals\": {},", st.initial_quals);
+    let _ = writeln!(s, "  \"qstar_scopes\": {},", st.qstar_scopes);
+    let _ = writeln!(s, "  \"qstar_s\": {:.6},", st.qstar_time.as_secs_f64());
     let _ = writeln!(s, "  \"time_s\": {:.6},", res.time.as_secs_f64());
     let _ = writeln!(s, "  \"frontend_s\": {:.6},", res.frontend_time.as_secs_f64());
     let _ = writeln!(s, "  \"gen_s\": {:.6},", res.result.gen_time.as_secs_f64());
@@ -117,6 +120,9 @@ mod tests {
         // Sequential runs now report rounds (the satellite fix) and the
         // convergence telemetry keys are always present.
         for key in [
+            "initial_quals",
+            "qstar_scopes",
+            "qstar_s",
             "rounds",
             "partition_stats",
             "kvar_trajectories",

@@ -269,15 +269,14 @@ fn micro_counter_invariants_hold_across_configs() {
     }
 }
 
-/// Asserts that the trace's fixpoint `round` spans lie inside the
-/// `fixpoint` phase span of their thread, one after another without
-/// overlap, and returns how many there are. Timestamps are whole
-/// microseconds: start and duration are each truncated, so a span can
-/// appear to end up to 1 µs past the true end of the span containing it.
-fn assert_rounds_nest_in_fixpoint(path: &std::path::Path) -> usize {
+/// A trace's complete spans as `(name, thread, start µs, end µs)`.
+/// Timestamps are whole microseconds: start and duration are each
+/// truncated, so a span can appear to end up to 1 µs past the true end
+/// of the span containing it.
+fn trace_spans(path: &std::path::Path) -> Vec<(String, u64, u64, u64)> {
     let text = std::fs::read_to_string(path).unwrap();
     let events = parse_json(&text).unwrap();
-    let spans: Vec<(&str, u64, u64, u64)> = events
+    events
         .as_arr()
         .unwrap()
         .iter()
@@ -285,16 +284,33 @@ fn assert_rounds_nest_in_fixpoint(path: &std::path::Path) -> usize {
         .map(|e| {
             let num = |k: &str| e.get(k).and_then(|v| v.as_num()).unwrap() as u64;
             let name = e.get("name").and_then(|n| n.as_str()).unwrap();
-            (name, num("tid"), num("ts"), num("ts") + num("dur"))
+            (
+                name.to_string(),
+                num("tid"),
+                num("ts"),
+                num("ts") + num("dur"),
+            )
         })
-        .collect();
+        .collect()
+}
+
+/// Whether `span` lies inside a `fixpoint` phase span of its thread.
+fn inside_fixpoint(spans: &[(String, u64, u64, u64)], span: &(String, u64, u64, u64)) -> bool {
+    spans
+        .iter()
+        .any(|f| f.0 == "fixpoint" && f.1 == span.1 && f.2 <= span.2 && span.3 <= f.3 + 1)
+}
+
+/// Asserts that the trace's fixpoint `round` spans lie inside the
+/// `fixpoint` phase span of their thread, one after another without
+/// overlap, and returns how many there are.
+fn assert_rounds_nest_in_fixpoint(path: &std::path::Path) -> usize {
+    let spans = trace_spans(path);
     let mut rounds: Vec<_> = spans.iter().filter(|s| s.0.starts_with("round ")).collect();
     rounds.sort_by_key(|s| s.2);
     for r in &rounds {
         assert!(
-            spans
-                .iter()
-                .any(|f| f.0 == "fixpoint" && f.1 == r.1 && f.2 <= r.2 && r.3 <= f.3 + 1),
+            inside_fixpoint(&spans, r),
             "{} [{}, {}] lies outside every fixpoint span",
             r.0,
             r.2,
@@ -333,6 +349,61 @@ fn round_spans_are_disjoint_and_inside_fixpoint() {
     );
     assert_eq!(rounds as u64, res.result.stats.rounds);
     let _ = std::fs::remove_file(&path);
+}
+
+/// Building `Q★` is the first step of the fixpoint: its time is part of
+/// the fixpoint's, κs share scope signatures, and its `qstar` span lies
+/// inside the `fixpoint` phase span and closes before round 1 opens.
+#[test]
+fn qstar_is_the_first_step_of_the_fixpoint() {
+    for jobs in [1, 2] {
+        let path = std::env::temp_dir().join(format!(
+            "dsolve-obs-qstar-{jobs}-{}.json",
+            std::process::id()
+        ));
+        let mut j = Job::from_path(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../benchmarks/stablesort.ml"
+        ))
+        .unwrap();
+        j.config.jobs = jobs;
+        j.config.obs = Obs::with_trace(&path).unwrap();
+        let obs = j.config.obs.clone();
+        let res = j.run().unwrap();
+        assert!(res.is_safe());
+        obs.finish();
+        validate_trace_file(&path).unwrap();
+        let s = &res.result.stats;
+        assert!(
+            s.qstar_time <= s.fixpoint_time,
+            "jobs={jobs}: qstar {:?} vs fixpoint {:?}",
+            s.qstar_time,
+            s.fixpoint_time
+        );
+        assert!(
+            0 < s.qstar_scopes && s.qstar_scopes <= s.kvars,
+            "jobs={jobs}: {} scopes for {} kvars",
+            s.qstar_scopes,
+            s.kvars
+        );
+        let spans = trace_spans(&path);
+        let qstar: Vec<_> = spans.iter().filter(|s| s.0 == "qstar").collect();
+        assert_eq!(qstar.len(), 1, "jobs={jobs}: one qstar span");
+        let q = qstar[0];
+        assert!(
+            inside_fixpoint(&spans, q),
+            "jobs={jobs}: {q:?} outside fixpoint"
+        );
+        let round1 = spans
+            .iter()
+            .find(|s| s.0 == "round 1")
+            .expect("a round 1 span");
+        assert!(
+            q.1 == round1.1 && q.3 <= round1.2,
+            "jobs={jobs}: {q:?} does not end before {round1:?}"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 #[test]

@@ -28,7 +28,7 @@ use crate::constraint::{LiquidError, SubC};
 use crate::env::{GlobalEnv, KEnv};
 use crate::rtype::{KVar, RefAtom};
 use dsolve_logic::{
-    deadline_expired, instantiate_all, Budget, Exhaustion, FaultPlan, FaultPoint, Outcome, Phase,
+    deadline_expired, Budget, Exhaustion, FaultPlan, FaultPoint, Instantiator, Outcome, Phase,
     Pred, Qualifier, Resource, Symbol,
 };
 use dsolve_obs::{log_debug, log_info, Obs, ObsPhase, QueryOrigin};
@@ -45,6 +45,12 @@ pub struct SolveStats {
     pub kvars: usize,
     /// Total initial qualifier instantiations.
     pub initial_quals: usize,
+    /// Wall-clock time spent building the initial assignment `Q★` (part
+    /// of `fixpoint_time`).
+    pub qstar_time: Duration,
+    /// Distinct κ scope signatures `Q★` was built for; κs with the same
+    /// signature share one instantiation.
+    pub qstar_scopes: usize,
     /// SMT queries actually *solved* during this run (each charged one
     /// unit against `--max-smt-queries`). Sourced from the metrics
     /// registry — the single accounting authority — so cache hits are
@@ -215,20 +221,29 @@ pub fn solve(
 }
 
 /// The initial assignment: all well-sorted qualifier instantiations per
-/// κ scope.
+/// κ scope, traced as the `qstar` span of the fixpoint.
 fn initial_assignment(
     kenv: &KEnv,
     quals: &[Qualifier],
+    obs: &Obs,
     stats: &mut SolveStats,
 ) -> HashMap<KVar, Vec<Pred>> {
+    let started = Instant::now();
+    let _span = obs.span("fixpoint", "qstar");
     let mut assignment: HashMap<KVar, Vec<Pred>> = HashMap::new();
+    let mut qstar = Instantiator::new(quals);
     for k in kenv.kvars() {
         let info = kenv.info(k).expect("registered kvar");
-        let insts = instantiate_all(quals, &info.scope, &info.nu_sort);
+        let insts = qstar.instantiate(&info.scope, &info.nu_sort).to_vec();
         stats.initial_quals += insts.len();
         assignment.insert(k, insts);
     }
     stats.kvars = assignment.len();
+    stats.qstar_scopes = qstar.scopes();
+    // The memo holds a copy of every distinct list: free it before the
+    // fixpoint starts, and count the freeing as part of this step.
+    drop(qstar);
+    stats.qstar_time = started.elapsed();
     assignment
 }
 
@@ -488,7 +503,7 @@ fn solve_sequential(
     };
     log_info!("solve: {} constraints, {} kvars", subs.len(), kenv.len());
 
-    let mut assignment = initial_assignment(kenv, quals, &mut stats);
+    let mut assignment = initial_assignment(kenv, quals, &obs, &mut stats);
     log_info!("solve: initial quals = {}", stats.initial_quals);
 
     // Provenance labels, one per constraint (shared with the SMT layer
@@ -998,7 +1013,7 @@ fn solve_parallel(
         kenv.len()
     );
 
-    let mut assignment = initial_assignment(kenv, quals, &mut stats);
+    let mut assignment = initial_assignment(kenv, quals, &obs, &mut stats);
     let labels = constraint_labels(subs, &obs);
 
     // Dependency indices.

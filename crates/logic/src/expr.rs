@@ -214,6 +214,34 @@ impl Expr {
         }
     }
 
+    /// Collects the function symbols applied anywhere in the term.
+    pub(crate) fn collect_funcs(&self, out: &mut BTreeSet<Symbol>) {
+        match self {
+            Expr::Var(_) | Expr::Int(_) | Expr::Bool(_) | Expr::SetEmpty => {}
+            Expr::Binop(_, a, b) | Expr::SetUnion(a, b) | Expr::Sel(a, b) => {
+                a.collect_funcs(out);
+                b.collect_funcs(out);
+            }
+            Expr::Neg(a) | Expr::SetSingle(a) => a.collect_funcs(out),
+            Expr::Ite(c, t, e) => {
+                c.collect_funcs(out);
+                t.collect_funcs(out);
+                e.collect_funcs(out);
+            }
+            Expr::App(f, args) => {
+                out.insert(*f);
+                for a in args {
+                    a.collect_funcs(out);
+                }
+            }
+            Expr::Upd(m, i, v) => {
+                m.collect_funcs(out);
+                i.collect_funcs(out);
+                v.collect_funcs(out);
+            }
+        }
+    }
+
     /// Whether the value variable `ν` occurs in the term.
     pub fn mentions_nu(&self) -> bool {
         self.free_vars().contains(&Symbol::value_var())

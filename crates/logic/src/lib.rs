@@ -46,7 +46,7 @@ pub use expr::{Binop, Expr};
 pub use fault::{FaultPlan, FaultPoint};
 pub use parse::{parse_expr, parse_pred, ParsePredError};
 pub use pred::{Pred, Rel};
-pub use qualifier::{instantiate_all, Qualifier};
+pub use qualifier::{instantiate_all, Instantiator, Qualifier};
 pub use sort::{FuncSort, Sort};
 pub use sortck::SortEnv;
 pub use subst::Subst;

@@ -259,6 +259,28 @@ impl Pred {
         }
     }
 
+    /// Collects the function symbols applied anywhere in the predicate.
+    pub(crate) fn collect_funcs(&self, out: &mut BTreeSet<Symbol>) {
+        match self {
+            Pred::True | Pred::False => {}
+            Pred::Atom(_, a, b) => {
+                a.collect_funcs(out);
+                b.collect_funcs(out);
+            }
+            Pred::And(ps) | Pred::Or(ps) => {
+                for p in ps {
+                    p.collect_funcs(out);
+                }
+            }
+            Pred::Not(p) => p.collect_funcs(out),
+            Pred::Imp(p, q) | Pred::Iff(p, q) => {
+                p.collect_funcs(out);
+                q.collect_funcs(out);
+            }
+            Pred::Term(e) => e.collect_funcs(out),
+        }
+    }
+
     /// Whether the value variable `ν` occurs free.
     pub fn mentions_nu(&self) -> bool {
         self.free_vars().contains(&Symbol::value_var())

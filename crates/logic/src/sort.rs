@@ -67,7 +67,7 @@ impl fmt::Display for Sort {
 }
 
 /// The sort of an uninterpreted function (measure, selector, primitive).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct FuncSort {
     /// Argument sorts, in order.
     pub args: Vec<Sort>,

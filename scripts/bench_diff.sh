@@ -1,7 +1,8 @@
 #!/bin/bash
 # Compares two `figure10 --json` benchmark records and fails on a
-# regression (verdict change, missing row, or — outside --smoke — a
-# wall-time/SMT-query increase past the threshold).
+# regression (verdict change, missing row, any change in a --jobs 1
+# row's SMT queries, cache lookups or fixpoint iterations, or — outside
+# --smoke — a wall-time/SMT-query increase past the threshold).
 #
 #   scripts/bench_diff.sh BASELINE.json CURRENT.json [--smoke]
 #       [--wall-threshold PCT] [--query-threshold PCT]

@@ -89,12 +89,15 @@ echo "== ./run_figure10.sh --smoke --jobs $JOBS"
 ./run_figure10.sh --smoke --jobs "$JOBS"
 
 # Regression gate: rerun the smoke rows through the JSON harness and
-# diff against the committed baseline. --smoke is verdict-strict only
-# (wall times vary across machines; counter drift is reported, not
-# gated), so this catches verdict flips and vanished rows.
+# diff against the committed baseline. --smoke ignores wall times (they
+# vary across machines) and reports other counter drift without gating,
+# so this catches verdict flips and vanished rows. The baseline is a
+# --jobs 1 record and this rerun is too (whatever JOBS says): --jobs 1
+# runs are bit-reproducible, so any change in a row's SMT queries, cache
+# lookups or fixpoint iterations fails the gate.
 echo "== bench_diff --smoke vs scripts/bench_baseline_smoke.json"
 BENCH_TMP=$(mktemp /tmp/dsolve-bench-smoke.XXXXXX.json)
-./target/release/figure10 --timeout 60 --jobs "$JOBS" \
+./target/release/figure10 --timeout 60 --jobs 1 \
     --json "$BENCH_TMP" ralist stablesort subvsolve malloc >/dev/null
 ./scripts/bench_diff.sh --smoke scripts/bench_baseline_smoke.json "$BENCH_TMP"
 rm -f "$BENCH_TMP"
