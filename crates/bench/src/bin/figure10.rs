@@ -40,6 +40,9 @@ struct JsonRow {
     initial_quals: usize,
     qstar_scopes: usize,
     qstar_s: f64,
+    /// Environment nodes the embedding cache concretized, and reused.
+    embed_nodes_built: u64,
+    embed_nodes_reused: u64,
     /// Observability roll-up: counters, phase/theory nanoseconds, the
     /// query-latency histogram, and top expensive constraints. Present
     /// on every row — an UNKNOWN or panicked run reports whatever it
@@ -137,6 +140,8 @@ fn main() {
                     initial_quals: 0,
                     qstar_scopes: 0,
                     qstar_s: 0.0,
+                    embed_nodes_built: 0,
+                    embed_nodes_reused: 0,
                     metrics: obs.snapshot(5),
                 });
             }
@@ -181,6 +186,8 @@ fn main() {
                     initial_quals: s.initial_quals,
                     qstar_scopes: s.qstar_scopes,
                     qstar_s: s.qstar_time.as_secs_f64(),
+                    embed_nodes_built: s.embed_nodes_built,
+                    embed_nodes_reused: s.embed_nodes_reused,
                     metrics: res.metrics.clone(),
                 });
                 table.push(Row::from_result(
@@ -220,10 +227,10 @@ fn render_json(records: &[JsonRow]) -> String {
         let outcome = r.outcome.split([':', ' ']).next().unwrap_or("UNKNOWN");
         let _ = writeln!(
             out,
-            "  {{\"name\": \"{}\", \"outcome\": \"{}\", \"wall_s\": {:.6}, \"smt_queries\": {}, \"cache_hits\": {}, \"cache_lookups\": {}, \"smt_sessions\": {}, \"smt_scoped_checks\": {}, \"jobs\": {}, \"initial_quals\": {}, \"qstar_scopes\": {}, \"qstar_s\": {:.6},",
+            "  {{\"name\": \"{}\", \"outcome\": \"{}\", \"wall_s\": {:.6}, \"smt_queries\": {}, \"cache_hits\": {}, \"cache_lookups\": {}, \"smt_sessions\": {}, \"smt_scoped_checks\": {}, \"jobs\": {}, \"initial_quals\": {}, \"qstar_scopes\": {}, \"qstar_s\": {:.6}, \"embed_nodes_built\": {}, \"embed_nodes_reused\": {},",
             r.name, outcome, r.wall_s, r.smt_queries, r.cache_hits, r.cache_lookups,
             r.smt_sessions, r.smt_scoped_checks, r.jobs, r.initial_quals, r.qstar_scopes,
-            r.qstar_s
+            r.qstar_s, r.embed_nodes_built, r.embed_nodes_reused
         );
         let _ = writeln!(out, "   \"metrics\": {}}}{}", r.metrics.to_json(3), sep);
     }

@@ -42,3 +42,33 @@ fn panicked_row_records_its_wall_time() {
         "a failed row must record the time it ran: {text}"
     );
 }
+
+/// A row that reaches its verdict records the embedding cache's
+/// counters: environment nodes built, and reused across constraints.
+#[test]
+fn verified_row_records_embedding_counters() {
+    let path = std::env::temp_dir().join(format!("figure10-embed-{}.json", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_figure10"))
+        .args([
+            "--jobs",
+            "1",
+            "--json",
+            path.to_str().expect("utf-8 temp path"),
+            "stablesort",
+        ])
+        .output()
+        .expect("figure10 runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&path).expect("figure10 wrote its record");
+    let _ = std::fs::remove_file(&path);
+    let rows = parse_json(&text).expect("valid JSON");
+    let row = &rows.as_arr().expect("an array of rows")[0];
+    for key in ["embed_nodes_built", "embed_nodes_reused"] {
+        let n = row.get(key).and_then(|v| v.as_num()).expect(key);
+        assert!(n > 0.0, "{key} = {n}: {text}");
+    }
+}

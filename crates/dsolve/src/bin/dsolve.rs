@@ -266,6 +266,10 @@ fn main() -> ExitCode {
                     "smt_sessions={} scoped_checks={} asserts_per_session={reuse:.1}",
                     s.smt_sessions, s.smt_scoped_checks
                 );
+                eprintln!(
+                    "embed: nodes_built={} nodes_reused={} bound={}",
+                    s.embed_nodes_built, s.embed_nodes_reused, s.embed_nodes_bound
+                );
                 let micro: Vec<String> = dsolve_obs::MicroCounter::NAMES
                     .iter()
                     .zip(&res.metrics.micro)

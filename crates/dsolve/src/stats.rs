@@ -61,6 +61,8 @@ pub fn stats_json(name: &str, res: &JobResult) -> String {
     let _ = writeln!(s, "  \"cache_lookups\": {},", st.cache_lookups);
     let _ = writeln!(s, "  \"smt_sessions\": {},", st.smt_sessions);
     let _ = writeln!(s, "  \"smt_scoped_checks\": {},", st.smt_scoped_checks);
+    let _ = writeln!(s, "  \"embed_nodes_built\": {},", st.embed_nodes_built);
+    let _ = writeln!(s, "  \"embed_nodes_reused\": {},", st.embed_nodes_reused);
     let wq: Vec<String> = st.worker_queries.iter().map(u64::to_string).collect();
     let _ = writeln!(s, "  \"worker_queries\": [{}],", wq.join(", "));
     let parts: Vec<String> = st
@@ -123,6 +125,8 @@ mod tests {
             "initial_quals",
             "qstar_scopes",
             "qstar_s",
+            "embed_nodes_built",
+            "embed_nodes_reused",
             "rounds",
             "partition_stats",
             "kvar_trajectories",

@@ -473,3 +473,61 @@ fn trace_names_queries_by_source_location() {
     assert_rounds_nest_in_fixpoint(&path);
     let _ = std::fs::remove_file(&path);
 }
+
+/// The `--stats-json` embedding-cache counters of one `--jobs 1` CLI
+/// run on stablesort, as `(built, reused)`.
+fn cli_embed_counts(tag: &str) -> (f64, f64) {
+    let path = std::env::temp_dir().join(format!(
+        "dsolve-obs-embed-{tag}-{}.json",
+        std::process::id()
+    ));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dsolve"))
+        .arg(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../benchmarks/stablesort.ml"
+        ))
+        .args(["--quiet", "--jobs", "1", "--stats-json"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let doc = dsolve_obs::parse_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let num = |key: &str| doc.get(key).and_then(dsolve_obs::Json::as_num).expect(key);
+    (num("embed_nodes_built"), num("embed_nodes_reused"))
+}
+
+/// The embedding cache is attributed: constraints share environment
+/// nodes, so nodes are both built and reused; `--jobs 1` counts repeat
+/// exactly across processes; and no run builds more nodes than the
+/// (node, stamp) pairs it can produce — one per distinct node held by a
+/// cache, plus one per shrink of each κ the node reads.
+#[test]
+fn embed_cache_counts_are_reproducible_and_bounded() {
+    let a = cli_embed_counts("a");
+    let b = cli_embed_counts("b");
+    assert_eq!(a, b, "jobs=1 embedding counts must be reproducible");
+    for jobs in [1, 2] {
+        let mut j = Job::from_path(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../benchmarks/stablesort.ml"
+        ))
+        .unwrap();
+        j.config.jobs = jobs;
+        let res = j.run().unwrap();
+        assert!(res.is_safe());
+        let s = &res.result.stats;
+        assert!(s.embed_nodes_built > 0, "jobs={jobs}: nothing built");
+        assert!(s.embed_nodes_reused > 0, "jobs={jobs}: no node shared");
+        assert!(
+            s.embed_nodes_built <= s.embed_nodes_bound,
+            "jobs={jobs}: built {} nodes, at most {} (node, stamp) pairs",
+            s.embed_nodes_built,
+            s.embed_nodes_bound
+        );
+    }
+}

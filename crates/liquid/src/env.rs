@@ -40,13 +40,18 @@ pub struct LiquidEnv {
     node: Option<Arc<EnvNode>>,
 }
 
-enum EnvItem {
+/// One entry of an environment.
+pub(crate) enum EnvItem {
+    /// A value binding.
     Bind(Symbol, RScheme),
+    /// A guard predicate.
     Guard(Pred),
 }
 
-struct EnvNode {
-    item: EnvItem,
+/// One link of the persistent list; environments extending a common
+/// prefix share its nodes.
+pub(crate) struct EnvNode {
+    pub(crate) item: EnvItem,
     prev: Option<Arc<EnvNode>>,
     len: usize,
 }
@@ -94,16 +99,21 @@ impl LiquidEnv {
         self.node.as_ref().map_or(0, |n| n.len)
     }
 
-    /// Iterates items oldest-first.
-    fn items(&self) -> Vec<&EnvItem> {
+    /// The nodes, oldest first.
+    pub(crate) fn nodes(&self) -> Vec<&EnvNode> {
         let mut out = Vec::with_capacity(self.len());
         let mut cur = self.node.as_deref();
         while let Some(n) = cur {
-            out.push(&n.item);
+            out.push(n);
             cur = n.prev.as_deref();
         }
         out.reverse();
         out
+    }
+
+    /// Iterates items oldest-first.
+    fn items(&self) -> Vec<&EnvItem> {
+        self.nodes().into_iter().map(|n| &n.item).collect()
     }
 
     /// Looks up the most recent binding of `x`.
@@ -141,6 +151,10 @@ impl LiquidEnv {
     /// Conjuncts that are ill-sorted in this scope (e.g. `Sel`-facts over
     /// maps whose codomain does not embed as `int`) are dropped — always
     /// sound on the antecedent side.
+    ///
+    /// The solver builds the same antecedent incrementally, node by node,
+    /// through its embedding cache; this from-scratch form is the
+    /// reference that cache is tested against.
     pub fn embed(
         &self,
         genv: &GlobalEnv,

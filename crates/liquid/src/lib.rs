@@ -46,6 +46,7 @@
 
 mod builtins;
 mod constraint;
+mod embed;
 mod env;
 mod gen;
 mod measure;

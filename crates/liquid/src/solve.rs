@@ -25,6 +25,7 @@
 //! `--max-smt-queries` caps the *total* across threads.
 
 use crate::constraint::{LiquidError, SubC};
+use crate::embed::{EmbedCache, View};
 use crate::env::{GlobalEnv, KEnv};
 use crate::rtype::{KVar, RefAtom};
 use dsolve_logic::{
@@ -33,7 +34,8 @@ use dsolve_logic::{
 };
 use dsolve_obs::{log_debug, log_info, Obs, ObsPhase, QueryOrigin};
 use dsolve_smt::{QueryCache, SmtSolver, SolverConfig, Validity};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::cell::LazyCell;
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -100,6 +102,16 @@ pub struct SolveStats {
     /// everything written by constraints left on the worklist. Empty on
     /// a converged run.
     pub churning_kvars: Vec<String>,
+    /// Environment nodes concretized into the embedding cache: each
+    /// node's first embedding, plus one rebuild whenever a κ list it
+    /// reads has shrunk since.
+    pub embed_nodes_built: u64,
+    /// Environment node embeddings served from the cache unchanged.
+    pub embed_nodes_reused: u64,
+    /// The most nodes the embedding caches could have had to build: one
+    /// per distinct node per cache, plus one per shrink of each κ the
+    /// node reads. `embed_nodes_built` never exceeds it.
+    pub embed_nodes_bound: u64,
 }
 
 /// One partition's share of one fixpoint round: how many constraints a
@@ -247,44 +259,26 @@ fn initial_assignment(
     assignment
 }
 
-/// A read view over the assignment: a base map plus (in workers) a local
-/// overlay holding this partition's own weakenings.
-struct View<'a> {
-    base: &'a HashMap<KVar, Vec<Pred>>,
-    local: Option<&'a HashMap<KVar, Vec<Pred>>>,
-}
-
-impl View<'_> {
-    fn get(&self, k: KVar) -> Vec<Pred> {
-        if let Some(local) = self.local {
-            if let Some(v) = local.get(&k) {
-                return v.clone();
-            }
-        }
-        self.base.get(&k).cloned().unwrap_or_default()
-    }
-
-    fn pred_of(&self, k: KVar) -> Pred {
-        Pred::and(self.get(k))
-    }
-}
-
 /// Checks one constraint, weakening the κs on its right side. Returns
-/// `(κ, survivors)` for every κ whose candidate set shrank.
+/// `(κ, survivors)`, once per κ, for every κ whose candidate set shrank.
 ///
 /// Query accounting happens inside the SMT solver (metrics registry +
 /// per-solver `solved_queries`); this function no longer counts.
-fn weaken_constraint(
+fn weaken_constraint<'s>(
     genv: &GlobalEnv,
-    c: &SubC,
+    c: &'s SubC,
     view: &View<'_>,
+    cache: &mut EmbedCache<'s>,
     smt: &mut SmtSolver,
     incremental: bool,
 ) -> Vec<(KVar, Vec<Pred>)> {
-    let lookup = |k: KVar| view.pred_of(k);
-    let (mut sorts, antecedent) = c.env.embed(genv, &lookup);
-    bind_nu(&mut sorts, &c.nu_shape);
-    let lhs = filter_wellsorted(&sorts, c.lhs.concretize(&lookup));
+    let emb = cache.embed(genv, c, view);
+    let (sorts, lhs) = (&emb.sorts, &emb.lhs);
+    let lhs_vars = lhs.free_vars();
+    // Pruning is a fast path, not a semantics: failures are retried
+    // against the full antecedent before a qualifier is dropped for good.
+    // Most checks never retry, so it is built on first use.
+    let lhs_unpruned = LazyCell::new(|| Pred::and(vec![emb.antecedent(), lhs.clone()]));
 
     // Check each κ atom on the right; collect survivors.
     let mut weakened: Vec<(KVar, Vec<Pred>)> = Vec::new();
@@ -300,41 +294,33 @@ fn weaken_constraint(
         // sound (weakens the antecedent); dramatically shrinks the
         // per-query formulas.
         let rhs_preds: Vec<Pred> = quals_k.iter().map(|q| theta.apply_pred(q)).collect();
-        let mut seeds: std::collections::BTreeSet<Symbol> = lhs.free_vars();
+        let mut seeds: BTreeSet<Symbol> = lhs_vars.clone();
         for p in &rhs_preds {
             seeds.extend(p.free_vars());
         }
-        let pruned = prune_conjuncts(antecedent.clone(), &mut seeds);
-        let lhs_full = Pred::and(vec![pruned, lhs.clone()]);
-        // Pruning is a fast path, not a semantics: failures are
-        // retried against the full antecedent before a qualifier is
-        // dropped for good.
-        let lhs_unpruned = Pred::and(vec![antecedent.clone(), lhs.clone()]);
-        let lhs_conjuncts: std::collections::HashSet<Pred> =
-            lhs_full.clone().conjuncts().into_iter().collect();
+        let lhs_full = Pred::and(vec![emb.pruned(&mut seeds), lhs.clone()]);
+        let lhs_conjuncts: HashSet<&Pred> = conjuncts(&lhs_full).iter().collect();
         // Partition the candidates: syntactic hits, ill-sorted
         // transports, and the rest — checked in bisected groups
         // (most candidates survive most checks, so testing the whole
         // conjunction first usually costs a single query).
         let mut kept = Vec::with_capacity(quals_k.len());
         let mut to_check: Vec<(Pred, Pred)> = Vec::new();
-        let prev_len = quals_k.len();
-        for (q, rhs_q) in quals_k.into_iter().zip(rhs_preds) {
+        for (q, rhs_q) in quals_k.iter().zip(rhs_preds) {
             if lhs_conjuncts.contains(&rhs_q) {
-                kept.push(q);
+                kept.push(q.clone());
             } else if sorts.wellsorted(&rhs_q) {
-                to_check.push((q, rhs_q));
+                to_check.push((q.clone(), rhs_q));
             }
         }
         if incremental {
-            check_group_batched(smt, &sorts, &lhs_full, Some(&lhs_unpruned), &to_check, &mut kept);
+            check_group_batched(smt, sorts, &lhs_full, &lhs_unpruned, &to_check, &mut kept);
         } else {
-            check_group(smt, &sorts, &lhs_full, Some(&lhs_unpruned), &to_check, &mut kept);
+            check_group(smt, sorts, &lhs_full, &lhs_unpruned, &to_check, &mut kept);
         }
-        if kept.len() < prev_len {
+        if kept.len() < quals_k.len() {
             if dsolve_obs::log::enabled(dsolve_obs::log::Level::Debug) {
-                let removed: Vec<String> = view
-                    .get(*k)
+                let removed: Vec<String> = quals_k
                     .iter()
                     .filter(|q| !kept.contains(q))
                     .map(ToString::to_string)
@@ -350,29 +336,46 @@ fn weaken_constraint(
                     c.origin, c.lhs, c.rhs
                 );
             }
-            weakened.push((*k, kept));
+            // A κ under two substitutions is checked twice against the
+            // same list; the last atom's survivors win, and the re-check
+            // of this constraint drops what the other atom refuted.
+            match weakened.iter_mut().find(|(w, _)| w == k) {
+                Some(slot) => slot.1 = kept,
+                None => weakened.push((*k, kept)),
+            }
         }
     }
     weakened
 }
 
+/// The conjuncts of `p` (a non-conjunction is a singleton).
+fn conjuncts(p: &Pred) -> &[Pred] {
+    match p {
+        Pred::And(ps) => ps,
+        Pred::True => &[],
+        p => std::slice::from_ref(p),
+    }
+}
+
 /// Checks the concrete right-hand conjuncts of one constraint under the
 /// final assignment. Returns the errors and the first exhaustion hit.
-fn check_obligations(
+fn check_obligations<'s>(
     genv: &GlobalEnv,
-    c: &SubC,
+    c: &'s SubC,
     assignment: &HashMap<KVar, Vec<Pred>>,
+    cache: &mut EmbedCache<'s>,
     smt: &mut SmtSolver,
     incremental: bool,
 ) -> (Vec<LiquidError>, Option<Exhaustion>) {
     let mut errors = Vec::new();
     let mut exhaustion: Option<Exhaustion> = None;
-    let lookup =
-        |k: KVar| Pred::and(assignment.get(&k).cloned().unwrap_or_default());
-    let (mut sorts, antecedent) = c.env.embed(genv, &lookup);
-    bind_nu(&mut sorts, &c.nu_shape);
-    let lhs = filter_wellsorted(&sorts, c.lhs.concretize(&lookup));
-    let lhs_full = Pred::and(vec![antecedent, lhs]);
+    let view = View {
+        base: assignment,
+        local: None,
+    };
+    let emb = cache.embed(genv, c, &view);
+    let sorts = &emb.sorts;
+    let lhs_full = Pred::and(vec![emb.antecedent(), emb.lhs.clone()]);
     // Collect the concrete conjuncts first so the incremental path can
     // decide them all in one session (the antecedent is encoded once);
     // errors are still emitted in atom order, identical to the scalar
@@ -391,7 +394,7 @@ fn check_obligations(
             .map(|(rhs, _)| rhs.clone())
             .collect();
         if rhss.len() > 1 {
-            Some(smt.check_valid_many(&sorts, &lhs_full, &rhss).into_iter())
+            Some(smt.check_valid_many(sorts, &lhs_full, &rhss).into_iter())
         } else {
             None
         }
@@ -408,7 +411,7 @@ fn check_obligations(
         }
         let verdict = match batched.as_mut().and_then(Iterator::next) {
             Some(v) => v,
-            None => smt.check_valid(&sorts, &lhs_full, &rhs),
+            None => smt.check_valid(sorts, &lhs_full, &rhs),
         };
         match verdict {
             Validity::Valid => continue,
@@ -537,6 +540,8 @@ fn solve_sequential(
     let mut round_start = Instant::now();
     let mut round_checked = 0u64;
     let mut traj: HashMap<KVar, Vec<(u64, usize)>> = HashMap::new();
+    let mut cache = EmbedCache::default();
+    let mut shrinks: HashMap<KVar, u64> = HashMap::new();
 
     {
         // Round spans nest inside the phase span, one after another.
@@ -617,7 +622,7 @@ fn solve_sequential(
                 if inject {
                     panic!("injected worker panic (round {round})");
                 }
-                weaken_constraint(genv, &subs[ci], &view, &mut smt, incremental)
+                weaken_constraint(genv, &subs[ci], &view, &mut cache, &mut smt, incremental)
             }));
             let weakened = match checked {
                 Ok(w) => w,
@@ -645,14 +650,15 @@ fn solve_sequential(
             };
             for (k, kept) in weakened {
                 let n = kept.len();
-                let prev = assignment.insert(k, kept);
-                record_trajectory(&mut traj, k, round, prev.map_or(0, |v| v.len()), n);
+                let prev = shrink(&mut assignment, &mut shrinks, k, kept);
+                record_trajectory(&mut traj, k, round, prev, n);
                 for &r in readers.get(&k).map(Vec::as_slice).unwrap_or(&[]) {
                     if !subs[r].writes().is_empty() && queued.insert(r) {
                         queue.push_back(r);
                     }
                 }
-                // Also re-check this constraint's siblings writing k.
+                // Re-enqueue this constraint itself; other constraints
+                // writing k are re-checked only if they also read it.
                 if queued.insert(ci) {
                     queue.push_back(ci);
                 }
@@ -704,7 +710,8 @@ fn solve_sequential(
                 round: 0,
                 worker: 0,
             }));
-            let (errs, exh) = check_obligations(genv, c, &assignment, &mut smt, incremental);
+            let (errs, exh) =
+                check_obligations(genv, c, &assignment, &mut cache, &mut smt, incremental);
             errors.extend(errs);
             if let Some(e) = exh {
                 exhaustion.get_or_insert(e);
@@ -714,6 +721,7 @@ fn solve_sequential(
 
     stats.obligation_time = obligation_start.elapsed();
     base.fill(&obs, &mut stats);
+    fill_embed_stats(&mut stats, std::slice::from_ref(&cache), &shrinks);
     stats.worker_queries = vec![smt.stats.solved_queries];
     stats.worker_checks = vec![stats.iterations];
     if let Some(c) = &poison_cache {
@@ -797,6 +805,41 @@ fn taint_refused_unsafe(
     }
 }
 
+/// Replaces `k`'s qualifier list by `kept` and returns the old list's
+/// length. A list only ever shrinks, or is emptied again by quarantine:
+/// the embedding cache's stamps rely on that. `shrinks` counts each κ's
+/// shrinks.
+fn shrink(
+    assignment: &mut HashMap<KVar, Vec<Pred>>,
+    shrinks: &mut HashMap<KVar, u64>,
+    k: KVar,
+    kept: Vec<Pred>,
+) -> usize {
+    let n = kept.len();
+    let prev = assignment.insert(k, kept).map_or(0, |v| v.len());
+    debug_assert!(
+        n < prev || n == 0 && prev == 0,
+        "{k}'s list must shrink or stay empty, not go from {prev} to {n}"
+    );
+    if n < prev {
+        *shrinks.entry(k).or_default() += 1;
+    }
+    prev
+}
+
+/// Sums the embedding caches' counters into `stats`.
+fn fill_embed_stats(
+    stats: &mut SolveStats,
+    caches: &[EmbedCache<'_>],
+    shrinks: &HashMap<KVar, u64>,
+) {
+    for cache in caches {
+        stats.embed_nodes_built += cache.built;
+        stats.embed_nodes_reused += cache.reused;
+        stats.embed_nodes_bound += cache.build_bound(shrinks);
+    }
+}
+
 /// Appends a `(round, count)` trajectory point for `k`, seeding the
 /// series with the pre-weakening count at round 0 and collapsing
 /// multiple updates within one round to the last value.
@@ -874,7 +917,7 @@ fn constraint_labels(subs: &[SubC], obs: &Obs) -> Vec<std::sync::Arc<str>> {
 }
 
 /// What one fixpoint worker reports back for its partition.
-struct WorkerReport {
+struct WorkerReport<'s> {
     /// Constraints checked.
     checked: u64,
     /// SMT queries this worker's solver actually solved (its private
@@ -889,6 +932,8 @@ struct WorkerReport {
     exhaustion: Option<Exhaustion>,
     /// Wall-clock time this worker spent on its partition.
     wall: Duration,
+    /// The worker's embedding cache, handed back for its next round.
+    cache: EmbedCache<'s>,
 }
 
 /// Groups a round's constraints so that any two constraints writing a
@@ -1030,6 +1075,11 @@ fn solve_parallel(
         .collect();
     let mut queued: HashSet<usize> = queue.iter().copied().collect();
     let mut traj: HashMap<KVar, Vec<(u64, usize)>> = HashMap::new();
+    // One embedding cache per worker slot, kept across rounds: a worker
+    // only ever sees the merged assignment plus its own weakenings, one
+    // shrink-only history.
+    let mut caches: Vec<EmbedCache> = (0..jobs).map(|_| EmbedCache::default()).collect();
+    let mut shrinks: HashMap<KVar, u64> = HashMap::new();
 
     while !queue.is_empty() {
         if deadline_expired(deadline) {
@@ -1094,6 +1144,7 @@ fn solve_parallel(
                 .enumerate()
                 .map(|(w, part)| {
                     let mut smt = make_solver();
+                    let cache = std::mem::take(&mut caches[w]);
                     s.spawn(move || {
                         let started = Instant::now();
                         // Injected worker panic: worker 0 dies at the
@@ -1113,6 +1164,7 @@ fn solve_parallel(
                             weakened: Vec::new(),
                             exhaustion: None,
                             wall: Duration::ZERO,
+                            cache,
                         };
                         for &ci in part {
                             if deadline_expired(deadline) {
@@ -1134,8 +1186,14 @@ fn solve_parallel(
                                 round: round_no,
                                 worker: w as u32,
                             }));
-                            let weakened =
-                                weaken_constraint(genv, &subs[ci], &view, &mut smt, incremental);
+                            let weakened = weaken_constraint(
+                                genv,
+                                &subs[ci],
+                                &view,
+                                &mut report.cache,
+                                &mut smt,
+                                incremental,
+                            );
                             for (k, kept) in weakened {
                                 local.insert(k, kept.clone());
                                 report.weakened.push((ci, k, kept));
@@ -1177,6 +1235,7 @@ fn solve_parallel(
                                 ),
                             )),
                             wall: Duration::ZERO,
+                            cache: EmbedCache::default(),
                         }
                     })
                 })
@@ -1188,7 +1247,8 @@ fn solve_parallel(
         // disjoint write-sets, and each worker reports weakenings in
         // its own processing order — so the final value of every κ is
         // unambiguous.
-        for (w, report) in reports.iter().enumerate() {
+        for (w, report) in reports.into_iter().enumerate() {
+            caches[w] = report.cache;
             stats.iterations += report.checked;
             stats.worker_queries[w] += report.queries;
             stats.worker_checks[w] += report.checked;
@@ -1201,19 +1261,19 @@ fn solve_parallel(
             if let Some(e) = &report.exhaustion {
                 exhaustion.get_or_insert(e.clone());
             }
-            for (ci, k, kept) in &report.weakened {
+            for (ci, k, kept) in report.weakened {
                 let n = kept.len();
-                let prev = assignment.insert(*k, kept.clone());
-                record_trajectory(&mut traj, *k, round_no, prev.map_or(0, |v| v.len()), n);
-                for &r in readers.get(k).map(Vec::as_slice).unwrap_or(&[]) {
+                let prev = shrink(&mut assignment, &mut shrinks, k, kept);
+                record_trajectory(&mut traj, k, round_no, prev, n);
+                for &r in readers.get(&k).map(Vec::as_slice).unwrap_or(&[]) {
                     if !writes[r].is_empty() && queued.insert(r) {
                         queue.push(r);
                     }
                 }
                 // Mirror the sequential schedule: the weakening
                 // constraint itself is re-checked next round.
-                if queued.insert(*ci) {
-                    queue.push(*ci);
+                if queued.insert(ci) {
+                    queue.push(ci);
                 }
             }
         }
@@ -1261,6 +1321,7 @@ fn solve_parallel(
                 .enumerate()
                 .map(|(w, part)| {
                     let mut smt = make_solver();
+                    let mut cache = std::mem::take(&mut caches[w]);
                     s.spawn(move || {
                         let mut out = Vec::new();
                         for &ci in part {
@@ -1274,22 +1335,22 @@ fn solve_parallel(
                                 genv,
                                 &subs[ci],
                                 assignment_ref,
+                                &mut cache,
                                 &mut smt,
                                 incremental,
                             );
                             out.push((ci, errs, exh));
                         }
-                        (out, smt.stats.solved_queries)
+                        (out, smt.stats.solved_queries, cache)
                     })
                 })
                 .collect();
             let mut merged = Vec::new();
             for (w, h) in handles.into_iter().enumerate() {
                 match h.join() {
-                    Ok((out, queries)) => {
-                        if w < stats.worker_queries.len() {
-                            stats.worker_queries[w] += queries;
-                        }
+                    Ok((out, queries, cache)) => {
+                        stats.worker_queries[w] += queries;
+                        caches[w] = cache;
                         merged.extend(out);
                     }
                     Err(_) => {
@@ -1319,6 +1380,7 @@ fn solve_parallel(
 
     stats.obligation_time = obligation_start.elapsed();
     base.fill(&obs, &mut stats);
+    fill_embed_stats(&mut stats, &caches, &shrinks);
     obs.metrics()
         .cache_poison_recoveries
         .add(cache.poison_recoveries());
@@ -1335,12 +1397,12 @@ fn solve_parallel(
 /// Checks a group of candidate qualifiers against one antecedent,
 /// bisecting on failure: valid groups cost one query regardless of size.
 /// Individual failures are retried against `full` (the unpruned
-/// antecedent) when provided.
+/// antecedent, forced only then).
 fn check_group(
     smt: &mut SmtSolver,
     sorts: &dsolve_logic::SortEnv,
     lhs: &Pred,
-    full: Option<&Pred>,
+    full: &LazyCell<Pred, impl FnOnce() -> Pred>,
     group: &[(Pred, Pred)],
     kept: &mut Vec<Pred>,
 ) {
@@ -1349,10 +1411,9 @@ fn check_group(
         [(q, rhs_q)] => {
             let mut ok = smt.is_valid(sorts, lhs, rhs_q);
             if !ok {
-                if let Some(full) = full {
-                    if full != lhs {
-                        ok = smt.is_valid(sorts, full, rhs_q);
-                    }
+                let full: &Pred = full;
+                if full != lhs {
+                    ok = smt.is_valid(sorts, full, rhs_q);
                 }
             }
             if ok {
@@ -1383,7 +1444,7 @@ fn check_group_batched(
     smt: &mut SmtSolver,
     sorts: &dsolve_logic::SortEnv,
     lhs: &Pred,
-    full: Option<&Pred>,
+    full: &LazyCell<Pred, impl FnOnce() -> Pred>,
     group: &[(Pred, Pred)],
     kept: &mut Vec<Pred>,
 ) {
@@ -1410,7 +1471,7 @@ fn check_group_batched(
     if failed.is_empty() {
         return;
     }
-    let Some(full) = full else { return };
+    let full: &Pred = full;
     if full == lhs {
         return;
     }
@@ -1421,64 +1482,6 @@ fn check_group_batched(
             kept.push(pair.0.clone());
         }
     }
-}
-
-/// Keeps the conjuncts transitively relevant to the seed variables
-/// (variable-free conjuncts such as `false` are always kept).
-fn prune_conjuncts(
-    p: Pred,
-    seeds: &mut std::collections::BTreeSet<Symbol>,
-) -> Pred {
-    let conjuncts = p.conjuncts();
-    if conjuncts.len() <= 12 {
-        return Pred::and(conjuncts);
-    }
-    let fvs: Vec<std::collections::BTreeSet<Symbol>> =
-        conjuncts.iter().map(Pred::free_vars).collect();
-    let mut keep = vec![false; conjuncts.len()];
-    // Variable-free conjuncts carry reachability information (`false`).
-    for (i, fv) in fvs.iter().enumerate() {
-        if fv.is_empty() {
-            keep[i] = true;
-        }
-    }
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for (i, fv) in fvs.iter().enumerate() {
-            if keep[i] || fv.is_empty() {
-                continue;
-            }
-            if fv.iter().any(|v| seeds.contains(v)) {
-                keep[i] = true;
-                seeds.extend(fv.iter().copied());
-                changed = true;
-            }
-        }
-    }
-    Pred::and(
-        conjuncts
-            .into_iter()
-            .zip(keep)
-            .filter_map(|(c, k)| if k { Some(c) } else { None })
-            .collect(),
-    )
-}
-
-fn bind_nu(sorts: &mut dsolve_logic::SortEnv, shape: &dsolve_nanoml::MlType) {
-    sorts.bind(
-        Symbol::value_var(),
-        crate::measure::sort_of_mltype(shape),
-    );
-}
-
-fn filter_wellsorted(sorts: &dsolve_logic::SortEnv, p: Pred) -> Pred {
-    Pred::and(
-        p.conjuncts()
-            .into_iter()
-            .filter(|c| sorts.wellsorted(c))
-            .collect(),
-    )
 }
 
 #[cfg(test)]
@@ -1935,6 +1938,47 @@ mod tests {
         assert_eq!(e.resource, Resource::Panic);
         assert!(sol.outcome().is_unknown());
         assert!(config.obs.metrics().workers_quarantined.get() >= 1);
+    }
+
+    /// Every assignment write goes through `shrink`, whose debug
+    /// assertion holds each κ list to shrinking, or staying empty: the
+    /// embedding cache's stamps rely on it. This drives it through each
+    /// write site — the sequential loop, the parallel merge, and
+    /// quarantine in both drivers — and checks what each site wrote.
+    #[test]
+    fn every_assignment_write_shrinks() {
+        let (genv, kenv, subs) = diamond_case();
+        let panic_at_1 = || Some(Arc::new(FaultPlan::parse("worker-panic@1").unwrap()));
+        for (jobs, fault) in [(1, None), (4, None), (1, panic_at_1()), (4, panic_at_1())] {
+            let config = SolveConfig {
+                jobs,
+                fault,
+                ..SolveConfig::default()
+            };
+            let quarantine = config.fault.is_some();
+            let sol = solve(&genv, &kenv, &subs, &quals(), &config);
+            assert!(!sol.stats.kvar_trajectories.is_empty());
+            for (k, pts) in &sol.stats.kvar_trajectories {
+                for w in pts.windows(2) {
+                    assert!(
+                        w[1].1 < w[0].1 || w[1].1 == 0,
+                        "jobs={jobs} quarantine={quarantine}: {k} went {pts:?}"
+                    );
+                }
+            }
+            if quarantine {
+                assert_eq!(config.obs.metrics().workers_quarantined.get(), 1);
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must shrink or stay empty")]
+    fn a_growing_kvar_list_trips_the_shrink_assertion() {
+        let k = KVar(u32::MAX);
+        let mut assignment = HashMap::from([(k, vec![Pred::True])]);
+        shrink(&mut assignment, &mut HashMap::new(), k, vec![Pred::True, Pred::False]);
     }
 
     #[test]

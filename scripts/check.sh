@@ -23,6 +23,12 @@ cargo test --workspace -q
 echo "== cargo test -p dsolve-smt --test incremental_vs_scratch --test theory_oracles"
 cargo test -p dsolve-smt --test incremental_vs_scratch --test theory_oracles
 
+# The embedding cache against its oracle: after random κ shrinks, the
+# cached antecedent, pruned antecedent and left side equal the ones
+# built from scratch. By name for the same reason.
+echo "== cargo test -p dsolve-liquid embed_cache_matches_oracle"
+cargo test -p dsolve-liquid --lib embed_cache_matches_oracle
+
 # Observability: registry/accounting invariants, trace validation, and
 # the overhead guard, by name for the same reason.
 echo "== cargo test -p dsolve-obs -p dsolve --test obs"
