@@ -17,12 +17,16 @@
 //! `certs_checked`/`certs_failed` counters land in each row's metrics).
 //! `--json` writes a machine-readable record per benchmark (wall time,
 //! SMT queries, cache hits, jobs, `Q★` size and time) for trend tracking — see
-//! `BENCH_figure10.json`.
+//! `BENCH_figure10.json`. The `DSOLVE_FAULT` environment variable arms
+//! one deterministic fault (`point[@N]`, as `dsolve --inject-fault`),
+//! shared by every row, so `job-panic@2` panics the second row.
 
 use dsolve::{JobError, Row, Status, Table};
 use dsolve_bench::{load, BENCHMARKS};
+use dsolve_logic::FaultPlan;
 use dsolve_obs::{Obs, Snapshot};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One benchmark's machine-readable record.
@@ -87,6 +91,14 @@ fn main() {
         }
     }
 
+    let fault = match FaultPlan::from_env() {
+        Ok(plan) => plan.map(Arc::new),
+        Err(e) => {
+            eprintln!("figure10: {e}");
+            std::process::exit(3);
+        }
+    };
+
     let mut table = Table::new();
     let mut records: Vec<JsonRow> = Vec::new();
     println!("Reproducing Fig. 10 (paper numbers in brackets)\n");
@@ -104,6 +116,7 @@ fn main() {
                     j.config.jobs = n;
                 }
                 j.config.smt.certify = certify;
+                j.config.fault = fault.clone();
                 // Fresh registry per benchmark so each row's metrics
                 // cover exactly one job.
                 j.config.obs = Obs::new();

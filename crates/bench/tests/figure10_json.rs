@@ -14,7 +14,7 @@ fn panicked_row_records_its_wall_time() {
             path.to_str().expect("utf-8 temp path"),
             "stablesort",
         ])
-        .env("DSOLVE_FORCE_PANIC", "stablesort")
+        .env("DSOLVE_FAULT", "job-panic")
         .output()
         .expect("figure10 runs");
     // The panicked row is not SAFE, so the suite exits 1.

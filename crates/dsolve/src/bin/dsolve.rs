@@ -19,17 +19,17 @@
 //! the original DSOLVE did. `--timeout` and `--max-smt-queries` bound
 //! the run; an exhausted budget reports `UNKNOWN` with the reason.
 //! `--jobs` sets the fixpoint worker count (default: one per available
-//! CPU; `--jobs 1` selects the sequential solver).
+//! CPU; at `--jobs 1` every round runs on the calling thread).
 //!
 //! `--certify` replays every definite SMT verdict through an independent
 //! checker (countermodel evaluation for Invalid, theory-core replay for
 //! Valid); a certificate that fails to replay downgrades the answer to
 //! `UNKNOWN` rather than ever flipping it. `--inject-fault` (or the
 //! `DSOLVE_FAULT` environment variable) arms one deterministic fault
-//! point — `worker-panic`, `session-fail`, `cache-poison`, `trace-io`,
-//! or `query-timeout`, optionally `@N` for the N-th occurrence — used by
-//! the fault-matrix robustness tests; a faulted run either matches the
-//! clean verdict or degrades to `UNKNOWN` (exit 2).
+//! point — `worker-panic`, `job-panic`, `session-fail`, `cache-poison`,
+//! `trace-io`, or `query-timeout`, optionally `@N` for the N-th
+//! occurrence — used by the fault-matrix robustness tests; a faulted run
+//! either matches the clean verdict or degrades to `UNKNOWN` (exit 2).
 //!
 //! `--trace-out` writes a Chrome `trace_event` JSON file (open it in
 //! `chrome://tracing` or Perfetto) with spans for every pipeline phase,

@@ -4,7 +4,7 @@
 
 use crate::spec::{parse_mlq, parse_quals, SpecError, SpecFile};
 use dsolve_liquid::{builtin_schemes, MeasureEnv, SolveConfig, Verifier, VerifyResult};
-use dsolve_logic::{Exhaustion, Outcome, Phase, Qualifier, Resource, SortEnv};
+use dsolve_logic::{Exhaustion, FaultPoint, Outcome, Phase, Qualifier, Resource, SortEnv};
 use dsolve_obs::ObsPhase;
 use dsolve_nanoml::{infer_program, parse_program, resolve_program, DataEnv};
 use std::fmt;
@@ -285,20 +285,16 @@ impl Job {
     /// pipeline is caught and reported as [`JobError::Panic`], so a
     /// suite driver can keep going after one pathological module.
     ///
-    /// Setting the environment variable `DSOLVE_FORCE_PANIC` to the
-    /// job's name (or `*`) triggers a deliberate panic — a test hook for
-    /// exercising the isolation path end to end.
+    /// The `job-panic@N` fault point in `config.fault` panics the `N`-th
+    /// isolated run under that plan, exercising this path end to end.
     ///
     /// # Errors
     ///
     /// Everything [`Job::run`] reports, plus `Panic` for caught panics.
     pub fn run_isolated(&self) -> Result<JobResult, JobError> {
         catch_unwind(AssertUnwindSafe(|| {
-            if let Some(v) = std::env::var_os("DSOLVE_FORCE_PANIC") {
-                if v == std::ffi::OsStr::new(self.name.as_str()) || v == std::ffi::OsStr::new("*")
-                {
-                    panic!("DSOLVE_FORCE_PANIC requested for `{}`", self.name);
-                }
+            if self.config.fault.as_ref().is_some_and(|f| f.fire(FaultPoint::JobPanic)) {
+                panic!("injected job panic in `{}`", self.name);
             }
             self.run()
         }))
@@ -425,24 +421,21 @@ val insertsort : xs : 'a list -> {VV : 'a list @Sorted | elts(VV) = elts(xs)}
 
     #[test]
     fn isolated_panic_is_reported_not_propagated() {
-        // The hook matches on the job name, so concurrent tests with
-        // other names are unaffected.
-        let job = Job::from_sources("panicky-test-job", "let one = 1\n", "", "");
-        std::env::set_var("DSOLVE_FORCE_PANIC", "panicky-test-job");
+        let mut job = Job::from_sources("panicky-test-job", "let one = 1\n", "", "");
+        job.config.fault = Some(std::sync::Arc::new(
+            dsolve_logic::FaultPlan::parse("job-panic").unwrap(),
+        ));
         let r = job.run_isolated();
-        std::env::remove_var("DSOLVE_FORCE_PANIC");
         match r {
             Err(JobError::Panic(msg)) => {
                 assert!(msg.contains("panicky-test-job"), "{msg}");
             }
             other => panic!("expected Panic, got {:?}", other.map(|_| "JobResult")),
         }
-        // The error maps to a machine-readable Unknown outcome.
-        let Err(e) = job.run_isolated() else {
-            // Hook cleared: the job now runs normally.
-            return;
-        };
-        panic!("unexpected error after clearing hook: {e}");
+        // The fault fired once: the next run goes through normally.
+        if let Err(e) = job.run_isolated() {
+            panic!("unexpected error after the fault fired: {e}");
+        }
     }
 
     #[test]

@@ -145,7 +145,7 @@ fn forced_panic_is_isolated_and_exits_two() {
     write_temp(&dir, "m.ml", "let one = 1\n");
     let out = dsolve()
         .arg(dir.join("m.ml"))
-        .env("DSOLVE_FORCE_PANIC", "*")
+        .args(["--inject-fault", "job-panic"])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
@@ -200,7 +200,7 @@ fn trace_out_survives_forced_panic() {
         .arg(dir.join("m.ml"))
         .arg("--trace-out")
         .arg(&trace)
-        .env("DSOLVE_FORCE_PANIC", "*")
+        .args(["--inject-fault", "job-panic"])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
@@ -312,13 +312,10 @@ fn dsolve_fault_env_is_honored() {
 fn quiet_silences_progress_output() {
     let dir = tempdir("quiet");
     write_temp(&dir, "m.ml", "let one = assert (1 > 0)\n");
-    // One worker everywhere, so the progress line reads `solve:` (not
-    // `solve[N jobs]:`) and the negative check below means something on
-    // any host.
     let noisy = dsolve()
         .arg(dir.join("m.ml"))
         .args(["--jobs", "1"])
-        .env("DSOLVE_PROGRESS", "1")
+        .env("DSOLVE_LOG", "info")
         .output()
         .unwrap();
     let noisy_err = String::from_utf8_lossy(&noisy.stderr);
@@ -326,7 +323,7 @@ fn quiet_silences_progress_output() {
     let quiet = dsolve()
         .arg(dir.join("m.ml"))
         .args(["--jobs", "1", "--quiet"])
-        .env("DSOLVE_PROGRESS", "1")
+        .env("DSOLVE_LOG", "info")
         .output()
         .unwrap();
     let quiet_err = String::from_utf8_lossy(&quiet.stderr);

@@ -18,6 +18,7 @@ const BUDGET_SECS: &str = "60";
 /// occurrence-counted query timeout).
 const FAULTS: &[&str] = &[
     "worker-panic@1",
+    "job-panic",
     "session-fail@1",
     "cache-poison",
     "trace-io",

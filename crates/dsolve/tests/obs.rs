@@ -431,14 +431,12 @@ fn trace_valid_after_isolated_panic() {
     let dir = std::env::temp_dir();
     let path = dir.join(format!("dsolve-obs-panic-{}.json", std::process::id()));
     let mut j = job(1);
-    j.name = "obs-panic-job".into();
     j.config.obs = Obs::with_trace(&path).unwrap();
+    j.config.fault = Some(std::sync::Arc::new(
+        dsolve_logic::FaultPlan::parse("job-panic").unwrap(),
+    ));
     let obs = j.config.obs.clone();
-    // The hook matches on the job name, so concurrent tests keep running
-    // normally.
-    std::env::set_var("DSOLVE_FORCE_PANIC", "obs-panic-job");
     let r = j.run_isolated();
-    std::env::remove_var("DSOLVE_FORCE_PANIC");
     assert!(matches!(r, Err(dsolve::JobError::Panic(_))));
     obs.finish();
     // The trace must still parse: finish() closes the array even though

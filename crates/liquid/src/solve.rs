@@ -9,20 +9,31 @@
 //! terminates. Constraints with concrete right sides are verified under
 //! the final assignment and produce the reported errors.
 //!
-//! # Parallel mode
+//! # Schedule
 //!
-//! With `jobs > 1` the solver runs the fixpoint in *rounds*: the pending
-//! worklist is drained, partitioned into groups of constraints with
-//! disjoint **write** κ-sets (constraints writing a common κ always land
-//! in the same partition), and each partition is checked on its own
-//! worker thread against a read-only snapshot of the assignment. Reads
-//! may cross partitions and see one-round-stale values; that is ordinary
+//! One driver runs the fixpoint at every worker count, in *rounds*. A
+//! round is the whole worklist in the order it was queued (FIFO), split
+//! into at most `jobs` slices with disjoint **write** κ-sets
+//! (constraints writing a common κ share a slice), each in round order.
+//! A round with one slice — every round at `--jobs 1` — is checked on
+//! the calling thread, weakening the assignment in place. Several slices
+//! are checked on worker threads, each against the round's snapshot
+//! under a private overlay of its own weakenings, and merged afterwards
+//! in worker order.
+//!
+//! After a worker weakens `κ`, it queues each reader of `κ` for the next
+//! round, except a reader still ahead of it in its own slice: that one
+//! reads the new list when its turn comes. It then queues the weakening
+//! constraint itself, and the merge appends each worker's queue in
+//! worker order, every constraint once. At one worker this is exactly a
+//! FIFO worklist, and a round is one breadth-first level of it. Reads
+//! across slices may see one-round-stale values; that is ordinary
 //! chaotic iteration of a monotone operator — every constraint reading a
-//! changed κ is re-enqueued after the merge, so the iteration still
-//! converges to the same greatest fixpoint the sequential schedule
-//! finds. Weakenings are merged in deterministic (worker, κ) order, and
-//! all workers share one [`QueryCache`] and one atomic query counter so
-//! `--max-smt-queries` caps the *total* across threads.
+//! changed κ is checked again — so every schedule converges to the same
+//! greatest fixpoint.
+//!
+//! All solvers of a run share one [`QueryCache`] and one atomic query
+//! counter, so `--max-smt-queries` caps the *total* across workers.
 
 use crate::constraint::{LiquidError, SubC};
 use crate::embed::{EmbedCache, View};
@@ -35,7 +46,7 @@ use dsolve_logic::{
 use dsolve_obs::{log_debug, log_info, Obs, ObsPhase, QueryOrigin};
 use dsolve_smt::{QueryCache, SmtSolver, SolverConfig, Validity};
 use std::cell::LazyCell;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -65,11 +76,10 @@ pub struct SolveStats {
     pub fixpoint_time: Duration,
     /// Wall-clock time spent checking concrete obligations.
     pub obligation_time: Duration,
-    /// Worker threads used (1 = sequential).
+    /// Fixpoint workers (1 = every round on the calling thread).
     pub jobs: usize,
-    /// Fixpoint rounds: barrier rounds in parallel mode, BFS levels of
-    /// the worklist in sequential mode (0 when no constraint was ever
-    /// queued).
+    /// Fixpoint rounds: each one the whole worklist, in queue order (0
+    /// when no constraint was ever queued).
     pub rounds: u64,
     /// Constraints in the largest single partition of any round.
     pub max_partition: usize,
@@ -90,8 +100,8 @@ pub struct SolveStats {
     /// sessions; `smt_scoped_checks / smt_sessions` is the average
     /// batch size — how much antecedent encoding was reused.
     pub smt_scoped_checks: u64,
-    /// Per-round, per-partition fixpoint work (sequential mode reports
-    /// one partition per round on worker 0).
+    /// Per-round, per-partition fixpoint work (one partition per round
+    /// at `--jobs 1`).
     pub partition_stats: Vec<PartitionStat>,
     /// Qualifier-count trajectory per weakened κ: `(name, points)` where
     /// each point is `(round, count)` and the first point is the initial
@@ -120,7 +130,7 @@ pub struct SolveStats {
 pub struct PartitionStat {
     /// 1-based fixpoint round.
     pub round: u64,
-    /// Worker index within the round (always 0 in sequential mode).
+    /// Worker index within the round (always 0 at `--jobs 1`).
     pub worker: usize,
     /// Constraints checked in this partition.
     pub constraints: u64,
@@ -182,8 +192,8 @@ pub struct SolveConfig {
     /// Resource limits for the whole run (deadline, query cap, fixpoint
     /// iteration cap, per-query search caps).
     pub budget: Budget,
-    /// Fixpoint worker threads: `0` = one per available CPU, `1` = the
-    /// sequential solver, `n` = exactly `n` workers.
+    /// Fixpoint workers: `0` = one per available CPU, `n` = at most `n`
+    /// slices per round (`1` runs every round on the calling thread).
     pub jobs: usize,
     /// Disables incremental (assertion-scope) SMT batching: every
     /// implication goes through the scratch `check_valid` path. The
@@ -216,7 +226,9 @@ pub fn effective_jobs(config: &SolveConfig) -> usize {
     }
 }
 
-/// Runs the iterative-weakening fixpoint.
+/// Runs the iterative-weakening fixpoint, then checks the concrete
+/// obligations under its assignment. See the module docs for the
+/// schedule.
 pub fn solve(
     genv: &GlobalEnv,
     kenv: &KEnv,
@@ -225,11 +237,511 @@ pub fn solve(
     config: &SolveConfig,
 ) -> Solution {
     let jobs = effective_jobs(config);
-    if jobs <= 1 {
-        solve_sequential(genv, kenv, subs, quals, config)
-    } else {
-        solve_parallel(genv, kenv, subs, quals, config, jobs)
+    let budget = config.budget;
+    let deadline = budget.deadline_from_now();
+    let obs = config.obs.clone();
+    let base = MetricsBaseline::capture(&obs);
+    let query_cache = QueryCache::shared();
+    if config
+        .fault
+        .as_ref()
+        .is_some_and(|f| f.fire(FaultPoint::CachePoison))
+    {
+        query_cache.poison_all_shards();
     }
+    let query_counter = Arc::new(AtomicU64::new(0));
+    let mut slots: Vec<Slot> = (0..jobs)
+        .map(|id| {
+            let mut smt = SmtSolver::with_config(SolverConfig {
+                budget,
+                ..config.smt
+            });
+            // Pin the absolute deadline so the SMT clock does not restart
+            // at the first query.
+            smt.set_deadline(deadline);
+            smt.share_cache(Arc::clone(&query_cache));
+            smt.share_query_counter(Arc::clone(&query_counter));
+            smt.set_obs(obs.clone());
+            smt.set_fault(config.fault.clone());
+            Slot {
+                id,
+                smt,
+                cache: EmbedCache::default(),
+            }
+        })
+        .collect();
+
+    let fixpoint_start = Instant::now();
+    let fixpoint_span = obs.phase_span(ObsPhase::Fixpoint);
+    let mut stats = SolveStats {
+        jobs,
+        worker_checks: vec![0; jobs],
+        ..SolveStats::default()
+    };
+    log_info!(
+        "solve: {} constraints, {} kvars, {jobs} jobs",
+        subs.len(),
+        kenv.len()
+    );
+    let mut fix = Fixpoint {
+        assignment: initial_assignment(kenv, quals, &obs, &mut stats),
+        shrinks: HashMap::new(),
+        traj: HashMap::new(),
+    };
+    log_info!("solve: initial quals = {}", stats.initial_quals);
+
+    let writes: Vec<Vec<KVar>> = subs.iter().map(SubC::writes).collect();
+    // Dependency index: κ → the constraints that read it and write a κ.
+    let mut readers: HashMap<KVar, Vec<usize>> = HashMap::new();
+    for (i, c) in subs.iter().enumerate() {
+        if !writes[i].is_empty() {
+            for k in c.reads() {
+                readers.entry(k).or_default().push(i);
+            }
+        }
+    }
+    let labels = constraint_labels(subs, &obs);
+    let ctx = Ctx {
+        genv,
+        subs,
+        writes: &writes,
+        readers: &readers,
+        labels: &labels,
+        obs: &obs,
+        fault: config.fault.as_deref(),
+        deadline,
+        incremental: use_incremental(config),
+    };
+
+    // Round 1: every constraint with a κ on the right, in index order.
+    let mut queue: Vec<usize> = (0..subs.len()).filter(|&i| !writes[i].is_empty()).collect();
+    let mut queued = vec![false; subs.len()];
+    // What a round cut short left unchecked; the fixpoint stops there.
+    let mut unchecked: Vec<usize> = Vec::new();
+    let mut exhaustion: Option<Exhaustion> = None;
+    while !queue.is_empty() && unchecked.is_empty() {
+        if deadline_expired(deadline) {
+            exhaustion = Some(Exhaustion::new(Phase::Fixpoint, Resource::Deadline));
+            break;
+        }
+        let mut round = std::mem::take(&mut queue);
+        for &ci in &round {
+            queued[ci] = false;
+        }
+        let left = budget
+            .max_fixpoint_iterations
+            .saturating_sub(stats.iterations);
+        if round.len() as u64 > left {
+            unchecked = round.split_off(left as usize);
+            exhaustion.get_or_insert(Exhaustion::with_detail(
+                Phase::Fixpoint,
+                Resource::FixpointIterations,
+                format!("cap {}", budget.max_fixpoint_iterations),
+            ));
+            if round.is_empty() {
+                break;
+            }
+        }
+        stats.rounds += 1;
+        obs.metrics().fixpoint_rounds.incr();
+        let round_no = stats.rounds;
+        let size = round.len();
+        let slices = partition_round(round, &writes, jobs);
+        let largest = slices.iter().map(Vec::len).max().unwrap_or(0);
+        stats.max_partition = stats.max_partition.max(largest);
+        log_info!(
+            "fixpoint round {round_no}: {size} constraints in {} partitions (max {largest})",
+            slices.len()
+        );
+        let round_span = obs.tracing().then(|| {
+            obs.span("fixpoint", format!("round {round_no}"))
+                .arg("constraints", size as u64)
+                .arg("partitions", slices.len() as u64)
+        });
+        let reports: Vec<SliceReport> = if let [slice] = slices.as_slice() {
+            let store = Store::InPlace(&mut fix);
+            vec![check_slice(&ctx, round_no, &mut slots[0], slice, store)]
+        } else {
+            let snapshot = &fix.assignment;
+            let ctx = &ctx;
+            std::thread::scope(|s| {
+                let handles: Vec<_> = slots
+                    .iter_mut()
+                    .zip(&slices)
+                    .map(|(slot, slice)| {
+                        s.spawn(move || {
+                            let store = Store::Overlay(snapshot, HashMap::new());
+                            check_slice(ctx, round_no, slot, slice, store)
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .zip(&slices)
+                    .map(|(h, slice)| {
+                        h.join().unwrap_or_else(|_| {
+                            // The worker died outside a check: every κ its
+                            // slice writes is weakened to ⊤ (sound, since
+                            // weakening is monotone), and the unchecked
+                            // slice stops the fixpoint.
+                            obs.metrics().workers_quarantined.incr();
+                            SliceReport {
+                                weakened: slice
+                                    .iter()
+                                    .flat_map(|&ci| &writes[ci])
+                                    .map(|&k| (k, Vec::new()))
+                                    .collect(),
+                                exhaustion: Some(Exhaustion::with_detail(
+                                    Phase::Fixpoint,
+                                    Resource::Panic,
+                                    format!(
+                                        "fixpoint worker panicked; quarantined {} constraints",
+                                        slice.len()
+                                    ),
+                                )),
+                                ..SliceReport::default()
+                            }
+                        })
+                    })
+                    .collect()
+            })
+        };
+        drop(round_span);
+
+        // Merge in worker order. Slices write disjoint κs, so the final
+        // value of every κ is unambiguous.
+        for (w, (report, slice)) in reports.into_iter().zip(&slices).enumerate() {
+            stats.iterations += report.checked as u64;
+            stats.worker_checks[w] += report.checked as u64;
+            stats.partition_stats.push(PartitionStat {
+                round: round_no,
+                worker: w,
+                constraints: report.checked as u64,
+                wall: report.wall,
+            });
+            if let Some(e) = report.exhaustion {
+                exhaustion.get_or_insert(e);
+            }
+            for (k, kept) in report.weakened {
+                fix.weaken(k, kept, round_no);
+            }
+            unchecked.extend_from_slice(&slice[report.checked..]);
+            for ci in report.requeue {
+                if !std::mem::replace(&mut queued[ci], true) {
+                    queue.push(ci);
+                }
+            }
+        }
+        obs.metrics().queue_depth.set(queue.len() as i64);
+    }
+    stats.kvar_trajectories = finish_trajectories(std::mem::take(&mut fix.traj));
+    if exhaustion.is_some() {
+        stats.churning_kvars = churn_names(subs, queue.iter().chain(&unchecked).copied());
+        name_churn(&mut exhaustion, &stats.churning_kvars);
+    }
+    stats.fixpoint_time = fixpoint_start.elapsed();
+    drop(fixpoint_span);
+
+    // Final pass: the concrete right sides, split over up to `jobs`
+    // chunks of consecutive constraints, merged back in chunk order.
+    let obligation_start = Instant::now();
+    let targets: Vec<usize> = (0..subs.len())
+        .filter(|&i| {
+            subs[i]
+                .rhs
+                .atoms
+                .iter()
+                .any(|(_, a)| matches!(a, RefAtom::Conc(_)))
+        })
+        .collect();
+    let chunks: Vec<&[usize]> = targets
+        .chunks(targets.len().div_ceil(jobs).max(1))
+        .collect();
+    let assignment = &fix.assignment;
+    let obligation_span = obs.phase_span(ObsPhase::Obligations);
+    let results: Vec<Option<ChunkResult>> = if chunks.len() <= 1 {
+        vec![Some(check_chunk(&ctx, &mut slots[0], &targets, assignment))]
+    } else {
+        let ctx = &ctx;
+        std::thread::scope(|s| {
+            let handles: Vec<_> = slots
+                .iter_mut()
+                .zip(chunks)
+                .map(|(slot, chunk)| s.spawn(move || check_chunk(ctx, slot, chunk, assignment)))
+                .collect();
+            handles.into_iter().map(|h| h.join().ok()).collect()
+        })
+    };
+    drop(obligation_span);
+    let mut errors = Vec::new();
+    for result in results {
+        let Some((errs, exh)) = result else {
+            // An obligation worker died: its chunk is unchecked, so the
+            // run cannot claim Safe.
+            obs.metrics().workers_quarantined.incr();
+            exhaustion.get_or_insert(Exhaustion::with_detail(
+                Phase::ObligationCheck,
+                Resource::Panic,
+                "obligation worker panicked; its chunk is unchecked".to_string(),
+            ));
+            continue;
+        };
+        errors.extend(errs);
+        if let Some(e) = exh {
+            exhaustion.get_or_insert(e);
+        }
+    }
+
+    stats.obligation_time = obligation_start.elapsed();
+    base.fill(&obs, &mut stats);
+    stats.worker_queries = slots.iter().map(|s| s.smt.stats.solved_queries).collect();
+    for slot in &slots {
+        stats.embed_nodes_built += slot.cache.built;
+        stats.embed_nodes_reused += slot.cache.reused;
+        stats.embed_nodes_bound += slot.cache.build_bound(&fix.shrinks);
+    }
+    obs.metrics()
+        .cache_poison_recoveries
+        .add(query_cache.poison_recoveries());
+    taint_refused_unsafe(&base, &obs, &errors, &mut exhaustion);
+
+    Solution {
+        assignment: fix.assignment,
+        errors,
+        stats,
+        exhaustion,
+    }
+}
+
+/// One worker's SMT solver and embedding cache, kept across rounds and
+/// into the obligation pass. A cache's stamps hold against the single,
+/// shrink-only history its worker sees: the merged assignment plus the
+/// worker's own weakenings.
+struct Slot<'s> {
+    /// Worker index (provenance, fault injection).
+    id: usize,
+    smt: SmtSolver,
+    cache: EmbedCache<'s>,
+}
+
+/// What every worker reads: the constraints, their dependency index,
+/// and the run's settings.
+struct Ctx<'a, 's> {
+    genv: &'a GlobalEnv,
+    subs: &'s [SubC],
+    /// The κs each constraint writes.
+    writes: &'a [Vec<KVar>],
+    /// κ → the constraints that read it and write a κ.
+    readers: &'a HashMap<KVar, Vec<usize>>,
+    /// Provenance label per constraint.
+    labels: &'a [Arc<str>],
+    obs: &'a Obs,
+    fault: Option<&'a FaultPlan>,
+    deadline: Option<Instant>,
+    incremental: bool,
+}
+
+/// The assignment, with the history the embedding caches' bound and the
+/// convergence telemetry read.
+struct Fixpoint {
+    assignment: HashMap<KVar, Vec<Pred>>,
+    /// How many times each κ's list shrank.
+    shrinks: HashMap<KVar, u64>,
+    /// `(round, count)` points per weakened κ.
+    traj: HashMap<KVar, Vec<(u64, usize)>>,
+}
+
+impl Fixpoint {
+    /// Replaces `k`'s list by `kept` in `round`. A list only ever
+    /// shrinks, or is emptied again by quarantine: the embedding caches'
+    /// stamps rely on that. `k`'s trajectory starts at its old count at
+    /// round 0, and updates within one round collapse to the last.
+    fn weaken(&mut self, k: KVar, kept: Vec<Pred>, round: u64) {
+        let n = kept.len();
+        let prev = self.assignment.insert(k, kept).map_or(0, |v| v.len());
+        debug_assert!(
+            n < prev || n == 0 && prev == 0,
+            "{k}'s list must shrink or stay empty, not go from {prev} to {n}"
+        );
+        if n < prev {
+            *self.shrinks.entry(k).or_default() += 1;
+        }
+        let points = self.traj.entry(k).or_insert_with(|| vec![(0, prev)]);
+        match points.last_mut() {
+            Some(last) if last.0 == round => last.1 = n,
+            _ => points.push((round, n)),
+        }
+    }
+}
+
+/// Where a worker reads the assignment and puts its weakenings.
+enum Store<'a> {
+    /// The round's only slice weakens the assignment in place.
+    InPlace(&'a mut Fixpoint),
+    /// One slice of several reads the round's snapshot under a private
+    /// overlay of its own weakenings; the merge applies them afterwards.
+    Overlay(&'a HashMap<KVar, Vec<Pred>>, HashMap<KVar, Vec<Pred>>),
+}
+
+impl Store<'_> {
+    fn view(&self) -> View<'_> {
+        match self {
+            Store::InPlace(fix) => View {
+                base: &fix.assignment,
+                local: None,
+            },
+            Store::Overlay(base, local) => View {
+                base,
+                local: Some(local),
+            },
+        }
+    }
+}
+
+/// What one worker reports for its slice of a round.
+#[derive(Default)]
+struct SliceReport {
+    /// Constraints checked: a prefix of the slice, short of all of it
+    /// only when the deadline expired.
+    checked: usize,
+    /// `(κ, survivors)` per overlay weakening, in order, for the merge to
+    /// apply (empty when the worker weakened in place).
+    weakened: Vec<(KVar, Vec<Pred>)>,
+    /// Constraints to check next round, in the order they were queued.
+    requeue: Vec<usize>,
+    /// The first deadline expiry or quarantine.
+    exhaustion: Option<Exhaustion>,
+    /// Wall-clock time spent on the slice.
+    wall: Duration,
+}
+
+/// Checks one slice of a round in order, weakening through `store`, and
+/// queues what the weakenings may have falsified.
+fn check_slice<'s>(
+    ctx: &Ctx<'_, 's>,
+    round: u64,
+    slot: &mut Slot<'s>,
+    slice: &[usize],
+    mut store: Store<'_>,
+) -> SliceReport {
+    let started = Instant::now();
+    let mut report = SliceReport::default();
+    // Queued and not yet checked: the rest of the slice, then what this
+    // worker queued for the next round.
+    let mut pending: HashSet<usize> = slice.iter().copied().collect();
+    for &ci in slice {
+        if deadline_expired(ctx.deadline) {
+            report.exhaustion = Some(Exhaustion::new(Phase::Fixpoint, Resource::Deadline));
+            break;
+        }
+        pending.remove(&ci);
+        // Injected worker panic: worker 0's first check of round `at`,
+        // quarantined like a real one.
+        let inject = slot.id == 0
+            && report.checked == 0
+            && ctx
+                .fault
+                .is_some_and(|f| f.fire_at(FaultPoint::WorkerPanic, round));
+        report.checked += 1;
+        ctx.obs.metrics().fixpoint_iterations.incr();
+        slot.smt.set_origin(Some(QueryOrigin {
+            constraint: ci as u32,
+            label: ctx.labels[ci].clone(),
+            round,
+            worker: slot.id as u32,
+        }));
+        let view = store.view();
+        let checked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if inject {
+                panic!("injected worker panic (round {round})");
+            }
+            let c = &ctx.subs[ci];
+            weaken_constraint(
+                ctx.genv,
+                c,
+                &view,
+                &mut slot.cache,
+                &mut slot.smt,
+                ctx.incremental,
+            )
+        }));
+        let weakened = checked.unwrap_or_else(|_| {
+            // Quarantine: weaken every κ this constraint writes to ⊤
+            // (sound, since weakening is monotone) and taint the run. The
+            // solver stays: an SMT session lives only inside one call.
+            ctx.obs.metrics().workers_quarantined.incr();
+            report.exhaustion.get_or_insert_with(|| {
+                Exhaustion::with_detail(
+                    Phase::Fixpoint,
+                    Resource::Panic,
+                    format!(
+                        "constraint check panicked at [{}]; its κs weakened to true",
+                        ctx.subs[ci].origin
+                    ),
+                )
+            });
+            ctx.writes[ci].iter().map(|&k| (k, Vec::new())).collect()
+        });
+        for (k, kept) in weakened {
+            match &mut store {
+                Store::InPlace(fix) => fix.weaken(k, kept, round),
+                Store::Overlay(_, local) => {
+                    local.insert(k, kept.clone());
+                    report.weakened.push((k, kept));
+                }
+            }
+            // A reader still ahead in this slice reads the new list when
+            // its turn comes; every other reader is checked next round,
+            // and so is this constraint.
+            for &r in ctx.readers.get(&k).map_or(&[][..], Vec::as_slice) {
+                if pending.insert(r) {
+                    report.requeue.push(r);
+                }
+            }
+            if pending.insert(ci) {
+                report.requeue.push(ci);
+            }
+        }
+    }
+    report.wall = started.elapsed();
+    report
+}
+
+/// The errors of one obligation chunk, and its first exhaustion.
+type ChunkResult = (Vec<LiquidError>, Option<Exhaustion>);
+
+/// Checks the concrete obligations of `targets`, in order, on one
+/// worker's solver and embedding cache.
+fn check_chunk<'s>(
+    ctx: &Ctx<'_, 's>,
+    slot: &mut Slot<'s>,
+    targets: &[usize],
+    assignment: &HashMap<KVar, Vec<Pred>>,
+) -> ChunkResult {
+    let mut errors = Vec::new();
+    let mut exhaustion = None;
+    for &ci in targets {
+        slot.smt.set_origin(Some(QueryOrigin {
+            constraint: ci as u32,
+            label: ctx.labels[ci].clone(),
+            round: 0,
+            worker: slot.id as u32,
+        }));
+        let c = &ctx.subs[ci];
+        let (errs, exh) = check_obligations(
+            ctx.genv,
+            c,
+            assignment,
+            &mut slot.cache,
+            &mut slot.smt,
+            ctx.incremental,
+        );
+        errors.extend(errs);
+        if let Some(e) = exh {
+            exhaustion.get_or_insert(e);
+        }
+    }
+    (errors, exhaustion)
 }
 
 /// The initial assignment: all well-sorted qualifier instantiations per
@@ -456,287 +968,6 @@ fn check_obligations<'s>(
     (errors, exhaustion)
 }
 
-/// The single-threaded solver (`--jobs 1`): one worklist, one SMT
-/// solver, immediate (Gauss–Seidel) assignment updates.
-fn solve_sequential(
-    genv: &GlobalEnv,
-    kenv: &KEnv,
-    subs: &[SubC],
-    quals: &[Qualifier],
-    config: &SolveConfig,
-) -> Solution {
-    let budget = config.budget;
-    let deadline = budget.deadline_from_now();
-    let obs = config.obs.clone();
-    let base = MetricsBaseline::capture(&obs);
-    // Cache-poison injection: give the run a shared cache with one shard
-    // poisoned, exercising the lock-recovery path end to end.
-    let poison_cache = config
-        .fault
-        .as_ref()
-        .filter(|f| f.fire(FaultPoint::CachePoison))
-        .map(|_| {
-            let cache = QueryCache::shared();
-            cache.poison_all_shards();
-            cache
-        });
-    let make_solver = || {
-        let mut smt = SmtSolver::with_config(SolverConfig {
-            budget,
-            ..config.smt
-        });
-        // Pin the absolute deadline so the SMT clock does not restart at
-        // the first query.
-        smt.set_deadline(deadline);
-        smt.set_obs(obs.clone());
-        smt.set_fault(config.fault.clone());
-        if let Some(c) = &poison_cache {
-            smt.share_cache(Arc::clone(c));
-        }
-        smt
-    };
-    let mut smt = make_solver();
-    let incremental = use_incremental(config);
-    let mut exhaustion: Option<Exhaustion> = None;
-    let fixpoint_start = Instant::now();
-    let fixpoint_span = obs.phase_span(ObsPhase::Fixpoint);
-    let mut stats = SolveStats {
-        jobs: 1,
-        ..SolveStats::default()
-    };
-    log_info!("solve: {} constraints, {} kvars", subs.len(), kenv.len());
-
-    let mut assignment = initial_assignment(kenv, quals, &obs, &mut stats);
-    log_info!("solve: initial quals = {}", stats.initial_quals);
-
-    // Provenance labels, one per constraint (shared with the SMT layer
-    // via `Arc`, formatted once).
-    let labels = constraint_labels(subs, &obs);
-
-    // Dependency index: κ → constraints that *read* it.
-    let mut readers: HashMap<KVar, Vec<usize>> = HashMap::new();
-    for (i, c) in subs.iter().enumerate() {
-        for k in c.reads() {
-            readers.entry(k).or_default().push(i);
-        }
-    }
-
-    // Worklist: every constraint with a κ on the right.
-    let mut queue: VecDeque<usize> = subs
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| !c.writes().is_empty())
-        .map(|(i, _)| i)
-        .collect();
-    let mut queued: HashSet<usize> = queue.iter().copied().collect();
-
-    // The sequential worklist has no barriers, but a BFS level structure
-    // still exists: everything initially queued is "round 1", whatever
-    // those iterations enqueue is "round 2", and so on. The round number
-    // feeds provenance, the trace, the per-round partition stats, and —
-    // counted on this path too — `stats.rounds`.
-    let mut round: u64 = 1;
-    let mut round_left = queue.len();
-    let mut round_start = Instant::now();
-    let mut round_checked = 0u64;
-    let mut traj: HashMap<KVar, Vec<(u64, usize)>> = HashMap::new();
-    let mut cache = EmbedCache::default();
-    let mut shrinks: HashMap<KVar, u64> = HashMap::new();
-
-    {
-        // Round spans nest inside the phase span, one after another.
-        let mut round_span = obs.tracing().then(|| {
-            obs.span("fixpoint", "round 1")
-                .arg("constraints", round_left as u64)
-        });
-        while let Some(ci) = queue.pop_front() {
-            queued.remove(&ci);
-            if round_left == 0 {
-                stats.partition_stats.push(PartitionStat {
-                    round,
-                    worker: 0,
-                    constraints: round_checked,
-                    wall: round_start.elapsed(),
-                });
-                round_checked = 0;
-                round_start = Instant::now();
-                round += 1;
-                round_left = queue.len() + 1;
-                // Close the finished round before the next one opens.
-                drop(round_span.take());
-                round_span = obs.tracing().then(|| {
-                    obs.span("fixpoint", format!("round {round}"))
-                        .arg("constraints", round_left as u64)
-                });
-            }
-            round_left -= 1;
-            stats.iterations += 1;
-            obs.metrics().fixpoint_iterations.incr();
-            obs.metrics().queue_depth.set(queue.len() as i64);
-            if stats.iterations.is_multiple_of(50) {
-                log_info!(
-                    "fixpoint: iter={} queue={} smt={} at [{}]",
-                    stats.iterations,
-                    queue.len(),
-                    obs.metrics().smt_queries.get() - base.queries,
-                    subs[ci].origin
-                );
-            }
-            if stats.iterations > budget.max_fixpoint_iterations {
-                // The worklist is not drained: the assignment may still
-                // be too strong, so nothing downstream can be trusted as
-                // Safe. The popped constraint goes back so the churn
-                // report below sees it as pending.
-                queue.push_front(ci);
-                exhaustion = Some(Exhaustion::with_detail(
-                    Phase::Fixpoint,
-                    Resource::FixpointIterations,
-                    format!("cap {}", budget.max_fixpoint_iterations),
-                ));
-                break;
-            }
-            if deadline_expired(deadline) {
-                queue.push_front(ci);
-                exhaustion = Some(Exhaustion::new(Phase::Fixpoint, Resource::Deadline));
-                break;
-            }
-            round_checked += 1;
-            let view = View {
-                base: &assignment,
-                local: None,
-            };
-            smt.set_origin(Some(QueryOrigin {
-                constraint: ci as u32,
-                label: labels[ci].clone(),
-                round,
-                worker: 0,
-            }));
-            // Injected worker panic: fires on the first constraint of
-            // round `at`, caught and quarantined like a real one. The
-            // `fired() == 1` guard keeps repeat polls in the same round
-            // from firing again (`fire_at` does not consume).
-            let inject = config.fault.as_ref().is_some_and(|f| {
-                f.fire_at(FaultPoint::WorkerPanic, round) && f.fired() == 1
-            });
-            let checked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if inject {
-                    panic!("injected worker panic (round {round})");
-                }
-                weaken_constraint(genv, &subs[ci], &view, &mut cache, &mut smt, incremental)
-            }));
-            let weakened = match checked {
-                Ok(w) => w,
-                Err(_) => {
-                    // Quarantine: conservatively weaken every κ this
-                    // constraint writes to ⊤ (sound — weakening is
-                    // monotone), taint the run, and rebuild the solver
-                    // in case the panic left it mid-session.
-                    obs.metrics().workers_quarantined.incr();
-                    exhaustion.get_or_insert(Exhaustion::with_detail(
-                        Phase::Fixpoint,
-                        Resource::Panic,
-                        format!(
-                            "constraint check panicked at [{}]; its κs weakened to true",
-                            subs[ci].origin
-                        ),
-                    ));
-                    smt = make_solver();
-                    subs[ci]
-                        .writes()
-                        .into_iter()
-                        .map(|k| (k, Vec::new()))
-                        .collect()
-                }
-            };
-            for (k, kept) in weakened {
-                let n = kept.len();
-                let prev = shrink(&mut assignment, &mut shrinks, k, kept);
-                record_trajectory(&mut traj, k, round, prev, n);
-                for &r in readers.get(&k).map(Vec::as_slice).unwrap_or(&[]) {
-                    if !subs[r].writes().is_empty() && queued.insert(r) {
-                        queue.push_back(r);
-                    }
-                }
-                // Re-enqueue this constraint itself; other constraints
-                // writing k are re-checked only if they also read it.
-                if queued.insert(ci) {
-                    queue.push_back(ci);
-                }
-            }
-        }
-    }
-
-    // Close out the last (possibly partial) round and count rounds on
-    // the sequential path too — `fixpoint_rounds` used to stay 0 at
-    // `--jobs 1` even after thousands of iterations.
-    if round_checked > 0 {
-        stats.partition_stats.push(PartitionStat {
-            round,
-            worker: 0,
-            constraints: round_checked,
-            wall: round_start.elapsed(),
-        });
-    }
-    if stats.iterations > 0 {
-        stats.rounds = round;
-        obs.metrics().fixpoint_rounds.add(stats.rounds);
-    }
-    stats.kvar_trajectories = finish_trajectories(traj);
-    if exhaustion.is_some() {
-        stats.churning_kvars = churn_names(subs, queue.iter().copied());
-        name_churn(&mut exhaustion, &stats.churning_kvars);
-    }
-
-    stats.fixpoint_time = fixpoint_start.elapsed();
-    drop(fixpoint_span);
-
-    // Final pass: concrete right-hand conjuncts.
-    let obligation_start = Instant::now();
-    let mut errors = Vec::new();
-    {
-        let _obligation_span = obs.phase_span(ObsPhase::Obligations);
-        for (ci, c) in subs.iter().enumerate() {
-            let has_conc = c
-                .rhs
-                .atoms
-                .iter()
-                .any(|(_, a)| matches!(a, RefAtom::Conc(_)));
-            if !has_conc {
-                continue;
-            }
-            smt.set_origin(Some(QueryOrigin {
-                constraint: ci as u32,
-                label: labels[ci].clone(),
-                round: 0,
-                worker: 0,
-            }));
-            let (errs, exh) =
-                check_obligations(genv, c, &assignment, &mut cache, &mut smt, incremental);
-            errors.extend(errs);
-            if let Some(e) = exh {
-                exhaustion.get_or_insert(e);
-            }
-        }
-    }
-
-    stats.obligation_time = obligation_start.elapsed();
-    base.fill(&obs, &mut stats);
-    fill_embed_stats(&mut stats, std::slice::from_ref(&cache), &shrinks);
-    stats.worker_queries = vec![smt.stats.solved_queries];
-    stats.worker_checks = vec![stats.iterations];
-    if let Some(c) = &poison_cache {
-        obs.metrics().cache_poison_recoveries.add(c.poison_recoveries());
-    }
-    taint_refused_unsafe(&base, &obs, &errors, &mut exhaustion);
-
-    Solution {
-        assignment,
-        errors,
-        stats,
-        exhaustion,
-    }
-}
-
 /// Counter values at solve entry: per-solve stats are reported as deltas
 /// against these, so a driver-level `Obs` shared across several `verify`
 /// calls (spec specialization retries the whole pipeline) still yields
@@ -805,58 +1036,6 @@ fn taint_refused_unsafe(
     }
 }
 
-/// Replaces `k`'s qualifier list by `kept` and returns the old list's
-/// length. A list only ever shrinks, or is emptied again by quarantine:
-/// the embedding cache's stamps rely on that. `shrinks` counts each κ's
-/// shrinks.
-fn shrink(
-    assignment: &mut HashMap<KVar, Vec<Pred>>,
-    shrinks: &mut HashMap<KVar, u64>,
-    k: KVar,
-    kept: Vec<Pred>,
-) -> usize {
-    let n = kept.len();
-    let prev = assignment.insert(k, kept).map_or(0, |v| v.len());
-    debug_assert!(
-        n < prev || n == 0 && prev == 0,
-        "{k}'s list must shrink or stay empty, not go from {prev} to {n}"
-    );
-    if n < prev {
-        *shrinks.entry(k).or_default() += 1;
-    }
-    prev
-}
-
-/// Sums the embedding caches' counters into `stats`.
-fn fill_embed_stats(
-    stats: &mut SolveStats,
-    caches: &[EmbedCache<'_>],
-    shrinks: &HashMap<KVar, u64>,
-) {
-    for cache in caches {
-        stats.embed_nodes_built += cache.built;
-        stats.embed_nodes_reused += cache.reused;
-        stats.embed_nodes_bound += cache.build_bound(shrinks);
-    }
-}
-
-/// Appends a `(round, count)` trajectory point for `k`, seeding the
-/// series with the pre-weakening count at round 0 and collapsing
-/// multiple updates within one round to the last value.
-fn record_trajectory(
-    traj: &mut HashMap<KVar, Vec<(u64, usize)>>,
-    k: KVar,
-    round: u64,
-    prev_len: usize,
-    new_len: usize,
-) {
-    let points = traj.entry(k).or_insert_with(|| vec![(0, prev_len)]);
-    match points.last_mut() {
-        Some(last) if last.0 == round => last.1 = new_len,
-        _ => points.push((round, new_len)),
-    }
-}
-
 /// Renders the trajectory map as name-sorted `SolveStats` rows.
 fn finish_trajectories(
     traj: HashMap<KVar, Vec<(u64, usize)>>,
@@ -916,35 +1095,15 @@ fn constraint_labels(subs: &[SubC], obs: &Obs) -> Vec<std::sync::Arc<str>> {
     }
 }
 
-/// What one fixpoint worker reports back for its partition.
-struct WorkerReport<'s> {
-    /// Constraints checked.
-    checked: u64,
-    /// SMT queries this worker's solver actually solved (its private
-    /// `solved_queries` counter; session/cache totals come from the
-    /// metrics registry instead).
-    queries: u64,
-    /// `(constraint, κ, survivors)` for every weakening, in processing
-    /// order. The constraint index is kept so the merge can mirror the
-    /// sequential solver's re-enqueue policy.
-    weakened: Vec<(usize, KVar, Vec<Pred>)>,
-    /// First budget exhaustion this worker hit, if any.
-    exhaustion: Option<Exhaustion>,
-    /// Wall-clock time this worker spent on its partition.
-    wall: Duration,
-    /// The worker's embedding cache, handed back for its next round.
-    cache: EmbedCache<'s>,
-}
-
-/// Groups a round's constraints so that any two constraints writing a
-/// common κ share a partition (union–find over written κs), then bins
-/// the groups onto `jobs` workers, largest first. Returns non-empty
-/// partitions, each sorted by constraint index.
-fn partition_round(
-    round: &[usize],
-    writes: &[Vec<KVar>],
-    jobs: usize,
-) -> Vec<Vec<usize>> {
+/// Splits a round into at most `jobs` slices such that constraints
+/// writing a common κ share a slice (union–find over written κs), and
+/// bins the groups, largest first, onto the least-loaded slice. Every
+/// slice keeps the round's order; empty slices are dropped.
+fn partition_round(round: Vec<usize>, writes: &[Vec<KVar>], jobs: usize) -> Vec<Vec<usize>> {
+    if jobs <= 1 {
+        // One bin holds every group: the round itself.
+        return vec![round];
+    }
     // Union–find over positions in `round`.
     let mut parent: Vec<usize> = (0..round.len()).collect();
     fn find(parent: &mut [usize], i: usize) -> usize {
@@ -979,16 +1138,16 @@ fn partition_round(
             }
         }
     }
-    // Components keyed by root position, in first-appearance order.
+    // Components of positions keyed by root, in first-appearance order.
     let mut components: Vec<Vec<usize>> = Vec::new();
     let mut comp_of_root: HashMap<usize, usize> = HashMap::new();
-    for (pos, &ci) in round.iter().enumerate() {
+    for pos in 0..round.len() {
         let root = find(&mut parent, pos);
         let cix = *comp_of_root.entry(root).or_insert_with(|| {
             components.push(Vec::new());
             components.len() - 1
         });
-        components[cix].push(ci);
+        components[cix].push(pos);
     }
     // Longest-processing-time binning: sort components by size
     // (descending, stable), assign each to the least-loaded worker.
@@ -1001,399 +1160,14 @@ fn partition_round(
         load[w] += components[i].len();
         bins[w].extend(components[i].iter().copied());
     }
-    let mut out: Vec<Vec<usize>> = bins.into_iter().filter(|b| !b.is_empty()).collect();
-    for b in &mut out {
-        b.sort_unstable();
-    }
-    out
-}
-
-/// The round-based parallel solver (`--jobs > 1`). See the module docs
-/// for the schedule and its soundness argument.
-fn solve_parallel(
-    genv: &GlobalEnv,
-    kenv: &KEnv,
-    subs: &[SubC],
-    quals: &[Qualifier],
-    config: &SolveConfig,
-    jobs: usize,
-) -> Solution {
-    let budget = config.budget;
-    let deadline = budget.deadline_from_now();
-    let obs = config.obs.clone();
-    let base = MetricsBaseline::capture(&obs);
-    let cache = QueryCache::shared();
-    if let Some(f) = &config.fault {
-        if f.fire(FaultPoint::CachePoison) {
-            cache.poison_all_shards();
-        }
-    }
-    let query_counter = Arc::new(AtomicU64::new(0));
-    let make_solver = || {
-        let mut smt = SmtSolver::with_config(SolverConfig {
-            budget,
-            ..config.smt
-        });
-        smt.set_deadline(deadline);
-        smt.share_cache(Arc::clone(&cache));
-        smt.share_query_counter(Arc::clone(&query_counter));
-        smt.set_obs(obs.clone());
-        smt.set_fault(config.fault.clone());
-        smt
-    };
-
-    let incremental = use_incremental(config);
-    let mut exhaustion: Option<Exhaustion> = None;
-    let fixpoint_start = Instant::now();
-    let fixpoint_span = obs.phase_span(ObsPhase::Fixpoint);
-    let mut stats = SolveStats {
-        jobs,
-        worker_queries: vec![0; jobs],
-        worker_checks: vec![0; jobs],
-        ..SolveStats::default()
-    };
-    log_info!(
-        "solve[{jobs} jobs]: {} constraints, {} kvars",
-        subs.len(),
-        kenv.len()
-    );
-
-    let mut assignment = initial_assignment(kenv, quals, &obs, &mut stats);
-    let labels = constraint_labels(subs, &obs);
-
-    // Dependency indices.
-    let mut readers: HashMap<KVar, Vec<usize>> = HashMap::new();
-    for (i, c) in subs.iter().enumerate() {
-        for k in c.reads() {
-            readers.entry(k).or_default().push(i);
-        }
-    }
-    let writes: Vec<Vec<KVar>> = subs.iter().map(SubC::writes).collect();
-
-    let mut queue: Vec<usize> = (0..subs.len())
-        .filter(|&i| !writes[i].is_empty())
-        .collect();
-    let mut queued: HashSet<usize> = queue.iter().copied().collect();
-    let mut traj: HashMap<KVar, Vec<(u64, usize)>> = HashMap::new();
-    // One embedding cache per worker slot, kept across rounds: a worker
-    // only ever sees the merged assignment plus its own weakenings, one
-    // shrink-only history.
-    let mut caches: Vec<EmbedCache> = (0..jobs).map(|_| EmbedCache::default()).collect();
-    let mut shrinks: HashMap<KVar, u64> = HashMap::new();
-
-    while !queue.is_empty() {
-        if deadline_expired(deadline) {
-            exhaustion = Some(Exhaustion::new(Phase::Fixpoint, Resource::Deadline));
-            stats.churning_kvars = churn_names(subs, queue.iter().copied());
-            name_churn(&mut exhaustion, &stats.churning_kvars);
-            break;
-        }
-        // Deterministic round: pending constraints in index order.
-        let mut round: Vec<usize> = std::mem::take(&mut queue);
-        queued.clear();
-        round.sort_unstable();
-        // Iteration budget: split off what exceeds the remainder (the
-        // sequential solver exhausts *before* processing the first
-        // over-cap constraint, so a zero remainder exhausts here too).
-        // The dropped tail still feeds the churn report.
-        let remaining = budget.max_fixpoint_iterations.saturating_sub(stats.iterations);
-        let dropped: Vec<usize> = if (round.len() as u64) > remaining {
-            round.split_off(remaining as usize)
-        } else {
-            Vec::new()
-        };
-        let over_cap = !dropped.is_empty();
-        if round.is_empty() {
-            exhaustion = Some(Exhaustion::with_detail(
-                Phase::Fixpoint,
-                Resource::FixpointIterations,
-                format!("cap {}", budget.max_fixpoint_iterations),
-            ));
-            stats.churning_kvars = churn_names(subs, dropped);
-            name_churn(&mut exhaustion, &stats.churning_kvars);
-            break;
-        }
-
-        let partitions = partition_round(&round, &writes, jobs);
-        stats.rounds += 1;
-        obs.metrics().fixpoint_rounds.incr();
-        let round_no = stats.rounds;
-        stats.max_partition = stats
-            .max_partition
-            .max(partitions.iter().map(Vec::len).max().unwrap_or(0));
-        log_info!(
-            "fixpoint round {}: {} constraints in {} partitions (max {})",
-            stats.rounds,
-            round.len(),
-            partitions.len(),
-            partitions.iter().map(Vec::len).max().unwrap_or(0)
-        );
-        let round_span = obs.tracing().then(|| {
-            obs.span("fixpoint", format!("round {round_no}"))
-                .arg("constraints", round.len() as u64)
-                .arg("partitions", partitions.len() as u64)
-        });
-
-        let snapshot = &assignment;
-        let labels_ref = &labels;
-        let obs_ref = &obs;
-        let fault_ref = &config.fault;
-        let reports: Vec<WorkerReport> = std::thread::scope(|s| {
-            let handles: Vec<_> = partitions
-                .iter()
-                .enumerate()
-                .map(|(w, part)| {
-                    let mut smt = make_solver();
-                    let cache = std::mem::take(&mut caches[w]);
-                    s.spawn(move || {
-                        let started = Instant::now();
-                        // Injected worker panic: worker 0 dies at the
-                        // start of round `at`, exercising the quarantine
-                        // path below.
-                        if w == 0
-                            && fault_ref
-                                .as_ref()
-                                .is_some_and(|f| f.fire_at(FaultPoint::WorkerPanic, round_no))
-                        {
-                            panic!("injected worker panic (round {round_no})");
-                        }
-                        let mut local: HashMap<KVar, Vec<Pred>> = HashMap::new();
-                        let mut report = WorkerReport {
-                            checked: 0,
-                            queries: 0,
-                            weakened: Vec::new(),
-                            exhaustion: None,
-                            wall: Duration::ZERO,
-                            cache,
-                        };
-                        for &ci in part {
-                            if deadline_expired(deadline) {
-                                report.exhaustion = Some(Exhaustion::new(
-                                    Phase::Fixpoint,
-                                    Resource::Deadline,
-                                ));
-                                break;
-                            }
-                            report.checked += 1;
-                            obs_ref.metrics().fixpoint_iterations.incr();
-                            let view = View {
-                                base: snapshot,
-                                local: Some(&local),
-                            };
-                            smt.set_origin(Some(QueryOrigin {
-                                constraint: ci as u32,
-                                label: labels_ref[ci].clone(),
-                                round: round_no,
-                                worker: w as u32,
-                            }));
-                            let weakened = weaken_constraint(
-                                genv,
-                                &subs[ci],
-                                &view,
-                                &mut report.cache,
-                                &mut smt,
-                                incremental,
-                            );
-                            for (k, kept) in weakened {
-                                local.insert(k, kept.clone());
-                                report.weakened.push((ci, k, kept));
-                            }
-                        }
-                        report.queries = smt.stats.solved_queries;
-                        report.wall = started.elapsed();
-                        report
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .zip(&partitions)
-                .map(|(h, part)| {
-                    h.join().unwrap_or_else(|_| {
-                        // A worker died (injected or real): quarantine
-                        // its partition. Every κ the partition writes is
-                        // conservatively weakened to ⊤ — sound, since
-                        // weakening is monotone — and the run is tainted
-                        // so the outcome degrades to Unknown rather than
-                        // claiming Safe from a partial fixpoint.
-                        obs_ref.metrics().workers_quarantined.incr();
-                        WorkerReport {
-                            checked: 0,
-                            queries: 0,
-                            weakened: part
-                                .iter()
-                                .flat_map(|&ci| {
-                                    writes[ci].iter().map(move |&k| (ci, k, Vec::new()))
-                                })
-                                .collect(),
-                            exhaustion: Some(Exhaustion::with_detail(
-                                Phase::Fixpoint,
-                                Resource::Panic,
-                                format!(
-                                    "fixpoint worker panicked; quarantined {} constraints",
-                                    part.len()
-                                ),
-                            )),
-                            wall: Duration::ZERO,
-                            cache: EmbedCache::default(),
-                        }
-                    })
-                })
-                .collect()
-        });
-        drop(round_span);
-
-        // Deterministic merge: workers are ordered, partitions have
-        // disjoint write-sets, and each worker reports weakenings in
-        // its own processing order — so the final value of every κ is
-        // unambiguous.
-        for (w, report) in reports.into_iter().enumerate() {
-            caches[w] = report.cache;
-            stats.iterations += report.checked;
-            stats.worker_queries[w] += report.queries;
-            stats.worker_checks[w] += report.checked;
-            stats.partition_stats.push(PartitionStat {
-                round: round_no,
-                worker: w,
-                constraints: report.checked,
-                wall: report.wall,
-            });
-            if let Some(e) = &report.exhaustion {
-                exhaustion.get_or_insert(e.clone());
-            }
-            for (ci, k, kept) in report.weakened {
-                let n = kept.len();
-                let prev = shrink(&mut assignment, &mut shrinks, k, kept);
-                record_trajectory(&mut traj, k, round_no, prev, n);
-                for &r in readers.get(&k).map(Vec::as_slice).unwrap_or(&[]) {
-                    if !writes[r].is_empty() && queued.insert(r) {
-                        queue.push(r);
-                    }
-                }
-                // Mirror the sequential schedule: the weakening
-                // constraint itself is re-checked next round.
-                if queued.insert(ci) {
-                    queue.push(ci);
-                }
-            }
-        }
-        obs.metrics().queue_depth.set(queue.len() as i64);
-        if over_cap && exhaustion.is_none() {
-            exhaustion = Some(Exhaustion::with_detail(
-                Phase::Fixpoint,
-                Resource::FixpointIterations,
-                format!("cap {}", budget.max_fixpoint_iterations),
-            ));
-        }
-        if exhaustion.is_some() {
-            stats.churning_kvars =
-                churn_names(subs, queue.iter().copied().chain(dropped));
-            name_churn(&mut exhaustion, &stats.churning_kvars);
-            break;
-        }
-    }
-    stats.kvar_trajectories = finish_trajectories(traj);
-
-    stats.fixpoint_time = fixpoint_start.elapsed();
-    drop(fixpoint_span);
-
-    // Final pass: concrete right-hand conjuncts, fanned out in chunks
-    // and merged back in constraint order so the error list is identical
-    // to the sequential one.
-    let obligation_start = Instant::now();
-    let targets: Vec<usize> = (0..subs.len())
-        .filter(|&i| {
-            subs[i]
-                .rhs
-                .atoms
-                .iter()
-                .any(|(_, a)| matches!(a, RefAtom::Conc(_)))
+    bins.into_iter()
+        .filter(|b| !b.is_empty())
+        .map(|mut b| {
+            b.sort_unstable();
+            b.into_iter().map(|pos| round[pos]).collect()
         })
-        .collect();
-    let chunk = targets.len().div_ceil(jobs.max(1)).max(1);
-    let assignment_ref = &assignment;
-    let labels_ref = &labels;
-    let obligation_span = obs.phase_span(ObsPhase::Obligations);
-    let mut obligation_results: Vec<(usize, Vec<LiquidError>, Option<Exhaustion>)> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = targets
-                .chunks(chunk)
-                .enumerate()
-                .map(|(w, part)| {
-                    let mut smt = make_solver();
-                    let mut cache = std::mem::take(&mut caches[w]);
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        for &ci in part {
-                            smt.set_origin(Some(QueryOrigin {
-                                constraint: ci as u32,
-                                label: labels_ref[ci].clone(),
-                                round: 0,
-                                worker: w as u32,
-                            }));
-                            let (errs, exh) = check_obligations(
-                                genv,
-                                &subs[ci],
-                                assignment_ref,
-                                &mut cache,
-                                &mut smt,
-                                incremental,
-                            );
-                            out.push((ci, errs, exh));
-                        }
-                        (out, smt.stats.solved_queries, cache)
-                    })
-                })
-                .collect();
-            let mut merged = Vec::new();
-            for (w, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok((out, queries, cache)) => {
-                        stats.worker_queries[w] += queries;
-                        caches[w] = cache;
-                        merged.extend(out);
-                    }
-                    Err(_) => {
-                        // An obligation worker died: its chunk is
-                        // unchecked, so the run cannot claim Safe —
-                        // taint it and degrade to Unknown.
-                        obs.metrics().workers_quarantined.incr();
-                        exhaustion.get_or_insert(Exhaustion::with_detail(
-                            Phase::ObligationCheck,
-                            Resource::Panic,
-                            "obligation worker panicked; its chunk is unchecked".to_string(),
-                        ));
-                    }
-                }
-            }
-            merged
-        });
-    drop(obligation_span);
-    obligation_results.sort_by_key(|(ci, _, _)| *ci);
-    let mut errors = Vec::new();
-    for (_, errs, exh) in obligation_results {
-        errors.extend(errs);
-        if let Some(e) = exh {
-            exhaustion.get_or_insert(e);
-        }
-    }
-
-    stats.obligation_time = obligation_start.elapsed();
-    base.fill(&obs, &mut stats);
-    fill_embed_stats(&mut stats, &caches, &shrinks);
-    obs.metrics()
-        .cache_poison_recoveries
-        .add(cache.poison_recoveries());
-    taint_refused_unsafe(&base, &obs, &errors, &mut exhaustion);
-
-    Solution {
-        assignment,
-        errors,
-        stats,
-        exhaustion,
-    }
+        .collect()
 }
-
 /// Checks a group of candidate qualifiers against one antecedent,
 /// bisecting on failure: valid groups cost one query regardless of size.
 /// Individual failures are retried against `full` (the unpruned
@@ -1785,7 +1559,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_on_diamond() {
+    fn four_workers_match_one_on_diamond() {
         let (genv, kenv, subs) = diamond_case();
         let seq = solve(&genv, &kenv, &subs, &quals(), &seq_config());
         let par = solve(
@@ -1815,10 +1589,9 @@ mod tests {
     }
 
     #[test]
-    fn sequential_counts_rounds_and_trajectories() {
+    fn one_worker_counts_rounds_and_trajectories() {
         let (genv, kenv, subs) = diamond_case();
         let sol = solve(&genv, &kenv, &subs, &quals(), &seq_config());
-        // Satellite fix: rounds are counted at --jobs 1 too.
         assert!(sol.stats.rounds > 0);
         assert!(!sol.stats.partition_stats.is_empty());
         let covered: u64 = sol.stats.partition_stats.iter().map(|p| p.constraints).sum();
@@ -1853,7 +1626,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_partition_stats_cover_rounds() {
+    fn four_workers_partition_stats_cover_rounds() {
         let (genv, kenv, subs) = diamond_case();
         let par = solve(
             &genv,
@@ -1880,20 +1653,20 @@ mod tests {
         let k0 = KVar(0);
         let k1 = KVar(1);
         let writes = vec![vec![k0], vec![k1], vec![k0]];
-        let parts = partition_round(&[0, 1, 2], &writes, 2);
+        let parts = partition_round(vec![2, 1, 0], &writes, 2);
         assert_eq!(parts.len(), 2);
-        let with_0 = parts.iter().find(|p| p.contains(&0)).unwrap();
-        assert!(with_0.contains(&2), "writers of κ0 split: {parts:?}");
-        // Partitions are sorted and disjoint.
-        for p in &parts {
-            let mut sorted = p.clone();
-            sorted.sort_unstable();
-            assert_eq!(*p, sorted);
-        }
+        // The writers of κ0 share a slice, in round order.
+        assert!(parts.contains(&vec![2, 0]), "{parts:?}");
+        assert!(parts.contains(&vec![1]), "{parts:?}");
+        // One worker's slice is the round itself.
+        assert_eq!(
+            partition_round(vec![2, 1, 0], &writes, 1),
+            vec![vec![2, 1, 0]]
+        );
     }
 
     #[test]
-    fn parallel_zero_iteration_budget_exhausts() {
+    fn two_workers_zero_iteration_budget_exhausts() {
         let (genv, kenv, subs) = diamond_case();
         let config = SolveConfig {
             jobs: 2,
@@ -1909,42 +1682,124 @@ mod tests {
         assert!(sol.outcome().is_unknown());
     }
 
+    /// A panicking check quarantines its own constraint and taints the
+    /// run, at any worker count; the fixpoint keeps going and converges.
     #[test]
-    fn injected_worker_panic_degrades_sequentially() {
+    fn injected_worker_panic_quarantines_one_check() {
         let (genv, kenv, subs) = diamond_case();
-        let config = SolveConfig {
-            fault: Some(Arc::new(FaultPlan::parse("worker-panic@1").unwrap())),
-            ..seq_config()
-        };
-        let sol = solve(&genv, &kenv, &subs, &quals(), &config);
-        let e = sol.exhaustion.as_ref().expect("panic taints the run");
-        assert_eq!(e.resource, Resource::Panic);
-        assert_eq!(e.phase, Phase::Fixpoint);
-        // The run degrades to Unknown — never a flipped definite verdict.
-        assert!(sol.outcome().is_unknown());
-        assert!(config.obs.metrics().workers_quarantined.get() >= 1);
+        for jobs in [1, 4] {
+            let config = SolveConfig {
+                jobs,
+                fault: Some(Arc::new(FaultPlan::parse("worker-panic@1").unwrap())),
+                ..SolveConfig::default()
+            };
+            let sol = solve(&genv, &kenv, &subs, &quals(), &config);
+            let e = sol.exhaustion.as_ref().expect("panic taints the run");
+            assert_eq!(e.resource, Resource::Panic);
+            assert_eq!(e.phase, Phase::Fixpoint);
+            assert!(
+                e.detail.contains("constraint check panicked"),
+                "{}",
+                e.detail
+            );
+            // The run degrades to Unknown — never a flipped definite verdict.
+            assert!(sol.outcome().is_unknown());
+            assert_eq!(config.obs.metrics().workers_quarantined.get(), 1);
+            assert!(sol.stats.churning_kvars.is_empty(), "jobs={jobs}");
+        }
     }
 
+    /// One worker reproduces the FIFO worklist schedule: a round is one
+    /// breadth-first level of it. The figures are the classic worklist's
+    /// on the diamond.
     #[test]
-    fn injected_worker_panic_quarantines_parallel_partition() {
+    fn driver_one_worker_keeps_the_worklist_schedule() {
         let (genv, kenv, subs) = diamond_case();
-        let config = SolveConfig {
-            jobs: 4,
-            fault: Some(Arc::new(FaultPlan::parse("worker-panic@1").unwrap())),
-            ..SolveConfig::default()
-        };
-        let sol = solve(&genv, &kenv, &subs, &quals(), &config);
-        let e = sol.exhaustion.as_ref().expect("panic taints the run");
-        assert_eq!(e.resource, Resource::Panic);
-        assert!(sol.outcome().is_unknown());
-        assert!(config.obs.metrics().workers_quarantined.get() >= 1);
+        let sol = solve(&genv, &kenv, &subs, &quals(), &seq_config());
+        let s = &sol.stats;
+        let sizes: Vec<u64> = s.partition_stats.iter().map(|p| p.constraints).collect();
+        assert_eq!(sizes, [8, 2, 2, 2, 1]);
+        assert!(s.partition_stats.iter().all(|p| p.worker == 0));
+        assert_eq!((s.iterations, s.rounds, s.max_partition), (15, 5, 8));
+        assert_eq!((s.smt_queries, s.cache_hits, s.cache_lookups), (2, 3, 5));
+        assert_eq!(s.worker_checks, [15]);
+        // κ names come from a process-wide counter: compare the points.
+        let mut traj: Vec<&[(u64, usize)]> = s
+            .kvar_trajectories
+            .iter()
+            .map(|(_, pts)| &pts[..])
+            .collect();
+        traj.sort();
+        assert_eq!(
+            traj,
+            [
+                [(0, 1), (1, 0)],
+                [(0, 1), (2, 0)],
+                [(0, 1), (3, 0)],
+                [(0, 1), (4, 0)]
+            ]
+        );
     }
 
-    /// Every assignment write goes through `shrink`, whose debug
-    /// assertion holds each κ list to shrinking, or staying empty: the
-    /// embedding cache's stamps rely on it. This drives it through each
-    /// write site — the sequential loop, the parallel merge, and
-    /// quarantine in both drivers — and checks what each site wrote.
+    /// An iteration cap of `n` checks exactly `n` constraints, and says
+    /// so, at any worker count.
+    #[test]
+    fn driver_iteration_cap_counts_the_checks_run() {
+        let (genv, kenv, subs) = diamond_case();
+        for jobs in [1, 2] {
+            for cap in [1, 2, 3, 5] {
+                let config = SolveConfig {
+                    jobs,
+                    budget: Budget {
+                        max_fixpoint_iterations: cap,
+                        ..Budget::default()
+                    },
+                    ..SolveConfig::default()
+                };
+                let sol = solve(&genv, &kenv, &subs, &quals(), &config);
+                let s = &sol.stats;
+                let checked: u64 = s.partition_stats.iter().map(|p| p.constraints).sum();
+                let ctx = format!("jobs={jobs} cap={cap}");
+                assert_eq!(s.iterations, cap, "{ctx}");
+                assert_eq!(checked, cap, "{ctx}");
+                assert_eq!(s.worker_checks.iter().sum::<u64>(), cap, "{ctx}");
+                assert_eq!(config.obs.metrics().fixpoint_iterations.get(), cap, "{ctx}");
+                let e = sol.exhaustion.as_ref().expect("the cap is hit");
+                assert_eq!(e.resource, Resource::FixpointIterations, "{ctx}");
+            }
+        }
+    }
+
+    /// A quarantined check keeps the run's query budget: the cap holds
+    /// and the per-worker counts sum to the run's total.
+    #[test]
+    fn driver_quarantine_keeps_the_query_budget() {
+        let (genv, kenv, subs) = diamond_case();
+        for jobs in [1, 2] {
+            for fault in [None, Some("worker-panic@1"), Some("worker-panic@2")] {
+                let config = SolveConfig {
+                    jobs,
+                    budget: Budget {
+                        max_smt_queries: Some(1),
+                        ..Budget::default()
+                    },
+                    fault: fault.map(|f| Arc::new(FaultPlan::parse(f).unwrap())),
+                    ..SolveConfig::default()
+                };
+                let sol = solve(&genv, &kenv, &subs, &quals(), &config);
+                let s = &sol.stats;
+                let ctx = format!("jobs={jobs} fault={fault:?}");
+                assert!(s.smt_queries <= 1, "{ctx}: {} queries", s.smt_queries);
+                assert_eq!(s.worker_queries.iter().sum::<u64>(), s.smt_queries, "{ctx}");
+            }
+        }
+    }
+
+    /// Every assignment write goes through `Fixpoint::weaken`, whose
+    /// debug assertion holds each κ list to shrinking, or staying empty:
+    /// the embedding cache's stamps rely on it. This drives it through
+    /// each write site — in place, the merge of several workers, and
+    /// quarantine under both — and checks what each site wrote.
     #[test]
     fn every_assignment_write_shrinks() {
         let (genv, kenv, subs) = diamond_case();
@@ -1977,8 +1832,12 @@ mod tests {
     #[should_panic(expected = "must shrink or stay empty")]
     fn a_growing_kvar_list_trips_the_shrink_assertion() {
         let k = KVar(u32::MAX);
-        let mut assignment = HashMap::from([(k, vec![Pred::True])]);
-        shrink(&mut assignment, &mut HashMap::new(), k, vec![Pred::True, Pred::False]);
+        let mut fix = Fixpoint {
+            assignment: HashMap::from([(k, vec![Pred::True])]),
+            shrinks: HashMap::new(),
+            traj: HashMap::new(),
+        };
+        fix.weaken(k, vec![Pred::True, Pred::False], 1);
     }
 
     #[test]

@@ -18,8 +18,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// A named place in the pipeline where a fault can be injected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultPoint {
-    /// Panic inside a fixpoint/obligation worker at round `N`.
+    /// Panic in worker 0's first constraint check of fixpoint round `N`.
     WorkerPanic,
+    /// Panic in the `N`-th job run under panic isolation, before its
+    /// pipeline starts.
+    JobPanic,
     /// Simulated incremental SMT-session failure mid-scope.
     SessionFail,
     /// Poison one shard of the shared query cache.
@@ -35,6 +38,7 @@ impl FaultPoint {
     pub fn name(self) -> &'static str {
         match self {
             FaultPoint::WorkerPanic => "worker-panic",
+            FaultPoint::JobPanic => "job-panic",
             FaultPoint::SessionFail => "session-fail",
             FaultPoint::CachePoison => "cache-poison",
             FaultPoint::TraceIo => "trace-io",
@@ -46,6 +50,7 @@ impl FaultPoint {
     pub fn all() -> &'static [FaultPoint] {
         &[
             FaultPoint::WorkerPanic,
+            FaultPoint::JobPanic,
             FaultPoint::SessionFail,
             FaultPoint::CachePoison,
             FaultPoint::TraceIo,

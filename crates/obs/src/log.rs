@@ -5,9 +5,6 @@
 //! environment and overridable by the CLI (`--quiet`):
 //!
 //! * `DSOLVE_LOG=error|warn|info|debug` picks the level explicitly;
-//! * otherwise `DSOLVE_TRACE`/`DSOLVE_DEBUG` imply `debug` and
-//!   `DSOLVE_PROGRESS` implies `info` (backward compatible with the
-//!   pre-obs env switches);
 //! * otherwise the default is `warn`, matching the pipeline's historic
 //!   silent-by-default behavior.
 //!
@@ -44,18 +41,10 @@ fn parse_level(s: &str) -> Option<Level> {
 }
 
 fn level_from_env() -> Level {
-    if let Ok(v) = std::env::var("DSOLVE_LOG") {
-        if let Some(l) = parse_level(&v) {
-            return l;
-        }
-    }
-    if std::env::var("DSOLVE_TRACE").is_ok() || std::env::var("DSOLVE_DEBUG").is_ok() {
-        return Level::Debug;
-    }
-    if std::env::var("DSOLVE_PROGRESS").is_ok() {
-        return Level::Info;
-    }
-    Level::Warn
+    std::env::var("DSOLVE_LOG")
+        .ok()
+        .and_then(|v| parse_level(&v))
+        .unwrap_or(Level::Warn)
 }
 
 fn current() -> u8 {

@@ -444,7 +444,7 @@ pub struct Metrics {
     pub workers_quarantined: Counter,
     /// Fixpoint weakening iterations (constraint re-checks).
     pub fixpoint_iterations: Counter,
-    /// Fixpoint rounds (BFS levels sequentially, barriers in parallel).
+    /// Fixpoint rounds (each one the whole worklist, in queue order).
     pub fixpoint_rounds: Counter,
     /// Current fixpoint worklist depth.
     pub queue_depth: Gauge,

@@ -604,6 +604,9 @@ impl SmtSolver {
                 out.push(self.settle_validity(antecedent, consequent, verdict));
                 continue;
             }
+            // The first solved consequent pays for opening the session and
+            // asserting the antecedent: that is query time too.
+            let qstart = Instant::now();
             if session.is_none() {
                 self.stats.sessions += 1;
                 self.obs.metrics().smt_sessions.incr();
@@ -618,7 +621,6 @@ impl SmtSolver {
             let s = session.as_mut().expect("session initialized above");
             self.stats.scoped_checks += 1;
             self.obs.metrics().smt_scoped_checks.incr();
-            let qstart = Instant::now();
             s.push();
             s.assert_pred(&Pred::not(consequent.clone()));
             let verdict = s.check(&budget, deadline, &mut self.stats);

@@ -6,8 +6,9 @@ set -e
 cd "$(dirname "$0")/.."
 
 # One jobs setting for every dsolve invocation below, so the smoke suite
-# actually exercises the parallel fixpoint on multi-core hosts (and a
-# single knob pins it: JOBS=1 ./scripts/check.sh for a sequential run).
+# runs rounds split over several workers on multi-core hosts (and a
+# single knob pins it: JOBS=1 ./scripts/check.sh runs every round on one
+# worker).
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 1)}"
 echo "== jobs: $JOBS"
 
@@ -28,6 +29,11 @@ cargo test -p dsolve-smt --test incremental_vs_scratch --test theory_oracles
 # built from scratch. By name for the same reason.
 echo "== cargo test -p dsolve-liquid embed_cache_matches_oracle"
 cargo test -p dsolve-liquid --lib embed_cache_matches_oracle
+
+# The fixpoint driver: the one-worker schedule, the iteration cap and
+# the query budget under quarantine, by name for the same reason.
+echo "== cargo test -p dsolve-liquid driver_"
+cargo test -p dsolve-liquid --lib driver_
 
 # Observability: registry/accounting invariants, trace validation, and
 # the overhead guard, by name for the same reason.
