@@ -174,15 +174,9 @@ fn parallel_and_sequential_verdicts_agree() {
 
 /// Runs one benchmark and returns its observable surface (verdict,
 /// canonicalized errors, canonicalized sorted inferred types).
-fn observe(
-    name: &str,
-    jobs: usize,
-    no_incremental: bool,
-    certify: bool,
-) -> (String, Vec<String>, Vec<String>) {
+fn observe(name: &str, jobs: usize, certify: bool) -> (String, Vec<String>, Vec<String>) {
     let mut job = load(name).unwrap();
     job.config.jobs = jobs;
-    job.config.no_incremental = no_incremental;
     job.config.smt.certify = certify;
     let res = job.run().unwrap_or_else(|e| panic!("{name}: {e}"));
     let mut inferred: Vec<String> = res
@@ -197,68 +191,38 @@ fn observe(
     (format!("{}", res.outcome()), errors, inferred)
 }
 
-/// The incremental (assertion-scope) SMT path and the scratch path must
-/// agree on everything observable across the smoke set — the end-to-end
-/// differential pin for the batched qualifier checks.
-#[test]
-fn incremental_and_scratch_verdicts_agree() {
-    for name in ["stablesort", "malloc", "subvsolve", "ralist"] {
-        let inc = observe(name, 1, false, false);
-        let scratch = observe(name, 1, true, false);
-        assert_eq!(
-            inc.0, scratch.0,
-            "{name}: verdict differs between incremental and scratch"
-        );
-        assert_eq!(
-            inc.1, scratch.1,
-            "{name}: error list differs between incremental and scratch"
-        );
-        assert_eq!(
-            inc.2, scratch.2,
-            "{name}: inferred types differ between incremental and scratch"
-        );
-    }
-}
-
-/// Incremental solving under `--jobs 4` stays deterministic: two runs
-/// produce identical observables, and they match the sequential
-/// incremental run.
+/// Solving under `--jobs 4` stays deterministic: two runs produce
+/// identical observables, and they match the sequential run.
 #[test]
 fn parallel_incremental_is_deterministic() {
     for name in ["stablesort", "subvsolve"] {
-        let a = observe(name, 4, false, false);
-        let b = observe(name, 4, false, false);
-        assert_eq!(a, b, "{name}: jobs=4 incremental runs differ");
-        let seq = observe(name, 1, false, false);
-        assert_eq!(
-            a, seq,
-            "{name}: jobs=4 incremental differs from sequential incremental"
-        );
+        let a = observe(name, 4, false);
+        let b = observe(name, 4, false);
+        assert_eq!(a, b, "{name}: jobs=4 runs differ");
+        let seq = observe(name, 1, false);
+        assert_eq!(a, seq, "{name}: jobs=4 differs from the sequential run");
     }
 }
 
-/// The full {jobs 1, 4} × {incremental, scratch} × {certify on, off}
-/// cross-product on the fastest smoke benchmarks: every cell must
-/// produce the same observable surface as the base configuration.
-/// Certification replays each definite SMT verdict through the
-/// independent checker, so this is also the pin that certification
-/// never *changes* a verdict — it may only degrade one to UNKNOWN, and
-/// on these all-SAFE rows it must not even do that.
+/// The full {jobs 1, 4} × {certify on, off} cross-product on the
+/// fastest smoke benchmarks: every cell must produce the same observable
+/// surface as the base configuration. Certification replays each
+/// definite SMT verdict through the independent checker, so this is also
+/// the pin that certification never *changes* a verdict — it may only
+/// degrade one to UNKNOWN, and on these all-SAFE rows it must not even
+/// do that.
 #[test]
 fn config_cross_product_agrees_on_smoke_set() {
     for name in ["malloc", "ralist"] {
-        let base = observe(name, 1, false, false);
+        let base = observe(name, 1, false);
         assert_eq!(base.0, "SAFE", "{name}: smoke benchmark no longer SAFE");
         for jobs in [1, 4] {
-            for no_incremental in [false, true] {
-                for certify in [false, true] {
-                    let got = observe(name, jobs, no_incremental, certify);
-                    assert_eq!(
-                        got, base,
-                        "{name}: jobs={jobs} no_incremental={no_incremental} \
-                         certify={certify} disagrees with base"
-                    );
-                }
+            for certify in [false, true] {
+                let got = observe(name, jobs, certify);
+                assert_eq!(
+                    got, base,
+                    "{name}: jobs={jobs} certify={certify} disagrees with base"
+                );
             }
         }
     }

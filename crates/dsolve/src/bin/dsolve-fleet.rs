@@ -2,8 +2,8 @@
 //!
 //! Generates a seeded, deterministic stream of NanoML datatype programs
 //! (see `dsolve_nanoml::genprog`), runs each through the config
-//! differential matrix (worker counts × incremental × cache × certify ×
-//! fault-injection points), and checks two oracles: no `SAFE` verdict
+//! differential matrix (worker counts × cache × certify, and every
+//! fault-injection point), and checks two oracles: no `SAFE` verdict
 //! on a violation-seeded program (soundness vs. the interpreter), and
 //! verdict agreement across configs modulo the degrade-to-`UNKNOWN`
 //! lattice. Disagreements are auto-minimized into reproducers.

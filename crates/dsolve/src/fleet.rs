@@ -1,9 +1,9 @@
 //! The differential verification fleet.
 //!
 //! Runs generated NanoML programs ([`dsolve_nanoml::genprog`]) through a
-//! **config differential matrix** — worker counts, incremental SMT
-//! on/off, query cache on/off, `--certify`, and every deterministic
-//! fault-injection point — and checks two oracles:
+//! **config differential matrix** — worker counts, query cache on/off,
+//! `--certify`, and every deterministic fault-injection point — and
+//! checks two oracles:
 //!
 //! 1. **Soundness vs. the interpreter.** Generation is oracle-aware: a
 //!    violation-seeded program concretely fails its assertion under the
@@ -102,8 +102,8 @@ pub enum Matrix {
     /// Sequential clean config only — the pure solver-vs-interpreter
     /// soundness oracle, cheapest per program.
     Soundness,
-    /// Clean configs across the {jobs, incremental, cache, certify}
-    /// dimensions.
+    /// Clean configs across the {jobs, cache, certify} dimensions, one
+    /// toggle each.
     Quick,
     /// `Quick` plus every deterministic fault-injection point.
     Full,
@@ -128,8 +128,6 @@ pub struct MatrixEntry {
     pub label: &'static str,
     /// Worker threads.
     jobs: usize,
-    /// Disable incremental SMT sessions.
-    no_incremental: bool,
     /// Disable the shared query cache.
     no_cache: bool,
     /// Certify every definite SMT verdict.
@@ -139,12 +137,12 @@ pub struct MatrixEntry {
 }
 
 impl MatrixEntry {
-    const fn clean(label: &'static str, jobs: usize, no_incremental: bool, no_cache: bool, certify: bool) -> MatrixEntry {
-        MatrixEntry { label, jobs, no_incremental, no_cache, certify, fault: None }
+    const fn clean(label: &'static str, jobs: usize, no_cache: bool, certify: bool) -> MatrixEntry {
+        MatrixEntry { label, jobs, no_cache, certify, fault: None }
     }
 
     const fn faulty(label: &'static str, jobs: usize, fault: &'static str) -> MatrixEntry {
-        MatrixEntry { label, jobs, no_incremental: false, no_cache: false, certify: false, fault: Some(fault) }
+        MatrixEntry { label, jobs, no_cache: false, certify: false, fault: Some(fault) }
     }
 
     /// Whether this entry can degrade the verdict by design (injected
@@ -159,7 +157,6 @@ impl MatrixEntry {
         let mut c = SolveConfig {
             budget,
             jobs: self.jobs,
-            no_incremental: self.no_incremental,
             obs: Obs::new(),
             ..SolveConfig::default()
         };
@@ -175,31 +172,26 @@ impl MatrixEntry {
 }
 
 /// The clean baseline configuration every differential compares against.
-const BASELINE: MatrixEntry = MatrixEntry::clean("seq", 1, false, false, false);
+const BASELINE: MatrixEntry = MatrixEntry::clean("seq", 1, false, false);
 
-/// The config entries of each matrix level. `Full` covers each dimension
-/// of {jobs 1/4} × {incremental on/off} × {cache on/off} × {certify} and
-/// pairs the parallel path with the most interaction-prone toggles, plus
-/// one entry per fault-injection point.
+/// The config entries of each matrix level. `Full` covers {jobs 1/4} ×
+/// {cache on/off} and {jobs 1/4} × {certify}, plus one entry per
+/// fault-injection point.
 pub fn matrix_entries(matrix: Matrix) -> &'static [MatrixEntry] {
     const SOUNDNESS: &[MatrixEntry] = &[BASELINE];
     const QUICK: &[MatrixEntry] = &[
         BASELINE,
-        MatrixEntry::clean("par4", 4, false, false, false),
-        MatrixEntry::clean("scratch", 1, true, false, false),
-        MatrixEntry::clean("nocache", 1, false, true, false),
-        MatrixEntry::clean("certify", 1, false, false, true),
+        MatrixEntry::clean("par4", 4, false, false),
+        MatrixEntry::clean("nocache", 1, true, false),
+        MatrixEntry::clean("certify", 1, false, true),
     ];
     const FULL: &[MatrixEntry] = &[
         BASELINE,
-        MatrixEntry::clean("par4", 4, false, false, false),
-        MatrixEntry::clean("scratch", 1, true, false, false),
-        MatrixEntry::clean("nocache", 1, false, true, false),
-        MatrixEntry::clean("certify", 1, false, false, true),
-        MatrixEntry::clean("par4-scratch", 4, true, false, false),
-        MatrixEntry::clean("par4-nocache", 4, false, true, false),
-        MatrixEntry::clean("par4-certify", 4, false, false, true),
-        MatrixEntry::clean("scratch-nocache", 1, true, true, false),
+        MatrixEntry::clean("par4", 4, false, false),
+        MatrixEntry::clean("nocache", 1, true, false),
+        MatrixEntry::clean("certify", 1, false, true),
+        MatrixEntry::clean("par4-nocache", 4, true, false),
+        MatrixEntry::clean("par4-certify", 4, false, true),
         MatrixEntry::faulty("fault-worker-panic", 2, "worker-panic@1"),
         MatrixEntry::faulty("fault-session-fail", 1, "session-fail@1"),
         MatrixEntry::faulty("fault-cache-poison", 2, "cache-poison"),

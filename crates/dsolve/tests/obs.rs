@@ -153,19 +153,18 @@ fn per_constraint_query_counts_deterministic() {
 /// and returns the parsed stats document. A fresh process per run: the
 /// symbol interner and fresh-name counter are process-global, so only
 /// process-identical runs are comparable bit for bit.
-fn cli_stats_run(dir: &std::path::Path, tag: &str, jobs: &str, scratch: bool) -> String {
+fn cli_stats_run(dir: &std::path::Path, tag: &str, vars: &[(&str, &str)]) -> String {
     let out_path = dir.join(format!("stats-{tag}.json"));
-    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_dsolve"));
-    cmd.arg(dir.join("m.ml"))
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dsolve"))
+        .arg(dir.join("m.ml"))
         .arg("--quiet")
         .arg("--jobs")
-        .arg(jobs)
+        .arg("1")
         .arg("--stats-json")
-        .arg(&out_path);
-    if scratch {
-        cmd.env("DSOLVE_NO_INCREMENTAL", "1");
-    }
-    let out = cmd.output().unwrap();
+        .arg(&out_path)
+        .envs(vars.iter().copied())
+        .output()
+        .unwrap();
     assert!(
         out.status.success(),
         "dsolve failed: {}",
@@ -190,12 +189,13 @@ fn micro_fields(stats: &str) -> Vec<(String, f64)> {
 }
 
 /// Theory micro-counters are exact work counts, not samples: running
-/// the binary twice on the same module under the same configuration
-/// must reproduce them bit for bit. Pinned for sequential incremental
-/// and sequential from-scratch SMT. (Parallel workers race on the
-/// shared query cache, so at jobs > 1 only the verdict, query counts,
-/// and the structural invariants below are reproducible — the per-run
-/// theory work legitimately varies by a fraction of a percent.)
+/// the binary twice on the same module at `--jobs 1` must reproduce
+/// them bit for bit. A third run with `DSOLVE_NO_INCREMENTAL=1` set must
+/// reproduce them too: the variable once selected a second SMT query
+/// path, and no library code may read it now. (Parallel workers race on
+/// the shared query cache, so at jobs > 1 only the verdict, query
+/// counts, and the structural invariants below are reproducible — the
+/// per-run theory work legitimately varies by a fraction of a percent.)
 #[test]
 fn micro_counters_deterministic_across_identical_runs() {
     let dir = std::env::temp_dir().join(format!("dsolve-obs-det-{}", std::process::id()));
@@ -204,18 +204,18 @@ fn micro_counters_deterministic_across_identical_runs() {
     std::fs::write(dir.join("m.ml"), SOURCE).unwrap();
     std::fs::write(dir.join("m.quals"), QUALS).unwrap();
 
-    for (jobs, scratch) in [("1", false), ("1", true)] {
-        let a = micro_fields(&cli_stats_run(&dir, "a", jobs, scratch));
-        let b = micro_fields(&cli_stats_run(&dir, "b", jobs, scratch));
-        assert!(
-            a.iter().any(|(_, v)| *v > 0.0),
-            "the module must produce theory work (jobs={jobs})"
-        );
-        assert_eq!(
-            a, b,
-            "micro counters must be deterministic at jobs={jobs} scratch={scratch}"
-        );
-    }
+    let a = micro_fields(&cli_stats_run(&dir, "a", &[]));
+    let b = micro_fields(&cli_stats_run(&dir, "b", &[]));
+    let with_var = micro_fields(&cli_stats_run(&dir, "c", &[("DSOLVE_NO_INCREMENTAL", "1")]));
+    assert!(
+        a.iter().any(|(_, v)| *v > 0.0),
+        "the module must produce theory work"
+    );
+    assert_eq!(a, b, "micro counters must be deterministic at jobs=1");
+    assert_eq!(
+        a, with_var,
+        "DSOLVE_NO_INCREMENTAL must not change the work of a run"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -223,15 +223,14 @@ fn micro_counters_deterministic_across_identical_runs() {
 /// agree with the theory timers and with each other.
 #[test]
 fn micro_counter_invariants_hold_across_configs() {
-    for (jobs, scratch) in [(1usize, false), (4, false), (1, true)] {
-        let mut j = job(jobs);
-        j.config.no_incremental = scratch;
+    for jobs in [1usize, 4] {
+        let j = job(jobs);
         let obs = j.config.obs.clone();
         let res = j.run().unwrap();
         assert!(res.is_safe());
         let snap = obs.snapshot(5);
         let m = &snap.micro;
-        let ctx = format!("jobs={jobs} no_incremental={scratch}");
+        let ctx = format!("jobs={jobs}");
 
         // Work implies time: any counted simplex pivot ran inside a
         // timed simplex region. (The converse is not an invariant — a

@@ -93,8 +93,8 @@ pub struct SolveStats {
     /// Validity checks requested of the SMT layer across all workers
     /// (from the metrics registry): `cache_hits + cache_misses`.
     pub cache_lookups: u64,
-    /// Incremental SMT sessions opened across all workers (0 when
-    /// incremental solving is disabled).
+    /// SMT sessions opened across all workers to serve a batch of
+    /// checks (a scalar query's one-shot session is not counted).
     pub smt_sessions: u64,
     /// Consequents decided under an assertion scope inside those
     /// sessions; `smt_scoped_checks / smt_sessions` is the average
@@ -195,10 +195,6 @@ pub struct SolveConfig {
     /// Fixpoint workers: `0` = one per available CPU, `n` = at most `n`
     /// slices per round (`1` runs every round on the calling thread).
     pub jobs: usize,
-    /// Disables incremental (assertion-scope) SMT batching: every
-    /// implication goes through the scratch `check_valid` path. The
-    /// `DSOLVE_NO_INCREMENTAL` environment variable forces this too.
-    pub no_incremental: bool,
     /// Observability handle: the metrics registry every SMT query and
     /// fixpoint event records into, plus the optional trace sink.
     /// Cloning the config shares the handle (it is an `Arc`), so one
@@ -208,12 +204,6 @@ pub struct SolveConfig {
     /// `DSOLVE_FAULT`), shared with every SMT solver this run creates so
     /// occurrence counts span workers. `None` in production runs.
     pub fault: Option<Arc<FaultPlan>>,
-}
-
-/// Whether this run batches implications through incremental SMT
-/// sessions (the default) or issues every query from scratch.
-fn use_incremental(config: &SolveConfig) -> bool {
-    !config.no_incremental && std::env::var_os("DSOLVE_NO_INCREMENTAL").is_none()
 }
 
 /// Resolves `config.jobs` (`0` = available parallelism).
@@ -310,7 +300,6 @@ pub fn solve(
         obs: &obs,
         fault: config.fault.as_deref(),
         deadline,
-        incremental: use_incremental(config),
     };
 
     // Round 1: every constraint with a κ on the right, in index order.
@@ -432,7 +421,6 @@ pub fn solve(
                 }
             }
         }
-        obs.metrics().queue_depth.set(queue.len() as i64);
     }
     stats.kvar_trajectories = finish_trajectories(std::mem::take(&mut fix.traj));
     if exhaustion.is_some() {
@@ -538,7 +526,6 @@ struct Ctx<'a, 's> {
     obs: &'a Obs,
     fault: Option<&'a FaultPlan>,
     deadline: Option<Instant>,
-    incremental: bool,
 }
 
 /// The assignment, with the history the embedding caches' bound and the
@@ -656,14 +643,7 @@ fn check_slice<'s>(
                 panic!("injected worker panic (round {round})");
             }
             let c = &ctx.subs[ci];
-            weaken_constraint(
-                ctx.genv,
-                c,
-                &view,
-                &mut slot.cache,
-                &mut slot.smt,
-                ctx.incremental,
-            )
+            weaken_constraint(ctx.genv, c, &view, &mut slot.cache, &mut slot.smt)
         }));
         let weakened = checked.unwrap_or_else(|_| {
             // Quarantine: weaken every κ this constraint writes to ⊤
@@ -728,14 +708,8 @@ fn check_chunk<'s>(
             worker: slot.id as u32,
         }));
         let c = &ctx.subs[ci];
-        let (errs, exh) = check_obligations(
-            ctx.genv,
-            c,
-            assignment,
-            &mut slot.cache,
-            &mut slot.smt,
-            ctx.incremental,
-        );
+        let (errs, exh) =
+            check_obligations(ctx.genv, c, assignment, &mut slot.cache, &mut slot.smt);
         errors.extend(errs);
         if let Some(e) = exh {
             exhaustion.get_or_insert(e);
@@ -782,7 +756,6 @@ fn weaken_constraint<'s>(
     view: &View<'_>,
     cache: &mut EmbedCache<'s>,
     smt: &mut SmtSolver,
-    incremental: bool,
 ) -> Vec<(KVar, Vec<Pred>)> {
     let emb = cache.embed(genv, c, view);
     let (sorts, lhs) = (&emb.sorts, &emb.lhs);
@@ -813,8 +786,8 @@ fn weaken_constraint<'s>(
         let lhs_full = Pred::and(vec![emb.pruned(&mut seeds), lhs.clone()]);
         let lhs_conjuncts: HashSet<&Pred> = conjuncts(&lhs_full).iter().collect();
         // Partition the candidates: syntactic hits, ill-sorted
-        // transports, and the rest — checked in bisected groups
-        // (most candidates survive most checks, so testing the whole
+        // transports, and the rest — checked as one group (most
+        // candidates survive most checks, so testing the whole
         // conjunction first usually costs a single query).
         let mut kept = Vec::with_capacity(quals_k.len());
         let mut to_check: Vec<(Pred, Pred)> = Vec::new();
@@ -825,11 +798,7 @@ fn weaken_constraint<'s>(
                 to_check.push((q.clone(), rhs_q));
             }
         }
-        if incremental {
-            check_group_batched(smt, sorts, &lhs_full, &lhs_unpruned, &to_check, &mut kept);
-        } else {
-            check_group(smt, sorts, &lhs_full, &lhs_unpruned, &to_check, &mut kept);
-        }
+        check_group(smt, sorts, &lhs_full, &lhs_unpruned, &to_check, &mut kept);
         if kept.len() < quals_k.len() {
             if dsolve_obs::log::enabled(dsolve_obs::log::Level::Debug) {
                 let removed: Vec<String> = quals_k
@@ -877,7 +846,6 @@ fn check_obligations<'s>(
     assignment: &HashMap<KVar, Vec<Pred>>,
     cache: &mut EmbedCache<'s>,
     smt: &mut SmtSolver,
-    incremental: bool,
 ) -> (Vec<LiquidError>, Option<Exhaustion>) {
     let mut errors = Vec::new();
     let mut exhaustion: Option<Exhaustion> = None;
@@ -888,10 +856,9 @@ fn check_obligations<'s>(
     let emb = cache.embed(genv, c, &view);
     let sorts = &emb.sorts;
     let lhs_full = Pred::and(vec![emb.antecedent(), emb.lhs.clone()]);
-    // Collect the concrete conjuncts first so the incremental path can
-    // decide them all in one session (the antecedent is encoded once);
-    // errors are still emitted in atom order, identical to the scalar
-    // path.
+    // Collect the concrete conjuncts first so several can be decided in
+    // one session (the antecedent is encoded once); errors are still
+    // emitted in atom order.
     let mut obligations: Vec<(Pred, bool)> = Vec::new();
     for (theta, atom) in &c.rhs.atoms {
         let RefAtom::Conc(p) = atom else { continue };
@@ -899,20 +866,13 @@ fn check_obligations<'s>(
         let wellsorted = sorts.wellsorted(&rhs);
         obligations.push((rhs, wellsorted));
     }
-    let mut batched = if incremental {
-        let rhss: Vec<Pred> = obligations
-            .iter()
-            .filter(|(_, ws)| *ws)
-            .map(|(rhs, _)| rhs.clone())
-            .collect();
-        if rhss.len() > 1 {
-            Some(smt.check_valid_many(sorts, &lhs_full, &rhss).into_iter())
-        } else {
-            None
-        }
-    } else {
-        None
-    };
+    let rhss: Vec<Pred> = obligations
+        .iter()
+        .filter(|(_, ws)| *ws)
+        .map(|(rhs, _)| rhs.clone())
+        .collect();
+    let mut batched =
+        (rhss.len() > 1).then(|| smt.check_valid_many(sorts, &lhs_full, &rhss).into_iter());
     for (rhs, wellsorted) in obligations {
         if !wellsorted {
             errors.push(LiquidError {
@@ -1168,10 +1128,15 @@ fn partition_round(round: Vec<usize>, writes: &[Vec<KVar>], jobs: usize) -> Vec<
         })
         .collect()
 }
+
 /// Checks a group of candidate qualifiers against one antecedent,
-/// bisecting on failure: valid groups cost one query regardless of size.
-/// Individual failures are retried against `full` (the unpruned
-/// antecedent, forced only then).
+/// keeping the survivors. The all-survive case costs one (cacheable)
+/// conjunction query. A single candidate is one scalar query; a mixed
+/// group is decided candidate-by-candidate in a single SMT session — the
+/// antecedent is encoded once and each consequent checked under its own
+/// assertion scope. Pruning is a fast path, not a semantics: failures
+/// are retried against `full` (the unpruned antecedent, forced only
+/// then) before a qualifier is dropped for good.
 fn check_group(
     smt: &mut SmtSolver,
     sorts: &dsolve_logic::SortEnv,
@@ -1198,62 +1163,29 @@ fn check_group(
             let all = Pred::and(group.iter().map(|(_, r)| r.clone()).collect());
             if smt.is_valid(sorts, lhs, &all) {
                 kept.extend(group.iter().map(|(q, _)| q.clone()));
-            } else {
-                let mid = group.len() / 2;
-                check_group(smt, sorts, lhs, full, &group[..mid], kept);
-                check_group(smt, sorts, lhs, full, &group[mid..], kept);
+                return;
             }
-        }
-    }
-}
-
-/// The incremental counterpart of [`check_group`]: the all-survive case
-/// still costs one (cacheable) conjunction query, but a mixed group is
-/// decided candidate-by-candidate in a single SMT session — the
-/// antecedent is encoded once and each consequent checked under its own
-/// assertion scope — instead of bisecting (which re-encodes the
-/// antecedent at every split). Failures are retried against `full`, again
-/// as one batch.
-fn check_group_batched(
-    smt: &mut SmtSolver,
-    sorts: &dsolve_logic::SortEnv,
-    lhs: &Pred,
-    full: &LazyCell<Pred, impl FnOnce() -> Pred>,
-    group: &[(Pred, Pred)],
-    kept: &mut Vec<Pred>,
-) {
-    if group.len() <= 1 {
-        return check_group(smt, sorts, lhs, full, group, kept);
-    }
-    let all = Pred::and(group.iter().map(|(_, r)| r.clone()).collect());
-    if smt.is_valid(sorts, lhs, &all) {
-        kept.extend(group.iter().map(|(q, _)| q.clone()));
-        return;
-    }
-    let rhss: Vec<Pred> = group.iter().map(|(_, r)| r.clone()).collect();
-    let verdicts = smt.check_valid_many(sorts, lhs, &rhss);
-    let mut failed: Vec<&(Pred, Pred)> = Vec::new();
-    for (pair, v) in group.iter().zip(&verdicts) {
-        if matches!(v, Validity::Valid) {
-            kept.push(pair.0.clone());
-        } else {
-            failed.push(pair);
-        }
-    }
-    // Pruning is a fast path, not a semantics: retry failures against
-    // the unpruned antecedent before dropping a qualifier for good.
-    if failed.is_empty() {
-        return;
-    }
-    let full: &Pred = full;
-    if full == lhs {
-        return;
-    }
-    let retry: Vec<Pred> = failed.iter().map(|(_, r)| r.clone()).collect();
-    let verdicts = smt.check_valid_many(sorts, full, &retry);
-    for (pair, v) in failed.into_iter().zip(&verdicts) {
-        if matches!(v, Validity::Valid) {
-            kept.push(pair.0.clone());
+            let rhss: Vec<Pred> = group.iter().map(|(_, r)| r.clone()).collect();
+            let verdicts = smt.check_valid_many(sorts, lhs, &rhss);
+            let mut failed: Vec<&(Pred, Pred)> = Vec::new();
+            for (pair, v) in group.iter().zip(&verdicts) {
+                if matches!(v, Validity::Valid) {
+                    kept.push(pair.0.clone());
+                } else {
+                    failed.push(pair);
+                }
+            }
+            let full: &Pred = full;
+            if failed.is_empty() || full == lhs {
+                return;
+            }
+            let retry: Vec<Pred> = failed.iter().map(|(_, r)| r.clone()).collect();
+            let verdicts = smt.check_valid_many(sorts, full, &retry);
+            for (pair, v) in failed.into_iter().zip(&verdicts) {
+                if matches!(v, Validity::Valid) {
+                    kept.push(pair.0.clone());
+                }
+            }
         }
     }
 }

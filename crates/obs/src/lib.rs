@@ -31,7 +31,7 @@ pub mod trace;
 mod provenance;
 
 pub use metrics::{
-    bucket_floor_us, Counter, Gauge, Histogram, Metrics, MicroCounter, MicroTable, ObsPhase,
+    bucket_floor_us, Counter, Histogram, Metrics, MicroCounter, MicroTable, ObsPhase,
     TheoryKind, HIST_BUCKETS, NMICRO, NPHASES, NTHEORIES,
 };
 pub use provenance::{ConstraintCost, CostTable, QueryOrigin};

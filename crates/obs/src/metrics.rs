@@ -7,7 +7,7 @@
 //! hot word between cores. Reads ([`Counter::get`]) sum the stripes and
 //! are only used at reporting boundaries, never in hot paths.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Number of counter stripes. A small power of two: enough to separate
@@ -61,28 +61,6 @@ impl Counter {
             .iter()
             .map(|s| s.0.load(Ordering::Relaxed))
             .sum()
-    }
-}
-
-/// Last-writer-wins gauge (instantaneous level, e.g. queue depth).
-#[derive(Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// Creates a zeroed gauge.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Sets the level.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Reads the level.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -446,8 +424,6 @@ pub struct Metrics {
     pub fixpoint_iterations: Counter,
     /// Fixpoint rounds (each one the whole worklist, in queue order).
     pub fixpoint_rounds: Counter,
-    /// Current fixpoint worklist depth.
-    pub queue_depth: Gauge,
     /// Wall time per solved SMT query.
     pub query_time: Histogram,
     /// Wall time per pipeline phase, nanoseconds, indexed by [`ObsPhase`].

@@ -25,28 +25,16 @@ use dsolve_logic::{Expr, Pred};
 use dsolve_obs::{micro, MicroCounter};
 use std::collections::BTreeSet;
 
-/// Conjoins ground instances of the read-over-write axioms to `p`.
-///
-/// Returns `p` unchanged when the formula contains no `Upd` terms.
-pub fn instantiate_array_axioms(p: &Pred) -> Pred {
-    let lemmas = array_axiom_lemmas(p);
-    if lemmas.is_empty() {
-        return p.clone();
-    }
-    let mut parts = vec![p.clone()];
-    parts.extend(lemmas);
-    Pred::and(parts)
-}
-
-/// The lemma list behind [`instantiate_array_axioms`], without
-/// conjoining: every returned predicate is a valid axiom instance on
+/// Ground instances of the read-over-write axioms for the conjunction
+/// of `conjuncts`. Every returned predicate is a valid axiom instance on
 /// its own, so incremental callers may retain them across assertion
-/// scopes. The instantiation order matches [`instantiate_array_axioms`]
-/// exactly.
-pub fn array_axiom_lemmas(p: &Pred) -> Vec<Pred> {
+/// scopes. Empty when no conjunct contains an `Upd` term.
+pub fn array_axiom_lemmas<'a>(conjuncts: impl IntoIterator<Item = &'a Pred>) -> Vec<Pred> {
     let mut upds: BTreeSet<Expr> = BTreeSet::new();
     let mut indices: BTreeSet<Expr> = BTreeSet::new();
-    collect_pred(p, &mut upds, &mut indices);
+    for p in conjuncts {
+        collect_pred(p, &mut upds, &mut indices);
+    }
     if upds.is_empty() {
         return Vec::new();
     }
@@ -146,17 +134,20 @@ mod tests {
     use super::*;
     use dsolve_logic::parse_pred;
 
+    /// The lemmas for `src`, conjoined for display.
+    fn lemmas(src: &str) -> String {
+        Pred::and(array_axiom_lemmas([&parse_pred(src).unwrap()])).to_string()
+    }
+
     #[test]
-    fn no_updates_is_identity() {
+    fn no_updates_no_lemmas() {
         let p = parse_pred("Sel(m, i) = 0").unwrap();
-        assert_eq!(instantiate_array_axioms(&p), p);
+        assert!(array_axiom_lemmas([&p]).is_empty());
     }
 
     #[test]
     fn read_over_write_instantiated() {
-        let p = parse_pred("mp = Upd(m, k, 1) && Sel(mp, j) = 0").unwrap();
-        let out = instantiate_array_axioms(&p);
-        let s = out.to_string();
+        let s = lemmas("mp = Upd(m, k, 1) && Sel(mp, j) = 0");
         // The hit case for index j over Upd(m, k, 1) must be present.
         assert!(s.contains("(j = k) => (Sel(Upd(m, k, 1), j) = 1)"), "{s}");
         // And the miss case connecting to the inner map.
@@ -168,19 +159,27 @@ mod tests {
 
     #[test]
     fn write_index_is_a_read_point() {
-        let p = parse_pred("mp = Upd(m, k, 1)").unwrap();
-        let out = instantiate_array_axioms(&p);
-        let s = out.to_string();
+        let s = lemmas("mp = Upd(m, k, 1)");
         assert!(s.contains("(k = k) => (Sel(Upd(m, k, 1), k) = 1)"), "{s}");
     }
 
     #[test]
     fn nested_updates_iterate() {
-        let p = parse_pred("mp = Upd(Upd(m, a, 1), b, 2) && Sel(mp, j) = 0").unwrap();
-        let out = instantiate_array_axioms(&p);
-        let s = out.to_string();
+        let s = lemmas("mp = Upd(Upd(m, a, 1), b, 2) && Sel(mp, j) = 0");
         // Outer miss introduces Sel(Upd(m,a,1), j); the inner update must
         // also be instantiated at j.
         assert!(s.contains("(j != a) => (Sel(Upd(m, a, 1), j) = Sel(m, j))"), "{s}");
+    }
+
+    #[test]
+    fn conjuncts_share_one_instantiation() {
+        // An update in one conjunct is read at the index another one
+        // mentions: the lemmas of the parts are those of the conjunction.
+        let upd = parse_pred("mp = Upd(m, k, 1)").unwrap();
+        let read = parse_pred("Sel(mp, j) = 0").unwrap();
+        assert_eq!(
+            array_axiom_lemmas([&upd, &read]),
+            array_axiom_lemmas([&Pred::and(vec![upd.clone(), read.clone()])])
+        );
     }
 }

@@ -6,15 +6,15 @@
 //!
 //! * a **Sat** answer (an *Invalid* implication) carries its countermodel
 //!   — the truth value the SAT model assigns to every theory atom. The
-//!   [`eval_pred`] evaluator walks the original (preprocessed) predicate's
+//!   [`eval_pred`] evaluator walks each asserted (preprocessed) predicate's
 //!   boolean structure, re-interning each leaf through the deterministic
-//!   [`Atoms`] table, and must find the formula *true* under the model.
+//!   [`Atoms`] table, and must find every one *true* under the model.
 //!   (For a validity query the solved formula is the negated implication
 //!   `antecedent ∧ ¬consequent`, so "true" means the implication is
 //!   falsified.) Theory consistency of the model was already established
-//!   by the final `check_assignment` call that accepted it.
+//!   by the theory check that accepted it.
 //! * an **Unsat** answer (a *Valid* implication) carries the theory
-//!   conflict cores learned along the way. [`replay_cores`] re-submits
+//!   conflict cores learned along the way. [`certify_unsat`] re-submits
 //!   each core — a small set of atom/polarity literals — to the theory
 //!   stack, which must refute it again. This confirms every blocking
 //!   clause the propositional refutation leaned on was theory-justified.
@@ -101,21 +101,6 @@ pub(crate) fn eval_pred(
     }
 }
 
-/// Certifies a `Sat` answer: the model must make `p` true. Returns an
-/// error description on failure.
-pub(crate) fn certify_sat(
-    p: &Pred,
-    atoms: &mut Atoms,
-    env: &SortEnv,
-    model: &[(AtomId, bool)],
-) -> Result<(), String> {
-    match eval_pred(p, atoms, env, model) {
-        Some(true) => Ok(()),
-        Some(false) => Err("countermodel does not satisfy the solved formula".into()),
-        None => Err("countermodel leaves the solved formula undetermined".into()),
-    }
-}
-
 /// Certifies an `Unsat` answer: every recorded theory core must still be
 /// refuted by the theory stack. Returns an error description on failure.
 ///
@@ -150,6 +135,7 @@ pub(crate) fn certify_unsat(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cnf::{encode_incremental, EncodeCtx};
     use dsolve_logic::{parse_pred, Sort, Symbol};
 
     fn env() -> SortEnv {
@@ -166,7 +152,7 @@ mod tests {
         let mut atoms = Atoms::new();
         let p = parse_pred("x < y && (y < z || x = z)").unwrap();
         // Intern the leaves the way the encoder would.
-        let _ = crate::cnf::encode(&p, &mut atoms, &env);
+        let _ = encode_incremental(&p, &mut atoms, &env, &mut EncodeCtx::new());
         // Model: x<y true, y<z false, x=z true.
         let model: Vec<(AtomId, bool)> = (0..atoms.len())
             .map(|i| (AtomId(i as u32), i != 1))
@@ -200,7 +186,7 @@ mod tests {
         let env = env();
         let mut atoms = Atoms::new();
         let p = parse_pred("x < y && y < x").unwrap();
-        let _ = crate::cnf::encode(&p, &mut atoms, &env);
+        let _ = encode_incremental(&p, &mut atoms, &env, &mut EncodeCtx::new());
         // Both inequalities asserted true form a refutable core.
         let core: Vec<(AtomId, bool)> =
             (0..atoms.len()).map(|i| (AtomId(i as u32), true)).collect();

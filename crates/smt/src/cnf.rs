@@ -248,17 +248,6 @@ fn gcd(a: i128, b: i128) -> i128 {
     a
 }
 
-/// Output of the CNF encoding: clauses over SAT variables, with the
-/// mapping from atoms to variables.
-pub struct CnfFormula {
-    /// CNF clauses.
-    pub clauses: Vec<Vec<Lit>>,
-    /// SAT variable for each atom id (index = atom index).
-    pub atom_vars: Vec<BVar>,
-    /// Total number of SAT variables (atoms + Tseitin gates).
-    pub num_vars: usize,
-}
-
 /// Persistent encoder state shared across incremental encoding steps.
 ///
 /// The atom → SAT-variable map, the variable counter, and the set of
@@ -342,32 +331,6 @@ pub fn encode_incremental(
     EncodedUnit {
         clauses: enc.clauses,
         lemma_clauses: enc.lemma_clauses,
-    }
-}
-
-/// Encodes `p` (asserted true) into CNF over theory atoms.
-pub fn encode(p: &Pred, atoms: &mut Atoms, env: &SortEnv) -> CnfFormula {
-    let mut ctx = EncodeCtx::new();
-    let unit = encode_incremental(p, atoms, env, &mut ctx);
-    let mut clauses = unit.lemma_clauses;
-    clauses.extend(unit.clauses);
-    // Dense atom-var table (atoms created during encoding are all mapped).
-    let mut table = vec![BVar(u32::MAX); atoms.len()];
-    for (aid, v) in &ctx.atom_vars {
-        table[aid.index()] = *v;
-    }
-    // Atoms mentioned zero times (shouldn't happen) get fresh vars.
-    let mut nvars = ctx.num_vars;
-    for t in table.iter_mut() {
-        if t.0 == u32::MAX {
-            *t = BVar(nvars as u32);
-            nvars += 1;
-        }
-    }
-    CnfFormula {
-        clauses,
-        atom_vars: table,
-        num_vars: nvars,
     }
 }
 
@@ -605,30 +568,40 @@ mod tests {
         assert!(matches!(atoms.atom(id), Atom::Eq { lin: None, .. }));
     }
 
+    /// Encodes `p` on a fresh context: its clauses, definitional
+    /// clauses first.
+    fn encode(p: &Pred, atoms: &mut Atoms, ctx: &mut EncodeCtx) -> Vec<Vec<Lit>> {
+        let unit = encode_incremental(p, atoms, &env(), ctx);
+        let mut clauses = unit.lemma_clauses;
+        clauses.extend(unit.clauses);
+        clauses
+    }
+
     #[test]
     fn encode_produces_clauses() {
         let mut atoms = Atoms::new();
-        let env = env();
+        let mut ctx = EncodeCtx::new();
         let p = parse_pred("x < y && (y < z || flag)").unwrap();
-        let cnf = encode(&p, &mut atoms, &env);
-        assert!(!cnf.clauses.is_empty());
-        assert_eq!(cnf.atom_vars.len(), atoms.len());
-        assert!(cnf.num_vars >= atoms.len());
+        let clauses = encode(&p, &mut atoms, &mut ctx);
+        assert!(!clauses.is_empty());
+        for i in 0..atoms.len() {
+            assert!(ctx.lookup_atom(AtomId(i as u32)).is_some());
+        }
+        assert!(ctx.num_vars() >= atoms.len());
     }
 
     #[test]
     fn encode_constant_true_is_empty() {
         let mut atoms = Atoms::new();
-        let env = env();
-        let cnf = encode(&Pred::True, &mut atoms, &env);
-        assert!(cnf.clauses.is_empty());
+        assert!(encode(&Pred::True, &mut atoms, &mut EncodeCtx::new()).is_empty());
     }
 
     #[test]
     fn encode_constant_false_is_empty_clause() {
         let mut atoms = Atoms::new();
-        let env = env();
-        let cnf = encode(&Pred::False, &mut atoms, &env);
-        assert_eq!(cnf.clauses, vec![Vec::<Lit>::new()]);
+        assert_eq!(
+            encode(&Pred::False, &mut atoms, &mut EncodeCtx::new()),
+            vec![Vec::<Lit>::new()]
+        );
     }
 }

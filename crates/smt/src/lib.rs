@@ -59,13 +59,13 @@ mod solver;
 mod term;
 mod theory;
 
-pub use arrays::{array_axiom_lemmas, instantiate_array_axioms};
+pub use arrays::array_axiom_lemmas;
 pub use cache::QueryCache;
-pub use cnf::{encode, encode_incremental, Atom, AtomId, Atoms, CnfFormula, EncodeCtx, EncodedUnit};
+pub use cnf::{encode_incremental, Atom, AtomId, Atoms, EncodeCtx, EncodedUnit};
 pub use euf::{Euf, EufResult};
 pub use rational::Rat;
 pub use sat::{BVar, CdclSolver, Lit, SatResult};
-pub use sets::{canonicalize_sets, set_saturation_lemma_list, set_saturation_lemmas};
+pub use sets::{canonicalize_sets, set_saturation_lemma_list};
 pub use simplex::{LpResult, Simplex};
 pub use solver::{SmtResult, SmtSolver, SolverConfig, SolverStats, Validity};
 pub use term::{LinExpr, Term, TermArena, TermId};

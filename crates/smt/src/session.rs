@@ -1,36 +1,36 @@
-//! Incremental solving sessions: a persistent encoder + SAT core with
-//! assertion scopes.
+//! SMT sessions: a persistent encoder + SAT core with assertion scopes,
+//! and the one lazy DPLL(T) loop every query runs.
 //!
 //! A [`Session`] keeps the atom table, term arena, CNF variable map,
 //! and the CDCL clause database alive across many related queries, so
 //! that checking dozens of consequents under one antecedent re-encodes
-//! only the consequent instead of the whole formula. Scoped assertions
+//! only the consequent instead of the whole formula. A scalar query is
+//! a one-shot session: one assertion, one check. Scoped assertions
 //! are undone by [`Session::pop`] via the SAT core's clause watermark;
 //! everything *definitional or theory-valid* — Tseitin variables for
 //! split equalities, set-saturation lemmas, array-axiom instances, and
 //! theory blocking clauses — is retained across pops, because a valid
 //! clause can never change a verdict, only speed it up.
 //!
-//! The preprocessing pipeline mirrors the scratch solver's
-//! (`canonicalize sets → saturate set lemmas → instantiate array
-//! axioms → eliminate ite → encode`), restructured so the lemma passes
-//! yield *lists* regenerated from the full asserted conjunction at each
-//! check (deduplicated against a monotone seen-set — the instantiation
+//! The preprocessing pipeline (`canonicalize sets → saturate set lemmas
+//! → instantiate array axioms → eliminate ite → encode`) yields lemma
+//! *lists* regenerated from the full asserted conjunction at each check
+//! (deduplicated against a monotone seen-set — the instantiation
 //! watermark), and set canonicalization runs per asserted predicate
 //! (sound because it distributes over conjunction).
 
 use crate::arrays::array_axiom_lemmas;
 use crate::cnf::{encode_incremental, AtomId, Atoms, EncodeCtx};
-use crate::sat::{CdclSolver, Lit, SatResult};
+use crate::sat::{BVar, CdclSolver, Lit, SatResult};
 use crate::sets::{canonicalize_sets, set_saturation_lemma_list};
-use crate::solver::{atoms_by_var, eliminate_ite, root_literals, SmtResult, SolverStats};
+use crate::solver::{certification_unknown, eliminate_ite, SmtResult};
 use crate::theory::{TheoryBudget, TheoryContext, TheoryResult};
 use dsolve_logic::{deadline_expired, Budget, Exhaustion, Phase, Pred, Resource, SortEnv};
 use dsolve_obs::{theory as theory_timer, TheoryKind};
 use std::collections::HashSet;
 use std::time::Instant;
 
-/// Persistent state for one incremental solving session.
+/// Persistent state for one solving session.
 pub(crate) struct Session {
     /// Sort environment, extended by fresh `ite` definition variables.
     env: SortEnv,
@@ -97,14 +97,10 @@ impl Session {
         &self.env
     }
 
-    /// The asserted conjunction, for re-solving from scratch when the
-    /// incremental path is abandoned (fault-injection retries).
+    /// The asserted conjunction, for re-deciding a check on a fresh
+    /// session when this one is abandoned (fault-injection retries).
     pub(crate) fn conjunction(&self) -> Pred {
-        match self.asserted.len() {
-            0 => Pred::True,
-            1 => self.asserted[0].clone(),
-            _ => Pred::and(self.asserted.clone()),
-        }
+        Pred::and(self.asserted.clone())
     }
 
     /// Opens an assertion scope.
@@ -163,9 +159,8 @@ impl Session {
         }
         self.sat.reset_to_root();
         while self.encoded_upto < self.asserted.len() {
-            let p = self.asserted[self.encoded_upto].clone();
+            let p = eliminate_ite(&self.asserted[self.encoded_upto], &mut self.env);
             self.encoded_upto += 1;
-            let p = eliminate_ite(&p, &mut self.env);
             if self.certify {
                 self.elim.push(p.clone());
             }
@@ -181,37 +176,32 @@ impl Session {
         }
     }
 
-    /// Decides satisfiability of the asserted conjunction, mirroring the
-    /// scratch solver's DPLL(T) loop. Entry budgets (query cap, overall
-    /// deadline) are the caller's responsibility.
-    pub(crate) fn check(
-        &mut self,
-        budget: &Budget,
-        deadline: Option<Instant>,
-        stats: &mut SolverStats,
-    ) -> SmtResult {
+    /// Decides satisfiability of the asserted conjunction: the lazy
+    /// DPLL(T) loop. Entry budgets (query cap, overall deadline) are the
+    /// caller's responsibility.
+    pub(crate) fn check(&mut self, budget: &Budget, deadline: Option<Instant>) -> SmtResult {
         // A previous check may have returned Sat with decisions still on
         // the trail; clause additions require root level.
         self.sat.reset_to_root();
 
         // Lemma generation runs over the *full* current conjunction:
         // saturation interacts across asserted predicates, and the array
-        // pass also instantiates over terms the set lemmas introduce,
-        // exactly as the scratch pipeline (which strengthens first and
-        // instantiates second) does.
-        let conj = match self.asserted.len() {
-            0 => Pred::True,
-            1 => self.asserted[0].clone(),
-            _ => Pred::and(self.asserted.clone()),
+        // pass also instantiates over terms the set lemmas introduce
+        // (strengthen first, instantiate second).
+        let joined;
+        let conj = match self.asserted.as_slice() {
+            [p] => p,
+            ps => {
+                joined = Pred::and(ps.to_vec());
+                &joined
+            }
         };
         let (set_lemmas, saturation_truncated) = theory_timer::time(TheoryKind::Sets, || {
-            set_saturation_lemma_list(&conj, budget.max_saturation_lemmas)
+            set_saturation_lemma_list(conj, budget.max_saturation_lemmas)
         });
         let arr_lemmas = if self.array_axioms {
             theory_timer::time(TheoryKind::Arrays, || {
-                let mut parts = vec![conj];
-                parts.extend(set_lemmas.iter().cloned());
-                array_axiom_lemmas(&Pred::and(parts))
+                array_axiom_lemmas(std::iter::once(conj).chain(&set_lemmas))
             })
         } else {
             Vec::new()
@@ -239,52 +229,34 @@ impl Session {
         // from popped scopes linger in the table; their values are
         // unconstrained, which is sound — the theory layer refutes any
         // inconsistent polarity with a blocking lemma, and a consistent
-        // polarity extension always exists).
-        for i in 0..self.atoms.len() {
-            let _ = self.ctx.var_of_atom(AtomId(i as u32));
-        }
+        // polarity extension always exists). Blocking clauses add no
+        // atoms, so one dense table serves every model of this check.
+        let atom_vars: Vec<BVar> = (0..self.atoms.len())
+            .map(|i| self.ctx.var_of_atom(AtomId(i as u32)))
+            .collect();
         self.grow_sat();
+        let atom_of_var = atoms_by_var(self.sat.num_vars(), &atom_vars);
 
         let theory_budget = TheoryBudget {
             bb_nodes: budget.max_bb_nodes,
             deadline,
         };
-        let sat_verdict = |truncated: bool| {
-            if truncated {
-                SmtResult::Unknown(Exhaustion::with_detail(
-                    Phase::Saturation,
-                    Resource::SaturationLemmas,
-                    format!("cap {}", budget.max_saturation_lemmas),
-                ))
-            } else {
-                SmtResult::Sat
-            }
-        };
-
-        let atom_of_var = atoms_by_var(
-            self.sat.num_vars(),
-            (0..self.atoms.len()).map(|i| {
-                self.ctx
-                    .lookup_atom(AtomId(i as u32))
-                    .expect("atom mapped above")
-            }),
-        );
         let minimize = self.choice;
         // Certificate material for an eventual `Unsat`: the literal sets
         // behind every theory blocking clause learned in this check.
         let mut cores: Vec<Vec<(AtomId, bool)>> = Vec::new();
         let mut conflicts = 0u64;
         loop {
-            let sat_verdict_raw = theory_timer::time(TheoryKind::Sat, || {
+            let sat_verdict = theory_timer::time(TheoryKind::Sat, || {
                 self.sat.solve_within(deadline, budget.max_sat_conflicts)
             });
-            match sat_verdict_raw {
+            match sat_verdict {
                 SatResult::Unsat => {
                     if self.certify {
                         if let Err(why) =
                             crate::certify::certify_unsat(&self.atoms, &cores, &theory_budget)
                         {
-                            return crate::solver::certification_unknown(why);
+                            return certification_unknown(why);
                         }
                     }
                     return SmtResult::Unsat;
@@ -298,15 +270,12 @@ impl Session {
                     return SmtResult::Unknown(Exhaustion::new(Phase::Sat, resource));
                 }
                 SatResult::Sat => {
-                    let assignment: Vec<(AtomId, bool)> = (0..self.atoms.len())
-                        .map(|i| {
-                            let aid = AtomId(i as u32);
-                            let v = self.ctx.lookup_atom(aid).expect("atom mapped above");
-                            (aid, self.sat.model_value(v))
-                        })
+                    let assignment: Vec<(AtomId, bool)> = atom_vars
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &v)| (AtomId(i as u32), self.sat.model_value(v)))
                         .collect();
                     let root = root_literals(&self.sat, &atom_of_var);
-                    stats.theory_checks += 1;
                     match self.theory.check(
                         &self.atoms,
                         &assignment,
@@ -314,41 +283,29 @@ impl Session {
                         minimize,
                         &theory_budget,
                     ) {
+                        TheoryResult::Sat if saturation_truncated => {
+                            // A truncated saturation pass only *weakens*
+                            // the formula: an `Unsat` stays sound, but
+                            // this model may be an artifact of the
+                            // missing lemmas.
+                            return SmtResult::Unknown(Exhaustion::with_detail(
+                                Phase::Saturation,
+                                Resource::SaturationLemmas,
+                                format!("cap {}", budget.max_saturation_lemmas),
+                            ));
+                        }
                         TheoryResult::Sat => {
-                            let verdict = sat_verdict(saturation_truncated);
-                            if self.certify && verdict == SmtResult::Sat {
-                                // Every asserted (ite-eliminated) predicate
-                                // must hold under the model.
-                                for q in &self.elim {
-                                    match crate::certify::eval_pred(
-                                        q,
-                                        &mut self.atoms,
-                                        &self.env,
-                                        &assignment,
-                                    ) {
-                                        Some(true) => {}
-                                        Some(false) => {
-                                            return crate::solver::certification_unknown(
-                                                "countermodel does not satisfy an asserted predicate"
-                                                    .into(),
-                                            );
-                                        }
-                                        None => {
-                                            return crate::solver::certification_unknown(
-                                                "countermodel leaves an asserted predicate undetermined"
-                                                    .into(),
-                                            );
-                                        }
-                                    }
+                            if self.certify {
+                                if let Err(why) = self.certify_model(&assignment) {
+                                    return certification_unknown(why.into());
                                 }
                             }
-                            return verdict;
+                            return SmtResult::Sat;
                         }
                         TheoryResult::Unknown(resource) => {
                             return SmtResult::Unknown(Exhaustion::new(Phase::Simplex, resource));
                         }
                         TheoryResult::Unsat(core) => {
-                            stats.theory_conflicts += 1;
                             if self.certify {
                                 cores.push(core.iter().map(|&ix| assignment[ix]).collect());
                             }
@@ -367,9 +324,7 @@ impl Session {
                                 .iter()
                                 .map(|&ix| {
                                     let (aid, val) = assignment[ix];
-                                    let v =
-                                        self.ctx.lookup_atom(aid).expect("atom mapped above");
-                                    Lit::new(v, !val)
+                                    Lit::new(atom_vars[aid.index()], !val)
                                 })
                                 .collect();
                             self.sat.reset_to_root();
@@ -380,4 +335,35 @@ impl Session {
             }
         }
     }
+
+    /// Certifies a `Sat` model: every asserted (ite-eliminated) predicate
+    /// must hold under it.
+    fn certify_model(&mut self, model: &[(AtomId, bool)]) -> Result<(), &'static str> {
+        for q in &self.elim {
+            match crate::certify::eval_pred(q, &mut self.atoms, &self.env, model) {
+                Some(true) => {}
+                Some(false) => return Err("countermodel does not satisfy an asserted predicate"),
+                None => return Err("countermodel leaves an asserted predicate undetermined"),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The atom of each SAT variable (`None` for Tseitin variables), from
+/// the variable of each atom in atom order.
+fn atoms_by_var(num_vars: usize, atom_vars: &[BVar]) -> Vec<Option<AtomId>> {
+    let mut out = vec![None; num_vars];
+    for (i, v) in atom_vars.iter().enumerate() {
+        out[v.0 as usize] = Some(AtomId(i as u32));
+    }
+    out
+}
+
+/// The theory literals among the SAT core's root trail, in trail order.
+fn root_literals(sat: &CdclSolver, atom_of_var: &[Option<AtomId>]) -> Vec<(AtomId, bool)> {
+    sat.root_trail()
+        .iter()
+        .filter_map(|l| atom_of_var[l.var().0 as usize].map(|aid| (aid, l.sign())))
+        .collect()
 }

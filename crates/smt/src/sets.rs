@@ -109,7 +109,7 @@ fn flatten_set(e: &Expr, out: &mut Vec<Expr>) {
     }
 }
 
-/// Conjoins ground *leaf-substitution* lemmas for the set theory.
+/// Ground *leaf-substitution* lemmas for the set theory.
 ///
 /// ACI1 canonicalization is syntactic, so an equality discovered at solve
 /// time (`elts xs = empty`, `elts zs = union(elts xs, elts ys)`) cannot
@@ -125,37 +125,18 @@ fn flatten_set(e: &Expr, out: &mut Vec<Expr>) {
 /// New union terms produced on the right enter the worklist, bounded by
 /// the `max_lemmas` saturation budget. Singleton injectivity
 /// (`single a = single b ⇒ a = b`) is instantiated for the singleton
-/// leaves present.
+/// leaves present. Each lemma is a valid fact of the set theory, so
+/// incremental callers feed them to the SAT core as retained lemma
+/// clauses.
 ///
-/// Returns the strengthened formula plus a flag that is `true` when the
-/// lemma budget ran out before saturation completed. A truncated lemma
-/// set only ever *weakens* the formula, so `Unsat` answers derived from
-/// it remain sound — but a `Sat` answer may be spurious, and callers
-/// must report the truncation rather than trust it.
+/// Returns the lemmas plus a flag that is `true` when the lemma budget
+/// ran out before saturation completed. A truncated lemma set only ever
+/// *weakens* the formula, so `Unsat` answers derived from it remain
+/// sound — but a `Sat` answer may be spurious, and callers must report
+/// the truncation rather than trust it.
 ///
 /// Call on a formula that is already in canonical form (see
 /// [`canonicalize_sets`]).
-pub fn set_saturation_lemmas(p: &Pred, max_lemmas: u64) -> (Pred, bool) {
-    let (lemmas, truncated) = set_saturation_lemma_list(p, max_lemmas);
-    let strengthened = if lemmas.is_empty() {
-        p.clone()
-    } else {
-        let mut parts = vec![p.clone()];
-        parts.extend(lemmas);
-        Pred::and(parts)
-    };
-    (strengthened, truncated)
-}
-
-/// The lemma list behind [`set_saturation_lemmas`], without conjoining:
-/// returns the guarded ground instances (each one a valid fact of the
-/// set theory) and the truncation flag. Incremental callers feed these
-/// to the SAT core as retained lemma clauses instead of rebuilding the
-/// strengthened conjunction.
-///
-/// The traversal order is identical to [`set_saturation_lemmas`], so
-/// for a fixed formula the two produce the same lemmas in the same
-/// order.
 pub fn set_saturation_lemma_list(p: &Pred, max_lemmas: u64) -> (Vec<Pred>, bool) {
     use std::collections::BTreeSet;
 
@@ -388,12 +369,12 @@ mod tests {
         // An equality whose right side mentions a union keeps producing
         // fresh union terms; a tiny budget must flag truncation.
         let p = parse_pred("s = union(single(x), t) && union(s, u) = w").unwrap();
-        let (_, truncated_tiny) = set_saturation_lemmas(&p, 0);
+        let (_, truncated_tiny) = set_saturation_lemma_list(&p, 0);
         assert!(truncated_tiny, "zero lemma budget must report truncation");
-        let (full, truncated_full) = set_saturation_lemmas(&p, 200);
+        let (full, truncated_full) = set_saturation_lemma_list(&p, 200);
         assert!(!truncated_full, "default budget saturates this formula");
-        // The strengthened formula still contains the original.
-        assert!(full.to_string().contains("single(x)"));
+        // The lemmas rewrite the union over `s` with its definition.
+        assert!(Pred::and(full).to_string().contains("single(x)"));
     }
 
     #[test]

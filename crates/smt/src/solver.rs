@@ -4,19 +4,17 @@
 //! Architecture (lazy SMT): preprocess (set canonicalization, array axiom
 //! instantiation, if-then-else lifting) → atomize + Tseitin-encode → CDCL
 //! enumeration with full-model theory checks and minimized blocking
-//! clauses.
+//! clauses. Every query runs that pipeline in a `Session`: a scalar
+//! query on a one-shot session, a batch or the scope API on a shared
+//! one; every query is accounted by one routine (`SmtSolver::query`).
 
-use crate::arrays::instantiate_array_axioms;
 use crate::cache::QueryCache;
-use crate::cnf::{encode, Atoms};
-use crate::sat::{BVar, CdclSolver, Lit, SatResult};
-use crate::sets::{canonicalize_sets, set_saturation_lemmas};
-use crate::theory::{TheoryBudget, TheoryContext, TheoryResult};
+use crate::session::Session;
 use dsolve_logic::{
     deadline_expired, Budget, Exhaustion, Expr, FaultPlan, FaultPoint, Phase, Pred, Resource,
     Sort, SortEnv, Symbol,
 };
-use dsolve_obs::{log_error, micro, theory as theory_timer, MicroCounter, Obs, QueryOrigin, TheoryKind};
+use dsolve_obs::{log_error, micro, MicroCounter, Obs, QueryOrigin};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -24,22 +22,16 @@ use std::time::Instant;
 /// Cumulative statistics over a solver's lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
-    /// Satisfiability queries answered.
-    pub sat_queries: u64,
-    /// Validity queries answered.
-    pub valid_queries: u64,
     /// Validity queries answered from the cache.
     pub cache_hits: u64,
-    /// Propositional models submitted to the theory layer.
-    pub theory_checks: u64,
-    /// Blocking clauses learned from theory conflicts.
-    pub theory_conflicts: u64,
-    /// Incremental sessions opened ([`SmtSolver::check_valid_many`]
-    /// batches and explicit [`SmtSolver::start_incremental`] calls).
+    /// Sessions opened to serve several checks
+    /// ([`SmtSolver::check_valid_many`] batches and explicit
+    /// [`SmtSolver::start_incremental`] calls); the one-shot session of
+    /// a scalar query is not counted.
     pub sessions: u64,
-    /// Scoped checks decided inside incremental sessions; the ratio
-    /// `scoped_checks / sessions` is the scope reuse rate — how many
-    /// queries each shared encoding served.
+    /// Checks decided under a pushed assertion scope inside those
+    /// sessions; the ratio `scoped_checks / sessions` is the scope reuse
+    /// rate — how many queries each shared encoding served.
     pub scoped_checks: u64,
     /// Queries this solver actually solved (each charged one unit
     /// against `--max-smt-queries`). Unlike the shared counter behind
@@ -138,7 +130,7 @@ pub struct SmtSolver {
     deadline_armed: bool,
     /// The active incremental session, if [`SmtSolver::start_incremental`]
     /// opened one.
-    session: Option<Box<crate::session::Session>>,
+    session: Option<Box<Session>>,
     /// Observability handle: metrics registry, query latency histogram,
     /// and per-constraint cost attribution. Disabled by default;
     /// [`SmtSolver::set_obs`] installs the pipeline's live handle.
@@ -306,60 +298,9 @@ impl SmtSolver {
         antecedent: &Pred,
         consequent: &Pred,
     ) -> Validity {
-        self.stats.valid_queries += 1;
-        self.obs.metrics().smt_checks.incr();
-        if self.config.cache {
-            if let Some(v) = self.cache.get(antecedent, consequent) {
-                self.stats.cache_hits += 1;
-                self.obs.metrics().smt_cache_hits.incr();
-                return if v { Validity::Valid } else { Validity::Invalid };
-            }
-        }
-        self.obs.metrics().smt_cache_misses.incr();
-        if let Some(e) = self.entry_exhaustion() {
-            self.obs.metrics().smt_refused.incr();
-            return Validity::Unknown(e);
-        }
-        if self.fault_fires(FaultPoint::QueryTimeout) {
-            self.obs.metrics().smt_refused.incr();
-            return Validity::Unknown(Self::injected_timeout());
-        }
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.stats.solved_queries += 1;
-        self.obs.metrics().smt_queries.incr();
-        let qstart = Instant::now();
-        let negated = Pred::and(vec![antecedent.clone(), Pred::not(consequent.clone())]);
-        let verdict = self.check_sat_inner(env, &negated);
-        self.note_certification(&verdict);
-        self.obs
-            .record_query(self.origin.as_ref(), qstart, validity_name(&verdict));
-        self.settle_validity(antecedent, consequent, verdict)
-    }
-
-    /// Maps a solved negation verdict to a [`Validity`], caching definite
-    /// answers. (Only definite answers are cached: an `Unknown` under one
-    /// budget may well be decidable under a larger one.)
-    fn settle_validity(
-        &mut self,
-        antecedent: &Pred,
-        consequent: &Pred,
-        verdict: SmtResult,
-    ) -> Validity {
-        match verdict {
-            SmtResult::Unsat => {
-                if self.config.cache {
-                    self.cache.insert(antecedent, consequent, true);
-                }
-                Validity::Valid
-            }
-            SmtResult::Sat => {
-                if self.config.cache {
-                    self.cache.insert(antecedent, consequent, false);
-                }
-                Validity::Invalid
-            }
-            SmtResult::Unknown(e) => Validity::Unknown(e),
-        }
+        validity(self.query(Some((antecedent, consequent)), |smt, deadline| {
+            smt.one_shot(env, &negation(antecedent, consequent), deadline)
+        }))
     }
 
     /// Rolls a certification outcome into metrics, logging failures with
@@ -393,26 +334,7 @@ impl SmtSolver {
     /// Decides satisfiability of `p` under `env`, reporting `Unknown`
     /// when a budget runs out.
     pub fn check_sat(&mut self, env: &SortEnv, p: &Pred) -> SmtResult {
-        self.obs.metrics().smt_checks.incr();
-        self.obs.metrics().smt_cache_misses.incr();
-        if let Some(e) = self.entry_exhaustion() {
-            self.obs.metrics().smt_refused.incr();
-            return SmtResult::Unknown(e);
-        }
-        if self.fault_fires(FaultPoint::QueryTimeout) {
-            self.obs.metrics().smt_refused.incr();
-            return SmtResult::Unknown(Self::injected_timeout());
-        }
-        self.stats.sat_queries += 1;
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.stats.solved_queries += 1;
-        self.obs.metrics().smt_queries.incr();
-        let qstart = Instant::now();
-        let verdict = self.check_sat_inner(env, p);
-        self.note_certification(&verdict);
-        self.obs
-            .record_query(self.origin.as_ref(), qstart, smt_name(&verdict));
-        verdict
+        self.query(None, |smt, deadline| smt.one_shot(env, p, deadline))
     }
 
     /// Decides validity of `antecedent ⇒ consequent` under `env`.
@@ -445,13 +367,7 @@ impl SmtSolver {
     /// clause database, so repeated checks under shared assertions
     /// re-encode only what is new.
     pub fn start_incremental(&mut self, env: &SortEnv) {
-        self.session = Some(Box::new(crate::session::Session::new(
-            env.clone(),
-            self.config.array_axioms,
-            self.config.certify,
-        )));
-        self.stats.sessions += 1;
-        self.obs.metrics().smt_sessions.incr();
+        self.session = Some(Box::new(self.open_session(env)));
     }
 
     /// Closes the active incremental session, if any, releasing its
@@ -500,312 +416,167 @@ impl SmtSolver {
     }
 
     /// Decides satisfiability of the asserted conjunction in the active
-    /// incremental session. Charges the query budget like
-    /// [`SmtSolver::check_sat`] and reports `Unknown` on exhaustion.
+    /// incremental session. Charged and accounted like
+    /// [`SmtSolver::check_sat`], and reports `Unknown` on exhaustion.
     ///
     /// # Panics
     ///
     /// Panics when no session is active.
     pub fn check_incremental(&mut self) -> SmtResult {
-        self.obs.metrics().smt_checks.incr();
-        self.obs.metrics().smt_cache_misses.incr();
-        if let Some(e) = self.entry_exhaustion() {
-            self.obs.metrics().smt_refused.incr();
-            return SmtResult::Unknown(e);
-        }
-        self.stats.sat_queries += 1;
-        self.stats.scoped_checks += 1;
-        self.obs.metrics().smt_scoped_checks.incr();
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.stats.solved_queries += 1;
-        self.obs.metrics().smt_queries.incr();
-        let deadline = self.effective_deadline();
-        let budget = self.config.budget;
-        let mut session = self
-            .session
-            .take()
-            .expect("check_incremental: no active incremental session");
-        let qstart = Instant::now();
-        let verdict = if self.fault_fires(FaultPoint::SessionFail) {
-            // Injected mid-scope session failure: answer this query by
-            // retrying once from scratch over the session's asserted
-            // conjunction (the session itself survives for later checks).
-            let conj = session.conjunction();
-            let env = session.env().clone();
-            self.check_sat_inner(&env, &conj)
-        } else {
-            session.check(&budget, deadline, &mut self.stats)
-        };
-        self.note_certification(&verdict);
-        self.obs
-            .record_query(self.origin.as_ref(), qstart, smt_name(&verdict));
-        self.session = Some(session);
-        verdict
+        self.query(None, |smt, deadline| {
+            smt.stats.scoped_checks += 1;
+            smt.obs.metrics().smt_scoped_checks.incr();
+            let session = smt
+                .session
+                .as_deref()
+                .expect("check_incremental: no active incremental session");
+            if smt.fault_fires(FaultPoint::SessionFail) {
+                // Injected mid-scope session failure: re-decide this check
+                // on a fresh one-shot session over the asserted
+                // conjunction (the session itself survives for later
+                // checks).
+                return smt.one_shot(session.env(), &session.conjunction(), deadline);
+            }
+            let session = smt.session.as_mut().expect("checked above");
+            session.check(&smt.config.budget, deadline)
+        })
     }
 
     /// Decides validity of `antecedent ⇒ consequentᵢ` for every
     /// consequent, encoding and preprocessing the antecedent *once* and
     /// deciding each consequent under a pushed assertion scope.
     ///
-    /// Verdicts agree with per-query [`SmtSolver::check_valid`] (the
-    /// scoped path runs the same preprocessing and theory stack), and
-    /// definite answers populate the same shared [`QueryCache`], so
-    /// parallel workers benefit from each other's batches. Cache hits
-    /// are served without charging the query budget; each miss charges
-    /// one query against `--max-smt-queries`, exactly like the scalar
-    /// path.
+    /// Verdicts agree with per-query [`SmtSolver::check_valid`] (both
+    /// run the same session pipeline), and definite answers populate the
+    /// same shared [`QueryCache`], so parallel workers benefit from each
+    /// other's batches. Cache hits are served without charging the query
+    /// budget; each miss charges one query against `--max-smt-queries`,
+    /// exactly like the scalar path.
     pub fn check_valid_many(
         &mut self,
         env: &SortEnv,
         antecedent: &Pred,
         consequents: &[Pred],
     ) -> Vec<Validity> {
-        let mut out = Vec::with_capacity(consequents.len());
-        let mut session: Option<Box<crate::session::Session>> = None;
-        let budget = self.config.budget;
-        for consequent in consequents {
-            self.stats.valid_queries += 1;
-            self.obs.metrics().smt_checks.incr();
-            if self.config.cache {
-                if let Some(v) = self.cache.get(antecedent, consequent) {
-                    self.stats.cache_hits += 1;
-                    self.obs.metrics().smt_cache_hits.incr();
-                    out.push(if v { Validity::Valid } else { Validity::Invalid });
-                    continue;
-                }
-            }
-            self.obs.metrics().smt_cache_misses.incr();
-            if let Some(e) = self.entry_exhaustion() {
-                self.obs.metrics().smt_refused.incr();
-                out.push(Validity::Unknown(e));
-                continue;
-            }
-            if self.fault_fires(FaultPoint::QueryTimeout) {
-                self.obs.metrics().smt_refused.incr();
-                out.push(Validity::Unknown(Self::injected_timeout()));
-                continue;
-            }
-            self.queries.fetch_add(1, Ordering::Relaxed);
-            self.stats.solved_queries += 1;
-            self.obs.metrics().smt_queries.incr();
-            let deadline = self.effective_deadline();
-            if self.fault_fires(FaultPoint::SessionFail) {
-                // Injected session failure mid-batch: drop the shared
-                // session (later consequents rebuild it) and retry this
-                // query once from scratch before giving anything up.
-                session = None;
-                let qstart = Instant::now();
-                let negated =
-                    Pred::and(vec![antecedent.clone(), Pred::not(consequent.clone())]);
-                let verdict = self.check_sat_inner(env, &negated);
-                self.note_certification(&verdict);
-                self.obs
-                    .record_query(self.origin.as_ref(), qstart, validity_name(&verdict));
-                out.push(self.settle_validity(antecedent, consequent, verdict));
-                continue;
-            }
-            // The first solved consequent pays for opening the session and
-            // asserting the antecedent: that is query time too.
-            let qstart = Instant::now();
-            if session.is_none() {
-                self.stats.sessions += 1;
-                self.obs.metrics().smt_sessions.incr();
-                let mut s = Box::new(crate::session::Session::new(
-                    env.clone(),
-                    self.config.array_axioms,
-                    self.config.certify,
-                ));
-                s.assert_pred(antecedent);
-                session = Some(s);
-            }
-            let s = session.as_mut().expect("session initialized above");
-            self.stats.scoped_checks += 1;
-            self.obs.metrics().smt_scoped_checks.incr();
-            s.push();
-            s.assert_pred(&Pred::not(consequent.clone()));
-            let verdict = s.check(&budget, deadline, &mut self.stats);
-            s.pop();
-            self.note_certification(&verdict);
-            self.obs
-                .record_query(self.origin.as_ref(), qstart, validity_name(&verdict));
-            out.push(self.settle_validity(antecedent, consequent, verdict));
-        }
-        out
+        // Opened by the first consequent this batch solves.
+        let mut shared: Option<Session> = None;
+        consequents
+            .iter()
+            .map(|consequent| {
+                validity(self.query(Some((antecedent, consequent)), |smt, deadline| {
+                    if smt.fault_fires(FaultPoint::SessionFail) {
+                        // Injected session failure mid-batch: drop the
+                        // shared session (later consequents reopen it) and
+                        // re-decide this query on a fresh one-shot session.
+                        shared = None;
+                        return smt.one_shot(env, &negation(antecedent, consequent), deadline);
+                    }
+                    // The first solved consequent pays for opening the
+                    // session and asserting the antecedent: that is query
+                    // time too.
+                    let session = shared.get_or_insert_with(|| {
+                        let mut session = smt.open_session(env);
+                        session.assert_pred(antecedent);
+                        session
+                    });
+                    smt.stats.scoped_checks += 1;
+                    smt.obs.metrics().smt_scoped_checks.incr();
+                    session.push();
+                    session.assert_pred(&Pred::not(consequent.clone()));
+                    let verdict = session.check(&smt.config.budget, deadline);
+                    session.pop();
+                    verdict
+                }))
+            })
+            .collect()
     }
 
-    /// The shared query core: preprocess, encode, and run the lazy
-    /// DPLL(T) loop. Entry budgets are the caller's responsibility.
-    fn check_sat_inner(&mut self, env: &SortEnv, p: &Pred) -> SmtResult {
-        let budget = self.config.budget;
-        let deadline = self.effective_deadline();
-
-        // Preprocess. A truncated saturation pass only *weakens* the
-        // formula, so an `Unsat` answer below remains sound, but a `Sat`
-        // answer could be an artifact of the missing lemmas and must be
-        // demoted to `Unknown`.
-        let (p, saturation_truncated) = theory_timer::time(TheoryKind::Sets, || {
-            let p = canonicalize_sets(p);
-            set_saturation_lemmas(&p, budget.max_saturation_lemmas)
+    /// The one accounting path of every query: cache lookup → entry
+    /// budgets → the `query-timeout` fault → charge → `solve` (given the
+    /// deadline) → certification note → trace record → cache insert.
+    ///
+    /// `implication` names the `antecedent ⇒ consequent` of a validity
+    /// query, whose `solve` decides the negation (`Unsat` means valid)
+    /// and whose definite answers are cached; `None` is a
+    /// satisfiability query, never cached. Only definite answers are
+    /// cached: an `Unknown` under one budget may well be decidable under
+    /// a larger one.
+    fn query(
+        &mut self,
+        implication: Option<(&Pred, &Pred)>,
+        solve: impl FnOnce(&mut SmtSolver, Option<Instant>) -> SmtResult,
+    ) -> SmtResult {
+        self.obs.metrics().smt_checks.incr();
+        let cached = implication.filter(|_| self.config.cache);
+        if let Some(valid) = cached.and_then(|(a, c)| self.cache.get(a, c)) {
+            self.stats.cache_hits += 1;
+            self.obs.metrics().smt_cache_hits.incr();
+            return if valid { SmtResult::Unsat } else { SmtResult::Sat };
+        }
+        self.obs.metrics().smt_cache_misses.incr();
+        let refused = self.entry_exhaustion().or_else(|| {
+            self.fault_fires(FaultPoint::QueryTimeout)
+                .then(Self::injected_timeout)
         });
-        let p = if self.config.array_axioms {
-            theory_timer::time(TheoryKind::Arrays, || instantiate_array_axioms(&p))
-        } else {
-            p
-        };
-        let mut env = env.clone();
-        let p = eliminate_ite(&p, &mut env);
-
-        // Encode.
-        let mut atoms = Atoms::new();
-        let cnf = encode(&p, &mut atoms, &env);
-        let mut sat = CdclSolver::new();
-        for _ in 0..cnf.num_vars {
-            sat.new_var();
+        if let Some(e) = refused {
+            self.obs.metrics().smt_refused.incr();
+            return SmtResult::Unknown(e);
         }
-        let cnf_clauses_snapshot: Vec<usize> =
-            cnf.clauses.iter().map(Vec::len).collect();
-        for c in cnf.clauses {
-            sat.add_clause(c);
-        }
-
-        let theory_budget = TheoryBudget {
-            bb_nodes: budget.max_bb_nodes,
-            deadline,
-        };
-        let sat_verdict = |truncated: bool| {
-            if truncated {
-                SmtResult::Unknown(Exhaustion::with_detail(
-                    Phase::Saturation,
-                    Resource::SaturationLemmas,
-                    format!("cap {}", budget.max_saturation_lemmas),
-                ))
-            } else {
-                SmtResult::Sat
-            }
-        };
-
-        // DPLL(T) enumeration. For purely conjunctive queries the SAT
-        // model is unique, so core minimization (whose only purpose is a
-        // tighter blocking clause) is wasted work.
-        let minimize = sat_has_choice(&cnf_clauses_snapshot);
-        let certify = self.config.certify;
-        let mut theory = TheoryContext::new();
-        let atom_of_var = atoms_by_var(cnf.num_vars, cnf.atom_vars.iter().copied());
-        // Certificate material for an eventual `Unsat`: the literal sets
-        // behind every theory blocking clause.
-        let mut cores: Vec<Vec<(crate::AtomId, bool)>> = Vec::new();
-        let mut conflicts = 0u64;
-        loop {
-            let sat_verdict_raw = theory_timer::time(TheoryKind::Sat, || {
-                sat.solve_within(deadline, budget.max_sat_conflicts)
-            });
-            match sat_verdict_raw {
-                SatResult::Unsat => {
-                    if certify {
-                        if let Err(why) =
-                            crate::certify::certify_unsat(&atoms, &cores, &theory_budget)
-                        {
-                            return certification_unknown(why);
-                        }
-                    }
-                    return SmtResult::Unsat;
-                }
-                SatResult::Unknown => {
-                    let resource = if deadline_expired(deadline) {
-                        Resource::Deadline
-                    } else {
-                        Resource::SatConflicts
-                    };
-                    return SmtResult::Unknown(Exhaustion::new(Phase::Sat, resource));
-                }
-                SatResult::Sat => {
-                    let assignment: Vec<(crate::AtomId, bool)> = (0..atoms.len())
-                        .map(|i| {
-                            let aid = crate::AtomId(i as u32);
-                            (aid, sat.model_value(cnf.atom_vars[i]))
-                        })
-                        .collect();
-                    let root = root_literals(&sat, &atom_of_var);
-                    self.stats.theory_checks += 1;
-                    match theory.check(&atoms, &assignment, &root, minimize, &theory_budget) {
-                        TheoryResult::Sat => {
-                            let verdict = sat_verdict(saturation_truncated);
-                            if certify && verdict == SmtResult::Sat {
-                                if let Err(why) = crate::certify::certify_sat(
-                                    &p,
-                                    &mut atoms,
-                                    &env,
-                                    &assignment,
-                                ) {
-                                    return certification_unknown(why);
-                                }
-                            }
-                            return verdict;
-                        }
-                        TheoryResult::Unknown(resource) => {
-                            return SmtResult::Unknown(Exhaustion::new(
-                                Phase::Simplex,
-                                resource,
-                            ));
-                        }
-                        TheoryResult::Unsat(core) => {
-                            self.stats.theory_conflicts += 1;
-                            if certify {
-                                cores.push(core.iter().map(|&ix| assignment[ix]).collect());
-                            }
-                            conflicts += 1;
-                            if conflicts > budget.max_theory_conflicts {
-                                return SmtResult::Unknown(Exhaustion::with_detail(
-                                    Phase::Smt,
-                                    Resource::TheoryConflicts,
-                                    format!("cap {}", budget.max_theory_conflicts),
-                                ));
-                            }
-                            let block: Vec<Lit> = core
-                                .iter()
-                                .map(|&ix| {
-                                    let (aid, val) = assignment[ix];
-                                    Lit::new(cnf.atom_vars[aid.index()], !val)
-                                })
-                                .collect();
-                            sat.reset_to_root();
-                            sat.add_clause(block);
-                        }
-                    }
-                }
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.stats.solved_queries += 1;
+        self.obs.metrics().smt_queries.incr();
+        let deadline = self.effective_deadline();
+        let qstart = Instant::now();
+        let verdict = solve(self, deadline);
+        self.note_certification(&verdict);
+        self.obs.record_query(
+            self.origin.as_ref(),
+            qstart,
+            verdict_name(&verdict, implication.is_some()),
+        );
+        if let Some((a, c)) = cached {
+            match verdict {
+                SmtResult::Unsat => self.cache.insert(a, c, true),
+                SmtResult::Sat => self.cache.insert(a, c, false),
+                SmtResult::Unknown(_) => {}
             }
         }
+        verdict
+    }
+
+    /// Opens a session that serves several checks (a batch, or the
+    /// scope API), counted in `sessions`. A one-shot session is not.
+    fn open_session(&mut self, env: &SortEnv) -> Session {
+        self.stats.sessions += 1;
+        self.obs.metrics().smt_sessions.incr();
+        self.new_session(env)
+    }
+
+    /// Decides `p` on a fresh session that lives for this one check.
+    fn one_shot(&self, env: &SortEnv, p: &Pred, deadline: Option<Instant>) -> SmtResult {
+        let mut session = self.new_session(env);
+        session.assert_pred(p);
+        session.check(&self.config.budget, deadline)
+    }
+
+    /// An empty session over `env` with this solver's settings.
+    fn new_session(&self, env: &SortEnv) -> Session {
+        Session::new(env.clone(), self.config.array_axioms, self.config.certify)
     }
 }
 
-/// The atom of each SAT variable (`None` for Tseitin variables), from
-/// the variable of each atom in atom order.
-pub(crate) fn atoms_by_var(
-    num_vars: usize,
-    atom_vars: impl Iterator<Item = BVar>,
-) -> Vec<Option<crate::AtomId>> {
-    let mut out = vec![None; num_vars];
-    for (i, v) in atom_vars.enumerate() {
-        out[v.0 as usize] = Some(crate::AtomId(i as u32));
+/// The formula whose unsatisfiability proves `antecedent ⇒ consequent`.
+fn negation(antecedent: &Pred, consequent: &Pred) -> Pred {
+    Pred::and(vec![antecedent.clone(), Pred::not(consequent.clone())])
+}
+
+/// The validity verdict of an implication whose negation was decided.
+fn validity(negation: SmtResult) -> Validity {
+    match negation {
+        SmtResult::Unsat => Validity::Valid,
+        SmtResult::Sat => Validity::Invalid,
+        SmtResult::Unknown(e) => Validity::Unknown(e),
     }
-    out
-}
-
-/// The theory literals among the SAT core's root trail, in trail order.
-pub(crate) fn root_literals(
-    sat: &CdclSolver,
-    atom_of_var: &[Option<crate::AtomId>],
-) -> Vec<(crate::AtomId, bool)> {
-    sat.root_trail()
-        .iter()
-        .filter_map(|l| atom_of_var[l.var().0 as usize].map(|aid| (aid, l.sign())))
-        .collect()
-}
-
-/// Whether the clause set leaves the SAT solver any real choice (some
-/// clause with more than one literal).
-fn sat_has_choice(clause_lens: &[usize]) -> bool {
-    clause_lens.iter().any(|&l| l > 1)
 }
 
 /// The downgraded verdict for a certificate that failed to replay.
@@ -817,22 +588,15 @@ pub(crate) fn certification_unknown(why: String) -> SmtResult {
     ))
 }
 
-/// Trace-event verdict name for a validity query decided by refuting
-/// its negation (`Unsat` means the implication is valid).
-fn validity_name(r: &SmtResult) -> &'static str {
-    match r {
-        SmtResult::Unsat => "valid",
-        SmtResult::Sat => "invalid",
-        SmtResult::Unknown(_) => "unknown",
-    }
-}
-
-/// Trace-event verdict name for a direct satisfiability query.
-fn smt_name(r: &SmtResult) -> &'static str {
-    match r {
-        SmtResult::Sat => "sat",
-        SmtResult::Unsat => "unsat",
-        SmtResult::Unknown(_) => "unknown",
+/// Trace-event verdict name of a query: a validity query decided its
+/// negation, so `Unsat` means valid.
+fn verdict_name(r: &SmtResult, validity: bool) -> &'static str {
+    match (r, validity) {
+        (SmtResult::Unsat, true) => "valid",
+        (SmtResult::Sat, true) => "invalid",
+        (SmtResult::Sat, false) => "sat",
+        (SmtResult::Unsat, false) => "unsat",
+        (SmtResult::Unknown(_), _) => "unknown",
     }
 }
 
@@ -1132,9 +896,22 @@ mod tests {
         smt.assert_pred(&parse_pred("y < z").unwrap());
         assert_eq!(smt.check_incremental(), SmtResult::Sat);
         smt.pop();
+        // A scoped check takes the query-timeout fault like any other
+        // query: the armed occurrence is refused before it is charged,
+        // and the next check is decided.
+        smt.set_fault(Some(Arc::new(FaultPlan::parse("query-timeout@1").unwrap())));
+        match smt.check_incremental() {
+            SmtResult::Unknown(e) => {
+                assert_eq!(e.resource, Resource::Deadline);
+                assert_eq!(e.detail, "injected query-timeout");
+            }
+            other => panic!("expected Unknown, got {other:?}"),
+        }
+        assert_eq!(smt.check_incremental(), SmtResult::Sat);
         smt.end_incremental();
-        assert!(smt.stats.sessions >= 1);
-        assert!(smt.stats.scoped_checks >= 5);
+        assert_eq!(smt.stats.sessions, 1);
+        assert_eq!(smt.stats.scoped_checks, 6);
+        assert_eq!(smt.queries_charged(), 6);
     }
 
     #[test]
@@ -1155,8 +932,8 @@ mod tests {
         let mut batch = SmtSolver::new();
         let got = batch.check_valid_many(&env, &antecedent, &consequents);
         for (c, got) in consequents.iter().zip(&got) {
-            let mut scratch = SmtSolver::new();
-            let want = scratch.check_valid(&env, &antecedent, c);
+            let mut scalar = SmtSolver::new();
+            let want = scalar.check_valid(&env, &antecedent, c);
             assert_eq!(*got, want, "verdict mismatch on `{c}`");
         }
         // One session served the whole batch.
@@ -1191,8 +968,8 @@ mod tests {
             .collect();
         let got2 = smt.check_valid_many(&env, &ant2, &cons2);
         for (c, got) in cons2.iter().zip(&got2) {
-            let mut scratch = SmtSolver::new();
-            assert_eq!(*got, scratch.check_valid(&env, &ant2, c), "on `{c}`");
+            let mut scalar = SmtSolver::new();
+            assert_eq!(*got, scalar.check_valid(&env, &ant2, c), "on `{c}`");
         }
     }
 

@@ -14,9 +14,9 @@
 //! equalities over, before it branches on integers and probes for the
 //! equalities the integer solution suggests.
 //!
-//! Both DPLL(T) loops keep one [`TheoryContext`], per scratch query or
-//! for the lifetime of an incremental session, and its engines are never
-//! rebuilt. Its stack of *frames* mirrors the SAT core's root trail: the
+//! The DPLL(T) loop keeps one [`TheoryContext`] for the lifetime of its
+//! session (one query, or every check of a batch or scope stack), and
+//! its engines are never rebuilt. Its stack of *frames* mirrors the SAT core's root trail: the
 //! literals fixed at decision level 0, which every model of a query
 //! shares, and the scoped checks of a session share their prefix. A
 //! frame asserts a segment of root literals once, under its own engine

@@ -1,20 +1,37 @@
-//! Differential tests: the incremental (assertion-scope) solving path
-//! must agree with a fresh scratch solver on every verdict.
+//! Differential tests: every SMT session — a scalar query's one-shot
+//! session, a batch, and the scope API — must agree with a scratch
+//! oracle on every verdict.
+//!
+//! The oracle ([`scratch_sat`]) is built here from the public API and
+//! shares neither the session nor the persistent theory context: it
+//! preprocesses the whole formula at once (set canonicalization, with
+//! the set-saturation and array-axiom lemmas conjoined into it), encodes
+//! it in one step, and runs a CDCL search whose every model is checked
+//! on fresh theory engines, blocking the core of each inconsistent one.
+//! The generators emit no `ite`, so the oracle needs no if-then-else
+//! lifting.
 //!
 //! Three surfaces are exercised over randomly generated well-sorted
 //! predicates (linear arithmetic, booleans, uninterpreted functions,
 //! and finite sets):
 //!
-//! 1. `check_valid_many` vs one scratch `check_valid` per consequent;
-//! 2. interleaved `push`/`pop`/`assert`/`check` sequences vs a scratch
-//!    `check_sat` of the matching conjunction at every check point;
+//! 1. `check_valid_many`, and scalar `check_valid`, vs the oracle per
+//!    consequent;
+//! 2. interleaved `push`/`pop`/`assert`/`check` sequences vs the oracle
+//!    on the conjunction of the live assertions at every check point;
 //! 3. repeated batches on one solver (session reuse + cache warmup).
 //!
 //! Case counts are deliberately small so `cargo test` stays fast; build
 //! with `--features slow-proptest` for a deeper local run.
 
-use dsolve_logic::{parse_pred, FuncSort, Pred, Sort, SortEnv, Symbol};
-use dsolve_smt::{SmtResult, SmtSolver, Validity};
+use dsolve_logic::{
+    parse_pred, Budget, Exhaustion, FuncSort, Phase, Pred, Resource, Sort, SortEnv, Symbol,
+};
+use dsolve_smt::{
+    array_axiom_lemmas, canonicalize_sets, check_assignment, encode_incremental,
+    set_saturation_lemma_list, AtomId, Atoms, BVar, CdclSolver, EncodeCtx, Lit, SatResult,
+    SmtResult, SmtSolver, TheoryBudget, TheoryResult, Validity,
+};
 use proptest::prelude::*;
 
 #[cfg(feature = "slow-proptest")]
@@ -34,6 +51,92 @@ fn env() -> SortEnv {
     env.bind(Symbol::new("t"), Sort::Set);
     env.declare_func(Symbol::new("f"), FuncSort::new(vec![Sort::Int], Sort::Int));
     env
+}
+
+/// The scratch oracle: decides `p` under the default budget with
+/// whole-formula preprocessing, one encoding, and a lazy DPLL(T) search
+/// that checks every propositional model on fresh theory engines.
+fn scratch_sat(env: &SortEnv, p: &Pred) -> SmtResult {
+    let budget = Budget::default();
+    let p = canonicalize_sets(p);
+    let (set_lemmas, truncated) = set_saturation_lemma_list(&p, budget.max_saturation_lemmas);
+    let p = Pred::and(std::iter::once(p).chain(set_lemmas).collect());
+    let array_lemmas = array_axiom_lemmas([&p]);
+    let p = Pred::and(std::iter::once(p).chain(array_lemmas).collect());
+
+    let mut atoms = Atoms::new();
+    let mut ctx = EncodeCtx::new();
+    let unit = encode_incremental(&p, &mut atoms, env, &mut ctx);
+    let vars: Vec<BVar> = (0..atoms.len())
+        .map(|i| ctx.var_of_atom(AtomId(i as u32)))
+        .collect();
+    let mut sat = CdclSolver::new();
+    while sat.num_vars() < ctx.num_vars() {
+        sat.new_var();
+    }
+    for clause in unit.lemma_clauses.into_iter().chain(unit.clauses) {
+        sat.add_clause(clause);
+    }
+    let theory_budget = TheoryBudget {
+        bb_nodes: budget.max_bb_nodes,
+        deadline: None,
+    };
+    for _ in 0..=budget.max_theory_conflicts {
+        match sat.solve_within(None, budget.max_sat_conflicts) {
+            SatResult::Unsat => return SmtResult::Unsat,
+            SatResult::Unknown => {
+                return SmtResult::Unknown(Exhaustion::new(Phase::Sat, Resource::SatConflicts))
+            }
+            SatResult::Sat => {}
+        }
+        let model: Vec<(AtomId, bool)> = vars
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (AtomId(i as u32), sat.model_value(v)))
+            .collect();
+        match check_assignment(&atoms, &model, true, &theory_budget) {
+            TheoryResult::Sat if truncated => {
+                return SmtResult::Unknown(Exhaustion::with_detail(
+                    Phase::Saturation,
+                    Resource::SaturationLemmas,
+                    format!("cap {}", budget.max_saturation_lemmas),
+                ))
+            }
+            TheoryResult::Sat => return SmtResult::Sat,
+            TheoryResult::Unknown(r) => {
+                return SmtResult::Unknown(Exhaustion::new(Phase::Simplex, r))
+            }
+            TheoryResult::Unsat(core) => {
+                let block = core
+                    .iter()
+                    .map(|&i| {
+                        let (aid, val) = model[i];
+                        Lit::new(vars[aid.index()], !val)
+                    })
+                    .collect();
+                sat.reset_to_root();
+                sat.add_clause(block);
+            }
+        }
+    }
+    SmtResult::Unknown(Exhaustion::with_detail(
+        Phase::Smt,
+        Resource::TheoryConflicts,
+        format!("cap {}", budget.max_theory_conflicts),
+    ))
+}
+
+/// The oracle's verdict on `antecedent ⇒ consequent`: the negation is
+/// unsatisfiable exactly when the implication is valid.
+fn scratch_valid(env: &SortEnv, antecedent: &Pred, consequent: &Pred) -> Validity {
+    match scratch_sat(
+        env,
+        &Pred::and(vec![antecedent.clone(), Pred::not(consequent.clone())]),
+    ) {
+        SmtResult::Unsat => Validity::Valid,
+        SmtResult::Sat => Validity::Invalid,
+        SmtResult::Unknown(e) => Validity::Unknown(e),
+    }
 }
 
 /// The atom pool. Every entry parses and is well-sorted under [`env`];
@@ -79,7 +182,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     /// One batched session over `consequents` must return exactly the
-    /// verdicts a fresh scratch solver computes one by one.
+    /// verdicts the oracle computes one by one, and so must a scalar
+    /// query (a one-shot session) per consequent.
     #[test]
     fn batched_verdicts_match_scratch(
         antecedent in arb_pred(),
@@ -90,8 +194,7 @@ proptest! {
         let got = batch.check_valid_many(&env, &antecedent, &consequents);
         prop_assert_eq!(got.len(), consequents.len());
         for (c, got) in consequents.iter().zip(&got) {
-            let mut scratch = SmtSolver::new();
-            let want = scratch.check_valid(&env, &antecedent, c);
+            let want = scratch_valid(&env, &antecedent, c);
             prop_assert_eq!(
                 got,
                 &want,
@@ -99,12 +202,20 @@ proptest! {
                 c,
                 antecedent
             );
+            let scalar = SmtSolver::new().check_valid(&env, &antecedent, c);
+            prop_assert_eq!(
+                &scalar,
+                &want,
+                "scalar disagrees with scratch on `{}` under `{}`",
+                c,
+                antecedent
+            );
         }
     }
 
     /// Interleaved push/pop/assert/check: at every check point the
-    /// incremental verdict must match a scratch `check_sat` of the
-    /// conjunction of all live assertions.
+    /// incremental verdict must match the oracle's on the conjunction of
+    /// all live assertions.
     #[test]
     fn scoped_checks_match_scratch(
         ops in prop::collection::vec((0u8..4, arb_pred()), 1..14),
@@ -134,7 +245,7 @@ proptest! {
                 _ => {
                     let conj =
                         Pred::and(frames.iter().flatten().cloned().collect());
-                    let want = SmtSolver::new().check_sat(&env, &conj);
+                    let want = scratch_sat(&env, &conj);
                     let got = inc.check_incremental();
                     checks += 1;
                     match (&got, &want) {
@@ -155,7 +266,7 @@ proptest! {
         // something even when no explicit check op was drawn.
         if checks == 0 {
             let conj = Pred::and(frames.iter().flatten().cloned().collect());
-            let want = SmtSolver::new().check_sat(&env, &conj);
+            let want = scratch_sat(&env, &conj);
             let got = inc.check_incremental();
             prop_assert_eq!(
                 std::mem::discriminant(&got),
@@ -170,7 +281,7 @@ proptest! {
     }
 
     /// Session reuse: two different batches issued on the *same* solver
-    /// (second session, warm cache) still agree with scratch.
+    /// (second session, warm cache) still agree with the oracle.
     #[test]
     fn repeated_batches_stay_correct(
         a1 in arb_pred(),
@@ -182,8 +293,7 @@ proptest! {
         let _ = inc.check_valid_many(&env, &a1, &consequents);
         let got = inc.check_valid_many(&env, &a2, &consequents);
         for (c, got) in consequents.iter().zip(&got) {
-            let mut scratch = SmtSolver::new();
-            let want = scratch.check_valid(&env, &a2, c);
+            let want = scratch_valid(&env, &a2, c);
             prop_assert_eq!(
                 got,
                 &want,
@@ -231,13 +341,14 @@ fn pop_reassert_sequence_matches_scratch() {
         .iter()
         .map(|s| parse_pred(s).unwrap())
         .collect();
-    assert_eq!(
-        batch.check_valid_many(&env, &ant, &cons),
-        vec![
-            Validity::Valid,
-            Validity::Valid,
-            Validity::Invalid,
-            Validity::Valid
-        ]
-    );
+    let want = vec![
+        Validity::Valid,
+        Validity::Valid,
+        Validity::Invalid,
+        Validity::Valid,
+    ];
+    assert_eq!(batch.check_valid_many(&env, &ant, &cons), want);
+    // The oracle knows the same answers.
+    let oracle: Vec<Validity> = cons.iter().map(|c| scratch_valid(&env, &ant, c)).collect();
+    assert_eq!(oracle, want);
 }

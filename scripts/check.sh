@@ -18,9 +18,10 @@ cargo build --release --workspace
 echo "== cargo test --workspace -q"
 cargo test --workspace -q
 
-# The incremental-vs-scratch differential suites also run above as part
-# of the workspace tests; rerun them by name so a failure is unmissable.
-# (Use --features slow-proptest for a deeper local soak.)
+# The differential suites (SMT sessions against a test-local scratch
+# oracle, and the theory engines against brute force) also run above as
+# part of the workspace tests; rerun them by name so a failure is
+# unmissable. (Use --features slow-proptest for a deeper local soak.)
 echo "== cargo test -p dsolve-smt --test incremental_vs_scratch --test theory_oracles"
 cargo test -p dsolve-smt --test incremental_vs_scratch --test theory_oracles
 
@@ -77,7 +78,7 @@ for b in ralist stablesort subvsolve malloc; do
 done
 
 # Differential fleet smoke: a fixed seed, ≥50 generated programs, the
-# full config matrix (workers × incremental × cache × certify × every
+# full config matrix (workers × cache, workers × certify, and every
 # fault point). Zero soundness disagreements and zero verdict flips or
 # the script fails. Verdicts are budget-deterministic (no wall clock),
 # so this run's digest is reproducible anywhere.
