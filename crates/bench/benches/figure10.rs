@@ -32,7 +32,7 @@ fn bench_verification(c: &mut Criterion) {
             b.iter(|| {
                 let res = job.run().expect("front end");
                 assert!(res.is_safe());
-                res.result.stats.smt_queries
+                res.metrics.queries
             })
         });
     }

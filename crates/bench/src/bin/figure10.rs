@@ -34,11 +34,6 @@ struct JsonRow {
     name: String,
     outcome: String,
     wall_s: f64,
-    smt_queries: u64,
-    cache_hits: u64,
-    cache_lookups: u64,
-    smt_sessions: u64,
-    smt_scoped_checks: u64,
     jobs: usize,
     /// `Q★` instances, distinct κ scope signatures, and seconds.
     initial_quals: usize,
@@ -47,7 +42,8 @@ struct JsonRow {
     /// Environment nodes the embedding cache concretized, and reused.
     embed_nodes_built: u64,
     embed_nodes_reused: u64,
-    /// Observability roll-up: counters, phase/theory nanoseconds, the
+    /// Observability roll-up: counters (the row's query, cache and
+    /// session counts among them), phase/theory nanoseconds, the
     /// query-latency histogram, and top expensive constraints. Present
     /// on every row — an UNKNOWN or panicked run reports whatever it
     /// recorded before stopping.
@@ -144,11 +140,6 @@ fn main() {
                     name: b.name.into(),
                     outcome: format!("{}", e.outcome()),
                     wall_s: wall.as_secs_f64(),
-                    smt_queries: 0,
-                    cache_hits: 0,
-                    cache_lookups: 0,
-                    smt_sessions: 0,
-                    smt_scoped_checks: 0,
                     jobs: jobs.unwrap_or(0),
                     initial_quals: 0,
                     qstar_scopes: 0,
@@ -172,29 +163,21 @@ fn main() {
                 }
                 let s = &res.result.stats;
                 if stats {
-                    let reuse = if s.smt_sessions == 0 {
-                        0.0
-                    } else {
-                        s.smt_scoped_checks as f64 / s.smt_sessions as f64
-                    };
+                    let m = &res.metrics;
                     eprintln!(
-                        "    smt_queries={} cache_hits={}/{} sessions={} scoped_checks={} asserts_per_session={reuse:.1}",
-                        s.smt_queries,
-                        s.cache_hits,
-                        s.cache_lookups,
-                        s.smt_sessions,
-                        s.smt_scoped_checks,
+                        "    smt_queries={} cache_hits={}/{} sessions={} scoped_checks={} asserts_per_session={:.1}",
+                        m.queries,
+                        m.cache_hits,
+                        m.checks,
+                        m.sessions,
+                        m.scoped_checks,
+                        m.asserts_per_session(),
                     );
                 }
                 records.push(JsonRow {
                     name: b.name.into(),
                     outcome: format!("{}", res.outcome()),
                     wall_s: res.time.as_secs_f64(),
-                    smt_queries: s.smt_queries,
-                    cache_hits: s.cache_hits,
-                    cache_lookups: s.cache_lookups,
-                    smt_sessions: s.smt_sessions,
-                    smt_scoped_checks: s.smt_scoped_checks,
                     jobs: s.jobs,
                     initial_quals: s.initial_quals,
                     qstar_scopes: s.qstar_scopes,
@@ -238,14 +221,15 @@ fn render_json(records: &[JsonRow]) -> String {
         // The outcome can carry an exhaustion detail with quotes-free
         // text; keep only the leading word to stay safely quotable.
         let outcome = r.outcome.split([':', ' ']).next().unwrap_or("UNKNOWN");
+        let m = &r.metrics;
         let _ = writeln!(
             out,
             "  {{\"name\": \"{}\", \"outcome\": \"{}\", \"wall_s\": {:.6}, \"smt_queries\": {}, \"cache_hits\": {}, \"cache_lookups\": {}, \"smt_sessions\": {}, \"smt_scoped_checks\": {}, \"jobs\": {}, \"initial_quals\": {}, \"qstar_scopes\": {}, \"qstar_s\": {:.6}, \"embed_nodes_built\": {}, \"embed_nodes_reused\": {},",
-            r.name, outcome, r.wall_s, r.smt_queries, r.cache_hits, r.cache_lookups,
-            r.smt_sessions, r.smt_scoped_checks, r.jobs, r.initial_quals, r.qstar_scopes,
-            r.qstar_s, r.embed_nodes_built, r.embed_nodes_reused
+            r.name, outcome, r.wall_s, m.queries, m.cache_hits, m.checks, m.sessions,
+            m.scoped_checks, r.jobs, r.initial_quals, r.qstar_scopes, r.qstar_s,
+            r.embed_nodes_built, r.embed_nodes_reused
         );
-        let _ = writeln!(out, "   \"metrics\": {}}}{}", r.metrics.to_json(3), sep);
+        let _ = writeln!(out, "   \"metrics\": {}}}{}", m.to_json(3), sep);
     }
     out.push_str("]\n");
     out

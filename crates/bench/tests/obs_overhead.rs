@@ -1,7 +1,7 @@
 //! Overhead guard: with tracing disabled, the instrumented solver must
 //! stay within a few percent of a run with observability fully off
-//! (disabled `Obs` handle *and* theory timers switched off — the
-//! pre-instrumentation configuration).
+//! (disabled `Obs` handle *and* the theory timers and micro-counters
+//! switched off — the pre-instrumentation configuration).
 //!
 //! The workload is a small in-memory module rather than a release
 //! benchmark so the guard runs in the ordinary debug test suite. Times
@@ -11,7 +11,7 @@
 //! formatting, lock contention on the hot path) still trips it.
 
 use dsolve::Job;
-use dsolve_obs::{micro, theory, Obs};
+use dsolve_obs::{micro, Obs};
 use std::time::{Duration, Instant};
 
 const SOURCE: &str = r#"
@@ -55,16 +55,14 @@ fn metrics_overhead_within_bound() {
     for _ in 0..rounds {
         // Interleave so drift (thermal, noisy neighbors) hits both arms.
         // The baseline switches off every instrumentation layer — the
-        // Obs handle, the theory timers, and the micro-counters — so
-        // the bound honestly charges everything this crate added.
-        theory::set_timers_enabled(false);
+        // Obs handle, and the theory timers and micro-counters behind
+        // their one switch — so the bound honestly charges everything
+        // this crate added.
         micro::set_enabled(false);
         baseline = baseline.min(timed_run(Obs::off()));
-        theory::set_timers_enabled(true);
         micro::set_enabled(true);
         instrumented = instrumented.min(timed_run(Obs::new()));
     }
-    theory::set_timers_enabled(true);
     micro::set_enabled(true);
 
     // 3% relative plus 25ms absolute: the relative term is the contract,

@@ -226,13 +226,15 @@ fn main() -> ExitCode {
                 }
             }
             if stats {
+                let reg = &res.metrics;
                 eprintln!(
-                    "loc={} annotations={} constraints={} kvars={} smt_queries={} time={:.3}s frontend={:.3}s gen={:.3}s fixpoint={:.3}s obligations={:.3}s",
+                    "loc={} annotations={} constraints={} kvars={} smt_queries={} smt_unknown={} time={:.3}s frontend={:.3}s gen={:.3}s fixpoint={:.3}s obligations={:.3}s",
                     res.loc,
                     res.annotations,
                     res.result.num_constraints,
                     res.result.stats.kvars,
-                    res.result.stats.smt_queries,
+                    reg.queries,
+                    reg.unknown,
                     res.time.as_secs_f64(),
                     res.frontend_time.as_secs_f64(),
                     res.result.gen_time.as_secs_f64(),
@@ -252,19 +254,16 @@ fn main() -> ExitCode {
                     s.jobs,
                     s.rounds,
                     s.max_partition,
-                    s.cache_hits,
-                    s.cache_lookups,
-                    100.0 * s.cache_hit_rate(),
+                    reg.cache_hits,
+                    reg.checks,
+                    100.0 * reg.cache_hit_rate(),
                     s.worker_queries
                 );
-                let reuse = if s.smt_sessions == 0 {
-                    0.0
-                } else {
-                    s.smt_scoped_checks as f64 / s.smt_sessions as f64
-                };
                 eprintln!(
-                    "smt_sessions={} scoped_checks={} asserts_per_session={reuse:.1}",
-                    s.smt_sessions, s.smt_scoped_checks
+                    "smt_sessions={} scoped_checks={} asserts_per_session={:.1}",
+                    reg.sessions,
+                    reg.scoped_checks,
+                    reg.asserts_per_session()
                 );
                 eprintln!(
                     "embed: nodes_built={} nodes_reused={} bound={}",

@@ -1018,13 +1018,6 @@ fn parse_spec_pred(src: &str) -> Result<Pred, String> {
     ))
 }
 
-/// Reference the imported `MlType` so the module's dependencies stay
-/// minimal and explicit.
-#[allow(dead_code)]
-fn _shape_check(t: &RType) -> MlType {
-    t.shape()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,6 +29,7 @@ fn escape(s: &str) -> String {
 /// Renders one run's statistics as a JSON object.
 pub fn stats_json(name: &str, res: &JobResult) -> String {
     let st = &res.result.stats;
+    let m = &res.metrics;
     let mut s = String::from("{\n");
     let _ = writeln!(s, "  \"name\": \"{}\",", escape(name));
     let (verdict, reason) = match res.outcome() {
@@ -52,15 +53,15 @@ pub fn stats_json(name: &str, res: &JobResult) -> String {
     let _ = writeln!(s, "  \"gen_s\": {:.6},", res.result.gen_time.as_secs_f64());
     let _ = writeln!(s, "  \"fixpoint_s\": {:.6},", st.fixpoint_time.as_secs_f64());
     let _ = writeln!(s, "  \"obligation_s\": {:.6},", st.obligation_time.as_secs_f64());
-    let _ = writeln!(s, "  \"smt_queries\": {},", st.smt_queries);
+    let _ = writeln!(s, "  \"smt_queries\": {},", m.queries);
     let _ = writeln!(s, "  \"iterations\": {},", st.iterations);
     let _ = writeln!(s, "  \"jobs\": {},", st.jobs);
     let _ = writeln!(s, "  \"rounds\": {},", st.rounds);
     let _ = writeln!(s, "  \"max_partition\": {},", st.max_partition);
-    let _ = writeln!(s, "  \"cache_hits\": {},", st.cache_hits);
-    let _ = writeln!(s, "  \"cache_lookups\": {},", st.cache_lookups);
-    let _ = writeln!(s, "  \"smt_sessions\": {},", st.smt_sessions);
-    let _ = writeln!(s, "  \"smt_scoped_checks\": {},", st.smt_scoped_checks);
+    let _ = writeln!(s, "  \"cache_hits\": {},", m.cache_hits);
+    let _ = writeln!(s, "  \"cache_lookups\": {},", m.checks);
+    let _ = writeln!(s, "  \"smt_sessions\": {},", m.sessions);
+    let _ = writeln!(s, "  \"smt_scoped_checks\": {},", m.scoped_checks);
     let _ = writeln!(s, "  \"embed_nodes_built\": {},", st.embed_nodes_built);
     let _ = writeln!(s, "  \"embed_nodes_reused\": {},", st.embed_nodes_reused);
     let wq: Vec<String> = st.worker_queries.iter().map(u64::to_string).collect();
@@ -97,7 +98,7 @@ pub fn stats_json(name: &str, res: &JobResult) -> String {
         .map(|k| format!("\"{}\"", escape(k)))
         .collect();
     let _ = writeln!(s, "  \"churning_kvars\": [{}],", churn.join(", "));
-    let _ = writeln!(s, "  \"metrics\": {}", res.metrics.to_json(2));
+    let _ = writeln!(s, "  \"metrics\": {}", m.to_json(2));
     s.push('}');
     s
 }

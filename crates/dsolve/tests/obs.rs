@@ -1,6 +1,7 @@
-//! Observability integration tests: accounting invariants between the
-//! metrics registry and `SolveStats`, determinism of per-constraint
-//! query attribution, and trace well-formedness on abnormal runs.
+//! Observability integration tests: accounting invariants of the
+//! metrics registry (and the per-worker counts in `SolveStats` that sum
+//! to it), determinism of per-constraint query attribution, and trace
+//! well-formedness on abnormal runs.
 
 use dsolve::Job;
 use dsolve_obs::trace::{parse_json, validate_trace_file};
@@ -32,8 +33,9 @@ fn job(jobs: usize) -> Job {
 
 /// The invariants every run must satisfy, regardless of worker count:
 /// checks split exactly into hits and misses, misses split exactly into
-/// solved and refused queries, and the latency histogram saw exactly one
-/// sample per solved query.
+/// solved and refused queries, undecided queries are among the solved
+/// ones, and the latency histogram saw exactly one sample per solved
+/// query.
 fn assert_invariants(snap: &dsolve_obs::Snapshot) {
     assert_eq!(
         snap.checks,
@@ -44,6 +46,10 @@ fn assert_invariants(snap: &dsolve_obs::Snapshot) {
         snap.cache_misses,
         snap.queries + snap.refused,
         "misses must equal solved + refused queries"
+    );
+    assert!(
+        snap.unknown <= snap.queries,
+        "undecided queries must be solved queries"
     );
     assert_eq!(
         snap.query_time_count, snap.queries,
@@ -67,15 +73,10 @@ fn accounting_consistent_sequential() {
     assert_invariants(&snap);
     assert!(snap.queries > 0, "the module must exercise the solver");
 
-    // The registry is the single source of truth: SolveStats agrees with
-    // it, and the per-worker counts sum to the shared total.
+    // The registry holds the run's total; the per-worker counts sum to
+    // it.
     let s = &res.result.stats;
-    assert_eq!(s.smt_queries, snap.queries);
-    assert_eq!(s.cache_hits, snap.cache_hits);
-    assert_eq!(s.cache_lookups, snap.checks);
-    assert_eq!(s.smt_sessions, snap.sessions);
-    assert_eq!(s.smt_scoped_checks, snap.scoped_checks);
-    assert_eq!(s.worker_queries.iter().sum::<u64>(), s.smt_queries);
+    assert_eq!(s.worker_queries.iter().sum::<u64>(), snap.queries);
 
     // The JobResult snapshot is taken from the same registry.
     assert_eq!(res.metrics.queries, snap.queries);
@@ -97,12 +98,9 @@ fn accounting_consistent_across_workers() {
     let s = &res.result.stats;
     assert_eq!(
         s.worker_queries.iter().sum::<u64>(),
-        s.smt_queries,
+        snap.queries,
         "per-worker counts must sum to the shared total"
     );
-    assert_eq!(s.smt_queries, snap.queries);
-    assert_eq!(s.cache_hits, snap.cache_hits);
-    assert_eq!(s.cache_lookups, snap.checks);
 }
 
 /// The registry's `fixpoint` phase time is the time `SolveStats`

@@ -64,12 +64,6 @@ pub struct SolveStats {
     /// Distinct κ scope signatures `Q★` was built for; κs with the same
     /// signature share one instantiation.
     pub qstar_scopes: usize,
-    /// SMT queries actually *solved* during this run (each charged one
-    /// unit against `--max-smt-queries`). Sourced from the metrics
-    /// registry — the single accounting authority — so cache hits are
-    /// excluded and the total always equals the sum of
-    /// `worker_queries`.
-    pub smt_queries: u64,
     /// Fixpoint iterations (constraint re-checks).
     pub iterations: u64,
     /// Wall-clock time spent in the weakening fixpoint.
@@ -83,23 +77,12 @@ pub struct SolveStats {
     pub rounds: u64,
     /// Constraints in the largest single partition of any round.
     pub max_partition: usize,
-    /// SMT queries issued per worker (index = worker id).
+    /// SMT queries solved per worker (index = worker id). They sum to
+    /// the job registry's `smt_queries`, which holds the run's total
+    /// along with its cache and session counts.
     pub worker_queries: Vec<u64>,
     /// Constraint checks per worker (aggregate partition sizes).
     pub worker_checks: Vec<u64>,
-    /// Validity checks answered from the query cache, across all
-    /// workers (from the metrics registry).
-    pub cache_hits: u64,
-    /// Validity checks requested of the SMT layer across all workers
-    /// (from the metrics registry): `cache_hits + cache_misses`.
-    pub cache_lookups: u64,
-    /// SMT sessions opened across all workers to serve a batch of
-    /// checks (a scalar query's one-shot session is not counted).
-    pub smt_sessions: u64,
-    /// Consequents decided under an assertion scope inside those
-    /// sessions; `smt_scoped_checks / smt_sessions` is the average
-    /// batch size — how much antecedent encoding was reused.
-    pub smt_scoped_checks: u64,
     /// Per-round, per-partition fixpoint work (one partition per round
     /// at `--jobs 1`).
     pub partition_stats: Vec<PartitionStat>,
@@ -136,17 +119,6 @@ pub struct PartitionStat {
     pub constraints: u64,
     /// Wall-clock time spent on this partition.
     pub wall: Duration,
-}
-
-impl SolveStats {
-    /// Cache hit rate in `[0, 1]` (0 when no lookups happened).
-    pub fn cache_hit_rate(&self) -> f64 {
-        if self.cache_lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.cache_lookups as f64
-        }
-    }
 }
 
 /// The result of solving.
@@ -230,7 +202,7 @@ pub fn solve(
     let budget = config.budget;
     let deadline = budget.deadline_from_now();
     let obs = config.obs.clone();
-    let base = MetricsBaseline::capture(&obs);
+    let refused_at_entry = obs.metrics().smt_refused.get();
     let query_cache = QueryCache::shared();
     if config
         .fault
@@ -481,8 +453,7 @@ pub fn solve(
     }
 
     stats.obligation_time = obligation_start.elapsed();
-    base.fill(&obs, &mut stats);
-    stats.worker_queries = slots.iter().map(|s| s.smt.stats.solved_queries).collect();
+    stats.worker_queries = slots.iter().map(|s| s.smt.solved_queries()).collect();
     for slot in &slots {
         stats.embed_nodes_built += slot.cache.built;
         stats.embed_nodes_reused += slot.cache.reused;
@@ -491,7 +462,8 @@ pub fn solve(
     obs.metrics()
         .cache_poison_recoveries
         .add(query_cache.poison_recoveries());
-    taint_refused_unsafe(&base, &obs, &errors, &mut exhaustion);
+    let refused = obs.metrics().smt_refused.get() > refused_at_entry;
+    taint_refused_unsafe(refused, &errors, &mut exhaustion);
 
     Solution {
         assignment: fix.assignment,
@@ -748,8 +720,8 @@ fn initial_assignment(
 /// Checks one constraint, weakening the κs on its right side. Returns
 /// `(κ, survivors)`, once per κ, for every κ whose candidate set shrank.
 ///
-/// Query accounting happens inside the SMT solver (metrics registry +
-/// per-solver `solved_queries`); this function no longer counts.
+/// Query accounting happens inside the SMT solver (the job's metrics
+/// registry, plus each solver's own `solved_queries`).
 fn weaken_constraint<'s>(
     genv: &GlobalEnv,
     c: &'s SubC,
@@ -928,64 +900,20 @@ fn check_obligations<'s>(
     (errors, exhaustion)
 }
 
-/// Counter values at solve entry: per-solve stats are reported as deltas
-/// against these, so a driver-level `Obs` shared across several `verify`
-/// calls (spec specialization retries the whole pipeline) still yields
-/// correct per-solve numbers.
-struct MetricsBaseline {
-    queries: u64,
-    checks: u64,
-    hits: u64,
-    sessions: u64,
-    scoped: u64,
-    refused: u64,
-}
-
-impl MetricsBaseline {
-    fn capture(obs: &Obs) -> MetricsBaseline {
-        let m = obs.metrics();
-        MetricsBaseline {
-            queries: m.smt_queries.get(),
-            checks: m.smt_checks.get(),
-            hits: m.smt_cache_hits.get(),
-            sessions: m.smt_sessions.get(),
-            scoped: m.smt_scoped_checks.get(),
-            refused: m.smt_refused.get(),
-        }
-    }
-
-    /// Whether any SMT query was refused (expired deadline, exhausted
-    /// cap, or an injected `query-timeout`) since solve entry.
-    fn any_refused(&self, obs: &Obs) -> bool {
-        obs.metrics().smt_refused.get() > self.refused
-    }
-
-    /// Writes the registry deltas into `stats` — the metrics registry is
-    /// the single accounting authority for query counts.
-    fn fill(&self, obs: &Obs, stats: &mut SolveStats) {
-        let m = obs.metrics();
-        stats.smt_queries = m.smt_queries.get() - self.queries;
-        stats.cache_hits = m.smt_cache_hits.get() - self.hits;
-        stats.cache_lookups = m.smt_checks.get() - self.checks;
-        stats.smt_sessions = m.smt_sessions.get() - self.sessions;
-        stats.smt_scoped_checks = m.smt_scoped_checks.get() - self.scoped;
-    }
-}
-
 /// Degrades an `Unsafe`-bound run to `Unknown` when any SMT query was
-/// refused. A refused weakening query drops its qualifier — sound for
-/// inference, but the resulting assignment can be strictly weaker than
-/// the true fixpoint, so a failing obligation under it is not evidence
-/// of a bug. A clean run is unaffected: every kept qualifier and every
-/// obligation was genuinely proven, so `Safe` stands even after
-/// refusals.
+/// `refused` (expired deadline, exhausted cap, or an injected
+/// `query-timeout`). A refused weakening query drops its qualifier —
+/// sound for inference, but the resulting assignment can be strictly
+/// weaker than the true fixpoint, so a failing obligation under it is
+/// not evidence of a bug. A clean run is unaffected: every kept
+/// qualifier and every obligation was genuinely proven, so `Safe`
+/// stands even after refusals.
 fn taint_refused_unsafe(
-    base: &MetricsBaseline,
-    obs: &Obs,
+    refused: bool,
     errors: &[LiquidError],
     exhaustion: &mut Option<Exhaustion>,
 ) {
-    if exhaustion.is_none() && !errors.is_empty() && base.any_refused(obs) {
+    if exhaustion.is_none() && !errors.is_empty() && refused {
         *exhaustion = Some(Exhaustion::with_detail(
             Phase::Fixpoint,
             Resource::SmtQueries,
@@ -1647,13 +1575,24 @@ mod tests {
     #[test]
     fn driver_one_worker_keeps_the_worklist_schedule() {
         let (genv, kenv, subs) = diamond_case();
-        let sol = solve(&genv, &kenv, &subs, &quals(), &seq_config());
+        let config = SolveConfig {
+            obs: Obs::new(),
+            ..seq_config()
+        };
+        let sol = solve(&genv, &kenv, &subs, &quals(), &config);
         let s = &sol.stats;
         let sizes: Vec<u64> = s.partition_stats.iter().map(|p| p.constraints).collect();
         assert_eq!(sizes, [8, 2, 2, 2, 1]);
         assert!(s.partition_stats.iter().all(|p| p.worker == 0));
         assert_eq!((s.iterations, s.rounds, s.max_partition), (15, 5, 8));
-        assert_eq!((s.smt_queries, s.cache_hits, s.cache_lookups), (2, 3, 5));
+        let m = config.obs.metrics();
+        let counts = (
+            m.smt_queries.get(),
+            m.smt_cache_hits.get(),
+            m.smt_checks.get(),
+        );
+        assert_eq!(counts, (2, 3, 5));
+        assert_eq!(s.worker_queries, [2]);
         assert_eq!(s.worker_checks, [15]);
         // κ names come from a process-wide counter: compare the points.
         let mut traj: Vec<&[(u64, usize)]> = s
@@ -1715,14 +1654,19 @@ mod tests {
                         max_smt_queries: Some(1),
                         ..Budget::default()
                     },
+                    obs: Obs::new(),
                     fault: fault.map(|f| Arc::new(FaultPlan::parse(f).unwrap())),
                     ..SolveConfig::default()
                 };
                 let sol = solve(&genv, &kenv, &subs, &quals(), &config);
-                let s = &sol.stats;
+                let queries = config.obs.metrics().smt_queries.get();
                 let ctx = format!("jobs={jobs} fault={fault:?}");
-                assert!(s.smt_queries <= 1, "{ctx}: {} queries", s.smt_queries);
-                assert_eq!(s.worker_queries.iter().sum::<u64>(), s.smt_queries, "{ctx}");
+                assert!(queries <= 1, "{ctx}: {queries} queries");
+                assert_eq!(
+                    sol.stats.worker_queries.iter().sum::<u64>(),
+                    queries,
+                    "{ctx}"
+                );
             }
         }
     }

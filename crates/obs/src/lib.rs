@@ -25,7 +25,6 @@
 pub mod log;
 pub mod metrics;
 pub mod micro;
-pub mod theory;
 pub mod trace;
 
 mod provenance;
@@ -85,10 +84,13 @@ impl Obs {
         }
     }
 
-    /// A disabled handle: every record call is a no-op. All callers
-    /// share one static instance, so this allocates nothing — solver
-    /// constructors use it as their placeholder before the pipeline
-    /// hands them the job's live handle.
+    /// A disabled handle: spans, query records and trace events are
+    /// no-ops, but its registry is one process-wide static that direct
+    /// counter bumps still reach — every solver not handed a live
+    /// handle counts its checks and queries there. All callers share
+    /// the one instance, so this allocates nothing; solver constructors
+    /// use it as their placeholder before the pipeline hands them the
+    /// job's live handle. Read counts from an [`Obs::new`] handle.
     pub fn off() -> Obs {
         static OFF: OnceLock<Obs> = OnceLock::new();
         OFF.get_or_init(|| Obs {
@@ -193,31 +195,31 @@ impl Obs {
         }
     }
 
-    /// Records one solved SMT query: drains the thread's theory
-    /// timers and micro-counters, updates the latency histogram,
-    /// attributes cost to the origin, and (when tracing) emits a query
-    /// event named after the origin's source label.
+    /// Records one solved SMT query: drains the thread's work
+    /// accumulator ([`micro`]: theory time and micro-counters), updates
+    /// the latency histogram, attributes cost to the origin, and (when
+    /// tracing) emits a query event named after the origin's source
+    /// label.
     ///
-    /// The thread-local accumulators are drained even on disabled
-    /// handles so residue never bleeds between jobs.
+    /// The accumulator is drained even on disabled handles so residue
+    /// never bleeds between jobs.
     pub fn record_query(&self, origin: Option<&QueryOrigin>, start: Instant, verdict: &str) {
         let dur = start.elapsed();
-        let theory = theory::drain();
-        let micro_vals = micro::drain();
+        let work = micro::drain();
         if !self.inner.enabled {
             return;
         }
         let m = self.metrics();
         m.query_time.record(dur);
-        for (i, &ns) in theory.iter().enumerate() {
+        for (c, &ns) in m.theory_ns.iter().zip(&work.theory_ns) {
             if ns > 0 {
-                m.theory_ns[i].add(ns);
+                c.add(ns);
             }
         }
-        m.micro.merge(&micro_vals);
+        m.micro.merge(&work.micro);
         let ns = dur.as_nanos().min(u64::MAX as u128) as u64;
         if let Some(o) = origin {
-            self.inner.costs.add(o, ns, &micro_vals);
+            self.inner.costs.add(o, ns, &work.micro);
         }
         if let Some(t) = &self.inner.trace {
             let name: &str = origin.map(|o| &*o.label).unwrap_or("smt-check");
@@ -243,11 +245,14 @@ impl Obs {
         for (o, c) in theory_ns.iter_mut().zip(&m.theory_ns) {
             *o = c.get();
         }
+        let cache_hits = m.smt_cache_hits.get();
+        let checks = m.smt_checks.get();
         Snapshot {
-            checks: m.smt_checks.get(),
-            cache_hits: m.smt_cache_hits.get(),
-            cache_misses: m.smt_cache_misses.get(),
+            checks,
+            cache_hits,
+            cache_misses: checks.saturating_sub(cache_hits),
             queries: m.smt_queries.get(),
+            unknown: m.smt_unknown.get(),
             refused: m.smt_refused.get(),
             sessions: m.smt_sessions.get(),
             scoped_checks: m.smt_scoped_checks.get(),
@@ -327,10 +332,12 @@ pub struct Snapshot {
     pub checks: u64,
     /// Checks answered from the query cache.
     pub cache_hits: u64,
-    /// Checks not answered from the cache.
+    /// Checks not answered from the cache: `checks − cache_hits`.
     pub cache_misses: u64,
     /// Queries actually solved (the charged count).
     pub queries: u64,
+    /// Solved queries that came back undecided (`Unknown`).
+    pub unknown: u64,
     /// Queries refused on entry by budget exhaustion.
     pub refused: u64,
     /// Incremental sessions opened.
@@ -391,6 +398,15 @@ impl Snapshot {
         }
     }
 
+    /// Scoped checks per counted session (0 when no session was opened).
+    pub fn asserts_per_session(&self) -> f64 {
+        if self.sessions == 0 {
+            0.0
+        } else {
+            self.scoped_checks as f64 / self.sessions as f64
+        }
+    }
+
     /// Renders the snapshot as a JSON object, `indent` spaces deep,
     /// matching the repo's hand-rolled JSON style.
     pub fn to_json(&self, indent: usize) -> String {
@@ -408,6 +424,7 @@ impl Snapshot {
         let _ = writeln!(s, "{inner}\"cache_misses\": {},", self.cache_misses);
         let _ = writeln!(s, "{inner}\"cache_hit_rate\": {:.4},", self.cache_hit_rate());
         let _ = writeln!(s, "{inner}\"queries\": {},", self.queries);
+        let _ = writeln!(s, "{inner}\"unknown\": {},", self.unknown);
         let _ = writeln!(s, "{inner}\"refused\": {},", self.refused);
         let _ = writeln!(s, "{inner}\"sessions\": {},", self.sessions);
         let _ = writeln!(s, "{inner}\"scoped_checks\": {},", self.scoped_checks);
@@ -511,8 +528,10 @@ mod tests {
         let obs = Obs::new();
         obs.metrics().smt_checks.add(10);
         obs.metrics().smt_cache_hits.add(4);
-        obs.metrics().smt_cache_misses.add(6);
         obs.metrics().smt_queries.add(6);
+        obs.metrics().smt_unknown.add(2);
+        obs.metrics().smt_sessions.add(2);
+        obs.metrics().smt_scoped_checks.add(5);
         obs.record_query(
             Some(&QueryOrigin {
                 constraint: 2,
@@ -524,9 +543,16 @@ mod tests {
             "valid",
         );
         let snap = obs.snapshot(5);
+        assert_eq!(snap.asserts_per_session(), 2.5);
+        assert_eq!(Snapshot::default().asserts_per_session(), 0.0);
         let json = snap.to_json(0);
         let doc = trace::parse_json(&json).expect("snapshot json parses");
         assert_eq!(doc.get("checks").and_then(trace::Json::as_num), Some(10.0));
+        assert_eq!(
+            doc.get("cache_misses").and_then(trace::Json::as_num),
+            Some(6.0)
+        );
+        assert_eq!(doc.get("unknown").and_then(trace::Json::as_num), Some(2.0));
         assert_eq!(
             doc.get("cache_hit_rate").and_then(trace::Json::as_num),
             Some(0.4)

@@ -399,10 +399,11 @@ pub struct Metrics {
     pub smt_checks: Counter,
     /// Checks answered from the shared query cache.
     pub smt_cache_hits: Counter,
-    /// Checks not answered from the cache (solved, or refused on entry).
-    pub smt_cache_misses: Counter,
     /// Queries actually solved (charged against `--max-smt-queries`).
     pub smt_queries: Counter,
+    /// Solved queries whose verdict was `Unknown` (a search cap, the
+    /// deadline mid-query, or a failed certificate).
+    pub smt_unknown: Counter,
     /// Queries refused on entry by budget/deadline exhaustion.
     pub smt_refused: Counter,
     /// Incremental sessions opened.

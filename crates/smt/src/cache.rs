@@ -53,9 +53,6 @@ pub struct QueryCache {
     /// Buckets store the full key pair so hash collisions fall back to
     /// structural equality, never to a wrong verdict.
     shards: Vec<Shard>,
-    hits: AtomicU64,
-    lookups: AtomicU64,
-    entries: AtomicU64,
     poisoned: AtomicU64,
 }
 
@@ -70,9 +67,6 @@ impl QueryCache {
     pub fn new() -> QueryCache {
         QueryCache {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            lookups: AtomicU64::new(0),
-            entries: AtomicU64::new(0),
             poisoned: AtomicU64::new(0),
         }
     }
@@ -105,21 +99,18 @@ impl QueryCache {
         h.finish()
     }
 
-    /// Looks up the cached verdict for `antecedent ⇒ consequent`.
+    /// Looks up the cached verdict for `antecedent ⇒ consequent`. The
+    /// cache keeps no counts of its own: the querying solver records
+    /// checks and hits in its job's metrics registry.
     pub fn get(&self, antecedent: &Pred, consequent: &Pred) -> Option<bool> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
         let key = QueryCache::key(antecedent, consequent);
         let shard = self.lock_shard((key as usize) % SHARDS);
-        let found = shard.get(&key).and_then(|bucket| {
+        shard.get(&key).and_then(|bucket| {
             bucket
                 .iter()
                 .find(|(a, c, _)| a == antecedent && c == consequent)
                 .map(|(_, _, v)| *v)
-        });
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
+        })
     }
 
     /// Records a definite verdict. Racing inserts of the same query are
@@ -136,27 +127,6 @@ impl QueryCache {
             return;
         }
         bucket.push((antecedent.clone(), consequent.clone(), valid));
-        self.entries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Cache hits since creation.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups since creation.
-    pub fn lookups(&self) -> u64 {
-        self.lookups.load(Ordering::Relaxed)
-    }
-
-    /// Stored entries.
-    pub fn len(&self) -> u64 {
-        self.entries.load(Ordering::Relaxed)
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Times a shard lock was found poisoned and recovered.
@@ -191,6 +161,15 @@ mod tests {
     use super::*;
     use dsolve_logic::parse_pred;
 
+    /// Entries stored across every shard.
+    fn stored(cache: &QueryCache) -> usize {
+        cache
+            .shards
+            .iter()
+            .map(|s| s.lock().unwrap().values().map(Vec::len).sum::<usize>())
+            .sum()
+    }
+
     #[test]
     fn get_insert_roundtrip() {
         let cache = QueryCache::new();
@@ -201,9 +180,6 @@ mod tests {
         assert_eq!(cache.get(&a, &c), Some(true));
         // Direction matters: the reversed query is distinct.
         assert_eq!(cache.get(&c, &a), None);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.lookups(), 3);
     }
 
     #[test]
@@ -212,8 +188,10 @@ mod tests {
         let a = parse_pred("x = 1").unwrap();
         let c = parse_pred("x >= 1").unwrap();
         cache.insert(&a, &c, true);
-        cache.insert(&a, &c, true);
-        assert_eq!(cache.len(), 1);
+        // A second insert of the same query keeps the first entry.
+        cache.insert(&a, &c, false);
+        assert_eq!(cache.get(&a, &c), Some(true));
+        assert_eq!(stored(&cache), 1);
     }
 
     #[test]
@@ -252,6 +230,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(cache.len(), 32);
+        assert_eq!(stored(&cache), 32);
     }
 }

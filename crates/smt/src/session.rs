@@ -26,7 +26,7 @@ use crate::sets::{canonicalize_sets, set_saturation_lemma_list};
 use crate::solver::{certification_unknown, eliminate_ite, SmtResult};
 use crate::theory::{TheoryBudget, TheoryContext, TheoryResult};
 use dsolve_logic::{deadline_expired, Budget, Exhaustion, Phase, Pred, Resource, SortEnv};
-use dsolve_obs::{theory as theory_timer, TheoryKind};
+use dsolve_obs::{micro, TheoryKind};
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -130,7 +130,7 @@ impl Session {
     /// Set canonicalization happens here, per predicate; the encoding
     /// itself is deferred to [`Session::check`].
     pub(crate) fn assert_pred(&mut self, p: &Pred) {
-        let canon = theory_timer::time(TheoryKind::Sets, || canonicalize_sets(p));
+        let canon = micro::time(TheoryKind::Sets, || canonicalize_sets(p));
         self.asserted.push(canon);
     }
 
@@ -196,11 +196,11 @@ impl Session {
                 &joined
             }
         };
-        let (set_lemmas, saturation_truncated) = theory_timer::time(TheoryKind::Sets, || {
+        let (set_lemmas, saturation_truncated) = micro::time(TheoryKind::Sets, || {
             set_saturation_lemma_list(conj, budget.max_saturation_lemmas)
         });
         let arr_lemmas = if self.array_axioms {
-            theory_timer::time(TheoryKind::Arrays, || {
+            micro::time(TheoryKind::Arrays, || {
                 array_axiom_lemmas(std::iter::once(conj).chain(&set_lemmas))
             })
         } else {
@@ -247,7 +247,7 @@ impl Session {
         let mut cores: Vec<Vec<(AtomId, bool)>> = Vec::new();
         let mut conflicts = 0u64;
         loop {
-            let sat_verdict = theory_timer::time(TheoryKind::Sat, || {
+            let sat_verdict = micro::time(TheoryKind::Sat, || {
                 self.sat.solve_within(deadline, budget.max_sat_conflicts)
             });
             match sat_verdict {

@@ -19,27 +19,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Cumulative statistics over a solver's lifetime.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SolverStats {
-    /// Validity queries answered from the cache.
-    pub cache_hits: u64,
-    /// Sessions opened to serve several checks
-    /// ([`SmtSolver::check_valid_many`] batches and explicit
-    /// [`SmtSolver::start_incremental`] calls); the one-shot session of
-    /// a scalar query is not counted.
-    pub sessions: u64,
-    /// Checks decided under a pushed assertion scope inside those
-    /// sessions; the ratio `scoped_checks / sessions` is the scope reuse
-    /// rate — how many queries each shared encoding served.
-    pub scoped_checks: u64,
-    /// Queries this solver actually solved (each charged one unit
-    /// against `--max-smt-queries`). Unlike the shared counter behind
-    /// [`SmtSolver::queries_charged`], this is local to the solver, so
-    /// parallel fixpoint workers report per-worker totals from it.
-    pub solved_queries: u64,
-}
-
 /// Configuration knobs (exposed for the ablation benchmarks).
 #[derive(Clone, Copy, Debug)]
 pub struct SolverConfig {
@@ -111,8 +90,6 @@ pub enum Validity {
 /// assert!(!smt.is_valid(&env, &rhs, &lhs));
 /// ```
 pub struct SmtSolver {
-    /// Statistics (monotone counters).
-    pub stats: SolverStats,
     config: SolverConfig,
     /// Validity memo table. Private by default; [`SmtSolver::share_cache`]
     /// installs a handle shared with other solvers (parallel fixpoint
@@ -131,6 +108,10 @@ pub struct SmtSolver {
     /// The active incremental session, if [`SmtSolver::start_incremental`]
     /// opened one.
     session: Option<Box<Session>>,
+    /// Queries this solver solved. The registry counts the total across
+    /// solvers; this count is the solver's own share, which the fixpoint
+    /// reports per worker.
+    solved: u64,
     /// Observability handle: metrics registry, query latency histogram,
     /// and per-constraint cost attribution. Disabled by default;
     /// [`SmtSolver::set_obs`] installs the pipeline's live handle.
@@ -147,13 +128,13 @@ pub struct SmtSolver {
 impl Default for SmtSolver {
     fn default() -> SmtSolver {
         SmtSolver {
-            stats: SolverStats::default(),
             config: SolverConfig::default(),
             cache: QueryCache::shared(),
             queries: Arc::new(AtomicU64::new(0)),
             deadline: None,
             deadline_armed: false,
             session: None,
+            solved: 0,
             obs: Obs::off(),
             origin: None,
             fault: None,
@@ -186,11 +167,6 @@ impl SmtSolver {
         self.cache = cache;
     }
 
-    /// The cache handle in use (shared or private).
-    pub fn cache_handle(&self) -> Arc<QueryCache> {
-        Arc::clone(&self.cache)
-    }
-
     /// Installs a shared query counter: `budget.max_smt_queries` then
     /// caps the total across every solver holding the same counter.
     pub fn share_query_counter(&mut self, queries: Arc<AtomicU64>) {
@@ -198,9 +174,9 @@ impl SmtSolver {
     }
 
     /// Installs an observability handle. Every metrics-relevant event
-    /// (check requested, cache hit/miss, query solved or refused,
-    /// session opened, scoped check) records into its registry, making
-    /// it the single source of truth for query accounting.
+    /// (check requested, cache hit, query solved, undecided or refused,
+    /// session opened, scoped check) records into its registry, the one
+    /// store of query accounting.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -236,6 +212,12 @@ impl SmtSolver {
     /// Queries charged so far against the (possibly shared) cap.
     pub fn queries_charged(&self) -> u64 {
         self.queries.load(Ordering::Relaxed)
+    }
+
+    /// Queries this solver solved (its share of the registry's
+    /// `smt_queries`).
+    pub fn solved_queries(&self) -> u64 {
+        self.solved
     }
 
     /// Pins the absolute wall-clock deadline for every subsequent query.
@@ -424,7 +406,6 @@ impl SmtSolver {
     /// Panics when no session is active.
     pub fn check_incremental(&mut self) -> SmtResult {
         self.query(None, |smt, deadline| {
-            smt.stats.scoped_checks += 1;
             smt.obs.metrics().smt_scoped_checks.incr();
             let session = smt
                 .session
@@ -479,7 +460,6 @@ impl SmtSolver {
                         session.assert_pred(antecedent);
                         session
                     });
-                    smt.stats.scoped_checks += 1;
                     smt.obs.metrics().smt_scoped_checks.incr();
                     session.push();
                     session.assert_pred(&Pred::not(consequent.clone()));
@@ -509,11 +489,9 @@ impl SmtSolver {
         self.obs.metrics().smt_checks.incr();
         let cached = implication.filter(|_| self.config.cache);
         if let Some(valid) = cached.and_then(|(a, c)| self.cache.get(a, c)) {
-            self.stats.cache_hits += 1;
             self.obs.metrics().smt_cache_hits.incr();
             return if valid { SmtResult::Unsat } else { SmtResult::Sat };
         }
-        self.obs.metrics().smt_cache_misses.incr();
         let refused = self.entry_exhaustion().or_else(|| {
             self.fault_fires(FaultPoint::QueryTimeout)
                 .then(Self::injected_timeout)
@@ -523,12 +501,15 @@ impl SmtSolver {
             return SmtResult::Unknown(e);
         }
         self.queries.fetch_add(1, Ordering::Relaxed);
-        self.stats.solved_queries += 1;
+        self.solved += 1;
         self.obs.metrics().smt_queries.incr();
         let deadline = self.effective_deadline();
         let qstart = Instant::now();
         let verdict = solve(self, deadline);
         self.note_certification(&verdict);
+        if matches!(verdict, SmtResult::Unknown(_)) {
+            self.obs.metrics().smt_unknown.incr();
+        }
         self.obs.record_query(
             self.origin.as_ref(),
             qstart,
@@ -545,9 +526,9 @@ impl SmtSolver {
     }
 
     /// Opens a session that serves several checks (a batch, or the
-    /// scope API), counted in `sessions`. A one-shot session is not.
+    /// scope API), counted in the registry's `smt_sessions`. A one-shot
+    /// session is not.
     fn open_session(&mut self, env: &SortEnv) -> Session {
-        self.stats.sessions += 1;
         self.obs.metrics().smt_sessions.incr();
         self.new_session(env)
     }
@@ -706,6 +687,14 @@ mod tests {
         env
     }
 
+    /// Installs a fresh registry on `smt`, so the test reads its own
+    /// counts (the placeholder `Obs::off()` registry is process-wide).
+    fn observed(mut smt: SmtSolver) -> (SmtSolver, Obs) {
+        let obs = Obs::new();
+        smt.set_obs(obs.clone());
+        (smt, obs)
+    }
+
     fn valid(lhs: &str, rhs: &str) -> bool {
         let env = env();
         let mut smt = SmtSolver::new();
@@ -810,12 +799,14 @@ mod tests {
     #[test]
     fn cache_hits_count() {
         let env = env();
-        let mut smt = SmtSolver::new();
+        let (mut smt, obs) = observed(SmtSolver::new());
         let l = parse_pred("x < y").unwrap();
         let r = parse_pred("x <= y").unwrap();
         assert!(smt.is_valid(&env, &l, &r));
         assert!(smt.is_valid(&env, &l, &r));
-        assert_eq!(smt.stats.cache_hits, 1);
+        let m = obs.metrics();
+        assert_eq!((m.smt_checks.get(), m.smt_cache_hits.get()), (2, 1));
+        assert_eq!((m.smt_queries.get(), smt.solved_queries()), (1, 1));
     }
 
     #[test]
@@ -858,13 +849,13 @@ mod tests {
         // query is a cache hit, does no solving, and must be served —
         // and charged nothing — even once the cap is exhausted.
         let env = env();
-        let mut smt = SmtSolver::with_config(SolverConfig {
+        let (mut smt, obs) = observed(SmtSolver::with_config(SolverConfig {
             budget: Budget {
                 max_smt_queries: Some(1),
                 ..Budget::default()
             },
             ..SolverConfig::default()
-        });
+        }));
         let l = parse_pred("x < y").unwrap();
         let r = parse_pred("x <= y").unwrap();
         assert_eq!(smt.check_valid(&env, &l, &r), Validity::Valid);
@@ -873,13 +864,13 @@ mod tests {
             assert_eq!(smt.check_valid(&env, &l, &r), Validity::Valid);
         }
         assert_eq!(smt.queries_charged(), 1, "cache hits burned query budget");
-        assert_eq!(smt.stats.cache_hits, 3);
+        assert_eq!(obs.metrics().smt_cache_hits.get(), 3);
     }
 
     #[test]
     fn incremental_scope_api_roundtrip() {
         let env = env();
-        let mut smt = SmtSolver::new();
+        let (mut smt, obs) = observed(SmtSolver::new());
         smt.start_incremental(&env);
         smt.assert_pred(&parse_pred("x < y").unwrap());
         assert_eq!(smt.check_incremental(), SmtResult::Sat);
@@ -909,8 +900,10 @@ mod tests {
         }
         assert_eq!(smt.check_incremental(), SmtResult::Sat);
         smt.end_incremental();
-        assert_eq!(smt.stats.sessions, 1);
-        assert_eq!(smt.stats.scoped_checks, 6);
+        let m = obs.metrics();
+        assert_eq!(m.smt_sessions.get(), 1);
+        assert_eq!(m.smt_scoped_checks.get(), 6);
+        assert_eq!((m.smt_queries.get(), m.smt_refused.get()), (6, 1));
         assert_eq!(smt.queries_charged(), 6);
     }
 
@@ -929,7 +922,7 @@ mod tests {
         .iter()
         .map(|s| parse_pred(s).unwrap())
         .collect();
-        let mut batch = SmtSolver::new();
+        let (mut batch, obs) = observed(SmtSolver::new());
         let got = batch.check_valid_many(&env, &antecedent, &consequents);
         for (c, got) in consequents.iter().zip(&got) {
             let mut scalar = SmtSolver::new();
@@ -937,8 +930,11 @@ mod tests {
             assert_eq!(*got, want, "verdict mismatch on `{c}`");
         }
         // One session served the whole batch.
-        assert_eq!(batch.stats.sessions, 1);
-        assert_eq!(batch.stats.scoped_checks, consequents.len() as u64);
+        assert_eq!(obs.metrics().smt_sessions.get(), 1);
+        assert_eq!(
+            obs.metrics().smt_scoped_checks.get(),
+            consequents.len() as u64
+        );
     }
 
     #[test]
@@ -983,13 +979,14 @@ mod tests {
         batch.share_cache(Arc::clone(&cache));
         let _ = batch.check_valid_many(&env, &antecedent, &consequents);
         // A different solver sharing the cache answers from it.
-        let mut other = SmtSolver::new();
+        let (mut other, obs) = observed(SmtSolver::new());
         other.share_cache(cache);
         assert_eq!(
             other.check_valid(&env, &antecedent, &consequents[0]),
             Validity::Valid
         );
-        assert_eq!(other.stats.cache_hits, 1);
+        assert_eq!(obs.metrics().smt_cache_hits.get(), 1);
+        assert_eq!(other.solved_queries(), 0);
     }
 
     #[test]
@@ -1051,13 +1048,13 @@ mod tests {
     #[test]
     fn unknown_is_not_cached() {
         let env = env();
-        let mut smt = SmtSolver::with_config(SolverConfig {
+        let (mut smt, obs) = observed(SmtSolver::with_config(SolverConfig {
             budget: Budget {
                 max_bb_nodes: 0,
                 ..Budget::default()
             },
             ..SolverConfig::default()
-        });
+        }));
         let l = parse_pred("x + x = 1").unwrap();
         let r = parse_pred("false").unwrap();
         assert!(matches!(
@@ -1068,7 +1065,10 @@ mod tests {
             smt.check_valid(&env, &l, &r),
             Validity::Unknown(_)
         ));
-        assert_eq!(smt.stats.cache_hits, 0);
+        let m = obs.metrics();
+        assert_eq!(m.smt_cache_hits.get(), 0);
+        // Both were solved, and both came back undecided.
+        assert_eq!((m.smt_queries.get(), m.smt_unknown.get()), (2, 2));
     }
 
     #[test]

@@ -54,7 +54,7 @@ use crate::simplex::{LpResult, Simplex};
 use crate::term::{LinExpr, Term, TermArena, TermId};
 use crate::Rat;
 use dsolve_logic::{deadline_expired, Budget, Resource, Sort};
-use dsolve_obs::{micro, theory as theory_timer, MicroCounter, TheoryKind};
+use dsolve_obs::{micro, MicroCounter, TheoryKind};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
@@ -658,10 +658,10 @@ impl Engines {
         // literals must not meet the branching first (without the bounds
         // of the whole model, the search may not finish).
         loop {
-            if theory_timer::time(TheoryKind::Simplex, || self.simplex.check()) == LpResult::Unsat {
+            if micro::time(TheoryKind::Simplex, || self.simplex.check()) == LpResult::Unsat {
                 return Consistency::Unsat(self.expand(self.simplex.conflict()));
             }
-            if theory_timer::time(TheoryKind::Euf, || self.euf.check()) == EufResult::Unsat {
+            if micro::time(TheoryKind::Euf, || self.euf.check()) == EufResult::Unsat {
                 return Consistency::Unsat(self.expand(self.euf.conflict()));
             }
             // EUF → simplex, each equality resting on its proof-forest
@@ -685,7 +685,7 @@ impl Engines {
             if changed {
                 continue;
             }
-            match theory_timer::time(TheoryKind::Simplex, || {
+            match micro::time(TheoryKind::Simplex, || {
                 self.simplex
                     .check_int_among(&ints, budget.bb_nodes, budget.deadline)
             }) {
@@ -708,7 +708,7 @@ impl Engines {
             }
             // Simplex → EUF. The probes are simplex work, so they are
             // timed as such.
-            let new_eq = theory_timer::time(TheoryKind::Simplex, || {
+            let new_eq = micro::time(TheoryKind::Simplex, || {
                 self.propagate_forced(arena, &candidates)
             });
             if !new_eq {
@@ -903,7 +903,7 @@ mod tests {
         let env = env();
         let (atoms, lits) = lits_of(lits, &env);
         let result = check_assignment(&atoms, &lits, true, &TheoryBudget::default());
-        let counts = micro::drain();
+        let counts = micro::drain().micro;
         assert_eq!(
             counts[MicroCounter::TheoryCoreFallbacks.index()],
             0,
@@ -992,7 +992,7 @@ mod tests {
             panic!("0 < x < 1 has no integer solution");
         };
         assert_eq!(core, vec![0, 1]);
-        let counts = micro::drain();
+        let counts = micro::drain().micro;
         assert_eq!(counts[MicroCounter::TheoryFrames.index()], 2);
         assert_eq!(counts[MicroCounter::TheoryCoreFallbacks.index()], 0);
         assert_eq!(counts[MicroCounter::TheoryAssignments.index()], 2);
@@ -1029,7 +1029,7 @@ mod tests {
             ctx.check(&atoms, &all, &other, true, &budget),
             TheoryResult::Unsat(_)
         ));
-        let counts = micro::drain();
+        let counts = micro::drain().micro;
         // [x<y], [y<z] on top of it, [z<x] on top of it again; the last
         // check reuses both frames of its root and puts y < z in the
         // model's own scope.

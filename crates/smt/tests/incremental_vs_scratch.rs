@@ -40,7 +40,7 @@ const CASES: u32 = 256;
 const CASES: u32 = 32;
 
 /// Fixed environment: integers, a boolean flag, a unary uninterpreted
-/// function, and two set variables.
+/// function, and three set variables.
 fn env() -> SortEnv {
     let mut env = SortEnv::new();
     for v in ["x", "y", "z"] {
@@ -49,6 +49,7 @@ fn env() -> SortEnv {
     env.bind(Symbol::new("b"), Sort::Bool);
     env.bind(Symbol::new("s"), Sort::Set);
     env.bind(Symbol::new("t"), Sort::Set);
+    env.bind(Symbol::new("u"), Sort::Set);
     env.declare_func(Symbol::new("f"), FuncSort::new(vec![Sort::Int], Sort::Int));
     env
 }
@@ -141,7 +142,12 @@ fn scratch_valid(env: &SortEnv, antecedent: &Pred, consequent: &Pred) -> Validit
 
 /// The atom pool. Every entry parses and is well-sorted under [`env`];
 /// together they cover arithmetic, UF congruence, and set reasoning.
-const ATOMS: [&str; 16] = [
+/// The last two entries are small set facts over equated set variables
+/// whose verdicts need set-saturation lemmas, not just canonical forms
+/// and congruence: `union(s, t) = t` once `s = t` (idempotence), and
+/// `t = u` from the two unions over them. A session that drops those
+/// lemmas disagrees with the oracle on them.
+const ATOMS: [&str; 19] = [
     "x < y",
     "x <= y",
     "y < z",
@@ -158,6 +164,9 @@ const ATOMS: [&str; 16] = [
     "s = union(t, single(x))",
     "s = t",
     "y in union(s, t)",
+    "t = u",
+    "s = t => t = union(s, t)",
+    "u = union(t, single(x)) && t = union(u, single(x))",
 ];
 
 fn arb_atom() -> BoxedStrategy<Pred> {

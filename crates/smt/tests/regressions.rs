@@ -2,6 +2,7 @@
 //! the verification-condition shapes the liquid engine generates.
 
 use dsolve_logic::{parse_pred, FuncSort, Sort, SortEnv, Symbol};
+use dsolve_obs::Obs;
 use dsolve_smt::{SmtSolver, SolverConfig};
 
 fn env() -> SortEnv {
@@ -155,11 +156,15 @@ fn cache_toggle_same_answers() {
         ("x <= y", "x < y", false),
         ("single(x) = single(y)", "x = y", true),
     ];
+    // Each solver records into a registry of its own.
+    let (cached_obs, uncached_obs) = (Obs::new(), Obs::new());
     let mut cached = SmtSolver::new();
+    cached.set_obs(cached_obs.clone());
     let mut uncached = SmtSolver::with_config(SolverConfig {
         cache: false,
         ..SolverConfig::default()
     });
+    uncached.set_obs(uncached_obs.clone());
     let e = env();
     for (l, r, want) in cases {
         let lp = parse_pred(l).unwrap();
@@ -169,8 +174,8 @@ fn cache_toggle_same_answers() {
         // And again, exercising the cache-hit path.
         assert_eq!(cached.is_valid(&e, &lp, &rp), want);
     }
-    assert!(cached.stats.cache_hits >= 3);
-    assert_eq!(uncached.stats.cache_hits, 0);
+    assert!(cached_obs.metrics().smt_cache_hits.get() >= 3);
+    assert_eq!(uncached_obs.metrics().smt_cache_hits.get(), 0);
 }
 
 #[test]

@@ -620,7 +620,7 @@ proptest! {
 
         dsolve_obs::micro::drain();
         let result = check_assignment(&atoms, &assignment, true, &TheoryBudget::default());
-        let counts = dsolve_obs::micro::drain();
+        let counts = dsolve_obs::micro::drain().micro;
         prop_assert_eq!(
             counts[MicroCounter::TheoryCoreFallbacks.index()],
             0,
@@ -725,7 +725,7 @@ proptest! {
                         model.iter().map(|(lit, _)| *lit).collect();
                     dsolve_obs::micro::drain();
                     let got = ctx.check(&atoms, &assignment, &root, minimize, &budget);
-                    let counts = dsolve_obs::micro::drain();
+                    let counts = dsolve_obs::micro::drain().micro;
                     prop_assert_eq!(
                         counts[MicroCounter::TheoryCoreFallbacks.index()],
                         0,

@@ -48,7 +48,9 @@ fn main() {
     println!("verified: every division in `harmonic` is safe");
     println!(
         "  ({} constraints, {} liquid variables, {} SMT queries)",
-        outcome.num_constraints, outcome.stats.kvars, outcome.stats.smt_queries
+        outcome.num_constraints,
+        outcome.stats.kvars,
+        outcome.stats.worker_queries.iter().sum::<u64>()
     );
     for name in ["range", "harmonic"] {
         if let Some(s) = outcome.inferred.get(&Symbol::new(name)) {
