@@ -203,6 +203,7 @@ pub fn solve(
     let deadline = budget.deadline_from_now();
     let obs = config.obs.clone();
     let refused_at_entry = obs.metrics().smt_refused.get();
+    let unknown_at_entry = obs.metrics().smt_unknown.get();
     let query_cache = QueryCache::shared();
     if config
         .fault
@@ -463,7 +464,15 @@ pub fn solve(
         .cache_poison_recoveries
         .add(query_cache.poison_recoveries());
     let refused = obs.metrics().smt_refused.get() > refused_at_entry;
-    taint_refused_unsafe(refused, &errors, &mut exhaustion);
+    let undecided = obs.metrics().smt_unknown.get() - unknown_at_entry;
+    let first_undecided = slots.iter().find_map(|s| s.smt.first_unknown());
+    taint_unreliable_unsafe(
+        refused,
+        undecided,
+        first_undecided,
+        &errors,
+        &mut exhaustion,
+    );
 
     Solution {
         assignment: fix.assignment,
@@ -902,24 +911,40 @@ fn check_obligations<'s>(
 
 /// Degrades an `Unsafe`-bound run to `Unknown` when any SMT query was
 /// `refused` (expired deadline, exhausted cap, or an injected
-/// `query-timeout`). A refused weakening query drops its qualifier —
-/// sound for inference, but the resulting assignment can be strictly
-/// weaker than the true fixpoint, so a failing obligation under it is
-/// not evidence of a bug. A clean run is unaffected: every kept
-/// qualifier and every obligation was genuinely proven, so `Safe`
-/// stands even after refusals.
-fn taint_refused_unsafe(
+/// `query-timeout`) or solved but `undecided` (it came back `Unknown`,
+/// e.g. under the saturation-lemma cap). Either kind of weakening query
+/// drops its qualifier — sound for inference, but the resulting
+/// assignment can be strictly weaker than the true fixpoint, so a
+/// failing obligation under it is not evidence of a bug. An undecided
+/// run names the resource of its first undecided query. A clean run is
+/// unaffected: every kept qualifier and every obligation was genuinely
+/// proven, so `Safe` stands even after refusals.
+fn taint_unreliable_unsafe(
     refused: bool,
+    undecided: u64,
+    first_undecided: Option<&Exhaustion>,
     errors: &[LiquidError],
     exhaustion: &mut Option<Exhaustion>,
 ) {
-    if exhaustion.is_none() && !errors.is_empty() && refused {
+    if exhaustion.is_some() || errors.is_empty() {
+        return;
+    }
+    if refused {
         *exhaustion = Some(Exhaustion::with_detail(
             Phase::Fixpoint,
             Resource::SmtQueries,
             "refused SMT queries may have over-weakened the assignment; \
              failed obligations are unreliable"
                 .to_string(),
+        ));
+    } else if let Some(first) = first_undecided.filter(|_| undecided > 0) {
+        *exhaustion = Some(Exhaustion::with_detail(
+            Phase::Fixpoint,
+            first.resource,
+            format!(
+                "{undecided} undecided SMT queries may have over-weakened the \
+                 assignment; failed obligations are unreliable (first: {first})"
+            ),
         ));
     }
 }
@@ -1346,6 +1371,62 @@ mod tests {
         let e = sol.exhaustion.as_ref().expect("exhaustion recorded");
         assert_eq!(e.resource, dsolve_logic::Resource::SmtQueries);
         assert!(sol.outcome().is_unknown());
+    }
+
+    #[test]
+    fn undecided_weakening_taints_unsafe_to_unknown() {
+        // κ's candidate `0 < VV` is not implied, but under a zero lemma
+        // budget saturation of the set facts is truncated, so its query
+        // comes back Unknown rather than refuted. The obligation then
+        // fails under the weakened κ: the verdict must not be a definite
+        // UNSAFE.
+        let genv = genv();
+        let mut kenv = KEnv::new();
+        let mut scope = SortEnv::new();
+        scope.bind(Symbol::new("y"), Sort::Int);
+        let r = fresh_refinement(&mut kenv, scope, &MlType::Int);
+        let env = LiquidEnv::new().bind(Symbol::new("y"), RType::int());
+        let subs = vec![
+            SubC {
+                env: env.clone(),
+                nu_shape: MlType::Int,
+                lhs: Refinement::pred(
+                    parse_pred("0 <= VV && single(VV) = single(y) && union(single(VV), single(y)) != empty")
+                        .unwrap(),
+                ),
+                rhs: r.clone(),
+                origin: Origin::Flow("t"),
+            },
+            SubC {
+                env,
+                nu_shape: MlType::Int,
+                lhs: r,
+                rhs: Refinement::pred(parse_pred("0 < VV").unwrap()),
+                origin: Origin::Assert { line: 3 },
+            },
+        ];
+        let sol = solve(&genv, &kenv, &subs, &quals(), &seq_config());
+        assert_eq!(
+            sol.outcome(),
+            Outcome::Unsafe,
+            "the obligation is refuted with saturation"
+        );
+        let config = SolveConfig {
+            budget: Budget {
+                max_saturation_lemmas: 0,
+                ..Budget::default()
+            },
+            ..seq_config()
+        };
+        let sol = solve(&genv, &kenv, &subs, &quals(), &config);
+        assert_eq!(sol.errors.len(), 1);
+        assert!(config.obs.metrics().smt_unknown.get() > 0);
+        match sol.outcome() {
+            Outcome::Unknown(e) => {
+                assert_eq!(e.resource, dsolve_logic::Resource::SaturationLemmas, "{e}");
+            }
+            other => panic!("expected UNKNOWN, got {other:?}"),
+        }
     }
 
     #[test]

@@ -12,17 +12,24 @@
 //! theory blocking clauses — is retained across pops, because a valid
 //! clause can never change a verdict, only speed it up.
 //!
-//! The preprocessing pipeline (`canonicalize sets → saturate set lemmas
-//! → instantiate array axioms → eliminate ite → encode`) yields lemma
-//! *lists* regenerated from the full asserted conjunction at each check
-//! (deduplicated against a monotone seen-set — the instantiation
-//! watermark), and set canonicalization runs per asserted predicate
-//! (sound because it distributes over conjunction).
+//! The preprocessing pipeline is `canonicalize sets → saturate set
+//! lemmas → instantiate array axioms → eliminate ite → encode`. Set
+//! canonicalization runs per asserted predicate (sound because it
+//! distributes over conjunction). Saturation runs over the full
+//! asserted conjunction at each check, through a [`SaturationMemo`]
+//! that lives as long as the session: it hands out only the lemmas the
+//! session has not been given before, in the order a memo-less pass
+//! over the conjunction lists them, and it spends that pass's budget,
+//! so a check's truncation flag and the clauses it adds are exactly
+//! those of regenerating the list and dropping the lemmas already
+//! encoded. Array-axiom instances are regenerated at each check and
+//! deduplicated against a monotone seen-set (the instantiation
+//! watermark).
 
 use crate::arrays::array_axiom_lemmas;
 use crate::cnf::{encode_incremental, AtomId, Atoms, EncodeCtx};
 use crate::sat::{BVar, CdclSolver, Lit, SatResult};
-use crate::sets::{canonicalize_sets, set_saturation_lemma_list};
+use crate::sets::{canonicalize_sets, SaturationMemo};
 use crate::solver::{certification_unknown, eliminate_ite, SmtResult};
 use crate::theory::{TheoryBudget, TheoryContext, TheoryResult};
 use dsolve_logic::{deadline_expired, Budget, Exhaustion, Phase, Pred, Resource, SortEnv};
@@ -45,7 +52,10 @@ pub(crate) struct Session {
     encoded_upto: usize,
     /// Open scopes: `(asserted length, choice flag)` at push time.
     scopes: Vec<(usize, bool)>,
-    /// Lemma predicates already encoded, across the whole session.
+    /// Set saturation across the session's checks; it knows which set
+    /// lemmas the session has encoded. Monotone, like `lemma_seen`.
+    saturation: SaturationMemo,
+    /// Array-axiom lemmas already encoded, across the whole session.
     /// Monotone: retained lemma clauses survive pops, so this never
     /// shrinks.
     lemma_seen: HashSet<Pred>,
@@ -71,6 +81,17 @@ pub(crate) struct Session {
     theory: TheoryContext,
 }
 
+/// The theory lemmas of one check.
+pub(crate) struct CheckLemmas {
+    /// Set-saturation lemmas the session has not been given before.
+    pub(crate) sets: Vec<Pred>,
+    /// Array-axiom instances over the conjunction and `sets`, encoded
+    /// ones included.
+    pub(crate) arrays: Vec<Pred>,
+    /// Whether the saturation budget ran out before saturation completed.
+    pub(crate) saturation_truncated: bool,
+}
+
 impl Session {
     /// Creates an empty session over (a clone of) `env`.
     pub(crate) fn new(env: SortEnv, array_axioms: bool, certify: bool) -> Session {
@@ -83,6 +104,7 @@ impl Session {
             asserted: Vec::new(),
             encoded_upto: 0,
             scopes: Vec::new(),
+            saturation: SaturationMemo::default(),
             lemma_seen: HashSet::new(),
             choice: false,
             lemma_choice: false,
@@ -184,45 +206,24 @@ impl Session {
         // the trail; clause additions require root level.
         self.sat.reset_to_root();
 
-        // Lemma generation runs over the *full* current conjunction:
-        // saturation interacts across asserted predicates, and the array
-        // pass also instantiates over terms the set lemmas introduce
-        // (strengthen first, instantiate second).
-        let joined;
-        let conj = match self.asserted.as_slice() {
-            [p] => p,
-            ps => {
-                joined = Pred::and(ps.to_vec());
-                &joined
-            }
-        };
-        let (set_lemmas, saturation_truncated) = micro::time(TheoryKind::Sets, || {
-            set_saturation_lemma_list(conj, budget.max_saturation_lemmas)
-        });
-        let arr_lemmas = if self.array_axioms {
-            micro::time(TheoryKind::Arrays, || {
-                array_axiom_lemmas(std::iter::once(conj).chain(&set_lemmas))
-            })
-        } else {
-            Vec::new()
-        };
+        let lemmas = self.derive_lemmas(budget.max_saturation_lemmas);
 
         // Encode assertions made since the last push/check at the
         // current scope depth.
         self.encode_pending();
 
-        // Encode lemmas not seen before as retained clauses. Each lemma
-        // is valid on its own (guarded ground instances), so retention
-        // across pops cannot flip a verdict.
-        for lem in set_lemmas.into_iter().chain(arr_lemmas) {
-            if !self.lemma_seen.insert(lem.clone()) {
-                continue;
+        // Encode lemmas new to the session as retained clauses (the memo
+        // hands out only new set lemmas; array lemmas are filtered
+        // here). Each lemma is valid on its own (guarded ground
+        // instances), so retention across pops cannot flip a verdict.
+        for lem in &lemmas.sets {
+            self.encode_lemma(lem);
+        }
+        for lem in lemmas.arrays {
+            if !self.lemma_seen.contains(&lem) {
+                self.encode_lemma(&lem);
+                self.lemma_seen.insert(lem);
             }
-            let lem = eliminate_ite(&lem, &mut self.env);
-            let unit = encode_incremental(&lem, &mut self.atoms, &self.env, &mut self.ctx);
-            self.grow_sat();
-            self.add_lemma_clauses(unit.clauses);
-            self.add_lemma_clauses(unit.lemma_clauses);
         }
 
         // Every atom needs a SAT variable before model extraction (atoms
@@ -283,7 +284,7 @@ impl Session {
                         minimize,
                         &theory_budget,
                     ) {
-                        TheoryResult::Sat if saturation_truncated => {
+                        TheoryResult::Sat if lemmas.saturation_truncated => {
                             // A truncated saturation pass only *weakens*
                             // the formula: an `Unsat` stays sound, but
                             // this model may be an artifact of the
@@ -334,6 +335,45 @@ impl Session {
                 }
             }
         }
+    }
+
+    /// This check's theory lemmas. Generation runs over the *full*
+    /// current conjunction: saturation interacts across asserted
+    /// predicates, and the array pass also instantiates over terms the
+    /// new set lemmas introduce (strengthen first, instantiate second).
+    pub(crate) fn derive_lemmas(&mut self, max_saturation_lemmas: u64) -> CheckLemmas {
+        let joined;
+        let conj = match self.asserted.as_slice() {
+            [p] => p,
+            ps => {
+                joined = Pred::and(ps.to_vec());
+                &joined
+            }
+        };
+        let (sets, saturation_truncated) = micro::time(TheoryKind::Sets, || {
+            self.saturation.saturate(conj, max_saturation_lemmas)
+        });
+        let arrays = if self.array_axioms {
+            micro::time(TheoryKind::Arrays, || {
+                array_axiom_lemmas(std::iter::once(conj).chain(&sets))
+            })
+        } else {
+            Vec::new()
+        };
+        CheckLemmas {
+            sets,
+            arrays,
+            saturation_truncated,
+        }
+    }
+
+    /// Encodes `lem` as retained lemma clauses.
+    fn encode_lemma(&mut self, lem: &Pred) {
+        let lem = eliminate_ite(lem, &mut self.env);
+        let unit = encode_incremental(&lem, &mut self.atoms, &self.env, &mut self.ctx);
+        self.grow_sat();
+        self.add_lemma_clauses(unit.clauses);
+        self.add_lemma_clauses(unit.lemma_clauses);
     }
 
     /// Certifies a `Sat` model: every asserted (ite-eliminated) predicate

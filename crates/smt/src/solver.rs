@@ -112,6 +112,11 @@ pub struct SmtSolver {
     /// solvers; this count is the solver's own share, which the fixpoint
     /// reports per worker.
     solved: u64,
+    /// Why the first query this solver solved came back `Unknown`. The
+    /// registry counts undecided queries; this names the first one's
+    /// exhausted resource, which the fixpoint reports when undecided
+    /// weakening queries taint a failed obligation.
+    first_unknown: Option<Exhaustion>,
     /// Observability handle: metrics registry, query latency histogram,
     /// and per-constraint cost attribution. Disabled by default;
     /// [`SmtSolver::set_obs`] installs the pipeline's live handle.
@@ -135,6 +140,7 @@ impl Default for SmtSolver {
             deadline_armed: false,
             session: None,
             solved: 0,
+            first_unknown: None,
             obs: Obs::off(),
             origin: None,
             fault: None,
@@ -218,6 +224,12 @@ impl SmtSolver {
     /// `smt_queries`).
     pub fn solved_queries(&self) -> u64 {
         self.solved
+    }
+
+    /// The exhaustion of the first query this solver solved that came
+    /// back `Unknown` (a refused query is not solved).
+    pub fn first_unknown(&self) -> Option<&Exhaustion> {
+        self.first_unknown.as_ref()
     }
 
     /// Pins the absolute wall-clock deadline for every subsequent query.
@@ -507,8 +519,9 @@ impl SmtSolver {
         let qstart = Instant::now();
         let verdict = solve(self, deadline);
         self.note_certification(&verdict);
-        if matches!(verdict, SmtResult::Unknown(_)) {
+        if let SmtResult::Unknown(e) = &verdict {
             self.obs.metrics().smt_unknown.incr();
+            self.first_unknown.get_or_insert_with(|| e.clone());
         }
         self.obs.record_query(
             self.origin.as_ref(),

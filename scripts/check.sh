@@ -25,6 +25,14 @@ cargo test --workspace -q
 echo "== cargo test -p dsolve-smt --test incremental_vs_scratch --test theory_oracles"
 cargo test -p dsolve-smt --test incremental_vs_scratch --test theory_oracles
 
+# The session's set-saturation memo against the memo-less per-check
+# pass it replaced: at every check of random assert/push/check/pop
+# sequences, the same lemmas new to the session, in the same order,
+# with the same truncation flag and counters. By name for the same
+# reason.
+echo "== cargo test -p dsolve-smt session_saturation_matches_oracle"
+cargo test -p dsolve-smt --lib session_saturation_matches_oracle
+
 # The embedding cache against its oracle: after random κ shrinks, the
 # cached antecedent, pruned antecedent and left side equal the ones
 # built from scratch. By name for the same reason.
