@@ -120,9 +120,9 @@ pub fn diff(baseline: &str, current: &str, opts: &DiffOptions) -> Result<DiffRep
 
     for (name, b) in &base {
         let Some((_, c)) = cur.iter().find(|(n, _)| n == name) else {
-            report
-                .regressions
-                .push(format!("{name}: present in baseline, missing from current run"));
+            report.regressions.push(format!(
+                "{name}: present in baseline, missing from current run"
+            ));
             continue;
         };
         let b_outcome = b.get("outcome").and_then(Json::as_str).unwrap_or("?");
@@ -142,9 +142,9 @@ pub fn diff(baseline: &str, current: &str, opts: &DiffOptions) -> Result<DiffRep
                 100.0 * opts.wall_threshold
             ));
         } else if !opts.smoke && c_wall > 0.05 && c_wall < b_wall * (1.0 - opts.wall_threshold) {
-            report
-                .notes
-                .push(format!("{name}: wall time improved {b_wall:.3}s -> {c_wall:.3}s"));
+            report.notes.push(format!(
+                "{name}: wall time improved {b_wall:.3}s -> {c_wall:.3}s"
+            ));
         }
         let sequential = num(b, "jobs") == 1.0 && num(c, "jobs") == 1.0;
         if sequential {
@@ -191,7 +191,9 @@ pub fn diff(baseline: &str, current: &str, opts: &DiffOptions) -> Result<DiffRep
     }
     for (name, _) in &cur {
         if !base.iter().any(|(n, _)| n == name) {
-            report.notes.push(format!("{name}: new row (not in baseline)"));
+            report
+                .notes
+                .push(format!("{name}: new row (not in baseline)"));
         }
     }
     Ok(report)
@@ -250,7 +252,11 @@ mod tests {
         let c = doc(&[row("ralist", "SAFE", 1.25, 100, 500)]);
         let r = diff(&b, &c, &DiffOptions::default()).unwrap();
         assert!(!r.ok());
-        assert!(r.regressions[0].contains("wall time"), "{:?}", r.regressions);
+        assert!(
+            r.regressions[0].contains("wall time"),
+            "{:?}",
+            r.regressions
+        );
     }
 
     #[test]
@@ -279,7 +285,11 @@ mod tests {
         };
         let r = diff(&b, &c, &opts).unwrap();
         assert!(r.ok());
-        assert!(r.notes.iter().any(|n| n.contains("smt_queries")), "{:?}", r.notes);
+        assert!(
+            r.notes.iter().any(|n| n.contains("smt_queries")),
+            "{:?}",
+            r.notes
+        );
     }
 
     #[test]

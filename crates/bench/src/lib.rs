@@ -24,18 +24,90 @@ pub struct Benchmark {
 
 /// The Fig. 10 rows.
 pub const BENCHMARKS: &[Benchmark] = &[
-    Benchmark { name: "listsort", properties: "Sorted, Elts", paper_loc: 110, paper_annotations: 7, paper_time_s: 11 },
-    Benchmark { name: "map", properties: "Balance, BST, Set", paper_loc: 95, paper_annotations: 3, paper_time_s: 23 },
-    Benchmark { name: "ralist", properties: "Len", paper_loc: 91, paper_annotations: 3, paper_time_s: 3 },
-    Benchmark { name: "redblack", properties: "Balance, Color, BST", paper_loc: 105, paper_annotations: 3, paper_time_s: 32 },
-    Benchmark { name: "stablesort", properties: "Sorted", paper_loc: 161, paper_annotations: 1, paper_time_s: 6 },
-    Benchmark { name: "vec", properties: "Balance, Len1, Len2", paper_loc: 343, paper_annotations: 9, paper_time_s: 103 },
-    Benchmark { name: "heap", properties: "Heap, Min, Set", paper_loc: 120, paper_annotations: 2, paper_time_s: 41 },
-    Benchmark { name: "splayheap", properties: "BST, Min, Set", paper_loc: 128, paper_annotations: 3, paper_time_s: 7 },
-    Benchmark { name: "malloc", properties: "Alloc", paper_loc: 71, paper_annotations: 2, paper_time_s: 2 },
-    Benchmark { name: "bdd", properties: "VariableOrder", paper_loc: 205, paper_annotations: 3, paper_time_s: 38 },
-    Benchmark { name: "unionfind", properties: "Acyclic", paper_loc: 61, paper_annotations: 2, paper_time_s: 5 },
-    Benchmark { name: "subvsolve", properties: "Acyclic", paper_loc: 264, paper_annotations: 2, paper_time_s: 26 },
+    Benchmark {
+        name: "listsort",
+        properties: "Sorted, Elts",
+        paper_loc: 110,
+        paper_annotations: 7,
+        paper_time_s: 11,
+    },
+    Benchmark {
+        name: "map",
+        properties: "Balance, BST, Set",
+        paper_loc: 95,
+        paper_annotations: 3,
+        paper_time_s: 23,
+    },
+    Benchmark {
+        name: "ralist",
+        properties: "Len",
+        paper_loc: 91,
+        paper_annotations: 3,
+        paper_time_s: 3,
+    },
+    Benchmark {
+        name: "redblack",
+        properties: "Balance, Color, BST",
+        paper_loc: 105,
+        paper_annotations: 3,
+        paper_time_s: 32,
+    },
+    Benchmark {
+        name: "stablesort",
+        properties: "Sorted",
+        paper_loc: 161,
+        paper_annotations: 1,
+        paper_time_s: 6,
+    },
+    Benchmark {
+        name: "vec",
+        properties: "Balance, Len1, Len2",
+        paper_loc: 343,
+        paper_annotations: 9,
+        paper_time_s: 103,
+    },
+    Benchmark {
+        name: "heap",
+        properties: "Heap, Min, Set",
+        paper_loc: 120,
+        paper_annotations: 2,
+        paper_time_s: 41,
+    },
+    Benchmark {
+        name: "splayheap",
+        properties: "BST, Min, Set",
+        paper_loc: 128,
+        paper_annotations: 3,
+        paper_time_s: 7,
+    },
+    Benchmark {
+        name: "malloc",
+        properties: "Alloc",
+        paper_loc: 71,
+        paper_annotations: 2,
+        paper_time_s: 2,
+    },
+    Benchmark {
+        name: "bdd",
+        properties: "VariableOrder",
+        paper_loc: 205,
+        paper_annotations: 3,
+        paper_time_s: 38,
+    },
+    Benchmark {
+        name: "unionfind",
+        properties: "Acyclic",
+        paper_loc: 61,
+        paper_annotations: 2,
+        paper_time_s: 5,
+    },
+    Benchmark {
+        name: "subvsolve",
+        properties: "Acyclic",
+        paper_loc: 264,
+        paper_annotations: 2,
+        paper_time_s: 26,
+    },
 ];
 
 /// The repository's `benchmarks/` directory, resolved relative to this

@@ -132,9 +132,7 @@ fn sort_conjuncts(s: &str) -> String {
         } else {
             // Safe: '(' and ')' are ASCII, so slicing between them
             // stays on char boundaries.
-            let next = s[i..]
-                .find('(')
-                .map_or(s.len(), |off| i + off);
+            let next = s[i..].find('(').map_or(s.len(), |off| i + off);
             out.push_str(&s[i..next]);
             i = next;
         }
@@ -160,15 +158,28 @@ fn parallel_and_sequential_verdicts_agree() {
                 .map(|(n, scheme)| canon(&format!("{n} :: {scheme}")))
                 .collect();
             inferred.sort();
-            let errors: Vec<String> =
-                res.result.errors.iter().map(|e| canon(&e.to_string())).collect();
+            let errors: Vec<String> = res
+                .result
+                .errors
+                .iter()
+                .map(|e| canon(&e.to_string()))
+                .collect();
             (format!("{}", res.outcome()), errors, inferred)
         };
         let seq = run(1);
         let par = run(4);
-        assert_eq!(seq.0, par.0, "{name}: verdict differs between jobs=1 and jobs=4");
-        assert_eq!(seq.1, par.1, "{name}: error list differs between jobs=1 and jobs=4");
-        assert_eq!(seq.2, par.2, "{name}: inferred types differ between jobs=1 and jobs=4");
+        assert_eq!(
+            seq.0, par.0,
+            "{name}: verdict differs between jobs=1 and jobs=4"
+        );
+        assert_eq!(
+            seq.1, par.1,
+            "{name}: error list differs between jobs=1 and jobs=4"
+        );
+        assert_eq!(
+            seq.2, par.2,
+            "{name}: inferred types differ between jobs=1 and jobs=4"
+        );
     }
 }
 
@@ -186,8 +197,12 @@ fn observe(name: &str, jobs: usize, certify: bool) -> (String, Vec<String>, Vec<
         .map(|(n, scheme)| canon(&format!("{n} :: {scheme}")))
         .collect();
     inferred.sort();
-    let errors: Vec<String> =
-        res.result.errors.iter().map(|e| canon(&e.to_string())).collect();
+    let errors: Vec<String> = res
+        .result
+        .errors
+        .iter()
+        .map(|e| canon(&e.to_string()))
+        .collect();
     (format!("{}", res.outcome()), errors, inferred)
 }
 

@@ -47,9 +47,7 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
+        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
             "--seed" => {
                 args.seed = value("--seed")?
@@ -63,8 +61,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--matrix" => {
                 let v = value("--matrix")?;
-                args.matrix = Matrix::parse(&v)
-                    .ok_or_else(|| format!("--matrix: unknown level '{v}'"))?;
+                args.matrix =
+                    Matrix::parse(&v).ok_or_else(|| format!("--matrix: unknown level '{v}'"))?;
             }
             "--minimize" => args.minimize = true,
             "--out-dir" => args.out_dir = Some(PathBuf::from(value("--out-dir")?)),
@@ -121,13 +119,16 @@ fn main() -> ExitCode {
                 FleetVerdict::Unknown => "unknown",
                 FleetVerdict::Error(_) => "error",
             };
-            *histogram.entry(label.clone()).or_default().entry(bucket).or_default() += 1;
+            *histogram
+                .entry(label.clone())
+                .or_default()
+                .entry(bucket)
+                .or_default() += 1;
         }
     }
 
     if !args.quiet {
-        let shape_str: Vec<String> =
-            shapes.iter().map(|(s, n)| format!("{s}={n}")).collect();
+        let shape_str: Vec<String> = shapes.iter().map(|(s, n)| format!("{s}={n}")).collect();
         println!(
             "fleet: seed={} count={} configs={} shapes[{}] violating={} safe-constructed={}",
             args.seed,
@@ -138,8 +139,7 @@ fn main() -> ExitCode {
             args.count - violating,
         );
         for (label, buckets) in &histogram {
-            let b: Vec<String> =
-                buckets.iter().map(|(k, n)| format!("{k}={n}")).collect();
+            let b: Vec<String> = buckets.iter().map(|(k, n)| format!("{k}={n}")).collect();
             println!("  {label:<22} {}", b.join(" "));
         }
         println!("digest: {:016x}", summary.digest);
@@ -158,7 +158,9 @@ fn main() -> ExitCode {
     }
 
     if args.minimize {
-        let out_dir = args.out_dir.unwrap_or_else(|| PathBuf::from("fleet-repros"));
+        let out_dir = args
+            .out_dir
+            .unwrap_or_else(|| PathBuf::from("fleet-repros"));
         if let Err(e) = std::fs::create_dir_all(&out_dir) {
             eprintln!("dsolve-fleet: cannot create {}: {e}", out_dir.display());
             return ExitCode::from(3);
@@ -168,9 +170,7 @@ fn main() -> ExitCode {
             let mut judge = disagreement_judge(d.clone(), args.matrix, fleet_budget());
             let min = minimize(CaseSources::of(&case.program), &mut judge, 400);
             let stem = out_dir.join(&case.program.name);
-            let write = |ext: &str, body: &str| {
-                std::fs::write(stem.with_extension(ext), body)
-            };
+            let write = |ext: &str, body: &str| std::fs::write(stem.with_extension(ext), body);
             let expect = format!(
                 "# disagreement: {d}\n# expectation: {:?}\n",
                 case.program.expectation

@@ -5,8 +5,8 @@
 use crate::spec::{parse_mlq, parse_quals, SpecError, SpecFile};
 use dsolve_liquid::{builtin_schemes, MeasureEnv, SolveConfig, Verifier, VerifyResult};
 use dsolve_logic::{Exhaustion, FaultPoint, Outcome, Phase, Qualifier, Resource, SortEnv};
-use dsolve_obs::ObsPhase;
 use dsolve_nanoml::{infer_program, parse_program, resolve_program, DataEnv};
+use dsolve_obs::ObsPhase;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -222,9 +222,7 @@ impl Job {
                         vars: b.scheme.vars.clone(),
                         ty: b.scheme.ty.clone(),
                     };
-                    if let Some(inst) =
-                        dsolve_nanoml::match_instantiation(&scheme, &spec_shape)
-                    {
+                    if let Some(inst) = dsolve_nanoml::match_instantiation(&scheme, &spec_shape) {
                         // Split the instantiation into renamings (spec
                         // variable for inferred variable — the binding
                         // stays polymorphic under the spec's ids) and
@@ -293,7 +291,12 @@ impl Job {
     /// Everything [`Job::run`] reports, plus `Panic` for caught panics.
     pub fn run_isolated(&self) -> Result<JobResult, JobError> {
         catch_unwind(AssertUnwindSafe(|| {
-            if self.config.fault.as_ref().is_some_and(|f| f.fire(FaultPoint::JobPanic)) {
+            if self
+                .config
+                .fault
+                .as_ref()
+                .is_some_and(|f| f.fire(FaultPoint::JobPanic))
+            {
                 panic!("injected job panic in `{}`", self.name);
             }
             self.run()
@@ -366,7 +369,11 @@ let harmonic n =
             "qualif Pos : 0 < VV\nqualif Ub : _ <= VV\n",
         );
         let res = job.run().unwrap();
-        assert!(res.is_safe(), "{:?}", res.result.errors.first().map(|e| e.to_string()));
+        assert!(
+            res.is_safe(),
+            "{:?}",
+            res.result.errors.first().map(|e| e.to_string())
+        );
         assert_eq!(res.annotations, 2);
         assert_eq!(res.loc, 8);
     }
@@ -398,7 +405,15 @@ val insertsort : xs : 'a list -> {VV : 'a list @Sorted | elts(VV) = elts(xs)}
             "qualif Ub : _ <= VV\nqualif E1 : elts(VV) = elts(_)\nqualif E2 : elts(VV) = union(single(_), elts(_))\n",
         );
         let res = job.run().unwrap();
-        assert!(res.is_safe(), "{:?}", res.result.errors.iter().map(|e| e.to_string()).collect::<Vec<_>>());
+        assert!(
+            res.is_safe(),
+            "{:?}",
+            res.result
+                .errors
+                .iter()
+                .map(|e| e.to_string())
+                .collect::<Vec<_>>()
+        );
     }
 
     #[test]

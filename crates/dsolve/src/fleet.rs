@@ -138,11 +138,23 @@ pub struct MatrixEntry {
 
 impl MatrixEntry {
     const fn clean(label: &'static str, jobs: usize, no_cache: bool, certify: bool) -> MatrixEntry {
-        MatrixEntry { label, jobs, no_cache, certify, fault: None }
+        MatrixEntry {
+            label,
+            jobs,
+            no_cache,
+            certify,
+            fault: None,
+        }
     }
 
     const fn faulty(label: &'static str, jobs: usize, fault: &'static str) -> MatrixEntry {
-        MatrixEntry { label, jobs, no_cache: false, certify: false, fault: Some(fault) }
+        MatrixEntry {
+            label,
+            jobs,
+            no_cache: false,
+            certify: false,
+            fault: Some(fault),
+        }
     }
 
     /// Whether this entry can degrade the verdict by design (injected
@@ -235,7 +247,11 @@ impl fmt::Display for Disagreement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Disagreement::Soundness { configs } => {
-                write!(f, "soundness: SAFE on violation-seeded program under {}", configs.join(", "))
+                write!(
+                    f,
+                    "soundness: SAFE on violation-seeded program under {}",
+                    configs.join(", ")
+                )
             }
             Disagreement::MatrixFlip { a, b } => {
                 write!(f, "matrix flip: {}={} vs {}={}", a.0, a.1, b.0, b.1)
@@ -297,7 +313,11 @@ pub fn run_case(program: &GenProgram, matrix: Matrix, budget: Budget) -> CaseRep
         verdicts.push((entry.label.to_string(), FleetVerdict::of(&result)));
     }
     let disagreement = check_verdicts(program.expectation, &verdicts);
-    CaseReport { program: program.clone(), verdicts, disagreement }
+    CaseReport {
+        program: program.clone(),
+        verdicts,
+        disagreement,
+    }
 }
 
 /// Applies the soundness and lattice-agreement oracles to a verdict set.
@@ -362,7 +382,12 @@ pub struct FleetOptions {
 impl FleetOptions {
     /// Deterministic defaults for `seed`/`count`.
     pub fn new(seed: u64, count: u64) -> FleetOptions {
-        FleetOptions { seed, count, matrix: Matrix::Full, budget: fleet_budget() }
+        FleetOptions {
+            seed,
+            count,
+            matrix: Matrix::Full,
+            budget: fleet_budget(),
+        }
     }
 }
 
@@ -370,7 +395,10 @@ impl FleetOptions {
 /// bounded (query cap), so a hung config degrades to `UNKNOWN` instead
 /// of stalling the fleet and verdicts never depend on host speed.
 pub fn fleet_budget() -> Budget {
-    Budget { max_smt_queries: Some(50_000), ..Budget::default() }
+    Budget {
+        max_smt_queries: Some(50_000),
+        ..Budget::default()
+    }
 }
 
 /// Summary of a fleet run.
@@ -411,7 +439,11 @@ pub fn run_fleet(opts: &FleetOptions) -> FleetSummary {
         }
         cases.push(report);
     }
-    FleetSummary { cases, disagreements, digest }
+    FleetSummary {
+        cases,
+        disagreements,
+        digest,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -433,7 +465,11 @@ pub struct CaseSources {
 impl CaseSources {
     /// Extracts the shrinkable sources from a generated program.
     pub fn of(p: &GenProgram) -> CaseSources {
-        CaseSources { source: p.source.clone(), mlq: p.mlq.clone(), quals: p.quals.clone() }
+        CaseSources {
+            source: p.source.clone(),
+            mlq: p.mlq.clone(),
+            quals: p.quals.clone(),
+        }
     }
 
     /// Non-blank source line count (the "≤ 30 lines" metric).
@@ -447,11 +483,8 @@ impl CaseSources {
 fn split_items(source: &str) -> Vec<String> {
     let mut items: Vec<String> = Vec::new();
     for line in source.lines() {
-        let starts_item = line
-            .chars()
-            .next()
-            .is_some_and(|c| !c.is_whitespace())
-            && !line.starts_with("and ");
+        let starts_item =
+            line.chars().next().is_some_and(|c| !c.is_whitespace()) && !line.starts_with("and ");
         if starts_item || items.is_empty() {
             items.push(line.to_string());
         } else {
@@ -495,21 +528,19 @@ pub fn minimize(
 ) -> CaseSources {
     let mut best = sources;
     let mut calls = 0usize;
-    let mut try_candidate = |best: &mut CaseSources,
-                             candidate: CaseSources,
-                             calls: &mut usize|
-     -> bool {
-        if *calls >= max_judge_calls || candidate == *best {
-            return false;
-        }
-        *calls += 1;
-        if judge(&candidate) {
-            *best = candidate;
-            true
-        } else {
-            false
-        }
-    };
+    let mut try_candidate =
+        |best: &mut CaseSources, candidate: CaseSources, calls: &mut usize| -> bool {
+            if *calls >= max_judge_calls || candidate == *best {
+                return false;
+            }
+            *calls += 1;
+            if judge(&candidate) {
+                *best = candidate;
+                true
+            } else {
+                false
+            }
+        };
 
     for _round in 0..8 {
         let mut changed = false;
@@ -523,7 +554,10 @@ pub fn minimize(
             }
             let mut kept = current.clone();
             kept.remove(i);
-            let candidate = CaseSources { source: kept.join("\n"), ..best.clone() };
+            let candidate = CaseSources {
+                source: kept.join("\n"),
+                ..best.clone()
+            };
             changed |= try_candidate(&mut best, candidate, &mut calls);
         }
 
@@ -536,8 +570,15 @@ pub fn minimize(
             }
             let mut kept = current.clone();
             kept.remove(i);
-            let mlq = if kept.is_empty() { String::new() } else { kept.join("\n\n") + "\n" };
-            let candidate = CaseSources { mlq, ..best.clone() };
+            let mlq = if kept.is_empty() {
+                String::new()
+            } else {
+                kept.join("\n\n") + "\n"
+            };
+            let candidate = CaseSources {
+                mlq,
+                ..best.clone()
+            };
             changed |= try_candidate(&mut best, candidate, &mut calls);
         }
 
@@ -550,8 +591,15 @@ pub fn minimize(
             }
             let mut kept = current.clone();
             kept.remove(i);
-            let quals = if kept.is_empty() { String::new() } else { kept.join("\n") + "\n" };
-            let candidate = CaseSources { quals, ..best.clone() };
+            let quals = if kept.is_empty() {
+                String::new()
+            } else {
+                kept.join("\n") + "\n"
+            };
+            let candidate = CaseSources {
+                quals,
+                ..best.clone()
+            };
             changed |= try_candidate(&mut best, candidate, &mut calls);
         }
 
@@ -594,7 +642,10 @@ fn shrink_literals(
             s.push_str(&src[..start]);
             s.push_str(&candidate_val.to_string());
             s.push_str(&src[end..]);
-            let candidate = CaseSources { source: s, ..best.clone() };
+            let candidate = CaseSources {
+                source: s,
+                ..best.clone()
+            };
             if try_candidate(best, candidate) {
                 changed = true;
                 replaced = true;
@@ -623,7 +674,13 @@ pub fn disagreement_judge(
     let entry_of = move |label: &str| entries.iter().find(|e| e.label == label).copied();
     move |s: &CaseSources| {
         let verdict = |entry: &MatrixEntry| {
-            FleetVerdict::of(&run_program("minimize", &s.source, &s.mlq, &s.quals, entry.config(budget)))
+            FleetVerdict::of(&run_program(
+                "minimize",
+                &s.source,
+                &s.mlq,
+                &s.quals,
+                entry.config(budget),
+            ))
         };
         match &disagreement {
             Disagreement::Soundness { configs } => {
@@ -631,9 +688,9 @@ pub fn disagreement_judge(
                 if !matches!(first_assert_failure(&s.source), Ok(Some(_))) {
                     return false;
                 }
-                configs.iter().any(|label| {
-                    entry_of(label).is_some_and(|e| verdict(&e) == FleetVerdict::Safe)
-                })
+                configs
+                    .iter()
+                    .any(|label| entry_of(label).is_some_and(|e| verdict(&e) == FleetVerdict::Safe))
             }
             Disagreement::MatrixFlip { a, b } => {
                 let (Some(ea), Some(eb)) = (entry_of(&a.0), entry_of(&b.0)) else {
@@ -642,8 +699,9 @@ pub fn disagreement_judge(
                 let (va, vb) = (verdict(&ea), verdict(&eb));
                 va.definite() && vb.definite() && va != vb
             }
-            Disagreement::FrontendError { config, .. } => entry_of(config)
-                .is_some_and(|e| matches!(verdict(&e), FleetVerdict::Error(_))),
+            Disagreement::FrontendError { config, .. } => {
+                entry_of(config).is_some_and(|e| matches!(verdict(&e), FleetVerdict::Error(_)))
+            }
         }
     }
 }
@@ -668,10 +726,19 @@ mod tests {
             _ => FleetVerdict::Unknown,
         };
         let mk = |vs: &[&str]| -> Vec<(String, FleetVerdict)> {
-            vs.iter().enumerate().map(|(i, s)| (format!("c{i}"), v(s))).collect()
+            vs.iter()
+                .enumerate()
+                .map(|(i, s)| (format!("c{i}"), v(s)))
+                .collect()
         };
-        assert_eq!(check_verdicts(Expectation::Safe, &mk(&["S", "S", "?"])), None);
-        assert_eq!(check_verdicts(Expectation::Safe, &mk(&["U", "?", "U"])), None);
+        assert_eq!(
+            check_verdicts(Expectation::Safe, &mk(&["S", "S", "?"])),
+            None
+        );
+        assert_eq!(
+            check_verdicts(Expectation::Safe, &mk(&["U", "?", "U"])),
+            None
+        );
         assert!(matches!(
             check_verdicts(Expectation::Safe, &mk(&["S", "U"])),
             Some(Disagreement::MatrixFlip { .. })
@@ -681,7 +748,10 @@ mod tests {
             Some(Disagreement::Soundness { .. })
         ));
         // UNSAFE on a violation-seeded program is the *expected* answer.
-        assert_eq!(check_verdicts(Expectation::Violating { line: 1 }, &mk(&["U", "?"])), None);
+        assert_eq!(
+            check_verdicts(Expectation::Violating { line: 1 }, &mk(&["U", "?"])),
+            None
+        );
     }
 
     #[test]

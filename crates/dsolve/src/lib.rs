@@ -29,7 +29,9 @@ mod spec;
 mod stats;
 
 pub use driver::{count_loc, Job, JobError, JobResult};
-pub use stats::stats_json;
 pub use fleet::{run_fleet, run_program, FleetOptions, FleetSummary, FleetVerdict, Matrix};
 pub use report::{Row, Status, Table};
-pub use spec::{map_witness, parse_mlq, parse_quals, scrape_qualifiers, RhoDef, SpecError, SpecFile};
+pub use spec::{
+    map_witness, parse_mlq, parse_quals, scrape_qualifiers, RhoDef, SpecError, SpecFile,
+};
+pub use stats::stats_json;

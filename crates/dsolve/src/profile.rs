@@ -71,7 +71,7 @@ pub fn collapse_trace(text: &str) -> Result<String, String> {
     // The folding stack: entries carry (end, dur, path, child_dur).
     let mut st: Vec<(u64, u64, String, u64)> = Vec::new();
     let pop_into = |st: &mut Vec<(u64, u64, String, u64)>,
-                        totals: &mut std::collections::BTreeMap<String, u64>| {
+                    totals: &mut std::collections::BTreeMap<String, u64>| {
         let (_, dur, path, child_dur) = st.pop().unwrap();
         let self_us = dur.saturating_sub(child_dur);
         if self_us > 0 {
@@ -141,11 +141,7 @@ mod tests {
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(
             lines,
-            vec![
-                "root 70",
-                "root;child 25",
-                "root;child;grandchild 5",
-            ]
+            vec!["root 70", "root;child 25", "root;child;grandchild 5",]
         );
         // Self times sum back to the root's total duration.
         let total: u64 = lines

@@ -66,7 +66,11 @@ pub struct Row {
 
 impl Row {
     /// Builds a row from a job result.
-    pub fn from_result(program: impl Into<String>, properties: impl Into<String>, r: &JobResult) -> Row {
+    pub fn from_result(
+        program: impl Into<String>,
+        properties: impl Into<String>,
+        r: &JobResult,
+    ) -> Row {
         Row {
             program: program.into(),
             loc: r.loc,

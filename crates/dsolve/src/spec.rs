@@ -37,8 +37,8 @@
 //!   ```
 
 use dsolve_liquid::{
-    field_name, up_field_name, witness_symbol, DataRType, Measure, MeasureCase, RScheme,
-    RType, RVarDecl, Refinement, Rho, Spec,
+    field_name, up_field_name, witness_symbol, DataRType, Measure, MeasureCase, RScheme, RType,
+    RVarDecl, Refinement, Rho, Spec,
 };
 use dsolve_logic::{Pred, Qualifier, Sort, Subst, Symbol};
 use dsolve_nanoml::{DataEnv, MlType};
@@ -157,8 +157,7 @@ pub fn parse_mlq(src: &str, data: &DataEnv) -> Result<SpecFile, SpecError> {
                 line: line_no,
             })?;
             if p.free_vars().contains(&Symbol::new("KEY")) {
-                let wit =
-                    p.subst(Symbol::new("KEY"), &dsolve_logic::Expr::Var(map_witness()));
+                let wit = p.subst(Symbol::new("KEY"), &dsolve_logic::Expr::Var(map_witness()));
                 let canon = p.subst(
                     Symbol::new("KEY"),
                     &dsolve_logic::Expr::Var(dsolve_liquid::map_key_binder()),
@@ -236,10 +235,16 @@ impl SpecParser<'_> {
     fn measure(&mut self) -> Result<Measure, SpecError> {
         let line = self.next_line().expect("peeked").to_owned();
         let rest = &line["measure".len()..];
-        let (head, eq_tail) = rest.split_once('=').ok_or_else(|| self.err("missing `=`"))?;
-        let (name, sig) = head.split_once(':').ok_or_else(|| self.err("missing `:`"))?;
+        let (head, eq_tail) = rest
+            .split_once('=')
+            .ok_or_else(|| self.err("missing `=`"))?;
+        let (name, sig) = head
+            .split_once(':')
+            .ok_or_else(|| self.err("missing `:`"))?;
         let name = Symbol::new(name.trim());
-        let (dom, cod) = sig.split_once("->").ok_or_else(|| self.err("missing `->`"))?;
+        let (dom, cod) = sig
+            .split_once("->")
+            .ok_or_else(|| self.err("missing `->`"))?;
         // Domain: the datatype is the final word (e.g. `'a list`).
         let datatype = Symbol::new(
             dom.split_whitespace()
@@ -254,20 +259,17 @@ impl SpecParser<'_> {
         };
         let body = self.block(eq_tail);
         let mut cases = HashMap::new();
-        for clause in split_cases(&body).into_iter().map(str::trim).filter(|s| !s.is_empty()) {
+        for clause in split_cases(&body)
+            .into_iter()
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+        {
             let (pat, expr) = clause
                 .split_once("->")
                 .ok_or_else(|| self.err("missing `->` in measure case"))?;
             let (ctor, binders) = parse_ctor_pattern(pat).map_err(|m| self.err(m))?;
-            let e = dsolve_logic::parse_expr(expr.trim())
-                .map_err(|e| self.err(e.to_string()))?;
-            cases.insert(
-                ctor,
-                MeasureCase {
-                    binders,
-                    body: e,
-                },
-            );
+            let e = dsolve_logic::parse_expr(expr.trim()).map_err(|e| self.err(e.to_string()))?;
+            cases.insert(ctor, MeasureCase { binders, body: e });
         }
         Ok(Measure {
             name,
@@ -278,14 +280,15 @@ impl SpecParser<'_> {
     }
 
     // rho Name on tycon = | C (x, y) -> item, item | ...
-    fn rho(
-        &mut self,
-        _defined: &HashMap<String, RhoDef>,
-    ) -> Result<(String, RhoDef), SpecError> {
+    fn rho(&mut self, _defined: &HashMap<String, RhoDef>) -> Result<(String, RhoDef), SpecError> {
         let line = self.next_line().expect("peeked").to_owned();
         let rest = &line["rho".len()..];
-        let (head, eq_tail) = rest.split_once('=').ok_or_else(|| self.err("missing `=`"))?;
-        let (name, on_ty) = head.split_once(" on ").ok_or_else(|| self.err("missing `on`"))?;
+        let (head, eq_tail) = rest
+            .split_once('=')
+            .ok_or_else(|| self.err("missing `=`"))?;
+        let (name, on_ty) = head
+            .split_once(" on ")
+            .ok_or_else(|| self.err("missing `on`"))?;
         let name = name.trim().to_owned();
         let datatype = Symbol::new(on_ty.trim());
         let decl = self
@@ -321,10 +324,8 @@ impl SpecParser<'_> {
             let mut to_canon = Subst::new();
             let mut to_up = Subst::new();
             for (k, b) in binders.iter().enumerate() {
-                to_canon = to_canon.then(
-                    *b,
-                    dsolve_logic::Expr::Var(field_name(datatype, ctor, k)),
-                );
+                to_canon =
+                    to_canon.then(*b, dsolve_logic::Expr::Var(field_name(datatype, ctor, k)));
                 to_up = to_up.then(
                     *b,
                     dsolve_logic::Expr::Var(up_field_name(datatype, ctor, k)),
@@ -344,8 +345,7 @@ impl SpecParser<'_> {
                     .position(|b| b.as_str() == fname)
                     .ok_or_else(|| self.err(format!("unknown field binder `{fname}`")))?;
                 let spec = spec.trim();
-                if let Some(pred_src) = spec.strip_prefix('{').and_then(|s| s.strip_suffix('}'))
-                {
+                if let Some(pred_src) = spec.strip_prefix('{').and_then(|s| s.strip_suffix('}')) {
                     // Top matrix entry: binders → canonical names.
                     let p = dsolve_logic::parse_pred(pred_src.trim())
                         .map_err(|e| self.err(e.to_string()))?;
@@ -404,10 +404,8 @@ impl SpecParser<'_> {
                 .ok_or_else(|| self.err(format!("unknown constructor `{ctor}`")))?;
             let mut to_canon = Subst::new();
             for (k, b) in binders.iter().enumerate() {
-                to_canon = to_canon.then(
-                    *b,
-                    dsolve_logic::Expr::Var(field_name(datatype, ctor, k)),
-                );
+                to_canon =
+                    to_canon.then(*b, dsolve_logic::Expr::Var(field_name(datatype, ctor, k)));
             }
             for item in split_top(items, ',') {
                 let item = item.trim();
@@ -420,9 +418,7 @@ impl SpecParser<'_> {
                 let fix = binders
                     .iter()
                     .position(|b| b.as_str() == fname.trim())
-                    .ok_or_else(|| {
-                        self.err(format!("unknown field binder `{}`", fname.trim()))
-                    })?;
+                    .ok_or_else(|| self.err(format!("unknown field binder `{}`", fname.trim())))?;
                 let pred_src = spec
                     .trim()
                     .strip_prefix('{')
@@ -442,7 +438,9 @@ impl SpecParser<'_> {
     fn val(&mut self, rhos: &HashMap<String, RhoDef>) -> Result<Spec, SpecError> {
         let line = self.next_line().expect("peeked").to_owned();
         let rest = &line["val".len()..];
-        let (name, ty) = rest.split_once(':').ok_or_else(|| self.err("missing `:`"))?;
+        let (name, ty) = rest
+            .split_once(':')
+            .ok_or_else(|| self.err("missing `:`"))?;
         let body = self.block(ty);
         let mut tp = TypeParser {
             src: body.as_bytes(),
@@ -609,8 +607,7 @@ impl TypeParser<'_> {
         let mut p = self.pos;
         if p < self.src.len() && (self.src[p].is_ascii_alphabetic() || self.src[p] == b'_') {
             p += 1;
-            while p < self.src.len()
-                && (self.src[p].is_ascii_alphanumeric() || self.src[p] == b'_')
+            while p < self.src.len() && (self.src[p].is_ascii_alphanumeric() || self.src[p] == b'_')
             {
                 p += 1;
             }
@@ -778,8 +775,7 @@ impl TypeParser<'_> {
                                     continue;
                                 }
                             }
-                            let merged =
-                                d.rho.entry(c, j).and(&Refinement::pred(p.clone()));
+                            let merged = d.rho.entry(c, j).and(&Refinement::pred(p.clone()));
                             d.rho.set(c, j, merged);
                         }
                     }
@@ -804,7 +800,9 @@ impl TypeParser<'_> {
         }
         match args.len() {
             1 => Ok(args.pop().expect("len checked")),
-            n => Err(format!("type group of {n} must be applied to a constructor")),
+            n => Err(format!(
+                "type group of {n} must be applied to a constructor"
+            )),
         }
     }
 
@@ -1025,10 +1023,9 @@ mod tests {
 
     fn data() -> DataEnv {
         let mut d = DataEnv::with_builtins();
-        let prog = parse_program(
-            "type ('a, 'b) t = E | N of 'a * 'b * ('a, 'b) t * ('a, 'b) t * int",
-        )
-        .unwrap();
+        let prog =
+            parse_program("type ('a, 'b) t = E | N of 'a * 'b * ('a, 'b) t * ('a, 'b) t * int")
+                .unwrap();
         d.add_program(&prog.datatypes).unwrap();
         d
     }
@@ -1073,7 +1070,9 @@ val insertsort : xs : 'a list -> {VV : 'a list @Sorted | elts(VV) = elts(xs)}
         assert_eq!(f.specs.len(), 1);
         let spec = &f.specs[0];
         assert_eq!(spec.name, Symbol::new("insertsort"));
-        let RType::Fun(x, _, out) = &spec.scheme.ty else { panic!() };
+        let RType::Fun(x, _, out) = &spec.scheme.ty else {
+            panic!()
+        };
         assert_eq!(x.as_str(), "xs");
         let RType::Data(out_d) = &**out else { panic!() };
         assert!(out_d.inner.contains_key(&(1, 1)));
@@ -1126,9 +1125,15 @@ rho Bal on t =
         let d = data();
         let src = "val f : w : int -> (int, int) map * int list -> int";
         let f = parse_mlq(src, &d).unwrap();
-        let RType::Fun(_, _, rest) = &f.specs[0].scheme.ty else { panic!() };
-        let RType::Fun(_, dom, _) = &**rest else { panic!() };
-        let RType::Tuple(parts) = &**dom else { panic!() };
+        let RType::Fun(_, _, rest) = &f.specs[0].scheme.ty else {
+            panic!()
+        };
+        let RType::Fun(_, dom, _) = &**rest else {
+            panic!()
+        };
+        let RType::Tuple(parts) = &**dom else {
+            panic!()
+        };
         assert_eq!(parts.len(), 2);
         assert!(matches!(&parts[0].1, RType::Data(d) if d.name == Symbol::new("map")));
     }
@@ -1139,8 +1144,12 @@ rho Bal on t =
         let src = "val f : 'a -> 'b -> 'a";
         let f = parse_mlq(src, &d).unwrap();
         assert_eq!(f.specs[0].scheme.vars.len(), 2);
-        let RType::Fun(_, a1, rest) = &f.specs[0].scheme.ty else { panic!() };
-        let RType::Fun(_, _, a2) = &**rest else { panic!() };
+        let RType::Fun(_, a1, rest) = &f.specs[0].scheme.ty else {
+            panic!()
+        };
+        let RType::Fun(_, _, a2) = &**rest else {
+            panic!()
+        };
         assert_eq!(**a1, **a2);
     }
 

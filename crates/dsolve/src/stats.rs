@@ -49,10 +49,22 @@ pub fn stats_json(name: &str, res: &JobResult) -> String {
     let _ = writeln!(s, "  \"qstar_scopes\": {},", st.qstar_scopes);
     let _ = writeln!(s, "  \"qstar_s\": {:.6},", st.qstar_time.as_secs_f64());
     let _ = writeln!(s, "  \"time_s\": {:.6},", res.time.as_secs_f64());
-    let _ = writeln!(s, "  \"frontend_s\": {:.6},", res.frontend_time.as_secs_f64());
+    let _ = writeln!(
+        s,
+        "  \"frontend_s\": {:.6},",
+        res.frontend_time.as_secs_f64()
+    );
     let _ = writeln!(s, "  \"gen_s\": {:.6},", res.result.gen_time.as_secs_f64());
-    let _ = writeln!(s, "  \"fixpoint_s\": {:.6},", st.fixpoint_time.as_secs_f64());
-    let _ = writeln!(s, "  \"obligation_s\": {:.6},", st.obligation_time.as_secs_f64());
+    let _ = writeln!(
+        s,
+        "  \"fixpoint_s\": {:.6},",
+        st.fixpoint_time.as_secs_f64()
+    );
+    let _ = writeln!(
+        s,
+        "  \"obligation_s\": {:.6},",
+        st.obligation_time.as_secs_f64()
+    );
     let _ = writeln!(s, "  \"smt_queries\": {},", m.queries);
     let _ = writeln!(s, "  \"iterations\": {},", st.iterations);
     let _ = writeln!(s, "  \"jobs\": {},", st.jobs);
@@ -84,10 +96,7 @@ pub fn stats_json(name: &str, res: &JobResult) -> String {
         .kvar_trajectories
         .iter()
         .map(|(k, pts)| {
-            let pts: Vec<String> = pts
-                .iter()
-                .map(|(r, n)| format!("[{r}, {n}]"))
-                .collect();
+            let pts: Vec<String> = pts.iter().map(|(r, n)| format!("[{r}, {n}]")).collect();
             format!("\"{}\": [{}]", escape(k), pts.join(", "))
         })
         .collect();

@@ -37,11 +37,7 @@ fn safe_module_exits_zero() {
 #[test]
 fn unsafe_module_exits_one_with_line() {
     let dir = tempdir("unsafe");
-    write_temp(
-        &dir,
-        "m.ml",
-        "let f x = assert (x > 0); x\nlet bad = f 0\n",
-    );
+    write_temp(&dir, "m.ml", "let f x = assert (x > 0); x\nlet bad = f 0\n");
     let out = dsolve().arg(dir.join("m.ml")).output().unwrap();
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -180,8 +176,19 @@ fn trace_out_writes_valid_chrome_trace() {
         .unwrap();
     assert!(out.status.success());
     let summary = dsolve_obs::trace::validate_trace_file(&trace).unwrap();
-    for phase in ["parse", "resolve", "infer", "constraint_gen", "fixpoint", "obligations"] {
-        assert!(summary.has_span(phase), "missing `{phase}` in {:?}", summary.names);
+    for phase in [
+        "parse",
+        "resolve",
+        "infer",
+        "constraint_gen",
+        "fixpoint",
+        "obligations",
+    ] {
+        assert!(
+            summary.has_span(phase),
+            "missing `{phase}` in {:?}",
+            summary.names
+        );
     }
     assert!(summary.has_span_prefix("round "), "{:?}", summary.names);
     assert!(
@@ -261,7 +268,11 @@ fn injected_trace_io_failure_leaves_verdict_intact() {
         .output()
         .unwrap();
     // The writer failure is absorbed: verification is unaffected.
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stdout));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("SAFE"), "{stdout}");
     // The truncated trace still parses (viewers tolerate it too).

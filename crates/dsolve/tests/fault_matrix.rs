@@ -77,7 +77,12 @@ fn fault_matrix(bench: &str) {
             std::process::id()
         ));
         let extra: Vec<&str> = if *fault == "trace-io" {
-            vec!["--inject-fault", fault, "--trace-out", trace.to_str().unwrap()]
+            vec![
+                "--inject-fault",
+                fault,
+                "--trace-out",
+                trace.to_str().unwrap(),
+            ]
         } else {
             vec!["--inject-fault", fault]
         };

@@ -131,8 +131,7 @@ fn injected_disagreement_is_minimized_to_a_small_reproducer() {
     // disagreement iff the interpreter still concretely fails an
     // assertion (the broken config would still claim SAFE for any
     // program, so only ground truth constrains the shrink).
-    let mut judge =
-        |s: &CaseSources| matches!(first_assert_failure(&s.source), Ok(Some(_)));
+    let mut judge = |s: &CaseSources| matches!(first_assert_failure(&s.source), Ok(Some(_)));
     let min = minimize(CaseSources::of(&p), &mut judge, 600);
 
     assert!(

@@ -257,7 +257,10 @@ fn micro_counter_invariants_hold_across_configs() {
             "bb_max_depth must not exceed bb_nodes ({ctx})"
         );
         // This module genuinely exercises the core engines.
-        assert!(m[MicroCounter::SimplexPivots as usize] > 0, "no pivots ({ctx})");
+        assert!(
+            m[MicroCounter::SimplexPivots as usize] > 0,
+            "no pivots ({ctx})"
+        );
         assert!(m[MicroCounter::EufMerges as usize] > 0, "no merges ({ctx})");
         assert!(
             m[MicroCounter::SatPropagations as usize] > 0,

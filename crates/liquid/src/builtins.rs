@@ -255,11 +255,7 @@ mod tests {
                 scheme.vars.len(),
                 "quantifier arity of `{name}`"
             );
-            assert_eq!(
-                m.ty,
-                scheme.ty.shape(),
-                "shape of `{name}`"
-            );
+            assert_eq!(m.ty, scheme.ty.shape(), "shape of `{name}`");
         }
     }
 
@@ -291,7 +287,9 @@ mod tests {
     fn diverge_output_is_inconsistent() {
         let (_, rt) = builtin_schemes();
         let d = &rt[&Symbol::new("diverge")];
-        let RType::Fun(_, _, out) = &d.ty else { panic!() };
+        let RType::Fun(_, _, out) = &d.ty else {
+            panic!()
+        };
         assert!(out.to_string().contains("false"));
     }
 }

@@ -155,11 +155,7 @@ impl LiquidEnv {
     /// The solver builds the same antecedent incrementally, node by node,
     /// through its embedding cache; this from-scratch form is the
     /// reference that cache is tested against.
-    pub fn embed(
-        &self,
-        genv: &GlobalEnv,
-        lookup: &impl Fn(KVar) -> Pred,
-    ) -> (SortEnv, Pred) {
+    pub fn embed(&self, genv: &GlobalEnv, lookup: &impl Fn(KVar) -> Pred) -> (SortEnv, Pred) {
         let sorts = self.sort_env(genv);
         let mut conj: Vec<Pred> = Vec::new();
         for item in self.items() {
@@ -255,11 +251,7 @@ impl KEnv {
 
 /// A new refinement consisting of a single fresh `κ`, registered in
 /// `kenv` with the given scope.
-pub fn fresh_refinement(
-    kenv: &mut KEnv,
-    scope: SortEnv,
-    nu_shape: &MlType,
-) -> Refinement {
+pub fn fresh_refinement(kenv: &mut KEnv, scope: SortEnv, nu_shape: &MlType) -> Refinement {
     let r = Refinement::fresh_kvar();
     let k = r.kvars()[0];
     kenv.register(

@@ -104,11 +104,7 @@ impl<'g> Gen<'g> {
 
     /// Synthesizes a refinement type, returning the (possibly extended)
     /// environment to use for the continuation.
-    pub fn synth(
-        &mut self,
-        env: &LiquidEnv,
-        e: &TExpr,
-    ) -> Result<(LiquidEnv, RType), LiquidError> {
+    pub fn synth(&mut self, env: &LiquidEnv, e: &TExpr) -> Result<(LiquidEnv, RType), LiquidError> {
         match &e.kind {
             TExprKind::Var(x, inst) => {
                 let scheme = env
@@ -181,8 +177,7 @@ impl<'g> Gen<'g> {
             TExprKind::Lam(x, body) => {
                 // Name the whole λ-chain after the source parameters so
                 // qualifiers and specs can refer to them.
-                let tmpl =
-                    fresh_named(self.genv, &mut self.kenv, env, &e.ty, &lam_params(e));
+                let tmpl = fresh_named(self.genv, &mut self.kenv, env, &e.ty, &lam_params(e));
                 let RType::Fun(x0, dom, ran) = tmpl else {
                     return Err(LiquidError::internal("lambda with non-arrow template"));
                 };
@@ -288,9 +283,7 @@ impl<'g> Gen<'g> {
                 }
                 Ok((env2, RType::Tuple(fields)))
             }
-            TExprKind::Ctor(cname, targs, args) => {
-                self.synth_ctor(env, e, *cname, targs, args)
-            }
+            TExprKind::Ctor(cname, targs, args) => self.synth_ctor(env, e, *cname, targs, args),
             TExprKind::Match(scrut, arms) => {
                 let (env_s, tscrut) = self.synth(env, scrut)?;
                 let (env0, es) = self.name_with(&env_s, scrut, tscrut.clone())?;
@@ -316,12 +309,10 @@ impl<'g> Gen<'g> {
                         env_arm = env_arm.bind(*b, t.selfify(Expr::Var(*b)));
                     }
                     // [L-MATCH-M] measure guards.
-                    let guard = self.genv.measures.match_guard(
-                        d.name,
-                        arm.ctor,
-                        es.clone(),
-                        &arm.binders,
-                    );
+                    let guard =
+                        self.genv
+                            .measures
+                            .match_guard(d.name, arm.ctor, es.clone(), &arm.binders);
                     env_arm = env_arm.guard(guard);
                     let (env_b, tb) = self.synth(&env_arm, &arm.body)?;
                     split(
@@ -488,10 +479,7 @@ impl<'g> Gen<'g> {
                 &mut self.subs,
             )?;
         }
-        let measure_facts = self
-            .genv
-            .measures
-            .ctor_refinement(d.name, cname, &argexprs);
+        let measure_facts = self.genv.measures.ctor_refinement(d.name, cname, &argexprs);
         // [L-SUM-M]: the refinement of every *other* constructor is ⊥ —
         // `cname` is the only inhabited summand, so entries for the
         // other products hold vacuously (e.g. `[]` satisfies any element
@@ -539,17 +527,20 @@ impl<'g> Gen<'g> {
         what: &'static str,
     ) -> Result<RType, LiquidError> {
         let join = fresh(self.genv, &mut self.kenv, outer, shape);
-        split(self.genv, inner, &t, &join, &Origin::Flow(what), &mut self.subs)?;
+        split(
+            self.genv,
+            inner,
+            &t,
+            &join,
+            &Origin::Flow(what),
+            &mut self.subs,
+        )?;
         Ok(join)
     }
 
     /// Names an expression in the logic: variables and literals are used
     /// directly, anything else is let-bound to a fresh symbol.
-    fn name(
-        &mut self,
-        env: &LiquidEnv,
-        e: &TExpr,
-    ) -> Result<(LiquidEnv, Expr), LiquidError> {
+    fn name(&mut self, env: &LiquidEnv, e: &TExpr) -> Result<(LiquidEnv, Expr), LiquidError> {
         match &e.kind {
             TExprKind::Var(x, _) => Ok((env.clone(), Expr::Var(*x))),
             TExprKind::Int(v) => Ok((env.clone(), Expr::int(*v))),

@@ -62,13 +62,13 @@ pub use env::{fresh_refinement, GlobalEnv, KEnv, KInfo, LiquidEnv};
 pub use gen::Gen;
 pub use measure::{sort_of_mltype, Measure, MeasureCase, MeasureEnv, MeasureError};
 pub use rtype::{
-    field_name, is_witness, witness_symbol, BaseTy, DataRType, KVar, RScheme, RType,
-    RVarDecl, RefAtom, Refinement, Rho,
+    field_name, is_witness, witness_symbol, BaseTy, DataRType, KVar, RScheme, RType, RVarDecl,
+    RefAtom, Refinement, Rho,
 };
-pub use solve::{solve, PartitionStat, SolveConfig, SolveStats, Solution};
+pub use solve::{solve, PartitionStat, Solution, SolveConfig, SolveStats};
 pub use subtype::split;
 pub use template::{
-    fresh, freshen, instantiate, instantiate_with, map_key_binder, rtype_of_shape,
-    unfold_ctor, up_field_name,
+    fresh, freshen, instantiate, instantiate_with, map_key_binder, rtype_of_shape, unfold_ctor,
+    up_field_name,
 };
 pub use verify::{verify_source, Spec, Verifier, VerifyResult};

@@ -109,9 +109,10 @@ impl Refinement {
                 .atoms
                 .iter()
                 .map(|(s, a)| match a {
-                    RefAtom::Conc(p) => {
-                        (Subst::new(), RefAtom::Conc(theta.apply_pred(&s.apply_pred(p))))
-                    }
+                    RefAtom::Conc(p) => (
+                        Subst::new(),
+                        RefAtom::Conc(theta.apply_pred(&s.apply_pred(p))),
+                    ),
                     RefAtom::KVar(k) => (s.clone().compose(theta), RefAtom::KVar(*k)),
                 })
                 .collect(),
@@ -385,17 +386,12 @@ impl RType {
         }
         match self {
             RType::Base(b, r) => RType::Base(*b, r.subst(theta)),
-            RType::Fun(x, t1, t2) => RType::Fun(
-                *x,
-                Box::new(t1.subst(theta)),
-                Box::new(t2.subst(theta)),
-            ),
-            RType::Tuple(fields) => RType::Tuple(
-                fields
-                    .iter()
-                    .map(|(x, t)| (*x, t.subst(theta)))
-                    .collect(),
-            ),
+            RType::Fun(x, t1, t2) => {
+                RType::Fun(*x, Box::new(t1.subst(theta)), Box::new(t2.subst(theta)))
+            }
+            RType::Tuple(fields) => {
+                RType::Tuple(fields.iter().map(|(x, t)| (*x, t.subst(theta))).collect())
+            }
             RType::TyVar(v, pending, r) => {
                 // Rewrite the pending right-hand sides; extend the domain
                 // only with witness variables (see [`witness_symbol`]).
@@ -414,11 +410,7 @@ impl RType {
                 name: d.name,
                 targs: d.targs.iter().map(|t| t.subst(theta)).collect(),
                 rho: d.rho.subst(theta),
-                inner: d
-                    .inner
-                    .iter()
-                    .map(|(k, m)| (*k, m.subst(theta)))
-                    .collect(),
+                inner: d.inner.iter().map(|(k, m)| (*k, m.subst(theta))).collect(),
                 refinement: d.refinement.subst(theta),
             }),
         }
@@ -437,16 +429,10 @@ impl RType {
             RType::Base(BaseTy::Int, _) => MlType::Int,
             RType::Base(BaseTy::Bool, _) => MlType::Bool,
             RType::Base(BaseTy::Unit, _) => MlType::Unit,
-            RType::Fun(_, a, b) => {
-                MlType::Arrow(Box::new(a.shape()), Box::new(b.shape()))
-            }
-            RType::Tuple(fields) => {
-                MlType::Tuple(fields.iter().map(|(_, t)| t.shape()).collect())
-            }
+            RType::Fun(_, a, b) => MlType::Arrow(Box::new(a.shape()), Box::new(b.shape())),
+            RType::Tuple(fields) => MlType::Tuple(fields.iter().map(|(_, t)| t.shape()).collect()),
             RType::TyVar(v, _, _) => MlType::Var(*v),
-            RType::Data(d) => {
-                MlType::Data(d.name, d.targs.iter().map(|t| t.shape()).collect())
-            }
+            RType::Data(d) => MlType::Data(d.name, d.targs.iter().map(|t| t.shape()).collect()),
         }
     }
 
@@ -661,16 +647,22 @@ mod tests {
         let t = RType::TyVar(0, Subst::new(), Refinement::top());
         // Ordinary program variables do not extend the pending domain…
         let t2 = t.subst1(Symbol::new("x"), &Expr::var("k"));
-        let RType::TyVar(_, pending, _) = &t2 else { panic!() };
+        let RType::TyVar(_, pending, _) = &t2 else {
+            panic!()
+        };
         assert!(pending.is_empty());
         // …witness variables do.
         let w = witness_symbol("t");
         let t3 = t.subst1(w, &Expr::var("k"));
-        let RType::TyVar(_, pending, _) = &t3 else { panic!() };
+        let RType::TyVar(_, pending, _) = &t3 else {
+            panic!()
+        };
         assert_eq!(pending.to_string(), format!("[k/{w}]"));
         // And later substitutions rewrite pending right-hand sides.
         let t4 = t3.subst1(Symbol::new("k"), &Expr::int(7));
-        let RType::TyVar(_, pending, _) = &t4 else { panic!() };
+        let RType::TyVar(_, pending, _) = &t4 else {
+            panic!()
+        };
         assert_eq!(pending.to_string(), format!("[7/{w}]"));
     }
 

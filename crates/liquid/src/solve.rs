@@ -950,9 +950,7 @@ fn taint_unreliable_unsafe(
 }
 
 /// Renders the trajectory map as name-sorted `SolveStats` rows.
-fn finish_trajectories(
-    traj: HashMap<KVar, Vec<(u64, usize)>>,
-) -> Vec<(String, Vec<(u64, usize)>)> {
+fn finish_trajectories(traj: HashMap<KVar, Vec<(u64, usize)>>) -> Vec<(String, Vec<(u64, usize)>)> {
     let mut out: Vec<(String, Vec<(u64, usize)>)> = traj
         .into_iter()
         .map(|(k, pts)| (k.to_string(), pts))
@@ -1318,7 +1316,11 @@ mod tests {
         assert!(sol.outcome().is_unknown());
         // The undecided obligation is surfaced, not silently dropped.
         assert_eq!(sol.errors.len(), 1);
-        assert!(sol.errors[0].to_string().contains("unproven"), "{}", sol.errors[0]);
+        assert!(
+            sol.errors[0].to_string().contains("unproven"),
+            "{}",
+            sol.errors[0]
+        );
     }
 
     #[test]
@@ -1451,7 +1453,11 @@ mod tests {
             },
         ];
         let sol = solve(&genv, &kenv, &subs, &quals(), &seq_config());
-        assert!(sol.errors.is_empty(), "{:?}", sol.errors.first().map(|e| e.to_string()));
+        assert!(
+            sol.errors.is_empty(),
+            "{:?}",
+            sol.errors.first().map(|e| e.to_string())
+        );
     }
 
     /// A chain/diamond of κ constraints exercising multi-round parallel
@@ -1519,12 +1525,20 @@ mod tests {
         let dump = |s: &Solution| {
             let mut ks: Vec<_> = s.assignment.keys().copied().collect();
             ks.sort();
-            ks.iter().map(|k| format!("{k}={}", s.pred_of(*k))).collect::<Vec<_>>()
+            ks.iter()
+                .map(|k| format!("{k}={}", s.pred_of(*k)))
+                .collect::<Vec<_>>()
         };
         assert_eq!(dump(&seq), dump(&par));
         assert_eq!(
-            seq.errors.iter().map(ToString::to_string).collect::<Vec<_>>(),
-            par.errors.iter().map(ToString::to_string).collect::<Vec<_>>()
+            seq.errors
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>(),
+            par.errors
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
         );
         assert_eq!(seq.outcome(), par.outcome());
     }
@@ -1535,7 +1549,12 @@ mod tests {
         let sol = solve(&genv, &kenv, &subs, &quals(), &seq_config());
         assert!(sol.stats.rounds > 0);
         assert!(!sol.stats.partition_stats.is_empty());
-        let covered: u64 = sol.stats.partition_stats.iter().map(|p| p.constraints).sum();
+        let covered: u64 = sol
+            .stats
+            .partition_stats
+            .iter()
+            .map(|p| p.constraints)
+            .sum();
         assert_eq!(covered, sol.stats.iterations);
         assert!(!sol.stats.kvar_trajectories.is_empty());
         for (k, pts) in &sol.stats.kvar_trajectories {
@@ -1580,9 +1599,20 @@ mod tests {
             },
         );
         assert!(!par.stats.partition_stats.is_empty());
-        let covered: u64 = par.stats.partition_stats.iter().map(|p| p.constraints).sum();
+        let covered: u64 = par
+            .stats
+            .partition_stats
+            .iter()
+            .map(|p| p.constraints)
+            .sum();
         assert_eq!(covered, par.stats.iterations);
-        let max_round = par.stats.partition_stats.iter().map(|p| p.round).max().unwrap();
+        let max_round = par
+            .stats
+            .partition_stats
+            .iter()
+            .map(|p| p.round)
+            .max()
+            .unwrap();
         assert_eq!(max_round, par.stats.rounds);
         assert!(!par.stats.kvar_trajectories.is_empty());
         assert!(par.stats.churning_kvars.is_empty());

@@ -224,9 +224,7 @@ fn split_data(
                 // Recursive positions: compare composed matrices
                 // pointwise at one more level of fresh binders, instead
                 // of recursing into `split` (which would not terminate).
-                (RType::Data(s1), RType::Data(s2))
-                    if s1.name == d1.name && s2.name == d1.name =>
-                {
+                (RType::Data(s1), RType::Data(s2)) if s1.name == d1.name && s2.name == d1.name => {
                     push_sub(&env_c, &shape, &s1.refinement, &s2.refinement, origin, out);
                     split_matrices(
                         genv,
@@ -395,7 +393,15 @@ mod tests {
         let y = Symbol::new("y");
         let f2 = RType::Fun(y, Box::new(int_p("0 < VV")), Box::new(int_p("y <= VV")));
         let mut out = Vec::new();
-        split(&genv, &LiquidEnv::new(), &f1, &f2, &Origin::Flow("t"), &mut out).unwrap();
+        split(
+            &genv,
+            &LiquidEnv::new(),
+            &f1,
+            &f2,
+            &Origin::Flow("t"),
+            &mut out,
+        )
+        .unwrap();
         assert_eq!(out.len(), 2);
         // First constraint: arguments flipped (0 < ν ⇒ 0 ≤ ν).
         assert!(out[0].lhs.to_string().contains("0 < VV"));
@@ -409,13 +415,17 @@ mod tests {
         let genv = genv();
         let wit = Symbol::new("xw");
         let t1 = RType::TyVar(0, Subst::single(wit, Expr::var("k1")), Refinement::top());
-        let t2 = RType::TyVar(
-            0,
-            Subst::single(wit, Expr::var("k2")),
-            Refinement::top(),
-        );
+        let t2 = RType::TyVar(0, Subst::single(wit, Expr::var("k2")), Refinement::top());
         let mut out = Vec::new();
-        split(&genv, &LiquidEnv::new(), &t1, &t2, &Origin::Flow("t"), &mut out).unwrap();
+        split(
+            &genv,
+            &LiquidEnv::new(),
+            &t1,
+            &t2,
+            &Origin::Flow("t"),
+            &mut out,
+        )
+        .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rhs.to_string(), "(k1 = k2)");
     }
@@ -515,10 +525,7 @@ mod tests {
                 name: Symbol::new("map"),
                 targs: vec![
                     RType::int(),
-                    RType::Base(
-                        BaseTy::Int,
-                        Refinement::pred(parse_pred(p).unwrap()),
-                    ),
+                    RType::Base(BaseTy::Int, Refinement::pred(parse_pred(p).unwrap())),
                 ],
                 rho: Rho::top(),
                 inner: BTreeMap::new(),
@@ -528,7 +535,15 @@ mod tests {
         let m1 = mk(&format!("{key} < VV"));
         let m2 = mk(&format!("{key} <= VV"));
         let mut out = Vec::new();
-        split(&genv, &LiquidEnv::new(), &m1, &m2, &Origin::Flow("t"), &mut out).unwrap();
+        split(
+            &genv,
+            &LiquidEnv::new(),
+            &m1,
+            &m2,
+            &Origin::Flow("t"),
+            &mut out,
+        )
+        .unwrap();
         assert_eq!(out.len(), 1);
         // The canonical key binder was renamed to a fresh shared key.
         assert!(!out[0].lhs.to_string().contains("map#key"));
@@ -550,7 +565,15 @@ mod tests {
             (Symbol::new("b2"), int_p("a2 <= VV")),
         ]);
         let mut out = Vec::new();
-        split(&genv, &LiquidEnv::new(), &t1, &t2, &Origin::Flow("t"), &mut out).unwrap();
+        split(
+            &genv,
+            &LiquidEnv::new(),
+            &t1,
+            &t2,
+            &Origin::Flow("t"),
+            &mut out,
+        )
+        .unwrap();
         // Second field: both sides reference the SAME fresh binder.
         let last = out.last().unwrap();
         let l = last.lhs.to_string();

@@ -122,17 +122,10 @@ fn fresh_arrows(
     }
 }
 
-fn fresh_in_scope(
-    genv: &GlobalEnv,
-    kenv: &mut KEnv,
-    scope: &SortEnv,
-    shape: &MlType,
-) -> RType {
+fn fresh_in_scope(genv: &GlobalEnv, kenv: &mut KEnv, scope: &SortEnv, shape: &MlType) -> RType {
     match shape {
         MlType::Int => RType::Base(BaseTy::Int, fresh_refinement(kenv, scope.clone(), shape)),
-        MlType::Bool => {
-            RType::Base(BaseTy::Bool, fresh_refinement(kenv, scope.clone(), shape))
-        }
+        MlType::Bool => RType::Base(BaseTy::Bool, fresh_refinement(kenv, scope.clone(), shape)),
         MlType::Unit => RType::unit(),
         MlType::Var(v) => RType::TyVar(
             *v,
@@ -198,19 +191,10 @@ fn fresh_in_scope(
                             let mut m = Rho::top();
                             for (c2, cname2) in decl.ctor_names.iter().enumerate() {
                                 let mut escope = upscope.clone();
-                                for (f2, fshape2) in
-                                    decl.ctor_fields[c2].iter().enumerate()
-                                {
+                                for (f2, fshape2) in decl.ctor_fields[c2].iter().enumerate() {
                                     let fs2 = field_shape(fshape2, &targ_shapes);
-                                    m.set(
-                                        c2,
-                                        f2,
-                                        fresh_refinement(kenv, escope.clone(), &fs2),
-                                    );
-                                    escope.bind(
-                                        field_name(*n, *cname2, f2),
-                                        sort_of_mltype(&fs2),
-                                    );
+                                    m.set(c2, f2, fresh_refinement(kenv, escope.clone(), &fs2));
+                                    escope.bind(field_name(*n, *cname2, f2), sort_of_mltype(&fs2));
                                 }
                             }
                             inner.insert((c, j), m);
@@ -393,9 +377,7 @@ pub fn unfold_ctor(
                     MlType::Var(i) => params
                         .get(i)
                         .cloned()
-                        .unwrap_or_else(|| {
-                            RType::TyVar(*i, Subst::new(), Refinement::top())
-                        })
+                        .unwrap_or_else(|| RType::TyVar(*i, Subst::new(), Refinement::top()))
                         .strengthen(&entry),
                     other => rtype_of_shape(other, &params).strengthen(&entry),
                 }
@@ -486,9 +468,14 @@ mod tests {
         // Head: plain int.
         assert_eq!(fields[0].to_string(), "int");
         // Tail: a list whose top matrix now bounds every head by `h`.
-        let RType::Data(dt) = &fields[1] else { panic!() };
+        let RType::Data(dt) = &fields[1] else {
+            panic!()
+        };
         let e = dt.rho.entry(1, 0);
-        assert_eq!(e.concretize(&|_| dsolve_logic::Pred::True).to_string(), "(h <= VV)");
+        assert_eq!(
+            e.concretize(&|_| dsolve_logic::Pred::True).to_string(),
+            "(h <= VV)"
+        );
         // And the inner matrix persists for deeper levels.
         assert!(dt.inner.contains_key(&(1, 1)));
     }
@@ -499,7 +486,9 @@ mod tests {
         let d = sorted_int_list();
         let (h1, t1) = (Symbol::new("h1"), Symbol::new("t1"));
         let fields = unfold_ctor(&genv, &d, 1, &[h1, t1]);
-        let RType::Data(d2) = &fields[1] else { panic!() };
+        let RType::Data(d2) = &fields[1] else {
+            panic!()
+        };
         let (h2, t2) = (Symbol::new("h2"), Symbol::new("t2"));
         let fields2 = unfold_ctor(&genv, d2, 1, &[h2, t2]);
         // Second head is ≥ h1.
@@ -507,11 +496,10 @@ mod tests {
         let r = head2.refinement().concretize(&|_| dsolve_logic::Pred::True);
         assert_eq!(r.to_string(), "(h1 <= VV)");
         // Third-level heads are ≥ h2 and ≥ h1.
-        let RType::Data(d3) = &fields2[1] else { panic!() };
-        let e = d3
-            .rho
-            .entry(1, 0)
-            .concretize(&|_| dsolve_logic::Pred::True);
+        let RType::Data(d3) = &fields2[1] else {
+            panic!()
+        };
+        let e = d3.rho.entry(1, 0).concretize(&|_| dsolve_logic::Pred::True);
         assert_eq!(e.to_string(), "((h2 <= VV) && (h1 <= VV))");
     }
 
@@ -558,10 +546,7 @@ mod tests {
     #[test]
     fn rtype_of_shape_wires_params() {
         let mut params = HashMap::new();
-        params.insert(
-            0u32,
-            RType::int_pred(parse_pred("0 < VV").unwrap()),
-        );
+        params.insert(0u32, RType::int_pred(parse_pred("0 < VV").unwrap()));
         let t = rtype_of_shape(&MlType::list(MlType::Var(0)), &params);
         let RType::Data(d) = &t else { panic!() };
         assert_eq!(d.targs[0].to_string(), "{VV:int | (0 < VV)}");

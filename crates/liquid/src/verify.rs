@@ -11,12 +11,10 @@ use crate::env::{GlobalEnv, LiquidEnv};
 use crate::gen::Gen;
 use crate::measure::MeasureEnv;
 use crate::rtype::{RScheme, RType};
-use crate::solve::{solve, SolveConfig, SolveStats, Solution};
+use crate::solve::{solve, Solution, SolveConfig, SolveStats};
 use crate::subtype::split;
 use dsolve_logic::{Outcome, Qualifier, Symbol};
-use dsolve_nanoml::{
-    infer_program, parse_program, resolve_program, DataEnv, Scheme, TProgram,
-};
+use dsolve_nanoml::{infer_program, parse_program, resolve_program, DataEnv, Scheme, TProgram};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -135,8 +133,7 @@ impl Verifier {
                     }),
                 }),
                 Some(got) => {
-                    if let Err(e) = self.check_spec(&mut gen, &final_env, got.clone(), spec)
-                    {
+                    if let Err(e) = self.check_spec(&mut gen, &final_env, got.clone(), spec) {
                         spec_errors.push(e);
                     }
                 }
@@ -194,8 +191,8 @@ impl Verifier {
             vars: got.vars.iter().map(|v| v.var).collect(),
             ty: got.ty.shape(),
         };
-        let inst = dsolve_nanoml::match_instantiation(&got_ml, &spec_shape).ok_or_else(
-            || LiquidError {
+        let inst = dsolve_nanoml::match_instantiation(&got_ml, &spec_shape).ok_or_else(|| {
+            LiquidError {
                 msg: format!(
                     "specification shape `{}` does not match inferred `{}`",
                     spec_shape, got_ml.ty
@@ -203,8 +200,8 @@ impl Verifier {
                 origin: Some(Origin::Spec {
                     name: spec.name.to_string(),
                 }),
-            },
-        )?;
+            }
+        })?;
         let got_ty = crate::template::instantiate(&self.genv, &mut gen.kenv, env, &got, &inst);
         split(
             &self.genv,
@@ -284,7 +281,8 @@ pub fn verify_source(
 ) -> Result<VerifyResult, String> {
     let prog = parse_program(src).map_err(|e| e.to_string())?;
     let mut data = DataEnv::with_builtins();
-    data.add_program(&prog.datatypes).map_err(|e| e.to_string())?;
+    data.add_program(&prog.datatypes)
+        .map_err(|e| e.to_string())?;
     let prog = resolve_program(&prog, &data).map_err(|e| e.to_string())?;
     let (ml_builtins, _) = builtin_schemes();
     let typed = infer_program(&prog, &data, &ml_builtins).map_err(|e| e.to_string())?;

@@ -27,9 +27,7 @@ fn sorted_list(elem: RType) -> RType {
     m.set(
         1,
         0,
-        Refinement::pred(
-            parse_pred(&format!("{} <= VV", up_field_name(list, cons, 0))).unwrap(),
-        ),
+        Refinement::pred(parse_pred(&format!("{} <= VV", up_field_name(list, cons, 0))).unwrap()),
     );
     let mut inner = BTreeMap::new();
     inner.insert((1, 1), m);
@@ -153,7 +151,11 @@ fn insertion_sort_is_sorted() {
     assert!(
         result.is_safe(),
         "{:?}",
-        result.errors.iter().map(|e| e.to_string()).collect::<Vec<_>>()
+        result
+            .errors
+            .iter()
+            .map(|e| e.to_string())
+            .collect::<Vec<_>>()
     );
 }
 
@@ -172,8 +174,7 @@ fn buggy_insertion_sort_is_rejected() {
             ty: fun("xs", plain_list(tyvar(0)), sorted_list(tyvar(0))),
         },
     };
-    let result = verify_source(&buggy, MeasureEnv::new(), quals(&["_ <= VV"]), vec![spec])
-        .unwrap();
+    let result = verify_source(&buggy, MeasureEnv::new(), quals(&["_ <= VV"]), vec![spec]).unwrap();
     assert!(!result.is_safe(), "bug must be detected");
 }
 
@@ -196,9 +197,7 @@ fn insertion_sort_preserves_elements() {
                     targs: vec![tyvar(0)],
                     rho: Rho::top(),
                     inner: BTreeMap::new(),
-                    refinement: Refinement::pred(
-                        parse_pred("elts(VV) = elts(xs)").unwrap(),
-                    ),
+                    refinement: Refinement::pred(parse_pred("elts(VV) = elts(xs)").unwrap()),
                 }),
             ),
         },
@@ -206,17 +205,18 @@ fn insertion_sort_preserves_elements() {
     let result = verify_source(
         INSERT_SORT,
         measures(vec![elts_measure()]),
-        quals(&[
-            "elts(VV) = elts(_)",
-            "elts(VV) = union(single(_), elts(_))",
-        ]),
+        quals(&["elts(VV) = elts(_)", "elts(VV) = union(single(_), elts(_))"]),
         vec![spec],
     )
     .unwrap();
     assert!(
         result.is_safe(),
         "{:?}",
-        result.errors.iter().map(|e| e.to_string()).collect::<Vec<_>>()
+        result
+            .errors
+            .iter()
+            .map(|e| e.to_string())
+            .collect::<Vec<_>>()
     );
 }
 
@@ -259,7 +259,11 @@ let fib i =
     assert!(
         result.is_safe(),
         "{:?}",
-        result.errors.iter().map(|e| e.to_string()).collect::<Vec<_>>()
+        result
+            .errors
+            .iter()
+            .map(|e| e.to_string())
+            .collect::<Vec<_>>()
     );
 }
 
@@ -309,7 +313,11 @@ let rec append xs ys =
     assert!(
         result.is_safe(),
         "{:?}",
-        result.errors.iter().map(|e| e.to_string()).collect::<Vec<_>>()
+        result
+            .errors
+            .iter()
+            .map(|e| e.to_string())
+            .collect::<Vec<_>>()
     );
 }
 
@@ -323,8 +331,7 @@ let check x =
   assert (x > 0); x
 let bad = check 0
 "#;
-    let result =
-        verify_source(src, MeasureEnv::new(), quals(&["0 < VV"]), vec![]).unwrap();
+    let result = verify_source(src, MeasureEnv::new(), quals(&["0 < VV"]), vec![]).unwrap();
     assert!(!result.is_safe());
     let msg = result.errors[0].to_string();
     assert!(msg.contains("line 3"), "{msg}");
@@ -339,12 +346,15 @@ let check x =
 let ok = check 5
 let ok2 = check 12
 "#;
-    let result =
-        verify_source(src, MeasureEnv::new(), quals(&["0 < VV"]), vec![]).unwrap();
+    let result = verify_source(src, MeasureEnv::new(), quals(&["0 < VV"]), vec![]).unwrap();
     assert!(
         result.is_safe(),
         "{:?}",
-        result.errors.iter().map(|e| e.to_string()).collect::<Vec<_>>()
+        result
+            .errors
+            .iter()
+            .map(|e| e.to_string())
+            .collect::<Vec<_>>()
     );
 }
 
@@ -355,12 +365,15 @@ fn guarded_assert_is_safe() {
 let check x =
   if x > 0 then (assert (x > 0); x) else 0
 "#;
-    let result =
-        verify_source(src, MeasureEnv::new(), quals(&["0 < VV"]), vec![]).unwrap();
+    let result = verify_source(src, MeasureEnv::new(), quals(&["0 < VV"]), vec![]).unwrap();
     assert!(
         result.is_safe(),
         "{:?}",
-        result.errors.iter().map(|e| e.to_string()).collect::<Vec<_>>()
+        result
+            .errors
+            .iter()
+            .map(|e| e.to_string())
+            .collect::<Vec<_>>()
     );
 }
 
@@ -408,6 +421,10 @@ let rec sortcheck xs =
     assert!(
         result.is_safe(),
         "{:?}",
-        result.errors.iter().map(|e| e.to_string()).collect::<Vec<_>>()
+        result
+            .errors
+            .iter()
+            .map(|e| e.to_string())
+            .collect::<Vec<_>>()
     );
 }

@@ -134,8 +134,13 @@ fn spec_failures_name_the_function() {
             ),
         },
     };
-    let r = verify_source("let f x = x", MeasureEnv::new(), quals(&["0 < VV"]), vec![spec])
-        .unwrap();
+    let r = verify_source(
+        "let f x = x",
+        MeasureEnv::new(),
+        quals(&["0 < VV"]),
+        vec![spec],
+    )
+    .unwrap();
     assert!(!r.is_safe());
     assert!(r.errors[0].to_string().contains("specification of `f`"));
 }
@@ -189,12 +194,6 @@ let check u =
 
 #[test]
 fn bool_refinement_rejects_always_false_assert() {
-    let r = verify_source(
-        "let f u = assert false",
-        MeasureEnv::new(),
-        vec![],
-        vec![],
-    )
-    .unwrap();
+    let r = verify_source("let f u = assert false", MeasureEnv::new(), vec![], vec![]).unwrap();
     assert!(!r.is_safe());
 }

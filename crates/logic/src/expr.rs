@@ -160,15 +160,11 @@ impl Expr {
                 Box::new(t.subst(var, with)),
                 Box::new(e.subst(var, with)),
             ),
-            Expr::App(f, args) => {
-                Expr::App(*f, args.iter().map(|a| a.subst(var, with)).collect())
-            }
+            Expr::App(f, args) => Expr::App(*f, args.iter().map(|a| a.subst(var, with)).collect()),
             Expr::Sel(m, i) => Expr::sel(m.subst(var, with), i.subst(var, with)),
-            Expr::Upd(m, i, v) => Expr::upd(
-                m.subst(var, with),
-                i.subst(var, with),
-                v.subst(var, with),
-            ),
+            Expr::Upd(m, i, v) => {
+                Expr::upd(m.subst(var, with), i.subst(var, with), v.subst(var, with))
+            }
             Expr::SetSingle(e) => Expr::single(e.subst(var, with)),
             Expr::SetUnion(a, b) => Expr::union(a.subst(var, with), b.subst(var, with)),
         }

@@ -131,10 +131,7 @@ impl FaultPlan {
         };
         let point = FaultPoint::from_name(name).ok_or_else(|| {
             let known: Vec<&str> = FaultPoint::all().iter().map(|p| p.name()).collect();
-            format!(
-                "unknown fault point `{name}` (known: {})",
-                known.join(", ")
-            )
+            format!("unknown fault point `{name}` (known: {})", known.join(", "))
         })?;
         Ok(FaultPlan::new(point, at))
     }
@@ -228,7 +225,10 @@ mod tests {
         assert!(FaultPlan::parse("worker-panic@zero").is_err());
         assert!(FaultPlan::parse("worker-panic@0").is_err());
         let err = FaultPlan::parse("bogus").unwrap_err();
-        assert!(err.contains("worker-panic"), "error lists known points: {err}");
+        assert!(
+            err.contains("worker-panic"),
+            "error lists known points: {err}"
+        );
     }
 
     #[test]

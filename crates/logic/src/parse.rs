@@ -496,10 +496,7 @@ mod tests {
     #[test]
     fn parses_measures_and_sets() {
         let p = parse_pred("elts(VV) = union(single(x), elts(xs))").unwrap();
-        assert_eq!(
-            p.to_string(),
-            "(elts(VV) = union(single(x), elts(xs)))"
-        );
+        assert_eq!(p.to_string(), "(elts(VV) = union(single(x), elts(xs)))");
         let q = parse_pred("x in elts(VV)").unwrap();
         assert_eq!(q.to_string(), "(x in elts(VV))");
     }
@@ -507,10 +504,7 @@ mod tests {
     #[test]
     fn parses_sel_upd() {
         let p = parse_pred("Sel(m, i) = 0 || VV = Upd(m, k, v)").unwrap();
-        assert_eq!(
-            p.to_string(),
-            "((Sel(m, i) = 0) || (VV = Upd(m, k, v)))"
-        );
+        assert_eq!(p.to_string(), "((Sel(m, i) = 0) || (VV = Upd(m, k, v)))");
     }
 
     #[test]

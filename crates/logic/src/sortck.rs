@@ -141,9 +141,7 @@ impl SortEnv {
                 };
                 match rel {
                     Rel::Eq | Rel::Ne => sa.compatible(&sb),
-                    Rel::Lt | Rel::Le | Rel::Gt | Rel::Ge => {
-                        sa == Sort::Int && sb == Sort::Int
-                    }
+                    Rel::Lt | Rel::Le | Rel::Gt | Rel::Ge => sa == Sort::Int && sb == Sort::Int,
                     Rel::In => sb == Sort::Set,
                     Rel::Sub => sa == Sort::Set && sb == Sort::Set,
                 }
@@ -205,7 +203,10 @@ mod tests {
             env.sort_of(&Expr::upd(Expr::var("m"), Expr::var("x"), Expr::int(0))),
             Some(Sort::Map)
         );
-        assert_eq!(env.sort_of(&Expr::sel(Expr::var("s"), Expr::var("x"))), None);
+        assert_eq!(
+            env.sort_of(&Expr::sel(Expr::var("s"), Expr::var("x"))),
+            None
+        );
     }
 
     #[test]

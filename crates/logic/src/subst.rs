@@ -122,15 +122,11 @@ mod tests {
     fn sequential_application_order_matters() {
         let x = Symbol::new("x");
         let y = Symbol::new("y");
-        let theta = Subst::new()
-            .then(x, Expr::var("y"))
-            .then(y, Expr::int(7));
+        let theta = Subst::new().then(x, Expr::var("y")).then(y, Expr::int(7));
         // x -> y, then y -> 7, so x ends at 7.
         assert_eq!(theta.apply_expr(&Expr::var("x")), Expr::int(7));
 
-        let theta_rev = Subst::new()
-            .then(y, Expr::int(7))
-            .then(x, Expr::var("y"));
+        let theta_rev = Subst::new().then(y, Expr::int(7)).then(x, Expr::var("y"));
         // y -> 7 happens first, then x -> y: x ends at the *variable* y.
         assert_eq!(theta_rev.apply_expr(&Expr::var("x")), Expr::var("y"));
     }
@@ -141,7 +137,11 @@ mod tests {
         let b = Subst::single(Symbol::new("y"), Expr::int(2));
         let c = a.compose(&b);
         assert_eq!(c.pairs().len(), 2);
-        assert_eq!(c.apply_expr(&Expr::var("x").add(Expr::var("y"))).to_string(), "(1 + 2)");
+        assert_eq!(
+            c.apply_expr(&Expr::var("x").add(Expr::var("y")))
+                .to_string(),
+            "(1 + 2)"
+        );
     }
 
     #[test]

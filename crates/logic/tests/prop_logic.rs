@@ -26,10 +26,7 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
         prop_oneof![
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a.add(b)),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a.sub(b)),
-            (inner.clone(), inner).prop_map(|(a, b)| Expr::union(
-                Expr::single(a),
-                Expr::single(b)
-            )),
+            (inner.clone(), inner).prop_map(|(a, b)| Expr::union(Expr::single(a), Expr::single(b))),
         ]
     })
 }
@@ -47,8 +44,7 @@ fn arb_pred() -> impl Strategy<Value = Pred> {
             prop::collection::vec(inner.clone(), 2..4).prop_map(Pred::And),
             prop::collection::vec(inner.clone(), 2..4).prop_map(Pred::Or),
             inner.clone().prop_map(|p| Pred::Not(Box::new(p))),
-            (inner.clone(), inner)
-                .prop_map(|(a, b)| Pred::Imp(Box::new(a), Box::new(b))),
+            (inner.clone(), inner).prop_map(|(a, b)| Pred::Imp(Box::new(a), Box::new(b))),
         ]
     })
 }

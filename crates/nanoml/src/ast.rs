@@ -224,6 +224,8 @@ impl Program {
 
     /// Iterates over all top-level bound names in order.
     pub fn top_names(&self) -> impl Iterator<Item = Symbol> + '_ {
-        self.lets.iter().flat_map(|l| l.binds.iter().map(|b| b.name))
+        self.lets
+            .iter()
+            .flat_map(|l| l.binds.iter().map(|b| b.name))
     }
 }

@@ -402,11 +402,8 @@ impl Evaluator {
         let mut env = builtins.clone();
         for tl in &prog.lets {
             if tl.recursive {
-                let binds: Vec<(Symbol, Expr)> = tl
-                    .binds
-                    .iter()
-                    .map(|b| (b.name, b.body.clone()))
-                    .collect();
+                let binds: Vec<(Symbol, Expr)> =
+                    tl.binds.iter().map(|b| (b.name, b.body.clone())).collect();
                 env = self.bind_rec_group(&env, &binds)?;
             } else {
                 for b in &tl.binds {
@@ -418,11 +415,7 @@ impl Evaluator {
         Ok(env)
     }
 
-    fn bind_rec_group(
-        &mut self,
-        env: &Env,
-        binds: &[(Symbol, Expr)],
-    ) -> Result<Env, EvalError> {
+    fn bind_rec_group(&mut self, env: &Env, binds: &[(Symbol, Expr)]) -> Result<Env, EvalError> {
         // Tie the knot with shared slots.
         let slots: Vec<(Symbol, Rc<RefCell<Option<Value>>>)> = binds
             .iter()
@@ -642,7 +635,10 @@ mod tests {
         let v = run("let rec range i j = if i > j then [] else i :: range (i + 1) j in range 1 5");
         let items = v.as_list().unwrap();
         assert_eq!(
-            items.iter().map(|v| v.as_int().unwrap()).collect::<Vec<_>>(),
+            items
+                .iter()
+                .map(|v| v.as_int().unwrap())
+                .collect::<Vec<_>>(),
             vec![1, 2, 3, 4, 5]
         );
     }

@@ -193,7 +193,8 @@ pub fn generate_fleet(fleet_seed: u64, count: u64) -> Vec<GenProgram> {
 pub fn first_assert_failure(source: &str) -> Result<Option<u32>, String> {
     let prog = parse_program(source).map_err(|e| e.to_string())?;
     let mut data = DataEnv::with_builtins();
-    data.add_program(&prog.datatypes).map_err(|e| e.to_string())?;
+    data.add_program(&prog.datatypes)
+        .map_err(|e| e.to_string())?;
     let prog = resolve_program(&prog, &data).map_err(|e| e.to_string())?;
     match Evaluator::with_fuel(5_000_000).eval_program(&prog, &builtin_env()) {
         Ok(_) => Ok(None),
@@ -215,11 +216,31 @@ struct FunTemplate {
 }
 
 const ARITH_FUNS: &[FunTemplate] = &[
-    FunTemplate { name: "abs", deps: &[], render: |_| "let abs x = if x < 0 then 0 - x else x".into() },
-    FunTemplate { name: "max2", deps: &[], render: |_| "let max2 a b = if a < b then b else a".into() },
-    FunTemplate { name: "min2", deps: &[], render: |_| "let min2 a b = if a < b then a else b".into() },
-    FunTemplate { name: "double", deps: &[], render: |_| "let double x = x + x".into() },
-    FunTemplate { name: "square", deps: &[], render: |_| "let square x = x * x".into() },
+    FunTemplate {
+        name: "abs",
+        deps: &[],
+        render: |_| "let abs x = if x < 0 then 0 - x else x".into(),
+    },
+    FunTemplate {
+        name: "max2",
+        deps: &[],
+        render: |_| "let max2 a b = if a < b then b else a".into(),
+    },
+    FunTemplate {
+        name: "min2",
+        deps: &[],
+        render: |_| "let min2 a b = if a < b then a else b".into(),
+    },
+    FunTemplate {
+        name: "double",
+        deps: &[],
+        render: |_| "let double x = x + x".into(),
+    },
+    FunTemplate {
+        name: "square",
+        deps: &[],
+        render: |_| "let square x = x * x".into(),
+    },
     FunTemplate {
         name: "addk",
         deps: &[],
@@ -241,7 +262,9 @@ const LIST_FUNS: &[FunTemplate] = &[
     FunTemplate {
         name: "length",
         deps: &[],
-        render: |_| "let rec length xs = match xs with | [] -> 0 | x :: rest -> 1 + length rest".into(),
+        render: |_| {
+            "let rec length xs = match xs with | [] -> 0 | x :: rest -> 1 + length rest".into()
+        },
     },
     FunTemplate {
         name: "sum",
@@ -251,32 +274,46 @@ const LIST_FUNS: &[FunTemplate] = &[
     FunTemplate {
         name: "append",
         deps: &[],
-        render: |_| "let rec append xs ys = match xs with | [] -> ys | x :: rest -> x :: append rest ys".into(),
+        render: |_| {
+            "let rec append xs ys = match xs with | [] -> ys | x :: rest -> x :: append rest ys"
+                .into()
+        },
     },
     FunTemplate {
         name: "rev",
         deps: &["append"],
-        render: |_| "let rec rev xs = match xs with | [] -> [] | x :: rest -> append (rev rest) [x]".into(),
+        render: |_| {
+            "let rec rev xs = match xs with | [] -> [] | x :: rest -> append (rev rest) [x]".into()
+        },
     },
     FunTemplate {
         name: "mapinc",
         deps: &[],
-        render: |_| "let rec mapinc xs = match xs with | [] -> [] | x :: rest -> (x + 1) :: mapinc rest".into(),
+        render: |_| {
+            "let rec mapinc xs = match xs with | [] -> [] | x :: rest -> (x + 1) :: mapinc rest"
+                .into()
+        },
     },
     FunTemplate {
         name: "insert",
         deps: &[],
-        render: |_| "let rec insert x vs = match vs with | [] -> [x] | y :: ys -> if x < y then x :: y :: ys else y :: insert x ys".into(),
+        render: |_| {
+            "let rec insert x vs = match vs with | [] -> [x] | y :: ys -> if x < y then x :: y :: ys else y :: insert x ys".into()
+        },
     },
     FunTemplate {
         name: "insertsort",
         deps: &["insert"],
-        render: |_| "let rec insertsort xs = match xs with | [] -> [] | x :: rest -> insert x (insertsort rest)".into(),
+        render: |_| {
+            "let rec insertsort xs = match xs with | [] -> [] | x :: rest -> insert x (insertsort rest)".into()
+        },
     },
     FunTemplate {
         name: "maxl",
         deps: &["max2"],
-        render: |_| "let rec maxl xs d = match xs with | [] -> d | x :: rest -> max2 x (maxl rest d)".into(),
+        render: |_| {
+            "let rec maxl xs d = match xs with | [] -> d | x :: rest -> max2 x (maxl rest d)".into()
+        },
     },
     FunTemplate {
         name: "range",
@@ -286,12 +323,16 @@ const LIST_FUNS: &[FunTemplate] = &[
     FunTemplate {
         name: "replicate",
         deps: &[],
-        render: |_| "let rec replicate n x = if n <= 0 then [] else x :: replicate (n - 1) x".into(),
+        render: |_| {
+            "let rec replicate n x = if n <= 0 then [] else x :: replicate (n - 1) x".into()
+        },
     },
     FunTemplate {
         name: "memb",
         deps: &[],
-        render: |_| "let rec memb x xs = match xs with | [] -> false | y :: ys -> if x = y then true else memb x ys".into(),
+        render: |_| {
+            "let rec memb x xs = match xs with | [] -> false | y :: ys -> if x = y then true else memb x ys".into()
+        },
     },
 ];
 
@@ -299,32 +340,46 @@ const TREE_FUNS: &[FunTemplate] = &[
     FunTemplate {
         name: "tinsert",
         deps: &[],
-        render: |_| "let rec tinsert x t = match t with | Lf -> Nd (x, Lf, Lf) | Nd (y, l, r) -> if x < y then Nd (y, tinsert x l, r) else Nd (y, l, tinsert x r)".into(),
+        render: |_| {
+            "let rec tinsert x t = match t with | Lf -> Nd (x, Lf, Lf) | Nd (y, l, r) -> if x < y then Nd (y, tinsert x l, r) else Nd (y, l, tinsert x r)".into()
+        },
     },
     FunTemplate {
         name: "build",
         deps: &["tinsert"],
-        render: |_| "let rec build xs = match xs with | [] -> Lf | y :: rest -> tinsert y (build rest)".into(),
+        render: |_| {
+            "let rec build xs = match xs with | [] -> Lf | y :: rest -> tinsert y (build rest)"
+                .into()
+        },
     },
     FunTemplate {
         name: "tsize",
         deps: &[],
-        render: |_| "let rec tsize t = match t with | Lf -> 0 | Nd (y, l, r) -> 1 + tsize l + tsize r".into(),
+        render: |_| {
+            "let rec tsize t = match t with | Lf -> 0 | Nd (y, l, r) -> 1 + tsize l + tsize r"
+                .into()
+        },
     },
     FunTemplate {
         name: "tsum",
         deps: &[],
-        render: |_| "let rec tsum t = match t with | Lf -> 0 | Nd (y, l, r) -> y + tsum l + tsum r".into(),
+        render: |_| {
+            "let rec tsum t = match t with | Lf -> 0 | Nd (y, l, r) -> y + tsum l + tsum r".into()
+        },
     },
     FunTemplate {
         name: "tmemb",
         deps: &[],
-        render: |_| "let rec tmemb x t = match t with | Lf -> false | Nd (y, l, r) -> if x = y then true else if x < y then tmemb x l else tmemb x r".into(),
+        render: |_| {
+            "let rec tmemb x t = match t with | Lf -> false | Nd (y, l, r) -> if x = y then true else if x < y then tmemb x l else tmemb x r".into()
+        },
     },
     FunTemplate {
         name: "theight",
         deps: &["max2"],
-        render: |_| "let rec theight t = match t with | Lf -> 0 | Nd (y, l, r) -> 1 + max2 (theight l) (theight r)".into(),
+        render: |_| {
+            "let rec theight t = match t with | Lf -> 0 | Nd (y, l, r) -> 1 + max2 (theight l) (theight r)".into()
+        },
     },
 ];
 
@@ -363,7 +418,12 @@ struct CheckLhs {
 
 /// Builds an integer expression usable as an argument (parenthesized
 /// when compound).
-fn int_arg(rng: &mut FleetRng, has: &dyn Fn(&str) -> bool, depth: u32, consts: &mut Vec<i64>) -> String {
+fn int_arg(
+    rng: &mut FleetRng,
+    has: &dyn Fn(&str) -> bool,
+    depth: u32,
+    consts: &mut Vec<i64>,
+) -> String {
     if depth == 0 || rng.chance(1, 2) {
         let v = rng.int(-9, 9);
         consts.push(v);
@@ -393,12 +453,25 @@ fn int_arg(rng: &mut FleetRng, has: &dyn Fn(&str) -> bool, depth: u32, consts: &
 }
 
 /// Builds a list expression usable as an argument.
-fn list_arg(rng: &mut FleetRng, has: &dyn Fn(&str) -> bool, depth: u32, consts: &mut Vec<i64>) -> String {
+fn list_arg(
+    rng: &mut FleetRng,
+    has: &dyn Fn(&str) -> bool,
+    depth: u32,
+    consts: &mut Vec<i64>,
+) -> String {
     if depth == 0 || rng.chance(1, 2) {
         return render_list(rng, consts);
     }
     let mut opts: Vec<&str> = Vec::new();
-    for f in ["append", "rev", "mapinc", "insert", "insertsort", "range", "replicate"] {
+    for f in [
+        "append",
+        "rev",
+        "mapinc",
+        "insert",
+        "insertsort",
+        "range",
+        "replicate",
+    ] {
         if has(f) {
             opts.push(f);
         }
@@ -431,7 +504,11 @@ fn list_arg(rng: &mut FleetRng, has: &dyn Fn(&str) -> bool, depth: u32, consts: 
         "replicate" => {
             let n = rng.int(0, 5);
             consts.push(n);
-            format!("replicate {} {}", render_int(n), int_arg(rng, has, 0, consts))
+            format!(
+                "replicate {} {}",
+                render_int(n),
+                int_arg(rng, has, 0, consts)
+            )
         }
         _ => unreachable!(),
     };
@@ -448,7 +525,9 @@ fn check_lhs(
     match shape {
         Shape::Arith => {
             let mut opts: Vec<&str> = Vec::new();
-            for f in ["abs", "max2", "min2", "double", "square", "addk", "sumto", "clamp"] {
+            for f in [
+                "abs", "max2", "min2", "double", "square", "addk", "sumto", "clamp",
+            ] {
                 if has(f) {
                     opts.push(f);
                 }
@@ -522,7 +601,9 @@ fn check_lhs(
                 "tmemb" => CheckLhs {
                     text: format!("tmemb {} {tree}", int_arg(rng, has, 0, consts)),
                 },
-                _ => CheckLhs { text: format!("{f} {tree}") },
+                _ => CheckLhs {
+                    text: format!("{f} {tree}"),
+                },
             }
         }
     }
@@ -561,7 +642,11 @@ fn select_funs<'a>(rng: &mut FleetRng, catalog: &'a [FunTemplate]) -> Vec<&'a Fu
             break;
         }
     }
-    catalog.iter().zip(wanted).filter_map(|(t, w)| w.then_some(t)).collect()
+    catalog
+        .iter()
+        .zip(wanted)
+        .filter_map(|(t, w)| w.then_some(t))
+        .collect()
 }
 
 /// Adds `name` (and its same-catalog dependencies) to `chosen`, keeping
@@ -603,7 +688,10 @@ fn try_generate(rng: &mut FleetRng, fleet_seed: u64, index: u64) -> Option<GenPr
             let shape_funs = if shape == Shape::List {
                 let mut t = select_funs(rng, LIST_FUNS);
                 // At least one check-capable (int/bool-returning) entry.
-                if !t.iter().any(|f| matches!(f.name, "length" | "sum" | "maxl" | "memb")) {
+                if !t
+                    .iter()
+                    .any(|f| matches!(f.name, "length" | "sum" | "maxl" | "memb"))
+                {
                     let pick = *rng.pick(&["length", "sum", "memb"]);
                     force_include(&mut t, LIST_FUNS, pick);
                 }
@@ -613,7 +701,10 @@ fn try_generate(rng: &mut FleetRng, fleet_seed: u64, index: u64) -> Option<GenPr
                 // Trees are only interesting with a builder, and need at
                 // least one observer for the checks.
                 force_include(&mut t, TREE_FUNS, "build");
-                if !t.iter().any(|f| matches!(f.name, "tsize" | "tsum" | "theight" | "tmemb")) {
+                if !t
+                    .iter()
+                    .any(|f| matches!(f.name, "tsize" | "tsum" | "theight" | "tmemb"))
+                {
                     let pick = *rng.pick(&["tsize", "tsum", "tmemb"]);
                     force_include(&mut t, TREE_FUNS, pick);
                 }
@@ -676,7 +767,11 @@ fn try_generate(rng: &mut FleetRng, fleet_seed: u64, index: u64) -> Option<GenPr
             Value::Int(v) => {
                 let d = rng.int(0, 3);
                 if make_violating {
-                    let delta = if rng.chance(1, 2) { rng.int(1, 3) } else { -rng.int(1, 3) };
+                    let delta = if rng.chance(1, 2) {
+                        rng.int(1, 3)
+                    } else {
+                        -rng.int(1, 3)
+                    };
                     consts.push(v + delta);
                     match rng.below(3) {
                         0 => format!("{} = {}", lhs.text, render_int(v + delta)),
@@ -845,11 +940,18 @@ mod tests {
         for i in 0..40 {
             let p = generate(7, i);
             let got = first_assert_failure(&p.source).unwrap_or_else(|e| {
-                panic!("{}: interpreter error on generated program: {e}\n{}", p.name, p.source)
+                panic!(
+                    "{}: interpreter error on generated program: {e}\n{}",
+                    p.name, p.source
+                )
             });
             match p.expectation {
                 Expectation::Safe => {
-                    assert_eq!(got, None, "{}: safe program failed at runtime\n{}", p.name, p.source);
+                    assert_eq!(
+                        got, None,
+                        "{}: safe program failed at runtime\n{}",
+                        p.name, p.source
+                    );
                 }
                 Expectation::Violating { line } => {
                     assert_eq!(
@@ -868,7 +970,9 @@ mod tests {
     fn both_expectations_are_generated() {
         let fleet = generate_fleet(3, 30);
         assert!(fleet.iter().any(|p| p.expectation == Expectation::Safe));
-        assert!(fleet.iter().any(|p| matches!(p.expectation, Expectation::Violating { .. })));
+        assert!(fleet
+            .iter()
+            .any(|p| matches!(p.expectation, Expectation::Violating { .. })));
     }
 
     #[test]

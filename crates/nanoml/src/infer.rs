@@ -184,9 +184,7 @@ impl<'a> Infer<'a> {
                 MlType::Arrow(Box::new(self.resolve(a)), Box::new(self.resolve(b)))
             }
             MlType::Tuple(ts) => MlType::Tuple(ts.iter().map(|t| self.resolve(t)).collect()),
-            MlType::Data(n, ts) => {
-                MlType::Data(*n, ts.iter().map(|t| self.resolve(t)).collect())
-            }
+            MlType::Data(n, ts) => MlType::Data(*n, ts.iter().map(|t| self.resolve(t)).collect()),
         }
     }
 
@@ -209,9 +207,7 @@ impl<'a> Infer<'a> {
                 }
                 Ok(())
             }
-            (MlType::Data(n1, xs), MlType::Data(n2, ys))
-                if n1 == n2 && xs.len() == ys.len() =>
-            {
+            (MlType::Data(n1, xs), MlType::Data(n2, ys)) if n1 == n2 && xs.len() == ys.len() => {
                 for (x, y) in xs.iter().zip(ys) {
                     self.unify(x, y)?;
                 }
@@ -228,9 +224,7 @@ impl<'a> Infer<'a> {
             }
         }
         if t.free_vars().contains(&v) {
-            return Err(TypeError(format!(
-                "occurs check failed: 't{v} in `{t}`"
-            )));
+            return Err(TypeError(format!("occurs check failed: 't{v} in `{t}`")));
         }
         self.subst[v as usize] = Some(t.clone());
         Ok(())
@@ -621,14 +615,9 @@ mod tests {
 
     #[test]
     fn infers_range_type() {
-        let tp = infer_src(
-            "let rec range i j = if i > j then [] else i :: range (i + 1) j",
-        );
+        let tp = infer_src("let rec range i j = if i > j then [] else i :: range (i + 1) j");
         let s = tp.scheme_of(Symbol::new("range")).unwrap();
-        assert_eq!(
-            s.ty.to_string(),
-            "(int -> (int -> (int) list))"
-        );
+        assert_eq!(s.ty.to_string(), "(int -> (int -> (int) list))");
         assert!(s.vars.is_empty());
     }
 
@@ -686,7 +675,9 @@ let singleton x = Node (Leaf, x, Leaf)
         let TExprKind::App(f, _) = &tp.lets[1].binds[0].rhs.kind else {
             panic!()
         };
-        let TExprKind::Var(name, inst) = &f.kind else { panic!() };
+        let TExprKind::Var(name, inst) = &f.kind else {
+            panic!()
+        };
         assert_eq!(*name, Symbol::new("id"));
         assert_eq!(inst, &vec![MlType::Int]);
     }

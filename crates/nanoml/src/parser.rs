@@ -308,8 +308,7 @@ impl Parser {
                     }
                     if ok && self.eat(&Token::RParen) {
                         if binders.len() == 1 {
-                            let name =
-                                binders[0].unwrap_or_else(|| Symbol::fresh("unused"));
+                            let name = binders[0].unwrap_or_else(|| Symbol::fresh("unused"));
                             ps.push(Param::Var(name));
                         } else {
                             ps.push(Param::Tuple(binders));
@@ -503,8 +502,8 @@ impl Parser {
                         }
                         other => {
                             return Err(self.err(&format!(
-                                "only variables and `_` are allowed in tuple patterns, found `{other}`"
-                            )))
+                            "only variables and `_` are allowed in tuple patterns, found `{other}`"
+                        )))
                         }
                     }
                     if !self.eat(&Token::Comma) {
@@ -893,7 +892,9 @@ fn lam_param(p: Param, body: Expr) -> Expr {
 fn pattern_binder(p: Pattern, parser: &Parser) -> Result<Option<Symbol>, ParseError> {
     match p {
         Pattern::Any(b) => Ok(b),
-        _ => Err(parser.err("nested constructor patterns are not supported; match again on the bound variable")),
+        _ => Err(parser.err(
+            "nested constructor patterns are not supported; match again on the bound variable",
+        )),
     }
 }
 
@@ -934,7 +935,9 @@ let rec insert x vs =
         // Drill to the match.
         let Expr::Lam(_, b1) = body else { panic!() };
         let Expr::Lam(_, b2) = &**b1 else { panic!() };
-        let Expr::Match(_, arms) = &**b2 else { panic!() };
+        let Expr::Match(_, arms) = &**b2 else {
+            panic!()
+        };
         assert_eq!(arms.len(), 2);
         assert!(matches!(
             &arms[0].pattern,
@@ -954,7 +957,9 @@ let rec insert x vs =
         assert_eq!(d.params, vec!["a", "b"]);
         assert_eq!(d.ctors.len(), 2);
         assert_eq!(d.ctors[1].fields.len(), 5);
-        assert!(matches!(&d.ctors[1].fields[2], TypeExpr::App(n, args) if n == "t" && args.len() == 2));
+        assert!(
+            matches!(&d.ctors[1].fields[2], TypeExpr::App(n, args) if n == "t" && args.len() == 2)
+        );
     }
 
     #[test]
@@ -973,9 +978,15 @@ let rec insert x vs =
     #[test]
     fn parses_operator_precedence() {
         let e = parse_expr_str("1 + 2 * 3 < 10 && true").unwrap();
-        let Expr::Prim(PrimOp::And, l, _) = e else { panic!() };
-        let Expr::Prim(PrimOp::Lt, a, _) = *l else { panic!() };
-        let Expr::Prim(PrimOp::Add, _, m) = *a else { panic!() };
+        let Expr::Prim(PrimOp::And, l, _) = e else {
+            panic!()
+        };
+        let Expr::Prim(PrimOp::Lt, a, _) = *l else {
+            panic!()
+        };
+        let Expr::Prim(PrimOp::Add, _, m) = *a else {
+            panic!()
+        };
         assert!(matches!(*m, Expr::Prim(PrimOp::Mul, _, _)));
     }
 

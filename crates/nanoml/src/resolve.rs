@@ -155,12 +155,12 @@ fn resolve_match(scrut: &Expr, arms: &[Arm], env: &DataEnv) -> Result<Expr, Reso
 
     // If a named catch-all exists, bind the scrutinee first so expanded
     // arms can refer to it.
-    let catchall = arms.iter().position(|a| matches!(a.pattern, Pattern::Any(_)));
+    let catchall = arms
+        .iter()
+        .position(|a| matches!(a.pattern, Pattern::Any(_)));
     if let Some(ix) = catchall {
         if ix != arms.len() - 1 {
-            return Err(ResolveError(
-                "catch-all arm must be last in a match".into(),
-            ));
+            return Err(ResolveError("catch-all arm must be last in a match".into()));
         }
         if let Pattern::Any(Some(x)) = arms[ix].pattern {
             // Rebind: let x = scrut in match x with ...
@@ -274,7 +274,9 @@ mod tests {
         let r = resolve_expr(&e, &env).unwrap();
         let Expr::Match(_, arms) = r else { panic!() };
         // Declaration order: Nil first.
-        let Pattern::Ctor { name, .. } = &arms[0].pattern else { panic!() };
+        let Pattern::Ctor { name, .. } = &arms[0].pattern else {
+            panic!()
+        };
         assert_eq!(*name, Symbol::new("Nil"));
     }
 

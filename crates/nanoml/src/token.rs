@@ -257,8 +257,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
             }
             _ if c.is_ascii_alphabetic() || c == b'_' => {
                 let start = i;
-                while i < b.len()
-                    && (b[i].is_ascii_alphanumeric() || b[i] == b'_' || b[i] == b'\'')
+                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_' || b[i] == b'\'')
                 {
                     i += 1;
                 }
@@ -291,7 +290,11 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                 out.push(Spanned { tok, line });
             }
             _ => {
-                let two = if i + 1 < b.len() { &b[i..i + 2] } else { &b[i..] };
+                let two = if i + 1 < b.len() {
+                    &b[i..i + 2]
+                } else {
+                    &b[i..]
+                };
                 let (tok, len) = match two {
                     b"->" => (Token::Arrow, 2),
                     b"::" => (Token::ColonColon, 2),

@@ -67,13 +67,9 @@ impl MlType {
         match self {
             MlType::Int | MlType::Bool | MlType::Unit => self.clone(),
             MlType::Var(v) => map.get(v).cloned().unwrap_or_else(|| self.clone()),
-            MlType::Arrow(a, b) => {
-                MlType::Arrow(Box::new(a.apply(map)), Box::new(b.apply(map)))
-            }
+            MlType::Arrow(a, b) => MlType::Arrow(Box::new(a.apply(map)), Box::new(b.apply(map))),
             MlType::Tuple(ts) => MlType::Tuple(ts.iter().map(|t| t.apply(map)).collect()),
-            MlType::Data(n, ts) => {
-                MlType::Data(*n, ts.iter().map(|t| t.apply(map)).collect())
-            }
+            MlType::Data(n, ts) => MlType::Data(*n, ts.iter().map(|t| t.apply(map)).collect()),
         }
     }
 }
@@ -370,17 +366,18 @@ mod tests {
 
     #[test]
     fn elaborates_avl_map_decl() {
-        let prog = parse_program(
-            "type ('a, 'b) t = E | N of 'a * 'b * ('a, 'b) t * ('a, 'b) t * int",
-        )
-        .unwrap();
+        let prog =
+            parse_program("type ('a, 'b) t = E | N of 'a * 'b * ('a, 'b) t * ('a, 'b) t * int")
+                .unwrap();
         let mut env = DataEnv::with_builtins();
         env.add_program(&prog.datatypes).unwrap();
         let n = env.ctor(Symbol::new("N")).unwrap();
         assert_eq!(n.fields.len(), 5);
         assert_eq!(n.fields[0], MlType::Var(0));
         assert_eq!(n.fields[4], MlType::Int);
-        assert!(matches!(&n.fields[2], MlType::Data(s, args) if *s == Symbol::new("t") && args.len() == 2));
+        assert!(
+            matches!(&n.fields[2], MlType::Data(s, args) if *s == Symbol::new("t") && args.len() == 2)
+        );
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //! arithmetic agrees with Rust, sorting programs really sort, and
 //! inference is stable across runs.
 
-use dsolve_nanoml::{
-    builtin_env, infer_program, parse_program, resolve_program, DataEnv, Evaluator,
-    TypeEnv, Value,
-};
 use dsolve_logic::Symbol;
+use dsolve_nanoml::{
+    builtin_env, infer_program, parse_program, resolve_program, DataEnv, Evaluator, TypeEnv, Value,
+};
 use proptest::prelude::*;
 
 /// A random arithmetic expression over two fixed variables, rendered as
@@ -59,12 +58,9 @@ fn arb_arith() -> impl Strategy<Value = Arith> {
     ];
     leaf.prop_recursive(4, 32, 2, |inner| {
         prop_oneof![
-            (inner.clone(), inner.clone())
-                .prop_map(|(x, y)| Arith::Add(Box::new(x), Box::new(y))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(x, y)| Arith::Sub(Box::new(x), Box::new(y))),
-            (inner.clone(), inner)
-                .prop_map(|(x, y)| Arith::Mul(Box::new(x), Box::new(y))),
+            (inner.clone(), inner.clone()).prop_map(|(x, y)| Arith::Add(Box::new(x), Box::new(y))),
+            (inner.clone(), inner.clone()).prop_map(|(x, y)| Arith::Sub(Box::new(x), Box::new(y))),
+            (inner.clone(), inner).prop_map(|(x, y)| Arith::Mul(Box::new(x), Box::new(y))),
         ]
     })
 }
@@ -74,7 +70,9 @@ fn run_program(src: &str, name: &str) -> Value {
     let mut data = DataEnv::with_builtins();
     data.add_program(&prog.datatypes).unwrap();
     let prog = resolve_program(&prog, &data).unwrap();
-    let env = Evaluator::new().eval_program(&prog, &builtin_env()).unwrap();
+    let env = Evaluator::new()
+        .eval_program(&prog, &builtin_env())
+        .unwrap();
     env[&Symbol::new(name)].clone()
 }
 

@@ -30,11 +30,13 @@ pub mod trace;
 mod provenance;
 
 pub use metrics::{
-    bucket_floor_us, Counter, Histogram, Metrics, MicroCounter, MicroTable, ObsPhase,
-    TheoryKind, HIST_BUCKETS, NMICRO, NPHASES, NTHEORIES,
+    bucket_floor_us, Counter, Histogram, Metrics, MicroCounter, MicroTable, ObsPhase, TheoryKind,
+    HIST_BUCKETS, NMICRO, NPHASES, NTHEORIES,
 };
 pub use provenance::{ConstraintCost, CostTable, QueryOrigin};
-pub use trace::{parse_json, validate_trace, validate_trace_file, Arg, Json, TraceSink, TraceSummary};
+pub use trace::{
+    parse_json, validate_trace, validate_trace_file, Arg, Json, TraceSink, TraceSummary,
+};
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -310,8 +312,7 @@ impl Drop for Span {
         let Some(obs) = &self.obs else { return };
         let dur = self.start.elapsed();
         if let Some(p) = self.phase {
-            obs.metrics().phase_ns[p.index()]
-                .add(dur.as_nanos().min(u64::MAX as u128) as u64);
+            obs.metrics().phase_ns[p.index()].add(dur.as_nanos().min(u64::MAX as u128) as u64);
         }
         if let Some(t) = &obs.inner.trace {
             t.emit_complete(
@@ -422,7 +423,11 @@ impl Snapshot {
         let _ = writeln!(s, "{inner}\"checks\": {},", self.checks);
         let _ = writeln!(s, "{inner}\"cache_hits\": {},", self.cache_hits);
         let _ = writeln!(s, "{inner}\"cache_misses\": {},", self.cache_misses);
-        let _ = writeln!(s, "{inner}\"cache_hit_rate\": {:.4},", self.cache_hit_rate());
+        let _ = writeln!(
+            s,
+            "{inner}\"cache_hit_rate\": {:.4},",
+            self.cache_hit_rate()
+        );
         let _ = writeln!(s, "{inner}\"queries\": {},", self.queries);
         let _ = writeln!(s, "{inner}\"unknown\": {},", self.unknown);
         let _ = writeln!(s, "{inner}\"refused\": {},", self.refused);

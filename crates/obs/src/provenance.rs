@@ -107,11 +107,7 @@ impl CostTable {
             let map = shard.lock().unwrap_or_else(|e| e.into_inner());
             all.extend(map.iter().map(|(&constraint, cost)| ConstraintCost {
                 constraint,
-                label: cost
-                    .label
-                    .as_deref()
-                    .unwrap_or("<unknown>")
-                    .to_string(),
+                label: cost.label.as_deref().unwrap_or("<unknown>").to_string(),
                 total_ns: cost.ns,
                 queries: cost.queries,
                 micro: cost.micro,

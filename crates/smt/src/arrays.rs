@@ -168,7 +168,10 @@ mod tests {
         let s = lemmas("mp = Upd(Upd(m, a, 1), b, 2) && Sel(mp, j) = 0");
         // Outer miss introduces Sel(Upd(m,a,1), j); the inner update must
         // also be instantiated at j.
-        assert!(s.contains("(j != a) => (Sel(Upd(m, a, 1), j) = Sel(m, j))"), "{s}");
+        assert!(
+            s.contains("(j != a) => (Sel(Upd(m, a, 1), j) = Sel(m, j))"),
+            "{s}"
+        );
     }
 
     #[test]

@@ -173,7 +173,9 @@ mod tests {
         let p = parse_pred("x < y || y < z").unwrap();
         // Only intern the first leaf; the second has no model value.
         let first = parse_pred("x < y").unwrap();
-        let Pred::Atom(rel, a, b) = &first else { panic!() };
+        let Pred::Atom(rel, a, b) = &first else {
+            panic!()
+        };
         let (aid, _) = atoms.atom_of_rel(*rel, a, b, &env);
         // A true determined disjunct decides the whole disjunction.
         assert_eq!(eval_pred(&p, &mut atoms, &env, &[(aid, true)]), Some(true));

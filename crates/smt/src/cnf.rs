@@ -200,10 +200,9 @@ impl Atoms {
                 let ta = self.arena.flatten(lhs, env);
                 let tb = self.arena.flatten(rhs, env);
                 let head = if rel == Rel::In { "$in" } else { "$subset" };
-                let t = self.arena.intern(
-                    Term::App(Symbol::new(head), vec![ta, tb]),
-                    Sort::Bool,
-                );
+                let t = self
+                    .arena
+                    .intern(Term::App(Symbol::new(head), vec![ta, tb]), Sort::Bool);
                 let key = format!("bt:t{}", t.0);
                 (self.intern(key, Atom::BoolTerm(t)), true)
             }
@@ -347,8 +346,14 @@ struct PolaritySet {
 }
 
 impl PolaritySet {
-    const POS: PolaritySet = PolaritySet { pos: true, neg: false };
-    const BOTH: PolaritySet = PolaritySet { pos: true, neg: true };
+    const POS: PolaritySet = PolaritySet {
+        pos: true,
+        neg: false,
+    };
+    const BOTH: PolaritySet = PolaritySet {
+        pos: true,
+        neg: true,
+    };
 
     fn flip(self) -> PolaritySet {
         PolaritySet {
@@ -513,8 +518,12 @@ mod tests {
         let env = env();
         let p1 = parse_pred("x < y").unwrap();
         let p2 = parse_pred("x + 1 <= y").unwrap();
-        let Pred::Atom(r1, a1, b1) = &p1 else { panic!() };
-        let Pred::Atom(r2, a2, b2) = &p2 else { panic!() };
+        let Pred::Atom(r1, a1, b1) = &p1 else {
+            panic!()
+        };
+        let Pred::Atom(r2, a2, b2) = &p2 else {
+            panic!()
+        };
         let (id1, _) = atoms.atom_of_rel(*r1, a1, b1, &env);
         let (id2, _) = atoms.atom_of_rel(*r2, a2, b2, &env);
         assert_eq!(id1, id2);
@@ -526,8 +535,12 @@ mod tests {
         let env = env();
         let p1 = parse_pred("2 * x <= 2 * y").unwrap();
         let p2 = parse_pred("x <= y").unwrap();
-        let Pred::Atom(r1, a1, b1) = &p1 else { panic!() };
-        let Pred::Atom(r2, a2, b2) = &p2 else { panic!() };
+        let Pred::Atom(r1, a1, b1) = &p1 else {
+            panic!()
+        };
+        let Pred::Atom(r2, a2, b2) = &p2 else {
+            panic!()
+        };
         let (id1, _) = atoms.atom_of_rel(*r1, a1, b1, &env);
         let (id2, _) = atoms.atom_of_rel(*r2, a2, b2, &env);
         assert_eq!(id1, id2);
@@ -539,8 +552,12 @@ mod tests {
         let env = env();
         let p1 = parse_pred("x = y").unwrap();
         let p2 = parse_pred("x != y").unwrap();
-        let Pred::Atom(r1, a1, b1) = &p1 else { panic!() };
-        let Pred::Atom(r2, a2, b2) = &p2 else { panic!() };
+        let Pred::Atom(r1, a1, b1) = &p1 else {
+            panic!()
+        };
+        let Pred::Atom(r2, a2, b2) = &p2 else {
+            panic!()
+        };
         let (id1, pos1) = atoms.atom_of_rel(*r1, a1, b1, &env);
         let (id2, pos2) = atoms.atom_of_rel(*r2, a2, b2, &env);
         assert_eq!(id1, id2);

@@ -265,7 +265,10 @@ impl CdclSolver {
             i += 1;
         }
         lits.retain(|l| self.value(*l) != Assign::False || self.level[l.var().0 as usize] > 0);
-        if lits.iter().any(|l| self.value(*l) == Assign::True && self.level[l.var().0 as usize] == 0) {
+        if lits
+            .iter()
+            .any(|l| self.value(*l) == Assign::True && self.level[l.var().0 as usize] == 0)
+        {
             return; // already satisfied at level 0
         }
         match lits.len() {
@@ -327,7 +330,11 @@ impl CdclSolver {
             Assign::False => false,
             Assign::Unassigned => {
                 let v = l.var().0 as usize;
-                self.assign[v] = if l.sign() { Assign::True } else { Assign::False };
+                self.assign[v] = if l.sign() {
+                    Assign::True
+                } else {
+                    Assign::False
+                };
                 self.level[v] = self.decision_level();
                 self.reason[v] = reason;
                 self.trail.push(l);
@@ -528,8 +535,14 @@ impl CdclSolver {
         micro::add(MicroCounter::SatDecisions, self.n_decisions - base.0);
         micro::add(MicroCounter::SatPropagations, self.n_propagations - base.1);
         micro::add(MicroCounter::SatConflicts, self.n_conflicts - base.2);
-        micro::add(MicroCounter::SatLearnedClauses, self.n_learned_clauses - base.3);
-        micro::add(MicroCounter::SatLearnedLiterals, self.n_learned_literals - base.4);
+        micro::add(
+            MicroCounter::SatLearnedClauses,
+            self.n_learned_clauses - base.3,
+        );
+        micro::add(
+            MicroCounter::SatLearnedLiterals,
+            self.n_learned_literals - base.4,
+        );
         r
     }
 
@@ -692,10 +705,7 @@ mod tests {
         while s.solve() == SatResult::Sat {
             count += 1;
             assert!(count <= 3, "too many models");
-            let block: Vec<Lit> = v
-                .iter()
-                .map(|&x| Lit::new(x, !s.model_value(x)))
-                .collect();
+            let block: Vec<Lit> = v.iter().map(|&x| Lit::new(x, !s.model_value(x))).collect();
             s.reset_to_root();
             s.add_clause(block);
         }

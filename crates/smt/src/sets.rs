@@ -49,10 +49,7 @@ fn expand_membership(e: &Expr, s: &Expr) -> Pred {
     match s {
         Expr::SetEmpty => Pred::False,
         Expr::SetSingle(a) => Pred::eq(e.clone(), (**a).clone()),
-        Expr::SetUnion(l, r) => Pred::or(vec![
-            expand_membership(e, l),
-            expand_membership(e, r),
-        ]),
+        Expr::SetUnion(l, r) => Pred::or(vec![expand_membership(e, l), expand_membership(e, r)]),
         opaque => Pred::mem(e.clone(), opaque.clone()),
     }
 }
@@ -62,9 +59,7 @@ fn canon_expr(e: &Expr) -> Expr {
     match e {
         Expr::SetEmpty | Expr::SetSingle(_) | Expr::SetUnion(_, _) => canon_set(e),
         Expr::Var(_) | Expr::Int(_) | Expr::Bool(_) => e.clone(),
-        Expr::Binop(op, a, b) => {
-            Expr::Binop(*op, Box::new(canon_expr(a)), Box::new(canon_expr(b)))
-        }
+        Expr::Binop(op, a, b) => Expr::Binop(*op, Box::new(canon_expr(a)), Box::new(canon_expr(b))),
         Expr::Neg(a) => Expr::Neg(Box::new(canon_expr(a))),
         Expr::Ite(c, t, f) => Expr::Ite(
             Box::new(canonicalize_sets(c)),
@@ -465,7 +460,10 @@ mod tests {
 
     #[test]
     fn commutativity_collapses() {
-        assert_eq!(canon("union(a, b) = union(b, a)"), canon("union(a, b) = union(a, b)"));
+        assert_eq!(
+            canon("union(a, b) = union(b, a)"),
+            canon("union(a, b) = union(a, b)")
+        );
     }
 
     #[test]
@@ -516,7 +514,9 @@ mod tests {
     fn nested_sets_inside_apps() {
         let a = canon("f(union(b, a)) = f(union(a, b))");
         // Both sides identical after canonicalization.
-        let Pred::Atom(_, l, r) = canonicalize_sets(&parse_pred("f(union(b, a)) = f(union(a, b))").unwrap()) else {
+        let Pred::Atom(_, l, r) =
+            canonicalize_sets(&parse_pred("f(union(b, a)) = f(union(a, b))").unwrap())
+        else {
             panic!()
         };
         assert_eq!(l, r);

@@ -394,12 +394,10 @@ impl Simplex {
             for (&xj, &a) in &self.rows[r] {
                 let ok = if increase {
                     (a.is_positive() && self.upper[xj].is_none_or(|u| self.beta[xj] < u))
-                        || (a.is_negative()
-                            && self.lower[xj].is_none_or(|l| self.beta[xj] > l))
+                        || (a.is_negative() && self.lower[xj].is_none_or(|l| self.beta[xj] > l))
                 } else {
                     (a.is_negative() && self.upper[xj].is_none_or(|u| self.beta[xj] < u))
-                        || (a.is_positive()
-                            && self.lower[xj].is_none_or(|l| self.beta[xj] > l))
+                        || (a.is_positive() && self.lower[xj].is_none_or(|l| self.beta[xj] > l))
                 };
                 if ok && choice.is_none_or(|c| xj < c) {
                     choice = Some(xj);

@@ -11,8 +11,8 @@
 use crate::cache::QueryCache;
 use crate::session::Session;
 use dsolve_logic::{
-    deadline_expired, Budget, Exhaustion, Expr, FaultPlan, FaultPoint, Phase, Pred, Resource,
-    Sort, SortEnv, Symbol,
+    deadline_expired, Budget, Exhaustion, Expr, FaultPlan, FaultPoint, Phase, Pred, Resource, Sort,
+    SortEnv, Symbol,
 };
 use dsolve_obs::{log_error, micro, MicroCounter, Obs, QueryOrigin};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -286,12 +286,7 @@ impl SmtSolver {
     /// The cache is consulted *before* any budget is charged: a hit
     /// costs no query from `--max-smt-queries` (it does no solving),
     /// and is served even after the cap is exhausted.
-    pub fn check_valid(
-        &mut self,
-        env: &SortEnv,
-        antecedent: &Pred,
-        consequent: &Pred,
-    ) -> Validity {
+    pub fn check_valid(&mut self, env: &SortEnv, antecedent: &Pred, consequent: &Pred) -> Validity {
         validity(self.query(Some((antecedent, consequent)), |smt, deadline| {
             smt.one_shot(env, &negation(antecedent, consequent), deadline)
         }))
@@ -502,7 +497,11 @@ impl SmtSolver {
         let cached = implication.filter(|_| self.config.cache);
         if let Some(valid) = cached.and_then(|(a, c)| self.cache.get(a, c)) {
             self.obs.metrics().smt_cache_hits.incr();
-            return if valid { SmtResult::Unsat } else { SmtResult::Sat };
+            return if valid {
+                SmtResult::Unsat
+            } else {
+                SmtResult::Sat
+            };
         }
         let refused = self.entry_exhaustion().or_else(|| {
             self.fault_fires(FaultPoint::QueryTimeout)
@@ -613,9 +612,7 @@ pub(crate) fn eliminate_ite(p: &Pred, env: &mut SortEnv) -> Pred {
 fn elim_pred(p: &Pred, env: &mut SortEnv, defs: &mut Vec<Pred>) -> Pred {
     match p {
         Pred::True | Pred::False => p.clone(),
-        Pred::Atom(rel, a, b) => {
-            Pred::Atom(*rel, elim_expr(a, env, defs), elim_expr(b, env, defs))
-        }
+        Pred::Atom(rel, a, b) => Pred::Atom(*rel, elim_expr(a, env, defs), elim_expr(b, env, defs)),
         Pred::And(ps) => Pred::And(ps.iter().map(|q| elim_pred(q, env, defs)).collect()),
         Pred::Or(ps) => Pred::Or(ps.iter().map(|q| elim_pred(q, env, defs)).collect()),
         Pred::Not(q) => Pred::Not(Box::new(elim_pred(q, env, defs))),
@@ -656,10 +653,7 @@ fn elim_expr(e: &Expr, env: &mut SortEnv, defs: &mut Vec<Pred>) -> Expr {
             defs.push(Pred::imp(Pred::not(c), Pred::eq(vexpr.clone(), f)));
             vexpr
         }
-        Expr::App(f, args) => Expr::App(
-            *f,
-            args.iter().map(|a| elim_expr(a, env, defs)).collect(),
-        ),
+        Expr::App(f, args) => Expr::App(*f, args.iter().map(|a| elim_expr(a, env, defs)).collect()),
         Expr::Sel(m, i) => Expr::sel(elim_expr(m, env, defs), elim_expr(i, env, defs)),
         Expr::Upd(m, i, v) => Expr::upd(
             elim_expr(m, env, defs),
@@ -667,9 +661,7 @@ fn elim_expr(e: &Expr, env: &mut SortEnv, defs: &mut Vec<Pred>) -> Expr {
             elim_expr(v, env, defs),
         ),
         Expr::SetSingle(a) => Expr::single(elim_expr(a, env, defs)),
-        Expr::SetUnion(a, b) => {
-            Expr::union(elim_expr(a, env, defs), elim_expr(b, env, defs))
-        }
+        Expr::SetUnion(a, b) => Expr::union(elim_expr(a, env, defs), elim_expr(b, env, defs)),
     }
 }
 
@@ -711,11 +703,7 @@ mod tests {
     fn valid(lhs: &str, rhs: &str) -> bool {
         let env = env();
         let mut smt = SmtSolver::new();
-        smt.is_valid(
-            &env,
-            &parse_pred(lhs).unwrap(),
-            &parse_pred(rhs).unwrap(),
-        )
+        smt.is_valid(&env, &parse_pred(lhs).unwrap(), &parse_pred(rhs).unwrap())
     }
 
     #[test]
@@ -753,23 +741,20 @@ mod tests {
         assert!(valid("true", "x in single(x)"));
         assert!(!valid("true", "x in s"));
         // Transitivity of set equality through a measure chain.
-        assert!(valid(
-            "elts(xs) = s && s = t",
-            "elts(xs) = t"
-        ));
+        assert!(valid("elts(xs) = s && s = t", "elts(xs) = t"));
     }
 
     #[test]
     fn array_validities() {
         assert!(valid("mp = Upd(m, k, 1)", "Sel(mp, k) = 1"));
-        assert!(valid("mp = Upd(m, k, 1) && j != k", "Sel(mp, j) = Sel(m, j)"));
+        assert!(valid(
+            "mp = Upd(m, k, 1) && j != k",
+            "Sel(mp, j) = Sel(m, j)"
+        ));
         assert!(!valid("mp = Upd(m, k, 1)", "Sel(mp, j) = 1"));
         // The malloc pattern: after setting p's bit, any other address
         // keeps its bit.
-        assert!(valid(
-            "Sel(m, x) = 0 && x != k",
-            "Sel(Upd(m, k, 1), x) = 0"
-        ));
+        assert!(valid("Sel(m, x) = 0 && x != k", "Sel(Upd(m, k, 1), x) = 0"));
     }
 
     #[test]
@@ -798,7 +783,10 @@ mod tests {
         assert!(valid("x = 1 && x = 2", "y = 99"));
         // Set disjointness facts are not decided either way; just make
         // sure the query completes without panicking.
-        let _ = valid("elts(xs) = empty && elts(xs) = union(single(x), s)", "false");
+        let _ = valid(
+            "elts(xs) = empty && elts(xs) = union(single(x), s)",
+            "false",
+        );
     }
 
     #[test]
@@ -924,17 +912,10 @@ mod tests {
     fn check_valid_many_agrees_with_scalar() {
         let env = env();
         let antecedent = parse_pred("x < y && y < z").unwrap();
-        let consequents: Vec<Pred> = [
-            "x < z",
-            "x <= z",
-            "z < x",
-            "x != z",
-            "z = x",
-            "x + 2 <= z",
-        ]
-        .iter()
-        .map(|s| parse_pred(s).unwrap())
-        .collect();
+        let consequents: Vec<Pred> = ["x < z", "x <= z", "z < x", "x != z", "z = x", "x + 2 <= z"]
+            .iter()
+            .map(|s| parse_pred(s).unwrap())
+            .collect();
         let (mut batch, obs) = observed(SmtSolver::new());
         let got = batch.check_valid_many(&env, &antecedent, &consequents);
         for (c, got) in consequents.iter().zip(&got) {
@@ -956,14 +937,10 @@ mod tests {
         // shared antecedent.
         let env = env();
         let antecedent = parse_pred("mp = Upd(m, k, 1) && j != k").unwrap();
-        let consequents: Vec<Pred> = [
-            "Sel(mp, k) = 1",
-            "Sel(mp, j) = Sel(m, j)",
-            "Sel(mp, j) = 1",
-        ]
-        .iter()
-        .map(|s| parse_pred(s).unwrap())
-        .collect();
+        let consequents: Vec<Pred> = ["Sel(mp, k) = 1", "Sel(mp, j) = Sel(m, j)", "Sel(mp, j) = 1"]
+            .iter()
+            .map(|s| parse_pred(s).unwrap())
+            .collect();
         let mut smt = SmtSolver::new();
         let got = smt.check_valid_many(&env, &antecedent, &consequents);
         assert_eq!(

@@ -796,7 +796,9 @@ mod tests {
                     out.push((id, pos));
                 }
                 Pred::Not(inner) => {
-                    let Pred::Atom(rel, a, b) = *inner else { panic!() };
+                    let Pred::Atom(rel, a, b) = *inner else {
+                        panic!()
+                    };
                     let (id, pos) = atoms.atom_of_rel(rel, &a, &b, env);
                     out.push((id, !pos));
                 }
@@ -838,7 +840,10 @@ mod tests {
     fn arithmetic_sat() {
         let env = env();
         let (atoms, lits) = lits_of(&["x < y", "y < z"], &env);
-        assert_eq!(check_assignment(&atoms, &lits, true, &TheoryBudget::default()), TheoryResult::Sat);
+        assert_eq!(
+            check_assignment(&atoms, &lits, true, &TheoryBudget::default()),
+            TheoryResult::Sat
+        );
     }
 
     #[test]
@@ -888,7 +893,9 @@ mod tests {
     fn minimized_core_is_small() {
         let env = env();
         let (atoms, lits) = lits_of(&["x < y", "z < w", "y < x"], &env);
-        let TheoryResult::Unsat(core) = check_assignment(&atoms, &lits, true, &TheoryBudget::default()) else {
+        let TheoryResult::Unsat(core) =
+            check_assignment(&atoms, &lits, true, &TheoryBudget::default())
+        else {
             panic!("expected conflict");
         };
         // The z < w literal is irrelevant.
@@ -1041,7 +1048,10 @@ mod tests {
     fn obj_disequality_sat() {
         let env = env();
         let (atoms, lits) = lits_of(&["p != q"], &env);
-        assert_eq!(check_assignment(&atoms, &lits, true, &TheoryBudget::default()), TheoryResult::Sat);
+        assert_eq!(
+            check_assignment(&atoms, &lits, true, &TheoryBudget::default()),
+            TheoryResult::Sat
+        );
     }
 
     #[test]

@@ -100,10 +100,7 @@ fn singleton_injectivity() {
 
 #[test]
 fn ite_both_branches() {
-    assert!(valid(
-        "z = (if x < y then y else x)",
-        "z >= x && z >= y"
-    ));
+    assert!(valid("z = (if x < y then y else x)", "z >= x && z >= y"));
     assert!(!valid("z = (if x < y then y else x)", "z > x"));
 }
 

@@ -27,11 +27,7 @@ const BOUND: i64 = 4;
 type Constraint = (Vec<i64>, i64, u8);
 
 fn arb_constraint() -> impl Strategy<Value = Constraint> {
-    (
-        prop::collection::vec(-3i64..=3, NVARS),
-        -6i64..=6,
-        0u8..3,
-    )
+    (prop::collection::vec(-3i64..=3, NVARS), -6i64..=6, 0u8..3)
 }
 
 fn eval(c: &Constraint, vals: &[i64; NVARS]) -> bool {
@@ -64,13 +60,12 @@ fn brute_feasible(cs: &[Constraint]) -> bool {
 /// an immediate conflict (which is itself an Unsat answer).
 fn assert_all(simplex: &mut Simplex, vars: &[usize], cs: &[Constraint]) -> bool {
     for c in cs {
-        let combo: Vec<(usize, Rat)> = c
-            .0
-            .iter()
-            .zip(vars)
-            .filter(|(a, _)| **a != 0)
-            .map(|(a, v)| (*v, Rat::from_int(*a)))
-            .collect();
+        let combo: Vec<(usize, Rat)> =
+            c.0.iter()
+                .zip(vars)
+                .filter(|(a, _)| **a != 0)
+                .map(|(a, v)| (*v, Rat::from_int(*a)))
+                .collect();
         let d = Rat::from_int(c.1);
         if combo.is_empty() {
             // Constant constraint: 0 REL d.
@@ -177,7 +172,12 @@ fn universe() -> (TermArena, Vec<TermId>) {
     let mut terms = Vec::new();
     let vars: Vec<TermId> = ["a", "b", "c", "d"]
         .iter()
-        .map(|v| arena.intern(Term::Var(dsolve_logic::Symbol::new(v), Sort::Int), Sort::Int))
+        .map(|v| {
+            arena.intern(
+                Term::Var(dsolve_logic::Symbol::new(v), Sort::Int),
+                Sort::Int,
+            )
+        })
         .collect();
     terms.extend(vars.iter().copied());
     terms.push(arena.intern(Term::Int(0), Sort::Int));
@@ -251,8 +251,7 @@ fn naive_closure(
     // Two distinct interpreted constants in one class is a conflict.
     for i in 0..n {
         for j in (i + 1)..n {
-            let (Term::Int(x), Term::Int(y)) = (arena.term(ids[i]), arena.term(ids[j]))
-            else {
+            let (Term::Int(x), Term::Int(y)) = (arena.term(ids[i]), arena.term(ids[j])) else {
                 continue;
             };
             if x != y && find(&repr, i) == find(&repr, j) {
@@ -396,7 +395,10 @@ fn eval_linear(coeffs: &[i64], d: i64, rel: Rel, vals: &[i64; 3]) -> bool {
 /// The antecedent boxes every variable into `[-BOUND, BOUND]`, so the
 /// implication is decided exactly by integer enumeration.
 fn boxed_antecedent(atoms: &[(Vec<i64>, i64, Rel)]) -> Pred {
-    let mut conj: Vec<Pred> = atoms.iter().map(|(c, d, r)| linear_pred(c, *d, *r)).collect();
+    let mut conj: Vec<Pred> = atoms
+        .iter()
+        .map(|(c, d, r)| linear_pred(c, *d, *r))
+        .collect();
     for v in IMP_VARS {
         conj.push(Pred::le(Expr::int(-BOUND), Expr::var(v)));
         conj.push(Pred::le(Expr::var(v), Expr::int(BOUND)));

@@ -48,7 +48,11 @@ fn main() {
     assert!(
         res.is_safe(),
         "{:?}",
-        res.result.errors.iter().map(ToString::to_string).collect::<Vec<_>>()
+        res.result
+            .errors
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
     );
     println!("verified: build_dag maintains the DAG invariant of §2.2 (3)");
 
@@ -57,12 +61,16 @@ fn main() {
     let mut data = DataEnv::with_builtins();
     data.add_program(&prog.datatypes).unwrap();
     let prog = resolve_program(&prog, &data).unwrap();
-    let env = Evaluator::new().eval_program(&prog, &builtin_env()).unwrap();
+    let env = Evaluator::new()
+        .eval_program(&prog, &builtin_env())
+        .unwrap();
     let Value::Tuple(parts) = env[&Symbol::new("built")].clone() else {
         panic!("expected an (n, g) pair")
     };
     let n = parts[0].as_int().unwrap();
-    let Value::Map(g) = &parts[1] else { panic!("expected a map") };
+    let Value::Map(g) = &parts[1] else {
+        panic!("expected a map")
+    };
     let mut edges = 0usize;
     for (k, v) in g.iter() {
         let key = k.as_int().unwrap();

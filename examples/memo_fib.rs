@@ -46,7 +46,11 @@ fn main() {
     assert!(
         res.is_safe(),
         "{:?}",
-        res.result.errors.iter().map(ToString::to_string).collect::<Vec<_>>()
+        res.result
+            .errors
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
     );
     println!(
         "verified: fib i >= 1 and fib i >= i - 1  ({} qualifiers, {:.2}s)",
@@ -58,7 +62,9 @@ fn main() {
     let mut data = DataEnv::with_builtins();
     data.add_program(&prog.datatypes).unwrap();
     let prog = resolve_program(&prog, &data).unwrap();
-    let env = Evaluator::new().eval_program(&prog, &builtin_env()).unwrap();
+    let env = Evaluator::new()
+        .eval_program(&prog, &builtin_env())
+        .unwrap();
     let v = env[&Symbol::new("result")].clone();
     println!("fib 40 = {v:?} (memoized: linear, not exponential)");
     assert_eq!(v, Value::Int(102_334_155));

@@ -43,7 +43,11 @@ fn main() {
     assert!(
         outcome.is_safe(),
         "verification failed: {:?}",
-        outcome.errors.iter().map(ToString::to_string).collect::<Vec<_>>()
+        outcome
+            .errors
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
     );
     println!("verified: every division in `harmonic` is safe");
     println!(
@@ -63,7 +67,9 @@ fn main() {
     let mut data = DataEnv::with_builtins();
     data.add_program(&prog.datatypes).unwrap();
     let prog = resolve_program(&prog, &data).unwrap();
-    let env = Evaluator::new().eval_program(&prog, &builtin_env()).unwrap();
+    let env = Evaluator::new()
+        .eval_program(&prog, &builtin_env())
+        .unwrap();
     let result = env[&Symbol::new("result")].clone();
     println!("harmonic 10 = {result:?} (scaled by 10000)");
     assert_eq!(result, Value::Int(29288));

@@ -49,7 +49,11 @@ fn main() {
     assert!(
         good.is_safe(),
         "{:?}",
-        good.result.errors.iter().map(ToString::to_string).collect::<Vec<_>>()
+        good.result
+            .errors
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
     );
     println!("verified: insertsort returns a sorted permutation of its input");
     if let Some(s) = good.result.inferred.get(&Symbol::new("insert")) {
@@ -73,7 +77,9 @@ fn main() {
     let mut data = DataEnv::with_builtins();
     data.add_program(&prog.datatypes).unwrap();
     let prog = resolve_program(&prog, &data).unwrap();
-    let env = Evaluator::new().eval_program(&prog, &builtin_env()).unwrap();
+    let env = Evaluator::new()
+        .eval_program(&prog, &builtin_env())
+        .unwrap();
     let sortf = env[&Symbol::new("insertsort")].clone();
 
     let mut seed = 0x9e3779b97f4a7c15u64;

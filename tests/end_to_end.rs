@@ -37,7 +37,11 @@ let result = harmonic 4
     let res = Job::from_sources("fig1", src, "", "qualif P : 0 < VV\nqualif U : _ <= VV")
         .run()
         .unwrap();
-    assert!(res.is_safe(), "{:?}", res.result.errors.first().map(ToString::to_string));
+    assert!(
+        res.is_safe(),
+        "{:?}",
+        res.result.errors.first().map(ToString::to_string)
+    );
     assert_eq!(run_value(src, "result").unwrap(), Value::Int(20833));
 }
 
@@ -53,7 +57,9 @@ let harmonic n =
   let ds = range 1 n in
   fold_left (fun s k -> s + 10000 / k) 0 ds
 "#;
-    let res = Job::from_sources("fig1-noquals", src, "", "").run().unwrap();
+    let res = Job::from_sources("fig1-noquals", src, "", "")
+        .run()
+        .unwrap();
     assert!(!res.is_safe(), "division must be unprovable without Q");
 }
 
@@ -77,7 +83,11 @@ val insertsort : xs : 'a list -> {VV : 'a list @Sorted}
     let res = Job::from_sources("fig2", src, mlq, "qualif Ub : _ <= VV")
         .run()
         .unwrap();
-    assert!(res.is_safe(), "{:?}", res.result.errors.first().map(ToString::to_string));
+    assert!(
+        res.is_safe(),
+        "{:?}",
+        res.result.errors.first().map(ToString::to_string)
+    );
 }
 
 #[test]
@@ -98,10 +108,19 @@ let fib i =
 let result = fib 25
 "#;
     let mlq = "val fib : i : int -> {VV : int | (1 <= VV) && (i - 1 <= VV)}";
-    let res = Job::from_sources("fig3", src, mlq, "qualif A : 1 <= VV\nqualif B : _ - 1 <= VV")
-        .run()
-        .unwrap();
-    assert!(res.is_safe(), "{:?}", res.result.errors.first().map(ToString::to_string));
+    let res = Job::from_sources(
+        "fig3",
+        src,
+        mlq,
+        "qualif A : 1 <= VV\nqualif B : _ - 1 <= VV",
+    )
+    .run()
+    .unwrap();
+    assert!(
+        res.is_safe(),
+        "{:?}",
+        res.result.errors.first().map(ToString::to_string)
+    );
     assert_eq!(run_value(src, "result").unwrap(), Value::Int(75025));
 }
 
@@ -127,7 +146,11 @@ val build_dag : k : int -> n : int
     let res = Job::from_sources("fig4", src, mlq, "qualif S : KEY < VV\nqualif U : VV < _")
         .run()
         .unwrap();
-    assert!(res.is_safe(), "{:?}", res.result.errors.first().map(ToString::to_string));
+    assert!(
+        res.is_safe(),
+        "{:?}",
+        res.result.errors.first().map(ToString::to_string)
+    );
 }
 
 #[test]
@@ -142,7 +165,11 @@ fn verifier_and_interpreter_agree_on_asserts() {
 
     let good = "let f x = assert (x + 1 > x); x\nlet use = f 1\n";
     let res = Job::from_sources("good", good, "", "").run().unwrap();
-    assert!(res.is_safe(), "{:?}", res.result.errors.first().map(ToString::to_string));
+    assert!(
+        res.is_safe(),
+        "{:?}",
+        res.result.errors.first().map(ToString::to_string)
+    );
     assert_eq!(run_value(good, "use").unwrap(), Value::Int(1));
 }
 
@@ -165,7 +192,11 @@ measure elts : 'a list -> set =
 | Cons (x, xs) -> union(single(x), elts(xs))
 "#;
     let res = Job::from_sources("dead", src, mlq, "").run().unwrap();
-    assert!(res.is_safe(), "{:?}", res.result.errors.first().map(ToString::to_string));
+    assert!(
+        res.is_safe(),
+        "{:?}",
+        res.result.errors.first().map(ToString::to_string)
+    );
 }
 
 #[test]
