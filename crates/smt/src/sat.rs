@@ -5,6 +5,14 @@
 //! (VSIDS-style) branching, and geometric restarts. The theory layer
 //! drives it lazily: each full propositional model is checked against the
 //! theories and refuted with a blocking clause when theory-inconsistent.
+//!
+//! A session's solver keeps every variable of its earlier checks, so no
+//! per-operation cost may grow with the variable count. Decisions come
+//! from an order heap (MiniSat's, Eén & Sörensson 2003) that always
+//! yields what a scan of every variable would: the unassigned variable
+//! of greatest activity, the lowest index on ties. Propagation reuses
+//! one spare watch buffer, a pop touches only the watch lists of the
+//! clauses it drops, and conflict analysis reuses its `seen` marks.
 
 use dsolve_logic::deadline_expired;
 use dsolve_obs::{micro, MicroCounter};
@@ -85,6 +93,111 @@ enum Assign {
 
 type ClauseRef = usize;
 
+/// Activity above which every activity is scaled by `1e-100`.
+const ACTIVITY_LIMIT: f64 = 1e100;
+
+/// The decision order: a binary max-heap of variables, greatest activity
+/// first and the lower index first on equal activity. Every unassigned
+/// variable is in the heap. An assigned one may linger until it reaches
+/// the top, where [`CdclSolver::decide`] drops it.
+#[derive(Default)]
+struct OrderHeap {
+    heap: Vec<u32>,
+    /// Each variable's position in `heap`, or [`OrderHeap::ABSENT`].
+    pos: Vec<u32>,
+}
+
+impl OrderHeap {
+    const ABSENT: u32 = u32::MAX;
+
+    /// Whether `a` comes before `b`: the scan's choice between the two.
+    fn before(activity: &[f64], a: u32, b: u32) -> bool {
+        let (x, y) = (activity[a as usize], activity[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    /// Makes room for one more variable, outside the heap.
+    fn grow(&mut self) {
+        self.pos.push(Self::ABSENT);
+    }
+
+    fn insert(&mut self, v: u32, activity: &[f64]) {
+        if self.pos[v as usize] == Self::ABSENT {
+            self.heap.push(v);
+            self.sift_up(self.heap.len() - 1, activity);
+        }
+    }
+
+    /// Restores the order after `v`'s activity grew.
+    fn increased(&mut self, v: u32, activity: &[f64]) {
+        let i = self.pos[v as usize];
+        if i != Self::ABSENT {
+            self.sift_up(i as usize, activity);
+        }
+    }
+
+    /// Removes and returns the first variable.
+    fn pop(&mut self, activity: &[f64]) -> Option<u32> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("nonempty heap");
+        self.pos[top as usize] = Self::ABSENT;
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.sift_down(0, activity);
+        }
+        Some(top)
+    }
+
+    /// Re-heapifies the whole heap, for when activities changed at once.
+    fn rebuild(&mut self, activity: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, activity);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !Self::before(activity, v, self.heap[parent]) {
+                break;
+            }
+            self.place(i, self.heap[parent]);
+            i = parent;
+        }
+        self.place(i, v);
+    }
+
+    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len()
+                && Self::before(activity, self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            if !Self::before(activity, self.heap[child], v) {
+                break;
+            }
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        self.place(i, v);
+    }
+
+    fn place(&mut self, i: usize, v: u32) {
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+}
+
 /// The CDCL solver.
 ///
 /// # Examples
@@ -104,6 +217,9 @@ pub struct CdclSolver {
     clauses: Vec<Vec<Lit>>,
     /// Watch lists indexed by literal.
     watches: Vec<Vec<ClauseRef>>,
+    /// An empty buffer that [`CdclSolver::propagate`] fills with the
+    /// entries a watch list keeps, then swaps in for that list.
+    watch_spare: Vec<ClauseRef>,
     assign: Vec<Assign>,
     /// Decision level per variable.
     level: Vec<u32>,
@@ -114,6 +230,9 @@ pub struct CdclSolver {
     prop_head: usize,
     activity: Vec<f64>,
     act_inc: f64,
+    order: OrderHeap,
+    /// Conflict analysis's per-variable marks, all `false` between calls.
+    seen: Vec<bool>,
     /// Empty clause added directly.
     unsat: bool,
     /// Original literals of lemmas added while a scope was open, kept
@@ -148,6 +267,7 @@ impl CdclSolver {
             nvars: 0,
             clauses: Vec::new(),
             watches: Vec::new(),
+            watch_spare: Vec::new(),
             assign: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
@@ -156,6 +276,8 @@ impl CdclSolver {
             prop_head: 0,
             activity: Vec::new(),
             act_inc: 1.0,
+            order: OrderHeap::default(),
+            seen: Vec::new(),
             unsat: false,
             lemma_store: Vec::new(),
             scope_marks: Vec::new(),
@@ -175,6 +297,9 @@ impl CdclSolver {
         self.level.push(0);
         self.reason.push(None);
         self.activity.push(0.0);
+        self.seen.push(false);
+        self.order.grow();
+        self.order.insert(v.0, &self.activity);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         v
@@ -231,16 +356,19 @@ impl CdclSolver {
         // of surviving prefix entries always predate the scope's clauses
         // (a reason is recorded at enqueue time), so truncation below
         // cannot dangle them.
-        while self.trail.len() > trail_mark {
-            let l = self.trail.pop().expect("nonempty trail");
-            let v = l.var().0 as usize;
-            self.assign[v] = Assign::Unassigned;
-            self.reason[v] = None;
-        }
+        self.unassign_trail_to(trail_mark);
         self.prop_head = 0;
-        // Drop scoped clauses and any watch-list entries pointing at them.
-        for w in &mut self.watches {
-            w.retain(|&cref| cref < clause_mark);
+        // Drop scoped clauses and their watch-list entries. A clause is
+        // watched only through its first two literals, so only those
+        // lists can hold it.
+        let mut lists: Vec<usize> = self.clauses[clause_mark..]
+            .iter()
+            .flat_map(|c| [c[0].negate().index(), c[1].negate().index()])
+            .collect();
+        lists.sort_unstable();
+        lists.dedup();
+        for w in lists {
+            self.watches[w].retain(|&cref| cref < clause_mark);
         }
         self.clauses.truncate(clause_mark);
         self.unsat = was_unsat;
@@ -348,9 +476,11 @@ impl CdclSolver {
         while self.prop_head < self.trail.len() {
             let l = self.trail[self.prop_head];
             self.prop_head += 1;
-            // Clauses watching ¬l need attention.
+            // Clauses watching ¬l need attention. The entries that stay
+            // go to the spare buffer, in visiting order, and it becomes
+            // the list: no clause moves its watch onto ¬l, which is false.
             let mut ws = std::mem::take(&mut self.watches[l.index()]);
-            let mut keep = Vec::with_capacity(ws.len());
+            let mut keep = std::mem::take(&mut self.watch_spare);
             let mut conflict = None;
             while let Some(cref) = ws.pop() {
                 if conflict.is_some() {
@@ -391,7 +521,9 @@ impl CdclSolver {
                     conflict = Some(cref);
                 }
             }
-            self.watches[l.index()].extend(keep);
+            debug_assert!(self.watches[l.index()].is_empty() && ws.is_empty());
+            self.watches[l.index()] = keep;
+            self.watch_spare = ws;
             if let Some(c) = conflict {
                 return Some(c);
             }
@@ -401,18 +533,27 @@ impl CdclSolver {
 
     fn bump(&mut self, v: BVar) {
         self.activity[v.0 as usize] += self.act_inc;
-        if self.activity[v.0 as usize] > 1e100 {
-            for a in &mut self.activity {
-                *a *= 1e-100;
-            }
-            self.act_inc *= 1e-100;
+        if self.activity[v.0 as usize] > ACTIVITY_LIMIT {
+            self.rescale_activity();
+        } else {
+            self.order.increased(v.0, &self.activity);
         }
+    }
+
+    /// Scales every activity and the increment by `1e-100`. Scaling can
+    /// round distinct activities to one value, which the tie rule then
+    /// orders by index, so the order heap is rebuilt.
+    fn rescale_activity(&mut self) {
+        for a in &mut self.activity {
+            *a *= 1e-100;
+        }
+        self.act_inc *= 1e-100;
+        self.order.rebuild(&self.activity);
     }
 
     /// First-UIP conflict analysis. Returns (learnt clause, backtrack level).
     fn analyze(&mut self, confl: ClauseRef) -> (Vec<Lit>, u32) {
         let mut learnt: Vec<Lit> = Vec::new();
-        let mut seen = vec![false; self.nvars];
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut cref = confl;
@@ -420,11 +561,12 @@ impl CdclSolver {
 
         loop {
             let start = usize::from(p.is_some());
-            let lits: Vec<Lit> = self.clauses[cref][start..].to_vec();
-            for q in lits {
+            // Bumping touches no clause, so the clause is read in place.
+            for k in start..self.clauses[cref].len() {
+                let q = self.clauses[cref][k];
                 let v = q.var();
-                if !seen[v.0 as usize] && self.level[v.0 as usize] > 0 {
-                    seen[v.0 as usize] = true;
+                if !self.seen[v.0 as usize] && self.level[v.0 as usize] > 0 {
+                    self.seen[v.0 as usize] = true;
                     self.bump(v);
                     if self.level[v.0 as usize] == self.decision_level() {
                         counter += 1;
@@ -437,18 +579,23 @@ impl CdclSolver {
             loop {
                 trail_idx -= 1;
                 let l = self.trail[trail_idx];
-                if seen[l.var().0 as usize] {
+                if self.seen[l.var().0 as usize] {
                     p = Some(l);
                     break;
                 }
             }
             let pv = p.expect("found UIP candidate").var();
-            seen[pv.0 as usize] = false;
+            self.seen[pv.0 as usize] = false;
             counter -= 1;
             if counter == 0 {
                 break;
             }
             cref = self.reason[pv.0 as usize].expect("non-decision has a reason");
+        }
+        // Every current-level mark was cleared on the walk; the learnt
+        // literals hold the rest.
+        for l in &learnt {
+            self.seen[l.var().0 as usize] = false;
         }
         let uip = p.expect("first UIP").negate();
         let mut clause = vec![uip];
@@ -472,17 +619,23 @@ impl CdclSolver {
     }
 
     fn backtrack(&mut self, level: u32) {
-        while self.decision_level() > level {
-            let lim = self.trail_lim.pop().expect("level > 0");
-            while self.trail.len() > lim {
-                let l = self.trail.pop().expect("trail nonempty");
-                let v = l.var().0 as usize;
-                self.assign[v] = Assign::Unassigned;
-                self.reason[v] = None;
-            }
-            self.prop_head = self.trail.len().min(self.prop_head);
+        if self.decision_level() > level {
+            let lim = self.trail_lim[level as usize];
+            self.trail_lim.truncate(level as usize);
+            self.unassign_trail_to(lim);
         }
         self.prop_head = self.trail.len().min(self.prop_head);
+    }
+
+    /// Unassigns the trail entries past `len`, returning their variables
+    /// to the order heap.
+    fn unassign_trail_to(&mut self, len: usize) {
+        while self.trail.len() > len {
+            let v = self.trail.pop().expect("nonempty trail").var().0;
+            self.assign[v as usize] = Assign::Unassigned;
+            self.reason[v as usize] = None;
+            self.order.insert(v, &self.activity);
+        }
     }
 
     /// Backtracks to decision level 0 (used by the theory layer before
@@ -492,7 +645,36 @@ impl CdclSolver {
         self.prop_head = 0;
     }
 
+    /// The unassigned variable of greatest activity (the lowest index on
+    /// ties), as a negative literal. Assigned variables met on top of the
+    /// order heap leave it; backtracking puts them back once unassigned.
     fn decide(&mut self) -> Option<Lit> {
+        // The trail holds exactly the assigned variables, so a full model
+        // shows without a pop: its assigned variables stay in the heap,
+        // and the reset after it has nothing to re-insert.
+        let best = if self.trail.len() == self.nvars {
+            None
+        } else {
+            loop {
+                let v = self
+                    .order
+                    .pop(&self.activity)
+                    .expect("every unassigned variable is in the heap");
+                if self.assign[v as usize] == Assign::Unassigned {
+                    break Some(BVar(v));
+                }
+            }
+        };
+        #[cfg(test)]
+        assert_eq!(best, self.scan_decision(), "order heap left the scan");
+        // Default phase: negative (tends to keep atoms "false", which
+        // suits blocking-clause enumeration over mostly-conjunctive VCs).
+        best.map(Lit::neg)
+    }
+
+    /// The linear scan the order heap replaced, kept as its test oracle.
+    #[cfg(test)]
+    fn scan_decision(&self) -> Option<BVar> {
         let mut best: Option<BVar> = None;
         for v in 0..self.nvars {
             if self.assign[v] == Assign::Unassigned {
@@ -506,9 +688,14 @@ impl CdclSolver {
                 }
             }
         }
-        // Default phase: negative (tends to keep atoms "false", which
-        // suits blocking-clause enumeration over mostly-conjunctive VCs).
-        best.map(Lit::neg)
+        best
+    }
+
+    /// Makes the next bump cross [`ACTIVITY_LIMIT`], so that the search
+    /// takes the rescale path at its next conflict.
+    #[cfg(test)]
+    fn force_rescale(&mut self) {
+        self.act_inc = ACTIVITY_LIMIT;
     }
 
     /// Runs the CDCL search to completion with no budget.
@@ -619,6 +806,7 @@ impl CdclSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn lits(s: &mut CdclSolver, n: usize) -> Vec<BVar> {
         (0..n).map(|_| s.new_var()).collect()
@@ -896,5 +1084,216 @@ mod tests {
         s.add_clause(vec![Lit::pos(v[1]), Lit::neg(v[1])]); // tautology: ignored
         assert_eq!(s.solve(), SatResult::Sat);
         assert!(s.model_value(v[0]));
+    }
+
+    /// One step of a random solver session, as the SMT layer drives it.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Push,
+        Pop,
+        NewVar,
+        Clause(Vec<(u8, bool)>),
+        Lemma(Vec<(u8, bool)>),
+        Solve,
+        /// A lemma refuting the current model (solving first if there
+        /// is none) on these variables, like a theory blocking clause.
+        Block(Vec<u8>),
+        /// Rescale every activity this many times now, and once more at
+        /// the next conflict. Repeated scaling rounds small activities
+        /// together (to 0 at last), so the tie rule reorders them.
+        Rescale(usize),
+    }
+
+    /// Op sequences over variable indices below `max_var` (taken modulo
+    /// the live variable count); `Rescale` only when `rescale` is set.
+    fn arb_ops(max_var: u8, rescale: bool) -> impl Strategy<Value = Vec<Op>> {
+        let kinds = if rescale { 12u8 } else { 11 };
+        let lits = prop::collection::vec((0..max_var, any::<bool>()), 1..4);
+        prop::collection::vec(
+            (0..kinds, lits).prop_map(|(k, lits)| match k {
+                0 => Op::Push,
+                1 => Op::Pop,
+                2 => Op::NewVar,
+                3..=5 => Op::Clause(lits),
+                6 => Op::Lemma(lits),
+                7 => Op::Solve,
+                8..=10 => Op::Block(lits.into_iter().map(|(v, _)| v).collect()),
+                _ => Op::Rescale(lits.len() + 1),
+            }),
+            1..40,
+        )
+    }
+
+    /// The clauses and lemmas added in one open scope. A pop drops the
+    /// clauses and hands the lemmas to the enclosing scope.
+    #[derive(Default)]
+    struct Frame {
+        clauses: Vec<Vec<Lit>>,
+        lemmas: Vec<Vec<Lit>>,
+    }
+
+    /// A solver under random ops, with the clauses it must satisfy.
+    struct Harness {
+        s: CdclSolver,
+        vars: Vec<BVar>,
+        max_vars: usize,
+        frames: Vec<Frame>,
+        /// The answer of the last `solve`, while no clause was added since.
+        last: Option<SatResult>,
+        /// Whether every `solve` is checked against brute force.
+        brute_force: bool,
+    }
+
+    impl Harness {
+        fn new(nvars: usize, max_vars: usize, brute_force: bool) -> Harness {
+            let mut s = CdclSolver::new();
+            let vars = lits(&mut s, nvars);
+            Harness {
+                s,
+                vars,
+                max_vars,
+                frames: vec![Frame::default()],
+                last: None,
+                brute_force,
+            }
+        }
+
+        fn var(&self, v: u8) -> BVar {
+            self.vars[v as usize % self.vars.len()]
+        }
+
+        fn add(&mut self, c: Vec<Lit>, lemma: bool) {
+            self.s.reset_to_root();
+            let frame = self.frames.last_mut().expect("root frame");
+            if lemma {
+                self.s.add_lemma(c.clone());
+                frame.lemmas.push(c);
+            } else {
+                self.s.add_clause(c.clone());
+                frame.clauses.push(c);
+            }
+            self.last = None;
+        }
+
+        fn solve(&mut self) {
+            let r = self.s.solve();
+            self.last = Some(r);
+            if self.brute_force {
+                assert_eq!(
+                    r == SatResult::Sat,
+                    self.brute_force_sat(),
+                    "solve gave {r:?}"
+                );
+                if r == SatResult::Sat {
+                    for c in self.live() {
+                        let holds = c.iter().any(|&l| self.s.model_value(l.var()) == l.sign());
+                        assert!(holds, "model falsifies {c:?}");
+                    }
+                }
+            }
+        }
+
+        fn apply(&mut self, op: &Op) {
+            match op {
+                Op::Push => {
+                    self.s.push_scope();
+                    self.frames.push(Frame::default());
+                    self.last = None;
+                }
+                Op::Pop if self.frames.len() > 1 => {
+                    self.s.pop_scope();
+                    let popped = self.frames.pop().expect("open scope");
+                    let enclosing = self.frames.last_mut().expect("root frame");
+                    enclosing.lemmas.extend(popped.lemmas);
+                    self.last = None;
+                }
+                Op::NewVar if self.vars.len() < self.max_vars => {
+                    self.vars.push(self.s.new_var());
+                    self.last = None;
+                }
+                Op::Pop | Op::NewVar => {}
+                Op::Clause(lits) | Op::Lemma(lits) => {
+                    let c = lits.iter().map(|&(v, sign)| Lit::new(self.var(v), sign));
+                    self.add(c.collect(), matches!(op, Op::Lemma(_)));
+                }
+                Op::Solve => self.solve(),
+                Op::Block(vs) => {
+                    if self.last.is_none() {
+                        self.solve();
+                    }
+                    if self.last == Some(SatResult::Sat) {
+                        let c = vs.iter().map(|&v| {
+                            let v = self.var(v);
+                            Lit::new(v, !self.s.model_value(v))
+                        });
+                        self.add(c.collect(), true);
+                    }
+                }
+                Op::Rescale(times) => {
+                    for _ in 0..*times {
+                        self.s.rescale_activity();
+                    }
+                    self.s.force_rescale();
+                }
+            }
+        }
+
+        /// Every clause the solver must satisfy now.
+        fn live(&self) -> impl Iterator<Item = &Vec<Lit>> {
+            self.frames
+                .iter()
+                .flat_map(|f| f.clauses.iter().chain(&f.lemmas))
+        }
+
+        /// Whether some assignment to the variables satisfies `live`.
+        fn brute_force_sat(&self) -> bool {
+            (0u32..1 << self.vars.len()).any(|bits| {
+                self.live()
+                    .all(|c| c.iter().any(|l| (bits >> l.var().0 & 1 == 1) == l.sign()))
+            })
+        }
+    }
+
+    #[cfg(feature = "slow-proptest")]
+    const CASES: u32 = 2048;
+    #[cfg(not(feature = "slow-proptest"))]
+    const CASES: u32 = 256;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+        /// Random scope/clause/lemma/solve/block sequences with forced
+        /// activity rescales, closed by blocking models until the
+        /// clauses run out of them, rescaling between blocks: `decide`
+        /// asserts at every decision (under `cfg(test)`) that the order
+        /// heap picks the variable a scan of every variable picks.
+        #[test]
+        fn decide_matches_scan_oracle(nvars in 2usize..10, ops in arb_ops(14, true)) {
+            let mut h = Harness::new(nvars, 14, false);
+            for op in &ops {
+                h.apply(op);
+            }
+            let every: Vec<u8> = (0..14).collect();
+            for round in 0..32 {
+                h.apply(&Op::Block(every.clone()));
+                if h.last == Some(SatResult::Unsat) {
+                    break;
+                }
+                if round % 4 == 3 {
+                    h.apply(&Op::Rescale(round % 3 + 1));
+                }
+            }
+        }
+
+        /// Through scopes, lemmas and blocking clauses, every `solve`
+        /// agrees with brute force over at most 8 variables, and a `Sat`
+        /// model satisfies every live clause.
+        #[test]
+        fn solve_matches_brute_force(nvars in 1usize..5, ops in arb_ops(8, false)) {
+            let mut h = Harness::new(nvars, 8, true);
+            for op in ops.iter().chain([&Op::Solve]) {
+                h.apply(op);
+            }
+        }
     }
 }

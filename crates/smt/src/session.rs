@@ -79,6 +79,12 @@ pub(crate) struct Session {
     /// Theory engines for the session's lifetime, holding one frame per
     /// segment of the SAT core's root trail.
     theory: TheoryContext,
+    /// The SAT variable of each atom, in atom order, and the atom of
+    /// each SAT variable (`None` for Tseitin variables). Atoms and
+    /// variables are never removed, so each check only extends these
+    /// over the atoms added since the last one.
+    atom_vars: Vec<BVar>,
+    atom_of_var: Vec<Option<AtomId>>,
 }
 
 /// The theory lemmas of one check.
@@ -111,6 +117,8 @@ impl Session {
             certify,
             elim: Vec::new(),
             theory: TheoryContext::new(),
+            atom_vars: Vec::new(),
+            atom_of_var: Vec::new(),
         }
     }
 
@@ -231,12 +239,8 @@ impl Session {
         // unconstrained, which is sound — the theory layer refutes any
         // inconsistent polarity with a blocking lemma, and a consistent
         // polarity extension always exists). Blocking clauses add no
-        // atoms, so one dense table serves every model of this check.
-        let atom_vars: Vec<BVar> = (0..self.atoms.len())
-            .map(|i| self.ctx.var_of_atom(AtomId(i as u32)))
-            .collect();
-        self.grow_sat();
-        let atom_of_var = atoms_by_var(self.sat.num_vars(), &atom_vars);
+        // atoms, so the tables serve every model of this check.
+        self.extend_atom_tables();
 
         let theory_budget = TheoryBudget {
             bb_nodes: budget.max_bb_nodes,
@@ -271,12 +275,13 @@ impl Session {
                     return SmtResult::Unknown(Exhaustion::new(Phase::Sat, resource));
                 }
                 SatResult::Sat => {
-                    let assignment: Vec<(AtomId, bool)> = atom_vars
+                    let assignment: Vec<(AtomId, bool)> = self
+                        .atom_vars
                         .iter()
                         .enumerate()
                         .map(|(i, &v)| (AtomId(i as u32), self.sat.model_value(v)))
                         .collect();
-                    let root = root_literals(&self.sat, &atom_of_var);
+                    let root = root_literals(&self.sat, &self.atom_of_var);
                     match self.theory.check(
                         &self.atoms,
                         &assignment,
@@ -325,7 +330,7 @@ impl Session {
                                 .iter()
                                 .map(|&ix| {
                                     let (aid, val) = assignment[ix];
-                                    Lit::new(atom_vars[aid.index()], !val)
+                                    Lit::new(self.atom_vars[aid.index()], !val)
                                 })
                                 .collect();
                             self.sat.reset_to_root();
@@ -367,6 +372,21 @@ impl Session {
         }
     }
 
+    /// Gives every atom added since the last check a SAT variable, in
+    /// atom order, and records both directions of the mapping.
+    fn extend_atom_tables(&mut self) {
+        let known = self.atom_vars.len();
+        for i in known..self.atoms.len() {
+            let v = self.ctx.var_of_atom(AtomId(i as u32));
+            self.atom_vars.push(v);
+        }
+        self.grow_sat();
+        self.atom_of_var.resize(self.sat.num_vars(), None);
+        for (i, v) in self.atom_vars.iter().enumerate().skip(known) {
+            self.atom_of_var[v.0 as usize] = Some(AtomId(i as u32));
+        }
+    }
+
     /// Encodes `lem` as retained lemma clauses.
     fn encode_lemma(&mut self, lem: &Pred) {
         let lem = eliminate_ite(lem, &mut self.env);
@@ -388,16 +408,6 @@ impl Session {
         }
         Ok(())
     }
-}
-
-/// The atom of each SAT variable (`None` for Tseitin variables), from
-/// the variable of each atom in atom order.
-fn atoms_by_var(num_vars: usize, atom_vars: &[BVar]) -> Vec<Option<AtomId>> {
-    let mut out = vec![None; num_vars];
-    for (i, v) in atom_vars.iter().enumerate() {
-        out[v.0 as usize] = Some(AtomId(i as u32));
-    }
-    out
 }
 
 /// The theory literals among the SAT core's root trail, in trail order.

@@ -12,6 +12,11 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 1)}"
 echo "== jobs: $JOBS"
 
+# Formatting: the workspace is rustfmt-clean, so new lines can be held
+# to the surrounding style. (perfbench/ is a workspace of its own.)
+echo "== cargo fmt --all -- --check"
+cargo fmt --all -- --check
+
 echo "== cargo build --release --workspace"
 cargo build --release --workspace
 
@@ -32,6 +37,13 @@ cargo test -p dsolve-smt --test incremental_vs_scratch --test theory_oracles
 # reason.
 echo "== cargo test -p dsolve-smt session_saturation_matches_oracle"
 cargo test -p dsolve-smt --lib session_saturation_matches_oracle
+
+# The SAT core's order heap against the scan of every variable it
+# replaced (at every decision of random scope/clause/lemma/solve/block
+# sequences with forced activity rescales), and `solve` against brute
+# force through scopes. By name for the same reason.
+echo "== cargo test -p dsolve-smt decide_matches_scan_oracle solve_matches_brute_force"
+cargo test -p dsolve-smt --lib -- decide_matches_scan_oracle solve_matches_brute_force
 
 # The embedding cache against its oracle: after random κ shrinks, the
 # cached antecedent, pruned antecedent and left side equal the ones
