@@ -99,31 +99,38 @@ pub fn parse_quals(src: &str) -> Result<Vec<Qualifier>, SpecError> {
             msg: format!("expected `qualif Name : pred`, found `{line}`"),
             line: i as u32 + 1,
         })?;
-        let (name, pred) = rest.split_once(':').ok_or_else(|| SpecError {
-            msg: "missing `:` in qualifier".into(),
-            line: i as u32 + 1,
-        })?;
-        let p = dsolve_logic::parse_pred(pred.trim()).map_err(|e| SpecError {
-            msg: e.to_string(),
-            line: i as u32 + 1,
-        })?;
-        // In qualifiers, `KEY` denotes the key a map value is stored
-        // under. It appears as the builtin schemes' witness at
-        // instantiation sites and as the map type's canonical key binder
-        // in structural templates — emit both variants.
-        if p.free_vars().contains(&Symbol::new("KEY")) {
-            let wit = p.subst(Symbol::new("KEY"), &dsolve_logic::Expr::Var(map_witness()));
-            let canon = p.subst(
-                Symbol::new("KEY"),
-                &dsolve_logic::Expr::Var(dsolve_liquid::map_key_binder()),
-            );
-            out.push(Qualifier::new(format!("{}#wit", name.trim()), wit));
-            out.push(Qualifier::new(format!("{}#key", name.trim()), canon));
-        } else {
-            out.push(Qualifier::new(name.trim(), p));
-        }
+        parse_qualif(rest, i as u32 + 1, &mut out)?;
     }
     Ok(out)
+}
+
+/// Parses `Name : pred`, the rest of a `qualif` line numbered `line`,
+/// onto `out`. In qualifiers, `KEY` denotes the key a map value is
+/// stored under. It appears as the builtin schemes' witness at
+/// instantiation sites and as the map type's canonical key binder in
+/// structural templates — emit both variants.
+fn parse_qualif(rest: &str, line: u32, out: &mut Vec<Qualifier>) -> Result<(), SpecError> {
+    let (name, pred) = rest.split_once(':').ok_or_else(|| SpecError {
+        msg: "missing `:` in qualifier".into(),
+        line,
+    })?;
+    let p = dsolve_logic::parse_pred(pred.trim()).map_err(|e| SpecError {
+        msg: e.to_string(),
+        line,
+    })?;
+    let name = name.trim();
+    if p.free_vars().contains(&Symbol::new("KEY")) {
+        let wit = p.subst(Symbol::new("KEY"), &dsolve_logic::Expr::Var(map_witness()));
+        let canon = p.subst(
+            Symbol::new("KEY"),
+            &dsolve_logic::Expr::Var(dsolve_liquid::map_key_binder()),
+        );
+        out.push(Qualifier::new(format!("{name}#wit"), wit));
+        out.push(Qualifier::new(format!("{name}#key"), canon));
+    } else {
+        out.push(Qualifier::new(name, p));
+    }
+    Ok(())
 }
 
 /// Parses an `.mlq` specification file against the program's datatypes.
@@ -147,28 +154,7 @@ pub fn parse_mlq(src: &str, data: &DataEnv) -> Result<SpecFile, SpecError> {
         } else if line.starts_with("qualif ") {
             let line_no = parser.ix as u32 + 1;
             let text = parser.next_line().expect("peeked");
-            let rest = &text["qualif".len()..];
-            let (name, pred) = rest.split_once(':').ok_or_else(|| SpecError {
-                msg: "missing `:` in qualifier".into(),
-                line: line_no,
-            })?;
-            let p = dsolve_logic::parse_pred(pred.trim()).map_err(|e| SpecError {
-                msg: e.to_string(),
-                line: line_no,
-            })?;
-            if p.free_vars().contains(&Symbol::new("KEY")) {
-                let wit = p.subst(Symbol::new("KEY"), &dsolve_logic::Expr::Var(map_witness()));
-                let canon = p.subst(
-                    Symbol::new("KEY"),
-                    &dsolve_logic::Expr::Var(dsolve_liquid::map_key_binder()),
-                );
-                out.qualifiers
-                    .push(Qualifier::new(format!("{}#wit", name.trim()), wit));
-                out.qualifiers
-                    .push(Qualifier::new(format!("{}#key", name.trim()), canon));
-            } else {
-                out.qualifiers.push(Qualifier::new(name.trim(), p));
-            }
+            parse_qualif(&text["qualif".len()..], line_no, &mut out.qualifiers)?;
         } else {
             return Err(SpecError {
                 msg: format!("expected `measure`, `rho`, `val`, or `qualif`, found `{line}`"),
@@ -1158,6 +1144,25 @@ rho Bal on t =
         let d = data();
         let f = parse_mlq("qualif Pos : 0 < VV", &d).unwrap();
         assert_eq!(f.qualifiers.len(), 1);
+    }
+
+    #[test]
+    fn quals_and_mlq_read_qualif_lines_alike() {
+        let d = data();
+        let src = "-- map keys\nqualif K : KEY <= VV\nqualif Pos : 0 < VV";
+        let qs = parse_quals(src).unwrap();
+        let names: Vec<&str> = qs.iter().map(|q| q.name.as_str()).collect();
+        assert_eq!(names, ["K#wit", "K#key", "Pos"]);
+        assert_eq!(parse_mlq(src, &d).unwrap().qualifiers, qs);
+        for bad in ["\nqualif Bad 0 < VV", "\n\nqualif Bad : 0 <"] {
+            let from_quals = parse_quals(bad).unwrap_err();
+            let from_mlq = parse_mlq(bad, &d).err().expect("a spec error");
+            assert_eq!(from_quals.to_string(), from_mlq.to_string());
+        }
+        assert_eq!(
+            parse_quals("\nqualif Bad 0 < VV").unwrap_err().to_string(),
+            "spec error on line 2: missing `:` in qualifier"
+        );
     }
 
     #[test]

@@ -8,21 +8,15 @@
 
 use crate::driver::JobResult;
 use dsolve_logic::Outcome;
+use dsolve_obs::escape_into;
 use std::fmt::Write as _;
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+/// `s` as a quoted JSON string.
+fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    escape_into(&mut out, s);
+    out.push('"');
     out
 }
 
@@ -31,7 +25,7 @@ pub fn stats_json(name: &str, res: &JobResult) -> String {
     let st = &res.result.stats;
     let m = &res.metrics;
     let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"name\": \"{}\",", escape(name));
+    let _ = writeln!(s, "  \"name\": {},", quoted(name));
     let (verdict, reason) = match res.outcome() {
         Outcome::Safe => ("safe".to_string(), None),
         Outcome::Unsafe => ("unsafe".to_string(), None),
@@ -39,7 +33,7 @@ pub fn stats_json(name: &str, res: &JobResult) -> String {
     };
     let _ = writeln!(s, "  \"outcome\": \"{verdict}\",");
     if let Some(r) = reason {
-        let _ = writeln!(s, "  \"reason\": \"{}\",", escape(&r));
+        let _ = writeln!(s, "  \"reason\": {},", quoted(&r));
     }
     let _ = writeln!(s, "  \"loc\": {},", res.loc);
     let _ = writeln!(s, "  \"annotations\": {},", res.annotations);
@@ -97,15 +91,11 @@ pub fn stats_json(name: &str, res: &JobResult) -> String {
         .iter()
         .map(|(k, pts)| {
             let pts: Vec<String> = pts.iter().map(|(r, n)| format!("[{r}, {n}]")).collect();
-            format!("\"{}\": [{}]", escape(k), pts.join(", "))
+            format!("{}: [{}]", quoted(k), pts.join(", "))
         })
         .collect();
     let _ = writeln!(s, "  \"kvar_trajectories\": {{ {} }},", trajs.join(", "));
-    let churn: Vec<String> = st
-        .churning_kvars
-        .iter()
-        .map(|k| format!("\"{}\"", escape(k)))
-        .collect();
+    let churn: Vec<String> = st.churning_kvars.iter().map(|k| quoted(k)).collect();
     let _ = writeln!(s, "  \"churning_kvars\": [{}],", churn.join(", "));
     let _ = writeln!(s, "  \"metrics\": {}", m.to_json(2));
     s.push('}');

@@ -35,7 +35,8 @@ pub use metrics::{
 };
 pub use provenance::{ConstraintCost, CostTable, QueryOrigin};
 pub use trace::{
-    parse_json, validate_trace, validate_trace_file, Arg, Json, TraceSink, TraceSummary,
+    escape_into, parse_json, validate_trace, validate_trace_file, Arg, Json, TraceSink,
+    TraceSummary,
 };
 
 use std::fmt::Write as _;
@@ -373,22 +374,6 @@ pub struct Snapshot {
     pub top_constraints: Vec<ConstraintCost>,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Snapshot {
     /// Fraction of cache-consulted checks answered by the cache.
     pub fn cache_hit_rate(&self) -> f64 {
@@ -497,11 +482,12 @@ impl Snapshot {
                     .filter(|(_, &v)| v > 0)
                     .map(|(n, v)| format!("\"{n}\": {v}"))
                     .collect();
+                let mut label = String::with_capacity(c.label.len());
+                escape_into(&mut label, &c.label);
                 format!(
-                    "{{ \"constraint\": {}, \"label\": \"{}\", \"total_ns\": {}, \
+                    "{{ \"constraint\": {}, \"label\": \"{label}\", \"total_ns\": {}, \
                      \"queries\": {}, \"micro\": {{ {} }} }}",
                     c.constraint,
-                    json_escape(&c.label),
                     c.total_ns,
                     c.queries,
                     micro.join(", ")

@@ -261,8 +261,8 @@ pub enum MicroCounter {
     /// consistency verdict (one per `check_assignment` call).
     TheoryAssignments,
     /// Nelson–Oppen closures run (EUF + simplex + equality exchange to
-    /// a verdict): each root frame's, each model's, and the fresh ones
-    /// that confirm and shrink a conflict core.
+    /// a verdict): each root frame's, each model's, and the fresh one
+    /// that confirms a conflict explanation before it becomes a core.
     TheoryChecks,
     /// Conflict explanations that failed their confirming check, so the
     /// model was re-decided on fresh engines instead.

@@ -61,8 +61,8 @@ impl From<String> for Arg {
 }
 
 /// Escapes `s` into `out` as JSON string contents (no surrounding
-/// quotes).
-fn escape_into(out: &mut String, s: &str) {
+/// quotes): the one JSON string escaper of the workspace.
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -582,8 +582,8 @@ mod tests {
     #[test]
     fn escapes_special_chars() {
         let mut s = String::new();
-        escape_into(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "a\\\"b\\\\c\\nd\\u0001");
+        escape_into(&mut s, "a\"b\\c\nd\u{1}\r\t");
+        assert_eq!(s, "a\\\"b\\\\c\\nd\\u0001\\r\\t");
     }
 
     #[test]

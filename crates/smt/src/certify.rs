@@ -104,16 +104,15 @@ pub(crate) fn eval_pred(
 /// Certifies an `Unsat` answer: every recorded theory core must still be
 /// refuted by the theory stack. Returns an error description on failure.
 ///
-/// Cores are replayed without minimization (their whole point here is
-/// refutation, not a tighter clause), so replay cost is one plain theory
-/// check per conflict learned.
+/// Each core replays as one [`check_assignment`] on fresh engines: the
+/// core's closure, and the closure confirming its explanation.
 pub(crate) fn certify_unsat(
     atoms: &Atoms,
     cores: &[Vec<(AtomId, bool)>],
     budget: &TheoryBudget,
 ) -> Result<(), String> {
     for (i, core) in cores.iter().enumerate() {
-        match check_assignment(atoms, core, false, budget) {
+        match check_assignment(atoms, core, budget) {
             TheoryResult::Unsat(_) => {}
             TheoryResult::Sat => {
                 return Err(format!(

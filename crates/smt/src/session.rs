@@ -50,8 +50,8 @@ pub(crate) struct Session {
     asserted: Vec<Pred>,
     /// How many of `asserted` have been encoded into the SAT core.
     encoded_upto: usize,
-    /// Open scopes: `(asserted length, choice flag)` at push time.
-    scopes: Vec<(usize, bool)>,
+    /// Open scopes: the length of `asserted` at push time.
+    scopes: Vec<usize>,
     /// Set saturation across the session's checks; it knows which set
     /// lemmas the session has encoded. Monotone, like `lemma_seen`.
     saturation: SaturationMemo,
@@ -59,13 +59,6 @@ pub(crate) struct Session {
     /// Monotone: retained lemma clauses survive pops, so this never
     /// shrinks.
     lemma_seen: HashSet<Pred>,
-    /// Whether the current clause database leaves the SAT solver any
-    /// real choice (some clause with more than one literal) — used to
-    /// skip conflict-core minimization on purely conjunctive queries.
-    choice: bool,
-    /// Like `choice`, but set only by retained (lemma) clauses; pops
-    /// restore `choice` to its push-time value OR'd with this.
-    lemma_choice: bool,
     /// Whether to independently certify definite verdicts (replaying
     /// `Sat` models through the predicate evaluator and `Unsat` theory
     /// cores through the theory stack).
@@ -112,8 +105,6 @@ impl Session {
             scopes: Vec::new(),
             saturation: SaturationMemo::default(),
             lemma_seen: HashSet::new(),
-            choice: false,
-            lemma_choice: false,
             certify,
             elim: Vec::new(),
             theory: TheoryContext::new(),
@@ -141,19 +132,18 @@ impl Session {
     /// discard them while `encoded_upto` still counts them as encoded.
     pub(crate) fn push(&mut self) {
         self.encode_pending();
-        self.scopes.push((self.asserted.len(), self.choice));
+        self.scopes.push(self.asserted.len());
         self.sat.push_scope();
     }
 
     /// Closes the innermost scope, dropping its assertions (clauses,
     /// root-level units) while keeping every retained lemma.
     pub(crate) fn pop(&mut self) {
-        let (mark, choice) = self.scopes.pop().expect("pop without matching push");
+        let mark = self.scopes.pop().expect("pop without matching push");
         self.asserted.truncate(mark);
         self.encoded_upto = self.encoded_upto.min(mark);
         self.elim.truncate(self.encoded_upto);
         self.sat.pop_scope();
-        self.choice = choice || self.lemma_choice;
     }
 
     /// Asserts `p` (conjoined with everything previously asserted).
@@ -167,16 +157,6 @@ impl Session {
     fn grow_sat(&mut self) {
         while self.sat.num_vars() < self.ctx.num_vars() {
             self.sat.new_var();
-        }
-    }
-
-    fn add_lemma_clauses(&mut self, clauses: Vec<Vec<Lit>>) {
-        for c in clauses {
-            if c.len() > 1 {
-                self.choice = true;
-                self.lemma_choice = true;
-            }
-            self.sat.add_lemma(c);
         }
     }
 
@@ -197,12 +177,11 @@ impl Session {
             let unit = encode_incremental(&p, &mut self.atoms, &self.env, &mut self.ctx);
             self.grow_sat();
             for c in unit.clauses {
-                if c.len() > 1 {
-                    self.choice = true;
-                }
                 self.sat.add_clause(c);
             }
-            self.add_lemma_clauses(unit.lemma_clauses);
+            for c in unit.lemma_clauses {
+                self.sat.add_lemma(c);
+            }
         }
     }
 
@@ -246,7 +225,6 @@ impl Session {
             bb_nodes: budget.max_bb_nodes,
             deadline,
         };
-        let minimize = self.choice;
         // Certificate material for an eventual `Unsat`: the literal sets
         // behind every theory blocking clause learned in this check.
         let mut cores: Vec<Vec<(AtomId, bool)>> = Vec::new();
@@ -282,13 +260,10 @@ impl Session {
                         .map(|(i, &v)| (AtomId(i as u32), self.sat.model_value(v)))
                         .collect();
                     let root = root_literals(&self.sat, &self.atom_of_var);
-                    match self.theory.check(
-                        &self.atoms,
-                        &assignment,
-                        &root,
-                        minimize,
-                        &theory_budget,
-                    ) {
+                    match self
+                        .theory
+                        .check(&self.atoms, &assignment, &root, &theory_budget)
+                    {
                         TheoryResult::Sat if lemmas.saturation_truncated => {
                             // A truncated saturation pass only *weakens*
                             // the formula: an `Unsat` stays sound, but
@@ -334,7 +309,7 @@ impl Session {
                                 })
                                 .collect();
                             self.sat.reset_to_root();
-                            self.add_lemma_clauses(vec![block]);
+                            self.sat.add_lemma(block);
                         }
                     }
                 }
@@ -392,8 +367,9 @@ impl Session {
         let lem = eliminate_ite(lem, &mut self.env);
         let unit = encode_incremental(&lem, &mut self.atoms, &self.env, &mut self.ctx);
         self.grow_sat();
-        self.add_lemma_clauses(unit.clauses);
-        self.add_lemma_clauses(unit.lemma_clauses);
+        for c in unit.clauses.into_iter().chain(unit.lemma_clauses) {
+            self.sat.add_lemma(c);
+        }
     }
 
     /// Certifies a `Sat` model: every asserted (ite-eliminated) predicate

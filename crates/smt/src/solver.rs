@@ -3,10 +3,11 @@
 //!
 //! Architecture (lazy SMT): preprocess (set canonicalization, array axiom
 //! instantiation, if-then-else lifting) → atomize + Tseitin-encode → CDCL
-//! enumeration with full-model theory checks and minimized blocking
-//! clauses. Every query runs that pipeline in a `Session`: a scalar
-//! query on a one-shot session, a batch or the scope API on a shared
-//! one; every query is accounted by one routine (`SmtSolver::query`).
+//! enumeration with full-model theory checks, each conflict blocked by
+//! its confirmed theory explanation. Every query runs that pipeline in a
+//! `Session`: a scalar query on a one-shot session, a batch or the scope
+//! API on a shared one; every query is accounted by one routine
+//! (`SmtSolver::query`).
 
 use crate::cache::QueryCache;
 use crate::session::Session;
@@ -162,11 +163,6 @@ impl SmtSolver {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> SolverConfig {
-        self.config
-    }
-
     /// Installs a shared validity cache (replacing the private one), so
     /// this solver reuses — and contributes — answers across solvers.
     pub fn share_cache(&mut self, cache: Arc<QueryCache>) {
@@ -185,11 +181,6 @@ impl SmtSolver {
     /// store of query accounting.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
-    }
-
-    /// The observability handle in use.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
     }
 
     /// Stamps the provenance attributed to subsequently solved queries

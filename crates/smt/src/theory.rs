@@ -38,9 +38,9 @@
 //! its proof-forest path, a simplex→EUF equality the Farkas rows of both
 //! separation probes — and the conflicting engine's explanation, mapped
 //! back to literals, is the core. No context verdict blocks a model on
-//! its own say: an Unsat explanation is confirmed by one closure on fresh
-//! engines before it becomes a core (and is then shrunk by deletion,
-//! when a small core is asked for). An explanation that fails
+//! its own say: an Unsat explanation becomes the core once one closure
+//! on fresh engines confirms it, as DPLL(T) solvers block a model with
+//! the theory explanation itself. An explanation that fails
 //! confirmation sends the model to fresh engines ([`check_assignment`]),
 //! so a wrong frame costs time, never soundness. So do a context verdict
 //! of Unknown and an integer conflict that branch-and-bound found: that
@@ -82,7 +82,8 @@ pub enum TheoryResult {
     /// The assignment is theory-consistent.
     Sat,
     /// Conflict; the payload lists indices into the assignment slice that
-    /// together are inconsistent (a minimized core).
+    /// together are inconsistent (a confirmed explanation, or the whole
+    /// assignment when none was confirmed).
     Unsat(Vec<usize>),
     /// The check's budget ran out before consistency was decided; the
     /// payload names the exhausted resource.
@@ -106,25 +107,21 @@ enum Consistency {
 
 /// Checks a full atom assignment for theory consistency on fresh
 /// engines.
-///
-/// `minimize` requests a small core; callers skip it when one blocking
-/// clause of any size already ends the search (purely conjunctive
-/// queries).
 pub fn check_assignment(
     atoms: &Atoms,
     assignment: &[(AtomId, bool)],
-    minimize: bool,
     budget: &TheoryBudget,
 ) -> TheoryResult {
     micro::add(MicroCounter::TheoryAssignments, 1);
-    decide_fresh(atoms, assignment, minimize, budget)
+    decide_fresh(atoms, assignment, budget)
 }
 
-/// [`check_assignment`] without counting the model.
+/// [`check_assignment`] without counting the model. The core is the
+/// closure's explanation once a second closure confirms it, and the
+/// whole model otherwise.
 fn decide_fresh(
     atoms: &Atoms,
     assignment: &[(AtomId, bool)],
-    minimize: bool,
     budget: &TheoryBudget,
 ) -> TheoryResult {
     let fresh = Fresh {
@@ -139,21 +136,16 @@ fn decide_fresh(
         Consistency::Unknown(r) => return TheoryResult::Unknown(r),
         Consistency::Unsat(explanation) | Consistency::Searched(explanation) => explanation,
     };
-    if !minimize {
-        return TheoryResult::Unsat(all);
+    if fresh.is_unsat(&explanation) {
+        return TheoryResult::Unsat(explanation);
     }
-    let core = if fresh.is_unsat(&explanation) {
-        explanation
-    } else {
-        micro::add(MicroCounter::TheoryCoreFallbacks, 1);
-        all
-    };
-    TheoryResult::Unsat(fresh.shrink(core))
+    micro::add(MicroCounter::TheoryCoreFallbacks, 1);
+    TheoryResult::Unsat(all)
 }
 
 /// Closures on fresh engines over subsets of one model: the model's own
-/// check, confirmation, and deletion. A core is what these accept, so it
-/// replays on its own (as `--certify` does).
+/// check and confirmation. A core is what these accept, so it replays on
+/// its own (as `--certify` does).
 struct Fresh<'a> {
     atoms: &'a Atoms,
     assignment: &'a [(AtomId, bool)],
@@ -187,43 +179,12 @@ impl Fresh<'_> {
     /// Turns a context explanation into a core, but only once fresh
     /// engines confirm it is inconsistent; otherwise the model is
     /// re-decided on fresh engines.
-    fn confirm(&self, explanation: Vec<usize>, minimize: bool) -> TheoryResult {
+    fn confirm(&self, explanation: Vec<usize>) -> TheoryResult {
         if self.is_unsat(&explanation) {
-            return TheoryResult::Unsat(if minimize {
-                self.shrink(explanation)
-            } else {
-                explanation
-            });
+            return TheoryResult::Unsat(explanation);
         }
         micro::add(MicroCounter::TheoryCoreFallbacks, 1);
-        decide_fresh(self.atoms, self.assignment, minimize, self.budget)
-    }
-
-    /// Chunked deletion minimization of an inconsistent `core`: drop
-    /// halves while the conflict persists, then shrink the chunk size —
-    /// O(core·log n) checks instead of O(n) for the typical small core.
-    /// An Unknown trial keeps the chunk (the core stays a superset of a
-    /// real conflict, which is sound — just less minimal).
-    fn shrink(&self, mut core: Vec<usize>) -> Vec<usize> {
-        let mut chunk = (core.len() / 2).max(1);
-        loop {
-            let mut i = 0;
-            while i < core.len() {
-                let hi = (i + chunk).min(core.len());
-                let mut trial = Vec::with_capacity(core.len());
-                trial.extend_from_slice(&core[..i]);
-                trial.extend_from_slice(&core[hi..]);
-                if self.is_unsat(&trial) {
-                    core = trial;
-                } else {
-                    i = hi;
-                }
-            }
-            if chunk == 1 {
-                return core;
-            }
-            chunk /= 2;
-        }
+        decide_fresh(self.atoms, self.assignment, self.budget)
     }
 }
 
@@ -260,7 +221,6 @@ impl TheoryContext {
         atoms: &Atoms,
         assignment: &[(AtomId, bool)],
         root: &[(AtomId, bool)],
-        minimize: bool,
         budget: &TheoryBudget,
     ) -> TheoryResult {
         micro::add(MicroCounter::TheoryAssignments, 1);
@@ -309,9 +269,9 @@ impl TheoryContext {
         };
         match verdict {
             Consistency::Sat => TheoryResult::Sat,
-            Consistency::Unsat(explanation) => fresh.confirm(explanation, minimize),
+            Consistency::Unsat(explanation) => fresh.confirm(explanation),
             Consistency::Searched(_) | Consistency::Unknown(_) => {
-                decide_fresh(atoms, assignment, minimize, budget)
+                decide_fresh(atoms, assignment, budget)
             }
         }
     }
@@ -831,7 +791,7 @@ mod tests {
         let env = env();
         let (atoms, lits) = lits_of(&["x < y", "y < x"], &env);
         assert!(matches!(
-            check_assignment(&atoms, &lits, true, &TheoryBudget::default()),
+            check_assignment(&atoms, &lits, &TheoryBudget::default()),
             TheoryResult::Unsat(_)
         ));
     }
@@ -841,7 +801,7 @@ mod tests {
         let env = env();
         let (atoms, lits) = lits_of(&["x < y", "y < z"], &env);
         assert_eq!(
-            check_assignment(&atoms, &lits, true, &TheoryBudget::default()),
+            check_assignment(&atoms, &lits, &TheoryBudget::default()),
             TheoryResult::Sat
         );
     }
@@ -851,7 +811,7 @@ mod tests {
         let env = env();
         let (atoms, lits) = lits_of(&["x = y", "f(x) != f(y)"], &env);
         assert!(matches!(
-            check_assignment(&atoms, &lits, true, &TheoryBudget::default()),
+            check_assignment(&atoms, &lits, &TheoryBudget::default()),
             TheoryResult::Unsat(_)
         ));
     }
@@ -862,7 +822,7 @@ mod tests {
         let env = env();
         let (atoms, lits) = lits_of(&["x <= y", "y <= x", "f(x) != f(y)"], &env);
         assert!(matches!(
-            check_assignment(&atoms, &lits, true, &TheoryBudget::default()),
+            check_assignment(&atoms, &lits, &TheoryBudget::default()),
             TheoryResult::Unsat(_)
         ));
     }
@@ -873,7 +833,7 @@ mod tests {
         let env = env();
         let (atoms, lits) = lits_of(&["x <= 0", "0 <= x", "x != 0"], &env);
         assert!(matches!(
-            check_assignment(&atoms, &lits, true, &TheoryBudget::default()),
+            check_assignment(&atoms, &lits, &TheoryBudget::default()),
             TheoryResult::Unsat(_)
         ));
     }
@@ -884,7 +844,7 @@ mod tests {
         let env = env();
         let (atoms, lits) = lits_of(&["x = y", "y < x"], &env);
         assert!(matches!(
-            check_assignment(&atoms, &lits, true, &TheoryBudget::default()),
+            check_assignment(&atoms, &lits, &TheoryBudget::default()),
             TheoryResult::Unsat(_)
         ));
     }
@@ -893,8 +853,7 @@ mod tests {
     fn minimized_core_is_small() {
         let env = env();
         let (atoms, lits) = lits_of(&["x < y", "z < w", "y < x"], &env);
-        let TheoryResult::Unsat(core) =
-            check_assignment(&atoms, &lits, true, &TheoryBudget::default())
+        let TheoryResult::Unsat(core) = check_assignment(&atoms, &lits, &TheoryBudget::default())
         else {
             panic!("expected conflict");
         };
@@ -909,14 +868,15 @@ mod tests {
     fn core_of(lits: &[&str]) -> Vec<usize> {
         let env = env();
         let (atoms, lits) = lits_of(lits, &env);
-        let result = check_assignment(&atoms, &lits, true, &TheoryBudget::default());
+        let result = check_assignment(&atoms, &lits, &TheoryBudget::default());
         let counts = micro::drain().micro;
         assert_eq!(
             counts[MicroCounter::TheoryCoreFallbacks.index()],
             0,
             "fallback fired"
         );
-        assert!(counts[MicroCounter::TheoryChecks.index()] >= 2);
+        // The model's closure and the one that confirms its explanation.
+        assert_eq!(counts[MicroCounter::TheoryChecks.index()], 2);
         let TheoryResult::Unsat(core) = result else {
             panic!("expected a conflict, got {result:?}");
         };
@@ -967,11 +927,11 @@ mod tests {
             deadline: None,
         };
         assert_eq!(
-            check_assignment(&atoms, &lits, true, &starved),
+            check_assignment(&atoms, &lits, &starved),
             TheoryResult::Unknown(Resource::BranchBoundNodes)
         );
         assert!(matches!(
-            check_assignment(&atoms, &lits, true, &TheoryBudget::default()),
+            check_assignment(&atoms, &lits, &TheoryBudget::default()),
             TheoryResult::Unsat(_)
         ));
     }
@@ -990,12 +950,11 @@ mod tests {
         micro::drain();
         let first = [(a, true), (b, false)];
         assert_eq!(
-            ctx.check(&atoms, &first, &first[..1], true, &budget),
+            ctx.check(&atoms, &first, &first[..1], &budget),
             TheoryResult::Sat
         );
         let second = [(a, false), (b, false)];
-        let TheoryResult::Unsat(core) = ctx.check(&atoms, &second, &second[..1], true, &budget)
-        else {
+        let TheoryResult::Unsat(core) = ctx.check(&atoms, &second, &second[..1], &budget) else {
             panic!("0 < x < 1 has no integer solution");
         };
         assert_eq!(core, vec![0, 1]);
@@ -1003,6 +962,9 @@ mod tests {
         assert_eq!(counts[MicroCounter::TheoryFrames.index()], 2);
         assert_eq!(counts[MicroCounter::TheoryCoreFallbacks.index()], 0);
         assert_eq!(counts[MicroCounter::TheoryAssignments.index()], 2);
+        // Each model's closure, and one confirming the second's
+        // explanation.
+        assert_eq!(counts[MicroCounter::TheoryChecks.index()], 3);
     }
 
     #[test]
@@ -1017,23 +979,17 @@ mod tests {
         let mut ctx = TheoryContext::new();
         micro::drain();
         let base = [lits[0]];
-        assert_eq!(
-            ctx.check(&atoms, &base, &base, true, &budget),
-            TheoryResult::Sat
-        );
+        assert_eq!(ctx.check(&atoms, &base, &base, &budget), TheoryResult::Sat);
         let two = [lits[0], lits[1]];
-        assert_eq!(
-            ctx.check(&atoms, &two, &two, true, &budget),
-            TheoryResult::Sat
-        );
+        assert_eq!(ctx.check(&atoms, &two, &two, &budget), TheoryResult::Sat);
         let other = [lits[0], lits[2]];
         assert_eq!(
-            ctx.check(&atoms, &other, &other, true, &budget),
+            ctx.check(&atoms, &other, &other, &budget),
             TheoryResult::Sat
         );
         let all = [lits[0], lits[1], lits[2]];
         assert!(matches!(
-            ctx.check(&atoms, &all, &other, true, &budget),
+            ctx.check(&atoms, &all, &other, &budget),
             TheoryResult::Unsat(_)
         ));
         let counts = micro::drain().micro;
@@ -1049,7 +1005,7 @@ mod tests {
         let env = env();
         let (atoms, lits) = lits_of(&["p != q"], &env);
         assert_eq!(
-            check_assignment(&atoms, &lits, true, &TheoryBudget::default()),
+            check_assignment(&atoms, &lits, &TheoryBudget::default()),
             TheoryResult::Sat
         );
     }
@@ -1059,7 +1015,7 @@ mod tests {
         let env = env();
         let (atoms, lits) = lits_of(&["p = q", "p != q"], &env);
         assert!(matches!(
-            check_assignment(&atoms, &lits, true, &TheoryBudget::default()),
+            check_assignment(&atoms, &lits, &TheoryBudget::default()),
             TheoryResult::Unsat(_)
         ));
     }

@@ -95,7 +95,7 @@ fn scratch_sat(env: &SortEnv, p: &Pred) -> SmtResult {
             .enumerate()
             .map(|(i, &v)| (AtomId(i as u32), sat.model_value(v)))
             .collect();
-        match check_assignment(&atoms, &model, true, &theory_budget) {
+        match check_assignment(&atoms, &model, &theory_budget) {
             TheoryResult::Sat if truncated => {
                 return SmtResult::Unknown(Exhaustion::with_detail(
                     Phase::Saturation,

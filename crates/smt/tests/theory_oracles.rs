@@ -604,9 +604,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     /// Every conflict core the theory check returns is itself infeasible
-    /// under the brute-force oracle, and each comes from an explanation
-    /// that passed its confirming check (no fallback to deletion over
-    /// the whole assignment).
+    /// under the brute-force oracle, and each is an explanation that
+    /// passed its confirming check (no fallback to the whole assignment).
     #[test]
     fn theory_cores_are_infeasible(
         extra in prop::collection::vec(arb_core_lit(), 2..8),
@@ -621,7 +620,7 @@ proptest! {
         let feasible = core_feasible(&all);
 
         dsolve_obs::micro::drain();
-        let result = check_assignment(&atoms, &assignment, true, &TheoryBudget::default());
+        let result = check_assignment(&atoms, &assignment, &TheoryBudget::default());
         let counts = dsolve_obs::micro::drain().micro;
         prop_assert_eq!(
             counts[MicroCounter::TheoryCoreFallbacks.index()],
@@ -648,20 +647,19 @@ proptest! {
 
 /// One step against a context: push a segment of root literals, pop the
 /// last segment, or check a model made of the root literals plus some
-/// others (with or without a minimized core).
+/// others.
 #[derive(Clone, Debug)]
 enum CtxOp {
     Push(Vec<CoreLit>),
     Pop,
-    Check(Vec<CoreLit>, bool),
+    Check(Vec<CoreLit>),
 }
 
 fn arb_ctx_op() -> impl Strategy<Value = CtxOp> {
     prop_oneof![
         prop::collection::vec(arb_core_lit(), 1..4).prop_map(CtxOp::Push),
         Just(CtxOp::Pop),
-        (prop::collection::vec(arb_core_lit(), 0..4), any::<bool>())
-            .prop_map(|(lits, minimize)| CtxOp::Check(lits, minimize)),
+        prop::collection::vec(arb_core_lit(), 0..4).prop_map(CtxOp::Check),
     ]
 }
 
@@ -718,7 +716,7 @@ proptest! {
                         segments.pop();
                     }
                 }
-                CtxOp::Check(others, minimize) => {
+                CtxOp::Check(others) => {
                     let mut model: Vec<((AtomId, bool), CoreLit)> =
                         segments.iter().flatten().cloned().collect();
                     let root: Vec<(AtomId, bool)> = model.iter().map(|(lit, _)| *lit).collect();
@@ -726,7 +724,7 @@ proptest! {
                     let assignment: Vec<(AtomId, bool)> =
                         model.iter().map(|(lit, _)| *lit).collect();
                     dsolve_obs::micro::drain();
-                    let got = ctx.check(&atoms, &assignment, &root, minimize, &budget);
+                    let got = ctx.check(&atoms, &assignment, &root, &budget);
                     let counts = dsolve_obs::micro::drain().micro;
                     prop_assert_eq!(
                         counts[MicroCounter::TheoryCoreFallbacks.index()],
@@ -734,7 +732,7 @@ proptest! {
                         "a context explanation failed confirmation on {:?}",
                         model
                     );
-                    let want = check_assignment(&atoms, &assignment, minimize, &budget);
+                    let want = check_assignment(&atoms, &assignment, &budget);
                     match (&got, &want) {
                         (TheoryResult::Sat, TheoryResult::Sat) => {}
                         (TheoryResult::Unsat(core), TheoryResult::Unsat(_)) => {
