@@ -113,34 +113,12 @@ pub fn check_assignment(
     budget: &TheoryBudget,
 ) -> TheoryResult {
     micro::add(MicroCounter::TheoryAssignments, 1);
-    decide_fresh(atoms, assignment, budget)
-}
-
-/// [`check_assignment`] without counting the model. The core is the
-/// closure's explanation once a second closure confirms it, and the
-/// whole model otherwise.
-fn decide_fresh(
-    atoms: &Atoms,
-    assignment: &[(AtomId, bool)],
-    budget: &TheoryBudget,
-) -> TheoryResult {
-    let fresh = Fresh {
+    Fresh {
         atoms,
         assignment,
         budget,
-    };
-    let all: Vec<usize> = (0..assignment.len()).collect();
-    let explanation = match fresh.closure(&all) {
-        Consistency::Sat => return TheoryResult::Sat,
-        // The full check could not be decided: neither verdict is safe.
-        Consistency::Unknown(r) => return TheoryResult::Unknown(r),
-        Consistency::Unsat(explanation) | Consistency::Searched(explanation) => explanation,
-    };
-    if fresh.is_unsat(&explanation) {
-        return TheoryResult::Unsat(explanation);
     }
-    micro::add(MicroCounter::TheoryCoreFallbacks, 1);
-    TheoryResult::Unsat(all)
+    .decide()
 }
 
 /// Closures on fresh engines over subsets of one model: the model's own
@@ -153,6 +131,23 @@ struct Fresh<'a> {
 }
 
 impl Fresh<'_> {
+    /// Decides the whole model. The core is the closure's explanation
+    /// once a second closure confirms it, and the whole model otherwise.
+    fn decide(&self) -> TheoryResult {
+        let all: Vec<usize> = (0..self.assignment.len()).collect();
+        let explanation = match self.closure(&all) {
+            Consistency::Sat => return TheoryResult::Sat,
+            // The full check could not be decided: neither verdict is safe.
+            Consistency::Unknown(r) => return TheoryResult::Unknown(r),
+            Consistency::Unsat(explanation) | Consistency::Searched(explanation) => explanation,
+        };
+        if self.is_unsat(&explanation) {
+            return TheoryResult::Unsat(explanation);
+        }
+        micro::add(MicroCounter::TheoryCoreFallbacks, 1);
+        TheoryResult::Unsat(all)
+    }
+
     /// The closure of the literals at `indices` (into the model), its
     /// explanation mapped back to indices.
     fn closure(&self, indices: &[usize]) -> Consistency {
@@ -184,7 +179,7 @@ impl Fresh<'_> {
             return TheoryResult::Unsat(explanation);
         }
         micro::add(MicroCounter::TheoryCoreFallbacks, 1);
-        decide_fresh(self.atoms, self.assignment, self.budget)
+        self.decide()
     }
 }
 
@@ -270,9 +265,7 @@ impl TheoryContext {
         match verdict {
             Consistency::Sat => TheoryResult::Sat,
             Consistency::Unsat(explanation) => fresh.confirm(explanation),
-            Consistency::Searched(_) | Consistency::Unknown(_) => {
-                decide_fresh(atoms, assignment, budget)
-            }
+            Consistency::Searched(_) | Consistency::Unknown(_) => fresh.decide(),
         }
     }
 
@@ -850,7 +843,7 @@ mod tests {
     }
 
     #[test]
-    fn minimized_core_is_small() {
+    fn explained_core_is_small() {
         let env = env();
         let (atoms, lits) = lits_of(&["x < y", "z < w", "y < x"], &env);
         let TheoryResult::Unsat(core) = check_assignment(&atoms, &lits, &TheoryBudget::default())
