@@ -24,7 +24,7 @@
 //! [`dsolve_logic::Resource::Certification`].
 
 use crate::cnf::{AtomId, Atoms};
-use crate::theory::{check_assignment, TheoryBudget, TheoryResult};
+use crate::theory::{refuted_on_fresh_engines, TheoryBudget};
 use dsolve_logic::{Pred, SortEnv};
 
 /// Truth value of `p` under a per-atom model, or `None` when a leaf has
@@ -104,23 +104,24 @@ pub(crate) fn eval_pred(
 /// Certifies an `Unsat` answer: every recorded theory core must still be
 /// refuted by the theory stack. Returns an error description on failure.
 ///
-/// Each core replays as one [`check_assignment`] on fresh engines: the
-/// core's closure, and the closure confirming its explanation.
+/// Each core replays as one closure on fresh engines, which decides it:
+/// the core is certified when that closure refutes it, whatever its
+/// explanation.
 pub(crate) fn certify_unsat(
     atoms: &Atoms,
     cores: &[Vec<(AtomId, bool)>],
     budget: &TheoryBudget,
 ) -> Result<(), String> {
     for (i, core) in cores.iter().enumerate() {
-        match check_assignment(atoms, core, budget) {
-            TheoryResult::Unsat(_) => {}
-            TheoryResult::Sat => {
+        match refuted_on_fresh_engines(atoms, core, budget) {
+            Ok(true) => {}
+            Ok(false) => {
                 return Err(format!(
                     "theory core {i} of {} replayed satisfiable",
                     cores.len()
                 ));
             }
-            TheoryResult::Unknown(r) => {
+            Err(r) => {
                 return Err(format!(
                     "theory core {i} of {} could not be replayed ({r})",
                     cores.len()
@@ -136,6 +137,7 @@ mod tests {
     use super::*;
     use crate::cnf::{encode_incremental, EncodeCtx};
     use dsolve_logic::{parse_pred, Sort, Symbol};
+    use dsolve_obs::{micro, MicroCounter};
 
     fn env() -> SortEnv {
         let mut env = SortEnv::new();
@@ -195,7 +197,12 @@ mod tests {
             bb_nodes: 400,
             deadline: None,
         };
+        micro::drain();
         assert!(certify_unsat(&atoms, std::slice::from_ref(&core), &budget).is_ok());
+        // One closure decides the replayed core. (Each test runs on its
+        // own thread, so the thread-local counters hold this replay.)
+        let counts = micro::drain().micro;
+        assert_eq!(counts[MicroCounter::TheoryChecks.index()], 1);
         // A satisfiable "core" must be rejected.
         let sat_core = vec![core[0]];
         assert!(certify_unsat(&atoms, &[sat_core], &budget).is_err());

@@ -7,6 +7,7 @@
 //! coefficients scaled to coprime integers, constants ceiling-tightened —
 //! so equivalent atoms share one SAT variable.
 
+use crate::term::heads;
 use crate::{BVar, LinExpr, Lit, Rat, Term, TermArena, TermId};
 use dsolve_logic::{Pred, Rel, Sort, SortEnv, Symbol};
 use std::collections::HashMap;
@@ -41,12 +42,22 @@ pub enum Atom {
     BoolTerm(TermId),
 }
 
+/// What identifies an atom: its sides for an equality (ordered by id;
+/// the linear form follows from them), the normalized form of an
+/// inequality, the term of a boolean atom.
+#[derive(PartialEq, Eq, Hash)]
+enum AtomKey {
+    Eq(TermId, TermId),
+    Le(LinExpr),
+    Bool(TermId),
+}
+
 /// The atom table built during encoding.
 pub struct Atoms {
     /// Term arena shared with the theory solvers.
     pub arena: TermArena,
     defs: Vec<Atom>,
-    dedup: HashMap<String, AtomId>,
+    dedup: HashMap<AtomKey, AtomId>,
     true_id: TermId,
     false_id: TermId,
 }
@@ -97,14 +108,43 @@ impl Atoms {
         &self.defs[id.index()]
     }
 
-    fn intern(&mut self, key: String, def: Atom) -> AtomId {
+    fn intern(&mut self, key: AtomKey, def: impl FnOnce(&TermArena) -> Atom) -> AtomId {
         if let Some(&id) = self.dedup.get(&key) {
             return id;
         }
         let id = AtomId(u32::try_from(self.defs.len()).expect("atom table overflow"));
+        self.defs.push(def(&self.arena));
         self.dedup.insert(key, id);
-        self.defs.push(def);
         id
+    }
+
+    /// The atom `lhs = rhs` over two arena terms: the atom
+    /// [`Atoms::atom_of_rel`] gives `Rel::Eq` between any two expressions
+    /// that flatten to `lhs` and `rhs`, in that order. Integer-sorted
+    /// sides carry their linear difference.
+    pub fn eq_atom(&mut self, lhs: TermId, rhs: TermId) -> AtomId {
+        let int = *self.arena.sort(lhs) == Sort::Int && *self.arena.sort(rhs) == Sort::Int;
+        self.eq_atom_of(lhs, rhs, int)
+    }
+
+    /// The equality atom over `lhs` and `rhs`, its linear form `lhs − rhs`
+    /// when `int`.
+    fn eq_atom_of(&mut self, lhs: TermId, rhs: TermId, int: bool) -> AtomId {
+        let (a, b) = if lhs <= rhs { (lhs, rhs) } else { (rhs, lhs) };
+        self.intern(AtomKey::Eq(a, b), |arena| {
+            let lin = int.then(|| arena.linear_form(lhs).minus(&arena.linear_form(rhs)));
+            Atom::Eq { a, b, lin }
+        })
+    }
+
+    /// The atom of `lin ≤ 0`, already normalized.
+    fn le_atom(&mut self, lin: LinExpr) -> AtomId {
+        self.intern(AtomKey::Le(lin.clone()), |_| Atom::IntLe(lin))
+    }
+
+    /// The atom of boolean term `t`.
+    fn bool_atom(&mut self, t: TermId) -> AtomId {
+        self.intern(AtomKey::Bool(t), |_| Atom::BoolTerm(t))
     }
 
     /// Normalizes `lin ≤ 0`: integer coefficients, coprime, constant
@@ -129,16 +169,6 @@ impl Atoms {
         // Tighten the constant: Σa·x + c ≤ 0 ⟺ Σa·x + ⌈c⌉ ≤ 0 over ints.
         lin.constant = lin.constant.ceil();
         lin
-    }
-
-    fn lin_key(lin: &LinExpr) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = write!(s, "{}", lin.constant);
-        for (t, c) in &lin.terms {
-            let _ = write!(s, "+{}*t{}", c, t.0);
-        }
-        s
     }
 
     /// Returns the atom (and polarity) for `a rel b` between two flattened
@@ -176,35 +206,24 @@ impl Atoms {
                     }
                     _ => unreachable!(),
                 };
-                let lin = Self::normalize_le(lin);
-                let key = format!("le:{}", Self::lin_key(&lin));
-                (self.intern(key, Atom::IntLe(lin)), true)
+                (self.le_atom(Self::normalize_le(lin)), true)
             }
             Rel::Eq | Rel::Ne => {
                 let ta = self.arena.flatten(lhs, env);
                 let tb = self.arena.flatten(rhs, env);
-                let (ta, tb) = if ta <= tb { (ta, tb) } else { (tb, ta) };
-                let lin = if both_int {
-                    let la = self.arena.linearize(lhs, env);
-                    let lb = self.arena.linearize(rhs, env);
-                    Some(la.minus(&lb))
-                } else {
-                    None
-                };
-                let key = format!("eq:t{}:t{}", ta.0, tb.0);
-                let id = self.intern(key, Atom::Eq { a: ta, b: tb, lin });
-                (id, rel == Rel::Eq)
+                (self.eq_atom_of(ta, tb, both_int), rel == Rel::Eq)
             }
             Rel::In | Rel::Sub => {
                 // Uninterpreted membership/subset predicate over terms.
                 let ta = self.arena.flatten(lhs, env);
                 let tb = self.arena.flatten(rhs, env);
-                let head = if rel == Rel::In { "$in" } else { "$subset" };
-                let t = self
-                    .arena
-                    .intern(Term::App(Symbol::new(head), vec![ta, tb]), Sort::Bool);
-                let key = format!("bt:t{}", t.0);
-                (self.intern(key, Atom::BoolTerm(t)), true)
+                let head = if rel == Rel::In {
+                    heads().member
+                } else {
+                    heads().subset
+                };
+                let t = self.arena.intern(Term::App(head, vec![ta, tb]), Sort::Bool);
+                (self.bool_atom(t), true)
             }
             // Ordering over non-integers: treated as an uninterpreted
             // boolean term (sound: no facts are derivable from it).
@@ -215,8 +234,7 @@ impl Atoms {
                     Term::App(Symbol::new(&format!("$rel_{rel}")), vec![ta, tb]),
                     Sort::Bool,
                 );
-                let key = format!("bt:t{}", t.0);
-                (self.intern(key, Atom::BoolTerm(t)), true)
+                (self.bool_atom(t), true)
             }
         }
     }
@@ -224,16 +242,13 @@ impl Atoms {
     /// Returns the atom for a boolean term.
     pub fn atom_of_term(&mut self, e: &dsolve_logic::Expr, env: &SortEnv) -> AtomId {
         let t = self.arena.flatten(e, env);
-        let key = format!("bt:t{}", t.0);
-        self.intern(key, Atom::BoolTerm(t))
+        self.bool_atom(t)
     }
 
     /// Interns a normalized `lin ≤ 0` atom directly (used by the encoder
     /// to split integer equalities into a pair of inequalities).
     pub fn int_le_atom(&mut self, lin: LinExpr) -> AtomId {
-        let lin = Self::normalize_le(lin);
-        let key = format!("le:{}", Self::lin_key(&lin));
-        self.intern(key, Atom::IntLe(lin))
+        self.le_atom(Self::normalize_le(lin))
     }
 }
 

@@ -67,6 +67,6 @@ pub use rational::Rat;
 pub use sat::{BVar, CdclSolver, Lit, SatResult};
 pub use sets::{canonicalize_sets, set_saturation_lemma_list};
 pub use simplex::{LpResult, Simplex};
-pub use solver::{SmtResult, SmtSolver, SolverConfig, Validity};
+pub use solver::{eliminate_ite, SmtResult, SmtSolver, SolverConfig, Validity};
 pub use term::{LinExpr, Term, TermArena, TermId};
 pub use theory::{check_assignment, TheoryBudget, TheoryContext, TheoryResult};

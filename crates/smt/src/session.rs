@@ -12,24 +12,26 @@
 //! theory blocking clauses — is retained across pops, because a valid
 //! clause can never change a verdict, only speed it up.
 //!
-//! The preprocessing pipeline is `canonicalize sets → saturate set
-//! lemmas → instantiate array axioms → eliminate ite → encode`. Set
-//! canonicalization runs per asserted predicate (sound because it
-//! distributes over conjunction). Saturation runs over the full
-//! asserted conjunction at each check, through a [`SaturationMemo`]
-//! that lives as long as the session: it hands out only the lemmas the
-//! session has not been given before, in the order a memo-less pass
-//! over the conjunction lists them, and it spends that pass's budget,
-//! so a check's truncation flag and the clauses it adds are exactly
-//! those of regenerating the list and dropping the lemmas already
-//! encoded. Array-axiom instances are regenerated at each check and
-//! deduplicated against a monotone seen-set (the instantiation
-//! watermark).
+//! The preprocessing pipeline is `canonicalize sets → eliminate ite →
+//! encode`, then, over the encoded conjunction, `saturate set lemmas →
+//! instantiate array axioms`. Set canonicalization runs per asserted
+//! predicate (sound because it distributes over conjunction).
+//! Saturation runs over the full asserted conjunction at each check,
+//! through a [`SaturationMemo`] that lives as long as the session: it
+//! hands out only the lemmas the session has not been given before, in
+//! the order a memo-less pass over the conjunction lists them, each as
+//! one clause over the session's atoms, and it spends that pass's
+//! budget, so a check's truncation flag and the clauses it adds are
+//! exactly those of regenerating the list and dropping the lemmas
+//! already encoded. Array-axiom instances (over the conjunction alone:
+//! a set lemma only recombines the conjunction's own set terms) are
+//! regenerated at each check, encoded like assertions, and deduplicated
+//! against a monotone seen-set (the instantiation watermark).
 
 use crate::arrays::array_axiom_lemmas;
 use crate::cnf::{encode_incremental, AtomId, Atoms, EncodeCtx};
 use crate::sat::{BVar, CdclSolver, Lit, SatResult};
-use crate::sets::{canonicalize_sets, SaturationMemo};
+use crate::sets::{canonicalize_sets, LemmaClause, Saturation, SaturationMemo};
 use crate::solver::{certification_unknown, eliminate_ite, SmtResult};
 use crate::theory::{TheoryBudget, TheoryContext, TheoryResult};
 use dsolve_logic::{deadline_expired, Budget, Exhaustion, Phase, Pred, Resource, SortEnv};
@@ -82,13 +84,11 @@ pub(crate) struct Session {
 
 /// The theory lemmas of one check.
 pub(crate) struct CheckLemmas {
-    /// Set-saturation lemmas the session has not been given before.
-    pub(crate) sets: Vec<Pred>,
-    /// Array-axiom instances over the conjunction and `sets`, encoded
-    /// ones included.
+    /// Set-saturation lemma clauses the session has not been given
+    /// before, and whether the saturation budget ran out.
+    pub(crate) sets: Saturation,
+    /// Array-axiom instances over the conjunction, encoded ones included.
     pub(crate) arrays: Vec<Pred>,
-    /// Whether the saturation budget ran out before saturation completed.
-    pub(crate) saturation_truncated: bool,
 }
 
 impl Session {
@@ -122,6 +122,13 @@ impl Session {
     /// session when this one is abandoned (fault-injection retries).
     pub(crate) fn conjunction(&self) -> Pred {
         Pred::and(self.asserted.clone())
+    }
+
+    /// The atom table and sort environment, for tests that build the
+    /// session's clauses by other means.
+    #[cfg(test)]
+    pub(crate) fn atoms_and_env(&mut self) -> (&mut Atoms, &SortEnv) {
+        (&mut self.atoms, &self.env)
     }
 
     /// Opens an assertion scope.
@@ -163,7 +170,7 @@ impl Session {
     /// Encodes assertions not yet in the SAT core, at the current scope
     /// depth. Clause additions require root level, so a prior `Sat`
     /// answer's trail is unwound first.
-    fn encode_pending(&mut self) {
+    pub(crate) fn encode_pending(&mut self) {
         if self.encoded_upto == self.asserted.len() {
             return;
         }
@@ -193,18 +200,20 @@ impl Session {
         // the trail; clause additions require root level.
         self.sat.reset_to_root();
 
-        let lemmas = self.derive_lemmas(budget.max_saturation_lemmas);
-
         // Encode assertions made since the last push/check at the
-        // current scope depth.
+        // current scope depth; the lemmas are derived over their atoms.
         self.encode_pending();
+        let lemmas = self.derive_lemmas(budget.max_saturation_lemmas);
 
         // Encode lemmas new to the session as retained clauses (the memo
         // hands out only new set lemmas; array lemmas are filtered
         // here). Each lemma is valid on its own (guarded ground
         // instances), so retention across pops cannot flip a verdict.
-        for lem in &lemmas.sets {
-            self.encode_lemma(lem);
+        for clause in &lemmas.sets.clauses {
+            self.add_lemma_clause(clause);
+        }
+        for def in &lemmas.sets.ite_defs {
+            self.encode_lemma(def);
         }
         for lem in lemmas.arrays {
             if !self.lemma_seen.contains(&lem) {
@@ -264,7 +273,7 @@ impl Session {
                         .theory
                         .check(&self.atoms, &assignment, &root, &theory_budget)
                     {
-                        TheoryResult::Sat if lemmas.saturation_truncated => {
+                        TheoryResult::Sat if lemmas.sets.truncated => {
                             // A truncated saturation pass only *weakens*
                             // the formula: an `Unsat` stays sound, but
                             // this model may be an artifact of the
@@ -317,34 +326,32 @@ impl Session {
         }
     }
 
-    /// This check's theory lemmas. Generation runs over the *full*
-    /// current conjunction: saturation interacts across asserted
-    /// predicates, and the array pass also instantiates over terms the
-    /// new set lemmas introduce (strengthen first, instantiate second).
+    /// This check's theory lemmas, over the *full* current conjunction,
+    /// once it is encoded: saturation interacts across asserted
+    /// predicates. Array instantiation reads the conjunction alone, as no
+    /// set lemma adds a `Sel` or `Upd` term or an index.
     pub(crate) fn derive_lemmas(&mut self, max_saturation_lemmas: u64) -> CheckLemmas {
-        let joined;
-        let conj = match self.asserted.as_slice() {
-            [p] => p,
-            ps => {
-                joined = Pred::and(ps.to_vec());
-                &joined
-            }
+        // A literal `false` conjunct makes the conjunction `false`, which
+        // has no set terms and no array terms.
+        let asserted: &[Pred] = if self.asserted.contains(&Pred::False) {
+            &[]
+        } else {
+            &self.asserted
         };
-        let (sets, saturation_truncated) = micro::time(TheoryKind::Sets, || {
-            self.saturation.saturate(conj, max_saturation_lemmas)
+        let sets = micro::time(TheoryKind::Sets, || {
+            self.saturation.saturate(
+                asserted,
+                max_saturation_lemmas,
+                &mut self.atoms,
+                &mut self.env,
+            )
         });
         let arrays = if self.array_axioms {
-            micro::time(TheoryKind::Arrays, || {
-                array_axiom_lemmas(std::iter::once(conj).chain(&sets))
-            })
+            micro::time(TheoryKind::Arrays, || array_axiom_lemmas(asserted))
         } else {
             Vec::new()
         };
-        CheckLemmas {
-            sets,
-            arrays,
-            saturation_truncated,
-        }
+        CheckLemmas { sets, arrays }
     }
 
     /// Gives every atom added since the last check a SAT variable, in
@@ -360,6 +367,16 @@ impl Session {
         for (i, v) in self.atom_vars.iter().enumerate().skip(known) {
             self.atom_of_var[v.0 as usize] = Some(AtomId(i as u32));
         }
+    }
+
+    /// Adds a lemma clause over the session's atoms as a retained clause.
+    fn add_lemma_clause(&mut self, clause: &LemmaClause) {
+        let lits = clause
+            .iter()
+            .map(|&(aid, val)| Lit::new(self.ctx.var_of_atom(aid), val))
+            .collect();
+        self.grow_sat();
+        self.sat.add_lemma(lits);
     }
 
     /// Encodes `lem` as retained lemma clauses.

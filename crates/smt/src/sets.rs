@@ -13,9 +13,12 @@
 //! `e ∈ empty` is `false`; membership in an opaque set term stays as an
 //! uninterpreted atom.
 
-use dsolve_logic::{Expr, Pred, Rel};
+use crate::cnf::{AtomId, Atoms};
+use crate::solver::elim_expr;
+use crate::term::{Term, TermId};
+use dsolve_logic::{Expr, Pred, Rel, SortEnv};
 use dsolve_obs::{micro, MicroCounter};
-use std::collections::hash_map::Entry;
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -114,15 +117,100 @@ fn right_nested_union(leaves: Vec<Expr>) -> Expr {
     acc
 }
 
-/// Ground *leaf-substitution* lemmas for the set theory, derived once
-/// from `p` on a fresh [`SaturationMemo`]: every lemma of the pass is new
-/// to it. See [`SaturationMemo::saturate`] for the lemmas and the
-/// truncation flag.
+/// Ground *leaf-substitution* lemmas for the set theory, as predicates,
+/// plus the truncation flag: the memo-less pass that
+/// [`SaturationMemo::saturate`] reproduces, every union, leaf and pair
+/// rewritten and every lemma rebuilt. Sessions never call it; it is the
+/// reference their lemma clauses are tested against.
 ///
 /// Call on a formula that is already in canonical form (see
 /// [`canonicalize_sets`]).
 pub fn set_saturation_lemma_list(p: &Pred, max_lemmas: u64) -> (Vec<Pred>, bool) {
-    SaturationMemo::default().saturate(p, max_lemmas)
+    let (lemmas, truncated, _) = saturation_pass(p, max_lemmas);
+    (lemmas, truncated)
+}
+
+/// [`set_saturation_lemma_list`], with the number of union terms taken
+/// off the worklist.
+fn saturation_pass(p: &Pred, max_lemmas: u64) -> (Vec<Pred>, bool, u64) {
+    let mut pairs: BTreeSet<(Expr, Expr)> = BTreeSet::new();
+    let mut unions: BTreeSet<Expr> = BTreeSet::new();
+    let mut singles: BTreeSet<Expr> = BTreeSet::new();
+    collect(p, &mut pairs, &mut unions, &mut singles);
+
+    let mut lemmas: Vec<Pred> = Vec::new();
+    let mut seen: BTreeSet<Expr> = unions.clone();
+    let mut work: Vec<Expr> = unions.into_iter().collect();
+    let mut budget = max_lemmas;
+    let mut truncated = false;
+    let mut union_terms = 0u64;
+
+    'saturate: while let Some(u) = work.pop() {
+        union_terms += 1;
+        let mut leaves = Vec::new();
+        flatten_set(&u, &mut leaves);
+        for x in &leaves {
+            for (s, t) in &pairs {
+                if s == x {
+                    if budget == 0 {
+                        truncated = true;
+                        break 'saturate;
+                    }
+                    budget -= 1;
+                    let mut repl: Vec<Expr> = leaves.iter().filter(|l| *l != x).cloned().collect();
+                    flatten_set(t, &mut repl);
+                    let rebuilt = canon_of_leaves(repl);
+                    if rebuilt != u {
+                        lemmas.push(Pred::imp(
+                            Pred::eq(s.clone(), t.clone()),
+                            Pred::eq(u.clone(), rebuilt.clone()),
+                        ));
+                        if matches!(rebuilt, Expr::SetUnion(..)) && seen.insert(rebuilt.clone()) {
+                            work.push(rebuilt);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    for u in &seen {
+        let mut leaves = Vec::new();
+        flatten_set(u, &mut leaves);
+        if leaves.iter().any(|l| matches!(l, Expr::SetSingle(_))) {
+            lemmas.push(Pred::ne(u.clone(), Expr::SetEmpty));
+        }
+    }
+    for s in &singles {
+        lemmas.push(Pred::ne(s.clone(), Expr::SetEmpty));
+    }
+    let singles: Vec<Expr> = singles.into_iter().collect();
+    for (i, a) in singles.iter().enumerate() {
+        for b in &singles[i + 1..] {
+            if let (Expr::SetSingle(ea), Expr::SetSingle(eb)) = (a, b) {
+                lemmas.push(Pred::imp(
+                    Pred::eq(a.clone(), b.clone()),
+                    Pred::eq((**ea).clone(), (**eb).clone()),
+                ));
+            }
+        }
+    }
+    (lemmas, truncated, union_terms)
+}
+
+/// A lemma clause: literals over the session's atoms, `true` for the
+/// atom itself and `false` for its negation.
+pub(crate) type LemmaClause = Vec<(AtomId, bool)>;
+
+/// What one check's saturation hands the SAT core.
+pub(crate) struct Saturation {
+    /// The lemma clauses the memo has not handed out before, in order.
+    pub(crate) clauses: Vec<LemmaClause>,
+    /// Definitions `(c ⇒ v = t) ∧ (¬c ⇒ v = e)` of the variables that
+    /// stand for `ite(c, t, e)` in the terms of those clauses, first
+    /// needed by this check.
+    pub(crate) ite_defs: Vec<Pred>,
+    /// Whether the lemma budget ran out before saturation completed.
+    pub(crate) truncated: bool,
 }
 
 /// Set saturation for the lifetime of one SMT session.
@@ -133,16 +221,22 @@ pub fn set_saturation_lemma_list(p: &Pred, max_lemmas: u64) -> (Vec<Pred>, bool)
 /// of a batch re-derives its antecedent's. The memo interns set terms to
 /// ids, caches each term's flattened leaves and each `(union, leaf,
 /// replacement)` rewrite, and records every lemma it has handed out, so
-/// a repeated derivation costs a few id lookups instead of rebuilding,
-/// cloning and hashing a lemma predicate. Nothing is forgotten on a
-/// scope pop: the session retains every lemma clause across pops, so a
-/// lemma handed out once never needs handing out again.
+/// a repeated derivation costs a few id lookups. A rewrite's union is
+/// its sorted leaf ids, with no expression built for it. Each lemma is
+/// handed out as one clause over the session's atoms, its terms the
+/// session arena's (a union a rewrite built becomes `$union` nodes over
+/// its leaves' terms). Nothing is forgotten on a scope pop: the session
+/// retains every lemma clause across pops, so a lemma handed out once
+/// never needs handing out again.
 #[derive(Default)]
 pub(crate) struct SaturationMemo {
     /// Interned set terms, indexed by id.
     terms: Vec<MemoTerm>,
-    /// The id of each interned term.
+    /// The id of each interned expression.
     ids: HashMap<Expr, u32>,
+    /// The id of each union, by its leaves (for a canonical union, the
+    /// one leaf list that spells it).
+    unions: HashMap<Arc<[u32]>, u32>,
     /// `(union, leaf, replacement)` → the union with that leaf replaced
     /// by the replacement's leaves. An entry exists exactly when its
     /// substitution lemma (if the rewrite changes the union) was handed
@@ -154,18 +248,25 @@ pub(crate) struct SaturationMemo {
     injective: HashSet<(u32, u32)>,
 }
 
+#[derive(Default)]
 struct MemoTerm {
-    expr: Expr,
-    /// The term's leaves as [`flatten_set`] lists them, on first use.
+    /// The expression the term was interned from; `None` for a union
+    /// only a rewrite built.
+    expr: Option<Expr>,
+    /// The term's leaves as [`flatten_set`] lists them, on first use
+    /// (from creation on, for unions).
     leaves: Option<Arc<[u32]>>,
     /// The display form, for terms that occur as leaves: canonical leaf
     /// order sorts by it.
     key: Option<Box<str>>,
+    /// The term in the session's arena, once a lemma mentions it.
+    term: Option<TermId>,
 }
 
 impl SaturationMemo {
-    /// The ground leaf-substitution lemmas of `p` that this memo has not
-    /// handed out before, plus a flag that is `true` when the lemma
+    /// The ground leaf-substitution lemmas of the conjunction of
+    /// `conjuncts` that this memo has not handed out before, as clauses
+    /// over `atoms` (whose terms are sorted by `env`), plus a flag that is `true` when the lemma
     /// budget ran out before saturation completed.
     ///
     /// ACI1 canonicalization is syntactic, so an equality discovered at
@@ -177,36 +278,46 @@ impl SaturationMemo {
     /// (either orientation),
     ///
     /// ```text
-    /// s = t  ⇒  u = canon(u[x := t])
+    /// s = t  ⇒  u = canon(u[x := t])      the clause [¬(x = t), u = r]
     /// ```
     ///
     /// New union terms produced on the right enter the worklist, bounded
     /// by the `max_lemmas` budget, which every (union, leaf, pair) match
     /// of this call spends, handed out before or not. Non-emptiness
-    /// (`u ≠ empty` for sets with a singleton leaf) and singleton
-    /// injectivity (`single a = single b ⇒ a = b`) are instantiated for
-    /// the terms present. Each lemma is a valid fact of the set theory,
-    /// so sessions feed them to the SAT core as retained lemma clauses.
+    /// (`[¬(u = empty)]` for sets with a singleton leaf) and singleton
+    /// injectivity (`[¬(single a = single b), a = b]`) are instantiated
+    /// for the terms present. Each lemma is a valid fact of the set
+    /// theory, so sessions feed them to the SAT core as retained lemma
+    /// clauses. A guard's atom is the asserted equality's own.
     ///
-    /// The pass, its order and its budget are those of a memo-less pass
-    /// over `p`; the result is that pass's lemma list minus the lemmas
-    /// this memo handed out before, in the same order. The micro-counters
-    /// count the whole pass (`SetsSaturationLemmas` every lemma it
-    /// derives, new or not).
+    /// The pass, its order and its budget are those of the memo-less
+    /// [`set_saturation_lemma_list`] over the conjunction; the result is
+    /// the clauses of that pass's lemmas minus the lemmas this memo
+    /// handed out before, in the same order. The micro-counters count the
+    /// whole pass (`SetsSaturationLemmas` every lemma it derives, new or
+    /// not).
     ///
     /// A truncated lemma set only ever *weakens* the formula, so `Unsat`
     /// answers derived from it remain sound — but a `Sat` answer may be
     /// spurious, and callers must report the truncation rather than
     /// trust it.
     ///
-    /// Call on a formula that is already in canonical form (see
+    /// Call on formulas already in canonical form (see
     /// [`canonicalize_sets`]).
-    pub(crate) fn saturate(&mut self, p: &Pred, max_lemmas: u64) -> (Vec<Pred>, bool) {
+    pub(crate) fn saturate(
+        &mut self,
+        conjuncts: &[Pred],
+        max_lemmas: u64,
+        atoms: &mut Atoms,
+        env: &mut SortEnv,
+    ) -> Saturation {
         // Collect equality pairs over set-shaped sides and all union terms.
         let mut pairs: BTreeSet<(Expr, Expr)> = BTreeSet::new();
         let mut unions: BTreeSet<Expr> = BTreeSet::new();
         let mut singles: BTreeSet<Expr> = BTreeSet::new();
-        collect(p, &mut pairs, &mut unions, &mut singles);
+        for p in conjuncts {
+            collect(p, &mut pairs, &mut unions, &mut singles);
+        }
 
         // The right sides paired with each left side, in pair order.
         let mut partners: HashMap<u32, Vec<u32>> = HashMap::new();
@@ -216,12 +327,15 @@ impl SaturationMemo {
             partners.entry(s).or_default().push(t);
         }
 
-        let mut lemmas: Vec<Pred> = Vec::new();
+        let mut out = Saturation {
+            clauses: Vec::new(),
+            ite_defs: Vec::new(),
+            truncated: false,
+        };
         let mut derived = 0u64;
         let mut work: Vec<u32> = unions.into_iter().map(|u| self.intern(u)).collect();
         let mut seen: HashSet<u32> = work.iter().copied().collect();
         let mut budget = max_lemmas;
-        let mut truncated = false;
         let mut union_terms = 0u64;
 
         'saturate: while let Some(u) = work.pop() {
@@ -231,7 +345,7 @@ impl SaturationMemo {
                 let Some(ts) = partners.get(&x) else { continue };
                 for &t in ts {
                     if budget == 0 {
-                        truncated = true;
+                        out.truncated = true;
                         break 'saturate;
                     }
                     budget -= 1;
@@ -241,18 +355,17 @@ impl SaturationMemo {
                             let rebuilt = self.rewrite(&leaves, x, t);
                             self.rewrites.insert((u, x, t), rebuilt);
                             if rebuilt != u {
-                                lemmas.push(Pred::imp(
-                                    Pred::eq(self.expr(x).clone(), self.expr(t).clone()),
-                                    Pred::eq(self.expr(u).clone(), self.expr(rebuilt).clone()),
-                                ));
+                                let guard = self.eq_atom(x, t, atoms, env, &mut out.ite_defs);
+                                let conclusion =
+                                    self.eq_atom(u, rebuilt, atoms, env, &mut out.ite_defs);
+                                out.clauses.push(vec![(guard, false), (conclusion, true)]);
                             }
                             rebuilt
                         }
                     };
                     if rebuilt != u {
                         derived += 1;
-                        if matches!(self.expr(rebuilt), Expr::SetUnion(..)) && seen.insert(rebuilt)
-                        {
+                        if self.is_union(rebuilt) && seen.insert(rebuilt) {
                             work.push(rebuilt);
                         }
                     }
@@ -267,17 +380,14 @@ impl SaturationMemo {
         let mut fresh: Vec<u32> = Vec::new();
         for &u in &seen {
             let leaves = self.leaves(u);
-            if leaves
-                .iter()
-                .any(|&l| matches!(self.expr(l), Expr::SetSingle(_)))
-            {
+            if leaves.iter().any(|&l| self.is_single(l)) {
                 derived += 1;
                 if self.nonempty.insert(u) {
                     fresh.push(u);
                 }
             }
         }
-        fresh.sort_by(|&a, &b| self.expr(a).cmp(self.expr(b)));
+        fresh.sort_by(|&a, &b| self.cmp_unions(a, b));
         let singles: Vec<u32> = singles.into_iter().map(|s| self.intern(s)).collect();
         derived += singles.len() as u64;
         for &s in &singles {
@@ -286,7 +396,9 @@ impl SaturationMemo {
             }
         }
         for u in fresh {
-            lemmas.push(Pred::ne(self.expr(u).clone(), Expr::SetEmpty));
+            let u = self.term_of(u, atoms, env, &mut out.ite_defs);
+            let empty = atoms.arena.empty_set();
+            out.clauses.push(vec![(atoms.eq_atom(u, empty), false)]);
         }
 
         // Singleton injectivity.
@@ -296,60 +408,103 @@ impl SaturationMemo {
                 if !self.injective.insert((a, b)) {
                     continue;
                 }
-                if let (Expr::SetSingle(ea), Expr::SetSingle(eb)) = (self.expr(a), self.expr(b)) {
-                    lemmas.push(Pred::imp(
-                        Pred::eq(self.expr(a).clone(), self.expr(b).clone()),
-                        Pred::eq((**ea).clone(), (**eb).clone()),
-                    ));
-                }
+                let guard = self.eq_atom(a, b, atoms, env, &mut out.ite_defs);
+                let ea = self.element(a, atoms, env, &mut out.ite_defs);
+                let eb = self.element(b, atoms, env, &mut out.ite_defs);
+                out.clauses
+                    .push(vec![(guard, false), (atoms.eq_atom(ea, eb), true)]);
             }
         }
 
         micro::add(MicroCounter::SetsUnionTerms, union_terms);
         micro::add(MicroCounter::SetsSaturationLemmas, derived);
-        (lemmas, truncated)
-    }
-
-    fn expr(&self, id: u32) -> &Expr {
-        &self.terms[id as usize].expr
+        out
     }
 
     fn intern(&mut self, e: Expr) -> u32 {
-        match self.ids.entry(e) {
-            Entry::Occupied(o) => *o.get(),
-            Entry::Vacant(v) => {
-                let id = self.terms.len() as u32;
-                self.terms.push(MemoTerm {
-                    expr: v.key().clone(),
-                    leaves: None,
-                    key: None,
-                });
-                v.insert(id);
-                id
-            }
+        if let Some(&id) = self.ids.get(&e) {
+            return id;
         }
+        let id = if matches!(e, Expr::SetUnion(..)) {
+            // A union a rewrite already built is this one.
+            let leaves = self.leaves_of(&e);
+            match self.unions.get(&leaves) {
+                Some(&id) => id,
+                None => {
+                    let id = self.push(MemoTerm {
+                        expr: Some(e.clone()),
+                        leaves: Some(Arc::clone(&leaves)),
+                        ..MemoTerm::default()
+                    });
+                    self.unions.insert(leaves, id);
+                    id
+                }
+            }
+        } else {
+            self.push(MemoTerm {
+                expr: Some(e.clone()),
+                ..MemoTerm::default()
+            })
+        };
+        self.ids.insert(e, id);
+        id
+    }
+
+    fn push(&mut self, term: MemoTerm) -> u32 {
+        let id = u32::try_from(self.terms.len()).expect("saturation memo overflow");
+        self.terms.push(term);
+        id
     }
 
     /// The leaves of term `id`, as [`flatten_set`] lists them.
     fn leaves(&mut self, id: u32) -> Arc<[u32]> {
-        if let Some(leaves) = &self.terms[id as usize].leaves {
+        let term = &self.terms[id as usize];
+        if let Some(leaves) = &term.leaves {
             return Arc::clone(leaves);
         }
         let mut exprs = Vec::new();
-        flatten_set(self.expr(id), &mut exprs);
-        let leaves: Arc<[u32]> = exprs
+        let expr = term.expr.as_ref();
+        flatten_set(
+            expr.expect("a term without leaves has its expression"),
+            &mut exprs,
+        );
+        let leaves = self.intern_leaves(exprs);
+        self.terms[id as usize].leaves = Some(Arc::clone(&leaves));
+        leaves
+    }
+
+    /// The interned leaves of `e`, each with its display form.
+    fn leaves_of(&mut self, e: &Expr) -> Arc<[u32]> {
+        let mut exprs = Vec::new();
+        flatten_set(e, &mut exprs);
+        self.intern_leaves(exprs)
+    }
+
+    fn intern_leaves(&mut self, exprs: Vec<Expr>) -> Arc<[u32]> {
+        exprs
             .into_iter()
             .map(|l| {
                 let l = self.intern(l);
                 let term = &mut self.terms[l as usize];
                 if term.key.is_none() {
-                    term.key = Some(term.expr.to_string().into());
+                    term.key = term.expr.as_ref().map(|e| e.to_string().into());
                 }
                 l
             })
-            .collect();
-        self.terms[id as usize].leaves = Some(Arc::clone(&leaves));
-        leaves
+            .collect()
+    }
+
+    /// Whether term `id` is a union: one built by a rewrite, or one
+    /// interned from an expression.
+    fn is_union(&self, id: u32) -> bool {
+        self.terms[id as usize]
+            .expr
+            .as_ref()
+            .is_none_or(|e| matches!(e, Expr::SetUnion(..)))
+    }
+
+    fn is_single(&self, id: u32) -> bool {
+        matches!(self.terms[id as usize].expr, Some(Expr::SetSingle(_)))
     }
 
     /// The canonical union of `leaves` with `x` replaced by the leaves of
@@ -360,8 +515,125 @@ impl SaturationMemo {
         let key = |l: u32| self.terms[l as usize].key.as_deref();
         repl.sort_by(|&a, &b| key(a).cmp(&key(b)));
         repl.dedup();
-        let canon = right_nested_union(repl.into_iter().map(|l| self.expr(l).clone()).collect());
-        self.intern(canon)
+        match repl[..] {
+            [] => self.intern(Expr::SetEmpty),
+            [leaf] => leaf,
+            _ => {
+                let leaves: Arc<[u32]> = repl.into();
+                if let Some(&id) = self.unions.get(&leaves) {
+                    return id;
+                }
+                let id = self.push(MemoTerm {
+                    leaves: Some(Arc::clone(&leaves)),
+                    ..MemoTerm::default()
+                });
+                self.unions.insert(leaves, id);
+                id
+            }
+        }
+    }
+
+    /// Orders two unions as `Expr`'s derived order orders their
+    /// right-nested forms, from their leaves: leaf by leaf, and a union
+    /// that ends first (its tail a leaf, not a union) first.
+    fn cmp_unions(&self, a: u32, b: u32) -> Ordering {
+        let leaves = |id: u32| {
+            self.terms[id as usize]
+                .leaves
+                .as_deref()
+                .unwrap_or_default()
+        };
+        let expr = |id: u32| self.terms[id as usize].expr.as_ref();
+        let (mut a, mut b) = (leaves(a), leaves(b));
+        loop {
+            match (a, b) {
+                ([x], [y]) => return expr(*x).cmp(&expr(*y)),
+                ([_], _) => return Ordering::Less,
+                (_, [_]) => return Ordering::Greater,
+                ([x, ra @ ..], [y, rb @ ..]) => match expr(*x).cmp(&expr(*y)) {
+                    Ordering::Equal => (a, b) = (ra, rb),
+                    order => return order,
+                },
+                _ => unreachable!("a union has two leaves or more"),
+            }
+        }
+    }
+
+    /// The atom `lhs = rhs` over the terms of two memo terms.
+    fn eq_atom(
+        &mut self,
+        lhs: u32,
+        rhs: u32,
+        atoms: &mut Atoms,
+        env: &mut SortEnv,
+        defs: &mut Vec<Pred>,
+    ) -> AtomId {
+        let lhs = self.term_of(lhs, atoms, env, defs);
+        let rhs = self.term_of(rhs, atoms, env, defs);
+        atoms.eq_atom(lhs, rhs)
+    }
+
+    /// The arena term of the element of singleton `single`.
+    fn element(
+        &mut self,
+        single: u32,
+        atoms: &mut Atoms,
+        env: &mut SortEnv,
+        defs: &mut Vec<Pred>,
+    ) -> TermId {
+        let single = self.term_of(single, atoms, env, defs);
+        match atoms.arena.term(single) {
+            Term::App(_, args) => args[0],
+            _ => unreachable!("a singleton flattens to `$single`"),
+        }
+    }
+
+    /// The arena term of memo term `id`: its expression flattened, or for
+    /// a union a rewrite built, `$union` nodes over its leaves' terms,
+    /// right-nested as flattening the union's expression would build them.
+    /// An `ite` inside an expression is first replaced by a variable,
+    /// whose definition joins `defs`.
+    fn term_of(
+        &mut self,
+        id: u32,
+        atoms: &mut Atoms,
+        env: &mut SortEnv,
+        defs: &mut Vec<Pred>,
+    ) -> TermId {
+        if let Some(t) = self.terms[id as usize].term {
+            return t;
+        }
+        let t = match &self.terms[id as usize].expr {
+            Some(e) if has_ite(e) => {
+                let e = elim_expr(e, env, defs);
+                atoms.arena.flatten(&e, env)
+            }
+            Some(e) => atoms.arena.flatten(e, env),
+            None => {
+                let leaves = self.leaves(id);
+                let terms: Vec<TermId> = leaves
+                    .iter()
+                    .map(|&l| self.term_of(l, atoms, env, defs))
+                    .collect();
+                let mut rev = terms.into_iter().rev();
+                let last = rev.next().expect("a union has leaves");
+                rev.fold(last, |acc, l| atoms.arena.union(l, acc))
+            }
+        };
+        self.terms[id as usize].term = Some(t);
+        t
+    }
+}
+
+/// Whether `e` contains an `if-then-else`.
+fn has_ite(e: &Expr) -> bool {
+    match e {
+        Expr::Ite(..) => true,
+        Expr::Var(_) | Expr::Int(_) | Expr::Bool(_) | Expr::SetEmpty => false,
+        Expr::Neg(a) | Expr::SetSingle(a) => has_ite(a),
+        Expr::Binop(_, a, b) | Expr::Sel(a, b) | Expr::SetUnion(a, b) => has_ite(a) || has_ite(b),
+        Expr::Upd(m, i, v) => has_ite(m) || has_ite(i) || has_ite(v),
+        Expr::App(_, args) => args.iter().any(has_ite),
     }
 }
 
@@ -451,7 +723,7 @@ mod tests {
     use super::*;
     use crate::arrays::array_axiom_lemmas;
     use crate::session::Session;
-    use dsolve_logic::{parse_pred, Sort, SortEnv, Symbol};
+    use dsolve_logic::{parse_pred, Sort, Symbol};
     use proptest::prelude::*;
 
     fn canon(s: &str) -> String {
@@ -523,77 +795,6 @@ mod tests {
         assert!(a.contains("union(a, b)"));
     }
 
-    /// The per-check saturation pass without a memo: every union, leaf
-    /// and pair rewritten and every lemma rebuilt on each call. The test
-    /// oracle of [`SaturationMemo`]. Returns the lemmas, the truncation
-    /// flag, and the number of union terms taken off the worklist.
-    fn oracle_lemma_list(p: &Pred, max_lemmas: u64) -> (Vec<Pred>, bool, u64) {
-        let mut pairs: BTreeSet<(Expr, Expr)> = BTreeSet::new();
-        let mut unions: BTreeSet<Expr> = BTreeSet::new();
-        let mut singles: BTreeSet<Expr> = BTreeSet::new();
-        collect(p, &mut pairs, &mut unions, &mut singles);
-
-        let mut lemmas: Vec<Pred> = Vec::new();
-        let mut seen: BTreeSet<Expr> = unions.clone();
-        let mut work: Vec<Expr> = unions.into_iter().collect();
-        let mut budget = max_lemmas;
-        let mut truncated = false;
-        let mut union_terms = 0u64;
-
-        'saturate: while let Some(u) = work.pop() {
-            union_terms += 1;
-            let mut leaves = Vec::new();
-            flatten_set(&u, &mut leaves);
-            for x in &leaves {
-                for (s, t) in &pairs {
-                    if s == x {
-                        if budget == 0 {
-                            truncated = true;
-                            break 'saturate;
-                        }
-                        budget -= 1;
-                        let mut repl: Vec<Expr> =
-                            leaves.iter().filter(|l| *l != x).cloned().collect();
-                        flatten_set(t, &mut repl);
-                        let rebuilt = canon_of_leaves(repl);
-                        if rebuilt != u {
-                            lemmas.push(Pred::imp(
-                                Pred::eq(s.clone(), t.clone()),
-                                Pred::eq(u.clone(), rebuilt.clone()),
-                            ));
-                            if matches!(rebuilt, Expr::SetUnion(..)) && seen.insert(rebuilt.clone())
-                            {
-                                work.push(rebuilt);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for u in &seen {
-            let mut leaves = Vec::new();
-            flatten_set(u, &mut leaves);
-            if leaves.iter().any(|l| matches!(l, Expr::SetSingle(_))) {
-                lemmas.push(Pred::ne(u.clone(), Expr::SetEmpty));
-            }
-        }
-        for s in &singles {
-            lemmas.push(Pred::ne(s.clone(), Expr::SetEmpty));
-        }
-        let singles: Vec<Expr> = singles.into_iter().collect();
-        for (i, a) in singles.iter().enumerate() {
-            for b in &singles[i + 1..] {
-                if let (Expr::SetSingle(ea), Expr::SetSingle(eb)) = (a, b) {
-                    lemmas.push(Pred::imp(
-                        Pred::eq(a.clone(), b.clone()),
-                        Pred::eq((**ea).clone(), (**eb).clone()),
-                    ));
-                }
-            }
-        }
-        (lemmas, truncated, union_terms)
-    }
-
     #[cfg(feature = "slow-proptest")]
     const CASES: u32 = 256;
     #[cfg(not(feature = "slow-proptest"))]
@@ -645,6 +846,22 @@ mod tests {
             })
     }
 
+    /// The clause of an oracle lemma over the session's atoms: an
+    /// implication is `[¬guard, conclusion]`, an atom its own literal.
+    fn clause_of(lemma: &Pred, atoms: &mut Atoms, env: &SortEnv) -> LemmaClause {
+        let mut lit = |p: &Pred| match p {
+            Pred::Atom(rel, a, b) => atoms.atom_of_rel(*rel, a, b, env),
+            other => panic!("lemma literal `{other}` is no atom"),
+        };
+        match lemma {
+            Pred::Imp(guard, conclusion) => {
+                let (g, pos) = lit(guard);
+                vec![(g, !pos), lit(conclusion)]
+            }
+            atom => vec![lit(atom)],
+        }
+    }
+
     /// One check of [`session_saturation_matches_oracle`]: the session's
     /// lemmas against the oracle's over the live assertions.
     fn check_against_oracle(
@@ -654,18 +871,21 @@ mod tests {
         cap: u64,
     ) {
         let conj = Pred::and(frames.concat());
-        let (all, truncated, union_terms) = oracle_lemma_list(&conj, cap);
-        let new: Vec<Pred> = all
-            .iter()
-            .filter(|l| offered.insert((*l).clone()))
-            .cloned()
-            .collect();
+        let (all, truncated, union_terms) = saturation_pass(&conj, cap);
+        session.encode_pending();
         micro::drain();
         let got = session.derive_lemmas(cap);
         let work = micro::drain();
-        assert_eq!(got.sets, new, "new lemmas, cap {cap}, on `{conj}`");
+        assert!(got.sets.ite_defs.is_empty(), "no `ite` in the pool");
+        let (atoms, env) = session.atoms_and_env();
+        let new: Vec<LemmaClause> = all
+            .iter()
+            .filter(|l| offered.insert((*l).clone()))
+            .map(|l| clause_of(l, atoms, env))
+            .collect();
+        assert_eq!(got.sets.clauses, new, "new lemmas, cap {cap}, on `{conj}`");
         assert_eq!(
-            got.saturation_truncated, truncated,
+            got.sets.truncated, truncated,
             "truncation, cap {cap}, on `{conj}`"
         );
         assert_eq!(
@@ -678,21 +898,24 @@ mod tests {
             union_terms,
             "union terms, cap {cap}, on `{conj}`"
         );
+        let arrays = array_axiom_lemmas([&conj]);
         assert_eq!(
-            got.arrays,
+            arrays,
             array_axiom_lemmas(std::iter::once(&conj).chain(&all)),
-            "array lemmas, cap {cap}, on `{conj}`"
+            "set lemmas add array instances, cap {cap}, on `{conj}`"
         );
+        assert_eq!(got.arrays, arrays, "array lemmas, cap {cap}, on `{conj}`");
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(CASES))]
 
         /// Random assert/push/check/pop sequences through one session:
-        /// at every check, the memo hands out exactly the oracle's lemmas
-        /// minus those the session was given before, in the oracle's
-        /// order, with the oracle's truncation flag, counters and array
-        /// lemmas, at every saturation cap.
+        /// at every check, the memo hands out exactly the clauses of the
+        /// oracle's lemmas minus those the session was given before, in
+        /// the oracle's order, with the oracle's truncation flag and
+        /// counters, at every saturation cap; and the set lemmas add no
+        /// array instance.
         #[test]
         fn session_saturation_matches_oracle(
             ops in prop::collection::vec((0u8..4, arb_pred()), 1..16),

@@ -588,7 +588,7 @@ fn verdict_name(r: &SmtResult, validity: bool) -> &'static str {
 /// `ite(c,t,e)` becomes `v` with the global definition
 /// `(c ⇒ v = t) ∧ (¬c ⇒ v = e)` (equisatisfiable in any polarity because
 /// `v` is fresh and totally defined).
-pub(crate) fn eliminate_ite(p: &Pred, env: &mut SortEnv) -> Pred {
+pub fn eliminate_ite(p: &Pred, env: &mut SortEnv) -> Pred {
     let mut defs: Vec<Pred> = Vec::new();
     let q = elim_pred(p, env, &mut defs);
     if defs.is_empty() {
@@ -619,7 +619,7 @@ fn elim_pred(p: &Pred, env: &mut SortEnv, defs: &mut Vec<Pred>) -> Pred {
     }
 }
 
-fn elim_expr(e: &Expr, env: &mut SortEnv, defs: &mut Vec<Pred>) -> Expr {
+pub(crate) fn elim_expr(e: &Expr, env: &mut SortEnv, defs: &mut Vec<Pred>) -> Expr {
     match e {
         Expr::Var(_) | Expr::Int(_) | Expr::Bool(_) | Expr::SetEmpty => e.clone(),
         Expr::Binop(op, a, b) => Expr::Binop(

@@ -10,6 +10,7 @@ use crate::Rat;
 use dsolve_logic::{Binop, Expr, Sort, SortEnv, Symbol};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a hash-consed term in a [`TermArena`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -36,6 +37,41 @@ pub enum Term {
     /// [`TermArena::flatten`]: `$sel`, `$upd`, `$union`, `$single`,
     /// `$empty`, `$mul`, `$div`, `$mod`, `$in`.
     App(Symbol, Vec<TermId>),
+}
+
+/// The reserved head symbols, interned once per process.
+pub(crate) struct Heads {
+    pub(crate) add: Symbol,
+    pub(crate) sub: Symbol,
+    pub(crate) mul: Symbol,
+    pub(crate) div: Symbol,
+    pub(crate) modulo: Symbol,
+    pub(crate) sel: Symbol,
+    pub(crate) upd: Symbol,
+    pub(crate) empty: Symbol,
+    pub(crate) single: Symbol,
+    pub(crate) union: Symbol,
+    pub(crate) member: Symbol,
+    pub(crate) subset: Symbol,
+}
+
+/// The reserved head symbols.
+pub(crate) fn heads() -> &'static Heads {
+    static HEADS: OnceLock<Heads> = OnceLock::new();
+    HEADS.get_or_init(|| Heads {
+        add: Symbol::new("$add"),
+        sub: Symbol::new("$sub"),
+        mul: Symbol::new("$mul"),
+        div: Symbol::new("$div"),
+        modulo: Symbol::new("$mod"),
+        sel: Symbol::new("$sel"),
+        upd: Symbol::new("$upd"),
+        empty: Symbol::new("$empty"),
+        single: Symbol::new("$single"),
+        union: Symbol::new("$union"),
+        member: Symbol::new("$in"),
+        subset: Symbol::new("$subset"),
+    })
 }
 
 /// Arena of hash-consed terms.
@@ -98,6 +134,7 @@ impl TermArena {
     /// Panics on `Expr::Ite` (the solver lifts those first) and on
     /// variables missing from `env` (callers bind every free variable).
     pub fn flatten(&mut self, e: &Expr, env: &SortEnv) -> TermId {
+        let h = heads();
         match e {
             Expr::Int(v) => self.intern(Term::Int(*v), Sort::Int),
             Expr::Bool(b) => self.intern(Term::Bool(*b), Sort::Bool),
@@ -113,19 +150,19 @@ impl TermArena {
                 // when an arena term is needed, represent as $mul(-1, a).
                 let ta = self.flatten(a, env);
                 let m1 = self.intern(Term::Int(-1), Sort::Int);
-                self.intern(Term::App(Symbol::new("$mul"), vec![m1, ta]), Sort::Int)
+                self.intern(Term::App(h.mul, vec![m1, ta]), Sort::Int)
             }
             Expr::Binop(op, a, b) => {
                 let ta = self.flatten(a, env);
                 let tb = self.flatten(b, env);
                 let head = match op {
-                    Binop::Add => "$add",
-                    Binop::Sub => "$sub",
-                    Binop::Mul => "$mul",
-                    Binop::Div => "$div",
-                    Binop::Mod => "$mod",
+                    Binop::Add => h.add,
+                    Binop::Sub => h.sub,
+                    Binop::Mul => h.mul,
+                    Binop::Div => h.div,
+                    Binop::Mod => h.modulo,
                 };
-                self.intern(Term::App(Symbol::new(head), vec![ta, tb]), Sort::Int)
+                self.intern(Term::App(head, vec![ta, tb]), Sort::Int)
             }
             Expr::Ite(..) => panic!("Ite must be eliminated before flattening"),
             Expr::App(f, args) => {
@@ -139,24 +176,64 @@ impl TermArena {
             Expr::Sel(m, i) => {
                 let tm = self.flatten(m, env);
                 let ti = self.flatten(i, env);
-                self.intern(Term::App(Symbol::new("$sel"), vec![tm, ti]), Sort::Int)
+                self.intern(Term::App(h.sel, vec![tm, ti]), Sort::Int)
             }
             Expr::Upd(m, i, v) => {
                 let tm = self.flatten(m, env);
                 let ti = self.flatten(i, env);
                 let tv = self.flatten(v, env);
-                self.intern(Term::App(Symbol::new("$upd"), vec![tm, ti, tv]), Sort::Map)
+                self.intern(Term::App(h.upd, vec![tm, ti, tv]), Sort::Map)
             }
-            Expr::SetEmpty => self.intern(Term::App(Symbol::new("$empty"), vec![]), Sort::Set),
+            Expr::SetEmpty => self.empty_set(),
             Expr::SetSingle(x) => {
                 let tx = self.flatten(x, env);
-                self.intern(Term::App(Symbol::new("$single"), vec![tx]), Sort::Set)
+                self.intern(Term::App(h.single, vec![tx]), Sort::Set)
             }
             Expr::SetUnion(a, b) => {
                 let ta = self.flatten(a, env);
                 let tb = self.flatten(b, env);
-                self.intern(Term::App(Symbol::new("$union"), vec![ta, tb]), Sort::Set)
+                self.union(ta, tb)
             }
+        }
+    }
+
+    /// The term `empty`.
+    pub fn empty_set(&mut self) -> TermId {
+        self.intern(Term::App(heads().empty, vec![]), Sort::Set)
+    }
+
+    /// The term `union(a, b)`.
+    pub fn union(&mut self, a: TermId, b: TermId) -> TermId {
+        self.intern(Term::App(heads().union, vec![a, b]), Sort::Set)
+    }
+
+    /// The linear form of an integer term, as [`TermArena::linearize`]
+    /// gives it for any expression that flattens to `id`: `$add`, `$sub`
+    /// and products with a constant side are interpreted, every other
+    /// term is an atom.
+    pub fn linear_form(&self, id: TermId) -> LinExpr {
+        let h = heads();
+        match self.term(id) {
+            Term::Int(v) => LinExpr::constant(Rat::from_int(*v)),
+            Term::App(f, args) if *f == h.add || *f == h.sub => {
+                let mut la = self.linear_form(args[0]);
+                let lb = self.linear_form(args[1]);
+                let sign = if *f == h.add { 1 } else { -1 };
+                la.add_assign(&lb.scale(Rat::from_int(sign)));
+                la
+            }
+            Term::App(f, args) if *f == h.mul => {
+                let la = self.linear_form(args[0]);
+                let lb = self.linear_form(args[1]);
+                if let Some(c) = la.as_constant() {
+                    lb.scale(c)
+                } else if let Some(c) = lb.as_constant() {
+                    la.scale(c)
+                } else {
+                    LinExpr::atom(id)
+                }
+            }
+            _ => LinExpr::atom(id),
         }
     }
 
@@ -224,7 +301,7 @@ impl fmt::Debug for TermArena {
 }
 
 /// A linear combination `constant + Σ coeff·atom` over term atoms.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct LinExpr {
     /// Constant offset.
     pub constant: Rat,
@@ -359,6 +436,26 @@ mod tests {
         let l = a.linearize(&e, &env);
         assert_eq!(l.constant, Rat::from_int(1));
         assert_eq!(l.terms.len(), 1);
+    }
+
+    #[test]
+    fn linear_form_of_a_flattened_expr_is_its_linearization() {
+        let env = env();
+        for src in [
+            "x + 2 * y - 3",
+            "-(x - y)",
+            "-1 * x",
+            "x * y + 1",
+            "(x + 1) * 3",
+            "x / 2 + x mod 3",
+            "Sel(m, i) - 1",
+            "2 * (3 * x) - 0 * y",
+        ] {
+            let e = parse_expr(src).unwrap();
+            let mut a = TermArena::new();
+            let id = a.flatten(&e, &env);
+            assert_eq!(a.linear_form(id), a.linearize(&e, &env), "{src}");
+        }
     }
 
     #[test]

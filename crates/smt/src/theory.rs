@@ -121,9 +121,26 @@ pub fn check_assignment(
     .decide()
 }
 
+/// Whether one closure on fresh engines refutes `lits`: `Ok(true)` when
+/// it finds them inconsistent (over the rationals, or by
+/// branch-and-bound), `Ok(false)` when it finds them consistent, and the
+/// exhausted resource when it cannot decide. This is how a conflict core
+/// replays on its own (as `--certify` does).
+pub(crate) fn refuted_on_fresh_engines(
+    atoms: &Atoms,
+    lits: &[(AtomId, bool)],
+    budget: &TheoryBudget,
+) -> Result<bool, Resource> {
+    match Engines::default().assert_and_close(atoms, lits.iter().copied(), budget) {
+        Consistency::Unsat(_) | Consistency::Searched(_) => Ok(true),
+        Consistency::Sat => Ok(false),
+        Consistency::Unknown(r) => Err(r),
+    }
+}
+
 /// Closures on fresh engines over subsets of one model: the model's own
 /// check and confirmation. A core is what these accept, so it replays on
-/// its own (as `--certify` does).
+/// its own ([`refuted_on_fresh_engines`]).
 struct Fresh<'a> {
     atoms: &'a Atoms,
     assignment: &'a [(AtomId, bool)],

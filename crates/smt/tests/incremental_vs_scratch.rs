@@ -5,11 +5,10 @@
 //! The oracle ([`scratch_sat`]) is built here from the public API and
 //! shares neither the session nor the persistent theory context: it
 //! preprocesses the whole formula at once (set canonicalization, with
-//! the set-saturation and array-axiom lemmas conjoined into it), encodes
-//! it in one step, and runs a CDCL search whose every model is checked
-//! on fresh theory engines, blocking the core of each inconsistent one.
-//! The generators emit no `ite`, so the oracle needs no if-then-else
-//! lifting.
+//! the set-saturation and array-axiom lemmas conjoined into it as
+//! predicates, then if-then-else lifting), encodes it in one step, and
+//! runs a CDCL search whose every model is checked on fresh theory
+//! engines, blocking the core of each inconsistent one.
 //!
 //! Three surfaces are exercised over randomly generated well-sorted
 //! predicates (linear arithmetic, booleans, uninterpreted functions,
@@ -28,7 +27,7 @@ use dsolve_logic::{
     parse_pred, Budget, Exhaustion, FuncSort, Phase, Pred, Resource, Sort, SortEnv, Symbol,
 };
 use dsolve_smt::{
-    array_axiom_lemmas, canonicalize_sets, check_assignment, encode_incremental,
+    array_axiom_lemmas, canonicalize_sets, check_assignment, eliminate_ite, encode_incremental,
     set_saturation_lemma_list, AtomId, Atoms, BVar, CdclSolver, EncodeCtx, Lit, SatResult,
     SmtResult, SmtSolver, TheoryBudget, TheoryResult, Validity,
 };
@@ -64,10 +63,12 @@ fn scratch_sat(env: &SortEnv, p: &Pred) -> SmtResult {
     let p = Pred::and(std::iter::once(p).chain(set_lemmas).collect());
     let array_lemmas = array_axiom_lemmas([&p]);
     let p = Pred::and(std::iter::once(p).chain(array_lemmas).collect());
+    let mut env = env.clone();
+    let p = eliminate_ite(&p, &mut env);
 
     let mut atoms = Atoms::new();
     let mut ctx = EncodeCtx::new();
-    let unit = encode_incremental(&p, &mut atoms, env, &mut ctx);
+    let unit = encode_incremental(&p, &mut atoms, &env, &mut ctx);
     let vars: Vec<BVar> = (0..atoms.len())
         .map(|i| ctx.var_of_atom(AtomId(i as u32)))
         .collect();
@@ -142,12 +143,15 @@ fn scratch_valid(env: &SortEnv, antecedent: &Pred, consequent: &Pred) -> Validit
 
 /// The atom pool. Every entry parses and is well-sorted under [`env`];
 /// together they cover arithmetic, UF congruence, and set reasoning.
-/// The last two entries are small set facts over equated set variables
-/// whose verdicts need set-saturation lemmas, not just canonical forms
-/// and congruence: `union(s, t) = t` once `s = t` (idempotence), and
-/// `t = u` from the two unions over them. A session that drops those
-/// lemmas disagrees with the oracle on them.
-const ATOMS: [&str; 19] = [
+/// The two entries before the last are small set facts over equated set
+/// variables whose verdicts need set-saturation lemmas, not just
+/// canonical forms and congruence: `union(s, t) = t` once `s = t`
+/// (idempotence), and `t = u` from the two unions over them. A session
+/// that drops those lemmas disagrees with the oracle on them. The last
+/// puts an `ite` in a union, so set lemmas mention a union with an
+/// `ite` leaf, whose terms the session must build without flattening
+/// the `ite`.
+const ATOMS: [&str; 20] = [
     "x < y",
     "x <= y",
     "y < z",
@@ -167,6 +171,7 @@ const ATOMS: [&str; 19] = [
     "t = u",
     "s = t => t = union(s, t)",
     "u = union(t, single(x)) && t = union(u, single(x))",
+    "s = union(single(x), (if x < y then t else u))",
 ];
 
 fn arb_atom() -> BoxedStrategy<Pred> {
@@ -360,4 +365,24 @@ fn pop_reassert_sequence_matches_scratch() {
     // The oracle knows the same answers.
     let oracle: Vec<Validity> = cons.iter().map(|c| scratch_valid(&env, &ant, c)).collect();
     assert_eq!(oracle, want);
+}
+
+/// A set lemma through an `ite` leaf: `union(s, t)` rewritten by
+/// `s = union(single(x), ite)` is the consequent's union only if the
+/// session's terms for the `ite` (a variable standing for it, in the
+/// guard and in the rewritten union) stay tied to the `ite`s the
+/// assertions were encoded with.
+#[test]
+fn ite_leaf_lemma_matches_scratch() {
+    let env = env();
+    let ant = parse_pred("s = union(single(x), (if x < y then t else u))").unwrap();
+    let cons =
+        parse_pred("union(s, t) = union(single(x), union(t, (if x < y then t else u)))").unwrap();
+    assert_eq!(scratch_valid(&env, &ant, &cons), Validity::Valid);
+    assert_eq!(
+        SmtSolver::new().check_valid(&env, &ant, &cons),
+        Validity::Valid
+    );
+    let batch = SmtSolver::new().check_valid_many(&env, &ant, &[cons.clone(), cons]);
+    assert_eq!(batch, vec![Validity::Valid, Validity::Valid]);
 }

@@ -32,11 +32,17 @@ cargo test -p dsolve-smt --test incremental_vs_scratch --test theory_oracles
 
 # The session's set-saturation memo against the memo-less per-check
 # pass it replaced: at every check of random assert/push/check/pop
-# sequences, the same lemmas new to the session, in the same order,
-# with the same truncation flag and counters. By name for the same
-# reason.
+# sequences, the clauses of the same lemmas new to the session, in the
+# same order, with the same truncation flag and counters. By name for
+# the same reason.
 echo "== cargo test -p dsolve-smt session_saturation_matches_oracle"
 cargo test -p dsolve-smt --lib session_saturation_matches_oracle
+
+# The set path end to end: list-sort, splay-heap and heap under
+# fixpoint-iteration caps must keep their queries, undecided queries and
+# set-saturation counters. By name for the same reason.
+echo "== cargo test -p dsolve-bench --test set_saturation_pins"
+cargo test -p dsolve-bench --test set_saturation_pins
 
 # The SAT core's order heap against the scan of every variable it
 # replaced (at every decision of random scope/clause/lemma/solve/block
