@@ -79,11 +79,6 @@ impl SubC {
     pub fn writes(&self) -> Vec<KVar> {
         self.rhs.kvars()
     }
-
-    /// Whether the right side is fully concrete.
-    pub fn is_concrete_rhs(&self) -> bool {
-        self.rhs.kvars().is_empty()
-    }
 }
 
 impl fmt::Debug for SubC {

@@ -158,11 +158,10 @@ impl Solution {
 /// Solver configuration.
 #[derive(Clone, Debug, Default)]
 pub struct SolveConfig {
-    /// SMT configuration. Its `budget` field is ignored: `budget` below
-    /// is the single source of truth and is pushed into the SMT solver.
+    /// SMT configuration: query caching, array axioms, certification.
     pub smt: SolverConfig,
     /// Resource limits for the whole run (deadline, query cap, fixpoint
-    /// iteration cap, per-query search caps).
+    /// iteration cap, per-query search caps), the SMT solvers' included.
     pub budget: Budget,
     /// Fixpoint workers: `0` = one per available CPU, `n` = at most `n`
     /// slices per round (`1` runs every round on the calling thread).
@@ -215,10 +214,7 @@ pub fn solve(
     let query_counter = Arc::new(AtomicU64::new(0));
     let mut slots: Vec<Slot> = (0..jobs)
         .map(|id| {
-            let mut smt = SmtSolver::with_config(SolverConfig {
-                budget,
-                ..config.smt
-            });
+            let mut smt = SmtSolver::with_config(config.smt, budget);
             // Pin the absolute deadline so the SMT clock does not restart
             // at the first query.
             smt.set_deadline(deadline);

@@ -237,11 +237,6 @@ impl Expr {
             }
         }
     }
-
-    /// Whether the value variable `ν` occurs in the term.
-    pub fn mentions_nu(&self) -> bool {
-        self.free_vars().contains(&Symbol::value_var())
-    }
 }
 
 impl fmt::Display for Expr {
@@ -302,11 +297,5 @@ mod tests {
         assert!(fv.contains(&Symbol::new("m")));
         assert!(fv.contains(&Symbol::new("i")));
         assert_eq!(fv.len(), 2);
-    }
-
-    #[test]
-    fn nu_detection() {
-        assert!(Expr::nu().mentions_nu());
-        assert!(!Expr::var("x").mentions_nu());
     }
 }

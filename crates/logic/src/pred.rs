@@ -127,11 +127,6 @@ impl Pred {
         Pred::Atom(Rel::Le, a, b)
     }
 
-    /// `a > b`.
-    pub fn gt(a: Expr, b: Expr) -> Pred {
-        Pred::Atom(Rel::Gt, a, b)
-    }
-
     /// `a >= b`.
     pub fn ge(a: Expr, b: Expr) -> Pred {
         Pred::Atom(Rel::Ge, a, b)
@@ -279,11 +274,6 @@ impl Pred {
             }
             Pred::Term(e) => e.collect_funcs(out),
         }
-    }
-
-    /// Whether the value variable `ν` occurs free.
-    pub fn mentions_nu(&self) -> bool {
-        self.free_vars().contains(&Symbol::value_var())
     }
 
     /// Splits a conjunction into its conjuncts (a non-conjunction is a

@@ -39,17 +39,6 @@ pub enum PrimOp {
     Or,
 }
 
-impl PrimOp {
-    /// Whether this is a comparison yielding `bool` from two operands of
-    /// the same type.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            PrimOp::Eq | PrimOp::Ne | PrimOp::Lt | PrimOp::Le | PrimOp::Gt | PrimOp::Ge
-        )
-    }
-}
-
 impl fmt::Display for PrimOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -220,12 +209,5 @@ impl Program {
     /// Looks up a datatype by name.
     pub fn datatype(&self, name: Symbol) -> Option<&DataDecl> {
         self.datatypes.iter().find(|d| d.name == name)
-    }
-
-    /// Iterates over all top-level bound names in order.
-    pub fn top_names(&self) -> impl Iterator<Item = Symbol> + '_ {
-        self.lets
-            .iter()
-            .flat_map(|l| l.binds.iter().map(|b| b.name))
     }
 }

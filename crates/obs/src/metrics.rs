@@ -255,7 +255,8 @@ pub enum MicroCounter {
     SetsSaturationLemmas,
     /// Union terms popped off the saturation worklist.
     SetsUnionTerms,
-    /// `ite` expressions expanded into fresh definitions.
+    /// `ite` terms lifted to a fresh defined variable: each distinct
+    /// term once per SMT session.
     IteExpansions,
     /// Propositional models handed to the theory layer for a
     /// consistency verdict (one per `check_assignment` call).

@@ -5,15 +5,16 @@
 //! structure is encoded into CNF clauses. Integer inequalities are
 //! normalized — strict relations tightened (`a < b` becomes `a ≤ b − 1`),
 //! coefficients scaled to coprime integers, constants ceiling-tightened —
-//! so equivalent atoms share one SAT variable.
+//! so equivalent atoms share one SAT variable. The `ite` terms flattening
+//! lifts (see [`TermArena::flatten`]) are defined by retained clauses.
 
 use crate::term::heads;
 use crate::{BVar, LinExpr, Lit, Rat, Term, TermArena, TermId};
-use dsolve_logic::{Pred, Rel, Sort, SortEnv, Symbol};
+use dsolve_logic::{Expr, Pred, Rel, Sort, SortEnv, Symbol};
 use std::collections::HashMap;
 
 /// Identifier of a theory atom.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AtomId(pub u32);
 
 impl AtomId {
@@ -179,8 +180,8 @@ impl Atoms {
     pub fn atom_of_rel(
         &mut self,
         rel: Rel,
-        lhs: &dsolve_logic::Expr,
-        rhs: &dsolve_logic::Expr,
+        lhs: &Expr,
+        rhs: &Expr,
         env: &SortEnv,
     ) -> (AtomId, bool) {
         let lsort = env.sort_of(lhs);
@@ -240,7 +241,7 @@ impl Atoms {
     }
 
     /// Returns the atom for a boolean term.
-    pub fn atom_of_term(&mut self, e: &dsolve_logic::Expr, env: &SortEnv) -> AtomId {
+    pub fn atom_of_term(&mut self, e: &Expr, env: &SortEnv) -> AtomId {
         let t = self.arena.flatten(e, env);
         self.bool_atom(t)
     }
@@ -303,51 +304,59 @@ impl EncodeCtx {
         self.atom_vars.insert(a, v);
         v
     }
-
-    /// The SAT variable of atom `a`, if one was ever allocated.
-    pub fn lookup_atom(&self, a: AtomId) -> Option<BVar> {
-        self.atom_vars.get(&a).copied()
-    }
 }
 
 /// Clauses produced by one incremental encoding step.
 pub struct EncodedUnit {
     /// Clauses asserting the predicate — valid only while its scope is.
     pub clauses: Vec<Vec<Lit>>,
-    /// Definitional clauses (integer-equality splits `eq ↔ le₁ ∧ le₂`)
-    /// that are valid independent of any assertion and must survive
-    /// scope pops, matching the persistence of [`EncodeCtx::split_eqs`].
+    /// Definitional clauses that are valid independent of any assertion
+    /// and must survive scope pops: integer-equality splits
+    /// `eq ↔ le₁ ∧ le₂`, matching the persistence of
+    /// [`EncodeCtx::split_eqs`], and the definitions of lifted `ite`
+    /// terms, matching the arena's.
     pub lemma_clauses: Vec<Vec<Lit>>,
 }
 
 /// Encodes `p` (asserted true) on top of persistent encoder state,
 /// returning only the new clauses. Atoms and SAT variables already known
 /// to `ctx` are reused, which is what makes re-asserting predicates
-/// under a shared antecedent cheap.
+/// under a shared antecedent cheap. The definition of every `ite` term
+/// the arena has lifted and not yet defined, `p`'s own included, is
+/// among the lemma clauses.
 pub fn encode_incremental(
     p: &Pred,
     atoms: &mut Atoms,
     env: &SortEnv,
     ctx: &mut EncodeCtx,
 ) -> EncodedUnit {
-    let mut enc = Encoder {
-        atoms,
-        env,
-        ctx,
-        clauses: Vec::new(),
-        lemma_clauses: Vec::new(),
-    };
+    let mut enc = Encoder::new(atoms, env, ctx);
     match enc.lit_of(p) {
         EncLit::Const(true) => {}
         EncLit::Const(false) => enc.clauses.push(vec![]),
         EncLit::Lit(l) => enc.clauses.push(vec![l]),
     }
+    enc.define_ites();
     EncodedUnit {
         clauses: enc.clauses,
         lemma_clauses: enc.lemma_clauses,
     }
 }
 
+/// The clauses defining every `ite` term the arena has lifted and not
+/// yet defined (by terms built outside the encoder: set lemmas,
+/// certificates), all of them retained.
+pub(crate) fn encode_ite_definitions(
+    atoms: &mut Atoms,
+    env: &SortEnv,
+    ctx: &mut EncodeCtx,
+) -> Vec<Vec<Lit>> {
+    let mut enc = Encoder::new(atoms, env, ctx);
+    enc.define_ites();
+    enc.lemma_clauses
+}
+
+#[derive(Clone, Copy)]
 enum EncLit {
     Const(bool),
     Lit(Lit),
@@ -386,7 +395,52 @@ struct Encoder<'a> {
     lemma_clauses: Vec<Vec<Lit>>,
 }
 
-impl Encoder<'_> {
+impl<'a> Encoder<'a> {
+    fn new(atoms: &'a mut Atoms, env: &'a SortEnv, ctx: &'a mut EncodeCtx) -> Encoder<'a> {
+        Encoder {
+            atoms,
+            env,
+            ctx,
+            clauses: Vec::new(),
+            lemma_clauses: Vec::new(),
+        }
+    }
+
+    /// Defines every `ite` term lifted and not yet defined, those lifted
+    /// while defining one included: for `v` standing for `ite(c, t, f)`,
+    /// the clauses `¬c ∨ v = t` and `c ∨ v = f`, a constant `c` keeping
+    /// only the branch it takes. Every clause is retained, `c`'s Tseitin
+    /// gates too, since the arena keeps `v` for the session.
+    fn define_ites(&mut self) {
+        loop {
+            let lifted = self.atoms.arena.take_undefined();
+            if lifted.is_empty() {
+                return;
+            }
+            for (v, ite) in lifted {
+                let Expr::Ite(c, t, f) = &*ite else {
+                    unreachable!("only `ite` terms are lifted")
+                };
+                let gates = self.clauses.len();
+                let cond = self.lit_of_polarity(c, PolaritySet::BOTH);
+                self.lemma_clauses.extend(self.clauses.drain(gates..));
+                for (branch, taken) in [(t, true), (f, false)] {
+                    let guard = match cond {
+                        EncLit::Const(b) if b == taken => None,
+                        EncLit::Const(_) => continue,
+                        EncLit::Lit(l) if taken => Some(l.negate()),
+                        EncLit::Lit(l) => Some(l),
+                    };
+                    let b = self.atoms.arena.flatten(branch, self.env);
+                    let eq = self.atoms.eq_atom(v, b);
+                    let eq = Lit::pos(self.var_of_atom(eq));
+                    self.lemma_clauses
+                        .push(guard.into_iter().chain([eq]).collect());
+                }
+            }
+        }
+    }
+
     fn fresh(&mut self) -> BVar {
         self.ctx.fresh()
     }
@@ -616,10 +670,22 @@ mod tests {
         let p = parse_pred("x < y && (y < z || flag)").unwrap();
         let clauses = encode(&p, &mut atoms, &mut ctx);
         assert!(!clauses.is_empty());
-        for i in 0..atoms.len() {
-            assert!(ctx.lookup_atom(AtomId(i as u32)).is_some());
-        }
         assert!(ctx.num_vars() >= atoms.len());
+    }
+
+    #[test]
+    fn an_ite_is_defined_once_by_retained_clauses() {
+        let mut atoms = Atoms::new();
+        let mut ctx = EncodeCtx::new();
+        let p = parse_pred("z = (if x < y && y < z then x else y)").unwrap();
+        let unit = encode_incremental(&p, &mut atoms, &env(), &mut ctx);
+        // The assertion is one unit clause. Retained: the condition's
+        // and-gate (three clauses), `¬c ∨ v = x` and `c ∨ v = y`.
+        assert_eq!(unit.clauses.len(), 1);
+        assert_eq!(unit.lemma_clauses.len(), 5);
+        let again = encode_incremental(&p, &mut atoms, &env(), &mut ctx);
+        assert_eq!(again.clauses, unit.clauses);
+        assert!(again.lemma_clauses.is_empty());
     }
 
     #[test]

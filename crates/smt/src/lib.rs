@@ -13,7 +13,9 @@
 //! * [`CdclSolver`] — conflict-driven clause learning SAT core;
 //! * [`Euf`] — congruence closure;
 //! * [`Simplex`] — general simplex with integer branch-and-bound;
-//! * array-axiom instantiation and set canonicalization preprocessing;
+//! * array-axiom instantiation and set canonicalization preprocessing,
+//!   with if-then-else terms lifted by the [`TermArena`] that flattens
+//!   them, one variable per distinct `ite` per session;
 //! * a Nelson–Oppen-style combination loop with equality propagation.
 //!
 //! Every incompleteness escape hatch (wall-clock deadline, query cap,
@@ -67,6 +69,6 @@ pub use rational::Rat;
 pub use sat::{BVar, CdclSolver, Lit, SatResult};
 pub use sets::{canonicalize_sets, set_saturation_lemma_list};
 pub use simplex::{LpResult, Simplex};
-pub use solver::{eliminate_ite, SmtResult, SmtSolver, SolverConfig, Validity};
+pub use solver::{SmtResult, SmtSolver, SolverConfig, Validity};
 pub use term::{LinExpr, Term, TermArena, TermId};
 pub use theory::{check_assignment, TheoryBudget, TheoryContext, TheoryResult};

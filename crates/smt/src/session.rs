@@ -12,10 +12,14 @@
 //! theory blocking clauses — is retained across pops, because a valid
 //! clause can never change a verdict, only speed it up.
 //!
-//! The preprocessing pipeline is `canonicalize sets → eliminate ite →
-//! encode`, then, over the encoded conjunction, `saturate set lemmas →
-//! instantiate array axioms`. Set canonicalization runs per asserted
-//! predicate (sound because it distributes over conjunction).
+//! The preprocessing pipeline is `canonicalize sets → encode`, then,
+//! over the encoded conjunction, `saturate set lemmas → instantiate
+//! array axioms`. Set canonicalization runs per asserted predicate
+//! (sound because it distributes over conjunction). If-then-else terms
+//! are lifted where the term arena meets them, one variable per distinct
+//! `ite` for the session's life, each defined by retained clauses (see
+//! [`crate::TermArena::flatten`]); so the session keeps no rewritten copy
+//! of an assertion, and borrows its sort environment.
 //! Saturation runs over the full asserted conjunction at each check,
 //! through a [`SaturationMemo`] that lives as long as the session: it
 //! hands out only the lemmas the session has not been given before, in
@@ -29,10 +33,10 @@
 //! against a monotone seen-set (the instantiation watermark).
 
 use crate::arrays::array_axiom_lemmas;
-use crate::cnf::{encode_incremental, AtomId, Atoms, EncodeCtx};
+use crate::cnf::{encode_incremental, encode_ite_definitions, AtomId, Atoms, EncodeCtx};
 use crate::sat::{BVar, CdclSolver, Lit, SatResult};
 use crate::sets::{canonicalize_sets, LemmaClause, Saturation, SaturationMemo};
-use crate::solver::{certification_unknown, eliminate_ite, SmtResult};
+use crate::solver::{certification_unknown, SmtResult};
 use crate::theory::{TheoryBudget, TheoryContext, TheoryResult};
 use dsolve_logic::{deadline_expired, Budget, Exhaustion, Phase, Pred, Resource, SortEnv};
 use dsolve_obs::{micro, TheoryKind};
@@ -40,9 +44,8 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 /// Persistent state for one solving session.
-pub(crate) struct Session {
-    /// Sort environment, extended by fresh `ite` definition variables.
-    env: SortEnv,
+pub(crate) struct Session<'env> {
+    env: &'env SortEnv,
     atoms: Atoms,
     ctx: EncodeCtx,
     sat: CdclSolver,
@@ -65,12 +68,6 @@ pub(crate) struct Session {
     /// `Sat` models through the predicate evaluator and `Unsat` theory
     /// cores through the theory stack).
     certify: bool,
-    /// The ite-eliminated form of each encoded assertion, in encoding
-    /// order (`elim.len() == encoded_upto`). Only maintained under
-    /// `certify`: it is the formula the `Sat`-model evaluator replays,
-    /// since the raw assertions may contain `ite` terms the encoder
-    /// rewrote away.
-    elim: Vec<Pred>,
     /// Theory engines for the session's lifetime, holding one frame per
     /// segment of the SAT core's root trail.
     theory: TheoryContext,
@@ -91,9 +88,9 @@ pub(crate) struct CheckLemmas {
     pub(crate) arrays: Vec<Pred>,
 }
 
-impl Session {
-    /// Creates an empty session over (a clone of) `env`.
-    pub(crate) fn new(env: SortEnv, array_axioms: bool, certify: bool) -> Session {
+impl<'env> Session<'env> {
+    /// Creates an empty session over `env`.
+    pub(crate) fn new(env: &'env SortEnv, array_axioms: bool, certify: bool) -> Session<'env> {
         Session {
             env,
             atoms: Atoms::new(),
@@ -106,29 +103,17 @@ impl Session {
             saturation: SaturationMemo::default(),
             lemma_seen: HashSet::new(),
             certify,
-            elim: Vec::new(),
             theory: TheoryContext::new(),
             atom_vars: Vec::new(),
             atom_of_var: Vec::new(),
         }
     }
 
-    /// The session's sort environment (extended by `ite` definitions).
-    pub(crate) fn env(&self) -> &SortEnv {
-        &self.env
-    }
-
-    /// The asserted conjunction, for re-deciding a check on a fresh
-    /// session when this one is abandoned (fault-injection retries).
-    pub(crate) fn conjunction(&self) -> Pred {
-        Pred::and(self.asserted.clone())
-    }
-
     /// The atom table and sort environment, for tests that build the
     /// session's clauses by other means.
     #[cfg(test)]
     pub(crate) fn atoms_and_env(&mut self) -> (&mut Atoms, &SortEnv) {
-        (&mut self.atoms, &self.env)
+        (&mut self.atoms, self.env)
     }
 
     /// Opens an assertion scope.
@@ -149,7 +134,6 @@ impl Session {
         let mark = self.scopes.pop().expect("pop without matching push");
         self.asserted.truncate(mark);
         self.encoded_upto = self.encoded_upto.min(mark);
-        self.elim.truncate(self.encoded_upto);
         self.sat.pop_scope();
     }
 
@@ -176,12 +160,9 @@ impl Session {
         }
         self.sat.reset_to_root();
         while self.encoded_upto < self.asserted.len() {
-            let p = eliminate_ite(&self.asserted[self.encoded_upto], &mut self.env);
+            let p = &self.asserted[self.encoded_upto];
             self.encoded_upto += 1;
-            if self.certify {
-                self.elim.push(p.clone());
-            }
-            let unit = encode_incremental(&p, &mut self.atoms, &self.env, &mut self.ctx);
+            let unit = encode_incremental(p, &mut self.atoms, self.env, &mut self.ctx);
             self.grow_sat();
             for c in unit.clauses {
                 self.sat.add_clause(c);
@@ -209,11 +190,14 @@ impl Session {
         // hands out only new set lemmas; array lemmas are filtered
         // here). Each lemma is valid on its own (guarded ground
         // instances), so retention across pops cannot flip a verdict.
+        // The set lemmas' terms may lift `ite`s, defined next.
         for clause in &lemmas.sets.clauses {
             self.add_lemma_clause(clause);
         }
-        for def in &lemmas.sets.ite_defs {
-            self.encode_lemma(def);
+        let definitions = encode_ite_definitions(&mut self.atoms, self.env, &mut self.ctx);
+        self.grow_sat();
+        for c in definitions {
+            self.sat.add_lemma(c);
         }
         for lem in lemmas.arrays {
             if !self.lemma_seen.contains(&lem) {
@@ -296,9 +280,6 @@ impl Session {
                             return SmtResult::Unknown(Exhaustion::new(Phase::Simplex, resource));
                         }
                         TheoryResult::Unsat(core) => {
-                            if self.certify {
-                                cores.push(core.iter().map(|&ix| assignment[ix]).collect());
-                            }
                             conflicts += 1;
                             if conflicts > budget.max_theory_conflicts {
                                 return SmtResult::Unknown(Exhaustion::with_detail(
@@ -312,11 +293,11 @@ impl Session {
                             // combination stays refuted in every scope.
                             let block: Vec<Lit> = core
                                 .iter()
-                                .map(|&ix| {
-                                    let (aid, val) = assignment[ix];
-                                    Lit::new(self.atom_vars[aid.index()], !val)
-                                })
+                                .map(|&(aid, val)| Lit::new(self.atom_vars[aid.index()], !val))
                                 .collect();
+                            if self.certify {
+                                cores.push(core);
+                            }
                             self.sat.reset_to_root();
                             self.sat.add_lemma(block);
                         }
@@ -339,12 +320,8 @@ impl Session {
             &self.asserted
         };
         let sets = micro::time(TheoryKind::Sets, || {
-            self.saturation.saturate(
-                asserted,
-                max_saturation_lemmas,
-                &mut self.atoms,
-                &mut self.env,
-            )
+            self.saturation
+                .saturate(asserted, max_saturation_lemmas, &mut self.atoms, self.env)
         });
         let arrays = if self.array_axioms {
             micro::time(TheoryKind::Arrays, || array_axiom_lemmas(asserted))
@@ -381,19 +358,18 @@ impl Session {
 
     /// Encodes `lem` as retained lemma clauses.
     fn encode_lemma(&mut self, lem: &Pred) {
-        let lem = eliminate_ite(lem, &mut self.env);
-        let unit = encode_incremental(&lem, &mut self.atoms, &self.env, &mut self.ctx);
+        let unit = encode_incremental(lem, &mut self.atoms, self.env, &mut self.ctx);
         self.grow_sat();
         for c in unit.clauses.into_iter().chain(unit.lemma_clauses) {
             self.sat.add_lemma(c);
         }
     }
 
-    /// Certifies a `Sat` model: every asserted (ite-eliminated) predicate
-    /// must hold under it.
+    /// Certifies a `Sat` model: every asserted predicate must hold under
+    /// it (an `ite` evaluates as the variable the arena lifted it to).
     fn certify_model(&mut self, model: &[(AtomId, bool)]) -> Result<(), &'static str> {
-        for q in &self.elim {
-            match crate::certify::eval_pred(q, &mut self.atoms, &self.env, model) {
+        for q in &self.asserted {
+            match crate::certify::eval_pred(q, &mut self.atoms, self.env, model) {
                 Some(true) => {}
                 Some(false) => return Err("countermodel does not satisfy an asserted predicate"),
                 None => return Err("countermodel leaves an asserted predicate undetermined"),
@@ -409,4 +385,189 @@ fn root_literals(sat: &CdclSolver, atom_of_var: &[Option<AtomId>]) -> Vec<(AtomI
         .iter()
         .filter_map(|l| atom_of_var[l.var().0 as usize].map(|aid| (aid, l.sign())))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsolve_logic::{parse_pred, FuncSort, Sort, Symbol};
+    use proptest::prelude::*;
+
+    #[cfg(feature = "slow-proptest")]
+    const CASES: u32 = 256;
+    #[cfg(not(feature = "slow-proptest"))]
+    const CASES: u32 = 32;
+
+    /// Integers, a boolean flag, a unary uninterpreted function, and
+    /// three set variables.
+    fn env() -> SortEnv {
+        let mut env = SortEnv::new();
+        for v in ["x", "y", "z"] {
+            env.bind(Symbol::new(v), Sort::Int);
+        }
+        env.bind(Symbol::new("b"), Sort::Bool);
+        for v in ["s", "t", "u"] {
+            env.bind(Symbol::new(v), Sort::Set);
+        }
+        env.declare_func(Symbol::new("f"), FuncSort::new(vec![Sort::Int], Sort::Int));
+        env
+    }
+
+    /// The atom pool of the crate's scratch-oracle suite: arithmetic, UF
+    /// congruence, set facts whose verdicts need saturation lemmas, and
+    /// an `ite` inside a union.
+    const ATOMS: [&str; 20] = [
+        "x < y",
+        "x <= y",
+        "y < z",
+        "x = y + 1",
+        "x + y <= z",
+        "0 <= x",
+        "x != z",
+        "z <= 3",
+        "b",
+        "f(x) = f(y)",
+        "f(x) <= f(z)",
+        "f(z) = y",
+        "x in s",
+        "s = union(t, single(x))",
+        "s = t",
+        "y in union(s, t)",
+        "t = u",
+        "s = t => t = union(s, t)",
+        "u = union(t, single(x)) && t = union(u, single(x))",
+        "s = union(single(x), (if x < y then t else u))",
+    ];
+
+    /// Atoms combined by ¬, ∧, ∨, ⇒ up to a small depth.
+    fn arb_pred() -> BoxedStrategy<Pred> {
+        (0usize..ATOMS.len())
+            .prop_map(|i| parse_pred(ATOMS[i]).unwrap())
+            .prop_recursive(3, 16, 2, |inner| {
+                prop_oneof![
+                    inner.clone().prop_map(Pred::not),
+                    (inner.clone(), inner.clone()).prop_map(|(p, q)| Pred::and(vec![p, q])),
+                    (inner.clone(), inner.clone()).prop_map(|(p, q)| Pred::or(vec![p, q])),
+                    (inner.clone(), inner).prop_map(|(p, q)| Pred::imp(p, q)),
+                ]
+            })
+    }
+
+    /// Checks `session` and a one-shot session on the conjunction of the
+    /// live assertions `frames`, asserting that both are definite and
+    /// agree; returns the verdict.
+    fn check_both(session: &mut Session, env: &SortEnv, frames: &[Vec<Pred>]) -> SmtResult {
+        let budget = Budget::default();
+        let conj = Pred::and(frames.concat());
+        let mut one_shot = Session::new(env, true, false);
+        one_shot.assert_pred(&conj);
+        let want = one_shot.check(&budget, None);
+        let got = session.check(&budget, None);
+        assert!(
+            matches!(
+                (&got, &want),
+                (SmtResult::Sat, SmtResult::Sat) | (SmtResult::Unsat, SmtResult::Unsat)
+            ),
+            "scoped {got:?} vs one-shot {want:?} on `{conj}`"
+        );
+        got
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+        /// Interleaved assert/push/check/pop through one session: at every
+        /// check (and once at the end) the verdict is a one-shot session's
+        /// on the conjunction of the live assertions.
+        #[test]
+        fn scoped_checks_match_one_shot(
+            ops in prop::collection::vec((0u8..4, arb_pred()), 1..14),
+        ) {
+            let env = env();
+            let mut session = Session::new(&env, true, false);
+            // Mirror of the session's assertion stack: one frame per scope.
+            let mut frames: Vec<Vec<Pred>> = vec![Vec::new()];
+            for (op, p) in ops {
+                match op {
+                    0 => {
+                        session.push();
+                        frames.push(Vec::new());
+                    }
+                    1 => {
+                        if frames.len() > 1 {
+                            session.pop();
+                            frames.pop();
+                        }
+                    }
+                    2 => {
+                        session.assert_pred(&p);
+                        frames.last_mut().unwrap().push(p);
+                    }
+                    _ => {
+                        check_both(&mut session, &env, &frames);
+                    }
+                }
+            }
+            check_both(&mut session, &env, &frames);
+        }
+    }
+
+    /// A fixed sequence covering the subtle pop interactions: lemma
+    /// retention across pops, base facts encoded while a scope was open,
+    /// and an `ite` lifted inside a popped scope, whose variable a later
+    /// scope reuses and whose definition must still be in force.
+    #[test]
+    fn pop_reassert_sequence_matches_one_shot() {
+        let env = env();
+        let mut session = Session::new(&env, true, false);
+        let mut frames: Vec<Vec<Pred>> = vec![Vec::new()];
+        let mut step = |session: &mut Session, op: &str, want: Option<SmtResult>| {
+            match op {
+                "push" => {
+                    session.push();
+                    frames.push(Vec::new());
+                }
+                "pop" => {
+                    session.pop();
+                    frames.pop();
+                }
+                p => {
+                    let p = parse_pred(p).unwrap();
+                    session.assert_pred(&p);
+                    frames.last_mut().unwrap().push(p);
+                }
+            }
+            if let Some(want) = want {
+                assert_eq!(check_both(session, &env, &frames), want, "after `{op}`");
+            }
+        };
+        let (sat, unsat) = (Some(SmtResult::Sat), Some(SmtResult::Unsat));
+        step(&mut session, "x < y", sat.clone());
+        step(&mut session, "push", None);
+        step(&mut session, "y < x", unsat.clone());
+        step(&mut session, "pop", None);
+        // The base fact must still be in force after the pop.
+        step(&mut session, "push", None);
+        step(&mut session, "y <= x", unsat.clone());
+        step(&mut session, "pop", None);
+        // Set facts across a scope boundary: the ACI1 identity is refuted
+        // inside the scope (its saturation lemmas are retained) and the
+        // base conjunction is satisfiable again after the pop.
+        step(&mut session, "s = union(t, single(x))", None);
+        step(&mut session, "push", None);
+        step(&mut session, "not (s = union(single(x), t))", unsat.clone());
+        step(&mut session, "pop", sat.clone());
+        // An `ite` first lifted in a scope keeps its definition after the
+        // pop: with x < y it is x, so z = x.
+        step(&mut session, "push", None);
+        step(&mut session, "z = (if x < y then x else y)", sat.clone());
+        step(&mut session, "pop", None);
+        step(&mut session, "push", None);
+        step(
+            &mut session,
+            "z = (if x < y then x else y) && z != x",
+            unsat,
+        );
+        step(&mut session, "pop", sat);
+    }
 }

@@ -14,7 +14,6 @@
 //! uninterpreted atom.
 
 use crate::cnf::{AtomId, Atoms};
-use crate::solver::elim_expr;
 use crate::term::{Term, TermId};
 use dsolve_logic::{Expr, Pred, Rel, SortEnv};
 use dsolve_obs::{micro, MicroCounter};
@@ -205,10 +204,6 @@ pub(crate) type LemmaClause = Vec<(AtomId, bool)>;
 pub(crate) struct Saturation {
     /// The lemma clauses the memo has not handed out before, in order.
     pub(crate) clauses: Vec<LemmaClause>,
-    /// Definitions `(c ⇒ v = t) ∧ (¬c ⇒ v = e)` of the variables that
-    /// stand for `ite(c, t, e)` in the terms of those clauses, first
-    /// needed by this check.
-    pub(crate) ite_defs: Vec<Pred>,
     /// Whether the lemma budget ran out before saturation completed.
     pub(crate) truncated: bool,
 }
@@ -266,8 +261,10 @@ struct MemoTerm {
 impl SaturationMemo {
     /// The ground leaf-substitution lemmas of the conjunction of
     /// `conjuncts` that this memo has not handed out before, as clauses
-    /// over `atoms` (whose terms are sorted by `env`), plus a flag that is `true` when the lemma
-    /// budget ran out before saturation completed.
+    /// over `atoms` (whose terms are sorted by `env`), plus a flag that is
+    /// `true` when the lemma budget ran out before saturation completed.
+    /// An `ite` in a lemma's terms is lifted as flattening lifts it, so
+    /// its definition waits in the arena for the encoder.
     ///
     /// ACI1 canonicalization is syntactic, so an equality discovered at
     /// solve time (`elts xs = empty`, `elts zs = union(elts xs, elts ys)`)
@@ -309,7 +306,7 @@ impl SaturationMemo {
         conjuncts: &[Pred],
         max_lemmas: u64,
         atoms: &mut Atoms,
-        env: &mut SortEnv,
+        env: &SortEnv,
     ) -> Saturation {
         // Collect equality pairs over set-shaped sides and all union terms.
         let mut pairs: BTreeSet<(Expr, Expr)> = BTreeSet::new();
@@ -329,7 +326,6 @@ impl SaturationMemo {
 
         let mut out = Saturation {
             clauses: Vec::new(),
-            ite_defs: Vec::new(),
             truncated: false,
         };
         let mut derived = 0u64;
@@ -355,9 +351,8 @@ impl SaturationMemo {
                             let rebuilt = self.rewrite(&leaves, x, t);
                             self.rewrites.insert((u, x, t), rebuilt);
                             if rebuilt != u {
-                                let guard = self.eq_atom(x, t, atoms, env, &mut out.ite_defs);
-                                let conclusion =
-                                    self.eq_atom(u, rebuilt, atoms, env, &mut out.ite_defs);
+                                let guard = self.eq_atom(x, t, atoms, env);
+                                let conclusion = self.eq_atom(u, rebuilt, atoms, env);
                                 out.clauses.push(vec![(guard, false), (conclusion, true)]);
                             }
                             rebuilt
@@ -396,7 +391,7 @@ impl SaturationMemo {
             }
         }
         for u in fresh {
-            let u = self.term_of(u, atoms, env, &mut out.ite_defs);
+            let u = self.term_of(u, atoms, env);
             let empty = atoms.arena.empty_set();
             out.clauses.push(vec![(atoms.eq_atom(u, empty), false)]);
         }
@@ -408,9 +403,9 @@ impl SaturationMemo {
                 if !self.injective.insert((a, b)) {
                     continue;
                 }
-                let guard = self.eq_atom(a, b, atoms, env, &mut out.ite_defs);
-                let ea = self.element(a, atoms, env, &mut out.ite_defs);
-                let eb = self.element(b, atoms, env, &mut out.ite_defs);
+                let guard = self.eq_atom(a, b, atoms, env);
+                let ea = self.element(a, atoms, env);
+                let eb = self.element(b, atoms, env);
                 out.clauses
                     .push(vec![(guard, false), (atoms.eq_atom(ea, eb), true)]);
             }
@@ -560,28 +555,15 @@ impl SaturationMemo {
     }
 
     /// The atom `lhs = rhs` over the terms of two memo terms.
-    fn eq_atom(
-        &mut self,
-        lhs: u32,
-        rhs: u32,
-        atoms: &mut Atoms,
-        env: &mut SortEnv,
-        defs: &mut Vec<Pred>,
-    ) -> AtomId {
-        let lhs = self.term_of(lhs, atoms, env, defs);
-        let rhs = self.term_of(rhs, atoms, env, defs);
+    fn eq_atom(&mut self, lhs: u32, rhs: u32, atoms: &mut Atoms, env: &SortEnv) -> AtomId {
+        let lhs = self.term_of(lhs, atoms, env);
+        let rhs = self.term_of(rhs, atoms, env);
         atoms.eq_atom(lhs, rhs)
     }
 
     /// The arena term of the element of singleton `single`.
-    fn element(
-        &mut self,
-        single: u32,
-        atoms: &mut Atoms,
-        env: &mut SortEnv,
-        defs: &mut Vec<Pred>,
-    ) -> TermId {
-        let single = self.term_of(single, atoms, env, defs);
+    fn element(&mut self, single: u32, atoms: &mut Atoms, env: &SortEnv) -> TermId {
+        let single = self.term_of(single, atoms, env);
         match atoms.arena.term(single) {
             Term::App(_, args) => args[0],
             _ => unreachable!("a singleton flattens to `$single`"),
@@ -591,29 +573,17 @@ impl SaturationMemo {
     /// The arena term of memo term `id`: its expression flattened, or for
     /// a union a rewrite built, `$union` nodes over its leaves' terms,
     /// right-nested as flattening the union's expression would build them.
-    /// An `ite` inside an expression is first replaced by a variable,
-    /// whose definition joins `defs`.
-    fn term_of(
-        &mut self,
-        id: u32,
-        atoms: &mut Atoms,
-        env: &mut SortEnv,
-        defs: &mut Vec<Pred>,
-    ) -> TermId {
+    fn term_of(&mut self, id: u32, atoms: &mut Atoms, env: &SortEnv) -> TermId {
         if let Some(t) = self.terms[id as usize].term {
             return t;
         }
         let t = match &self.terms[id as usize].expr {
-            Some(e) if has_ite(e) => {
-                let e = elim_expr(e, env, defs);
-                atoms.arena.flatten(&e, env)
-            }
             Some(e) => atoms.arena.flatten(e, env),
             None => {
                 let leaves = self.leaves(id);
                 let terms: Vec<TermId> = leaves
                     .iter()
-                    .map(|&l| self.term_of(l, atoms, env, defs))
+                    .map(|&l| self.term_of(l, atoms, env))
                     .collect();
                 let mut rev = terms.into_iter().rev();
                 let last = rev.next().expect("a union has leaves");
@@ -622,18 +592,6 @@ impl SaturationMemo {
         };
         self.terms[id as usize].term = Some(t);
         t
-    }
-}
-
-/// Whether `e` contains an `if-then-else`.
-fn has_ite(e: &Expr) -> bool {
-    match e {
-        Expr::Ite(..) => true,
-        Expr::Var(_) | Expr::Int(_) | Expr::Bool(_) | Expr::SetEmpty => false,
-        Expr::Neg(a) | Expr::SetSingle(a) => has_ite(a),
-        Expr::Binop(_, a, b) | Expr::Sel(a, b) | Expr::SetUnion(a, b) => has_ite(a) || has_ite(b),
-        Expr::Upd(m, i, v) => has_ite(m) || has_ite(i) || has_ite(v),
-        Expr::App(_, args) => args.iter().any(has_ite),
     }
 }
 
@@ -876,7 +834,6 @@ mod tests {
         micro::drain();
         let got = session.derive_lemmas(cap);
         let work = micro::drain();
-        assert!(got.sets.ite_defs.is_empty(), "no `ite` in the pool");
         let (atoms, env) = session.atoms_and_env();
         let new: Vec<LemmaClause> = all
             .iter()
@@ -920,8 +877,9 @@ mod tests {
         fn session_saturation_matches_oracle(
             ops in prop::collection::vec((0u8..4, arb_pred()), 1..16),
         ) {
+            let env = memo_env();
             for cap in [0, 1, 3, 200] {
-                let mut session = Session::new(memo_env(), true, false);
+                let mut session = Session::new(&env, true, false);
                 let mut frames: Vec<Vec<Pred>> = vec![Vec::new()];
                 let mut offered = HashSet::new();
                 for (op, p) in &ops {

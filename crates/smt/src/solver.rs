@@ -2,35 +2,33 @@
 //! quantifier-free EUFA + arrays + sets predicates.
 //!
 //! Architecture (lazy SMT): preprocess (set canonicalization, array axiom
-//! instantiation, if-then-else lifting) → atomize + Tseitin-encode → CDCL
-//! enumeration with full-model theory checks, each conflict blocked by
-//! its confirmed theory explanation. Every query runs that pipeline in a
-//! `Session`: a scalar query on a one-shot session, a batch or the scope
-//! API on a shared one; every query is accounted by one routine
-//! (`SmtSolver::query`).
+//! instantiation) → atomize + Tseitin-encode, lifting if-then-else terms
+//! as the term arena meets them → CDCL enumeration with full-model theory
+//! checks, each conflict blocked by its confirmed theory explanation.
+//! Every query runs that pipeline in a `Session`: a scalar query on a
+//! one-shot session, the consequents of a batch on one shared session;
+//! every query is accounted by one routine (`SmtSolver::query`). No
+//! session outlives the call that opened it.
 
 use crate::cache::QueryCache;
 use crate::session::Session;
 use dsolve_logic::{
-    deadline_expired, Budget, Exhaustion, Expr, FaultPlan, FaultPoint, Phase, Pred, Resource, Sort,
-    SortEnv, Symbol,
+    deadline_expired, Budget, Exhaustion, FaultPlan, FaultPoint, Phase, Pred, Resource, SortEnv,
 };
-use dsolve_obs::{log_error, micro, MicroCounter, Obs, QueryOrigin};
+use dsolve_obs::{log_error, Obs, QueryOrigin};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Configuration knobs (exposed for the ablation benchmarks).
+/// Configuration knobs (exposed for the ablation benchmarks). The
+/// resource limits are not among them: a solver takes its [`Budget`]
+/// apart ([`SmtSolver::with_config`]).
 #[derive(Clone, Copy, Debug)]
 pub struct SolverConfig {
     /// Memoize validity queries (structural hash of the implication).
     pub cache: bool,
     /// Instantiate the McCarthy read-over-write axioms.
     pub array_axioms: bool,
-    /// Resource limits (deadline, query cap, per-query search caps).
-    /// Exhausting any of them yields a reported `Unknown`, never a
-    /// silently guessed verdict.
-    pub budget: Budget,
     /// Independently certify every definite verdict: replay `Sat`
     /// countermodels through a structural predicate evaluator and `Unsat`
     /// theory cores through the theory stack. A certificate that fails to
@@ -44,7 +42,6 @@ impl Default for SolverConfig {
         SolverConfig {
             cache: true,
             array_axioms: true,
-            budget: Budget::default(),
             certify: false,
         }
     }
@@ -92,6 +89,10 @@ pub enum Validity {
 /// ```
 pub struct SmtSolver {
     config: SolverConfig,
+    /// Resource limits (deadline, query cap, per-query search caps).
+    /// Exhausting any of them yields a reported `Unknown`, never a
+    /// silently guessed verdict.
+    budget: Budget,
     /// Validity memo table. Private by default; [`SmtSolver::share_cache`]
     /// installs a handle shared with other solvers (parallel fixpoint
     /// workers, the obligation pass).
@@ -103,12 +104,9 @@ pub struct SmtSolver {
     /// Absolute wall-clock deadline for all queries on this solver.
     deadline: Option<Instant>,
     /// Whether `deadline` has been initialized (either explicitly via
-    /// [`SmtSolver::set_deadline`] or lazily from `config.budget.timeout`
-    /// on the first query).
+    /// [`SmtSolver::set_deadline`] or lazily from `budget.timeout` on the
+    /// first query).
     deadline_armed: bool,
-    /// The active incremental session, if [`SmtSolver::start_incremental`]
-    /// opened one.
-    session: Option<Box<Session>>,
     /// Queries this solver solved. The registry counts the total across
     /// solvers; this count is the solver's own share, which the fixpoint
     /// reports per worker.
@@ -135,11 +133,11 @@ impl Default for SmtSolver {
     fn default() -> SmtSolver {
         SmtSolver {
             config: SolverConfig::default(),
+            budget: Budget::default(),
             cache: QueryCache::shared(),
             queries: Arc::new(AtomicU64::new(0)),
             deadline: None,
             deadline_armed: false,
-            session: None,
             solved: 0,
             first_unknown: None,
             obs: Obs::off(),
@@ -155,10 +153,11 @@ impl SmtSolver {
         SmtSolver::default()
     }
 
-    /// Creates a solver with an explicit configuration.
-    pub fn with_config(config: SolverConfig) -> SmtSolver {
+    /// Creates a solver with an explicit configuration and budget.
+    pub fn with_config(config: SolverConfig, budget: Budget) -> SmtSolver {
         SmtSolver {
             config,
+            budget,
             ..SmtSolver::default()
         }
     }
@@ -227,8 +226,8 @@ impl SmtSolver {
     ///
     /// Callers that share one deadline across several phases (e.g. the
     /// liquid fixpoint) set it here instead of relying on the lazy
-    /// conversion of `config.budget.timeout`, which would restart the
-    /// clock at the first query.
+    /// conversion of `budget.timeout`, which would restart the clock at
+    /// the first query.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
         self.deadline = deadline;
         self.deadline_armed = true;
@@ -238,7 +237,7 @@ impl SmtSolver {
     /// timeout on first use.
     fn effective_deadline(&mut self) -> Option<Instant> {
         if !self.deadline_armed {
-            self.deadline = self.config.budget.deadline_from_now();
+            self.deadline = self.budget.deadline_from_now();
             self.deadline_armed = true;
         }
         self.deadline
@@ -248,8 +247,7 @@ impl SmtSolver {
     /// top-level queries, summed across every solver sharing the
     /// counter).
     fn query_budget_exhausted(&self) -> bool {
-        self.config
-            .budget
+        self.budget
             .max_smt_queries
             .is_some_and(|cap| self.queries.load(Ordering::Relaxed) >= cap)
     }
@@ -258,7 +256,7 @@ impl SmtSolver {
     /// the exhaustion to report, if any.
     fn entry_exhaustion(&mut self) -> Option<Exhaustion> {
         if self.query_budget_exhausted() {
-            let cap = self.config.budget.max_smt_queries.unwrap_or(0);
+            let cap = self.budget.max_smt_queries.unwrap_or(0);
             return Some(Exhaustion::with_detail(
                 Phase::Smt,
                 Resource::SmtQueries,
@@ -339,88 +337,6 @@ impl SmtSolver {
         !matches!(self.check_sat(env, p), SmtResult::Unsat)
     }
 
-    /// Opens an incremental session over `env`, replacing any session
-    /// already active. Until [`SmtSolver::end_incremental`], the scope
-    /// API ([`SmtSolver::push`], [`SmtSolver::pop`],
-    /// [`SmtSolver::assert_pred`], [`SmtSolver::check_incremental`])
-    /// operates on a persistent atom table, CNF variable map, and
-    /// clause database, so repeated checks under shared assertions
-    /// re-encode only what is new.
-    pub fn start_incremental(&mut self, env: &SortEnv) {
-        self.session = Some(Box::new(self.open_session(env)));
-    }
-
-    /// Closes the active incremental session, if any, releasing its
-    /// state.
-    pub fn end_incremental(&mut self) {
-        self.session = None;
-    }
-
-    /// Opens an assertion scope in the active incremental session.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no session is active.
-    pub fn push(&mut self) {
-        self.session
-            .as_mut()
-            .expect("push: no active incremental session")
-            .push();
-    }
-
-    /// Closes the innermost assertion scope, undoing every
-    /// [`SmtSolver::assert_pred`] since the matching
-    /// [`SmtSolver::push`] (retained lemmas survive).
-    ///
-    /// # Panics
-    ///
-    /// Panics when no session is active or no scope is open.
-    pub fn pop(&mut self) {
-        self.session
-            .as_mut()
-            .expect("pop: no active incremental session")
-            .pop();
-    }
-
-    /// Asserts `p` in the active incremental session (conjoined with
-    /// everything already asserted in the current scope stack).
-    ///
-    /// # Panics
-    ///
-    /// Panics when no session is active.
-    pub fn assert_pred(&mut self, p: &Pred) {
-        self.session
-            .as_mut()
-            .expect("assert_pred: no active incremental session")
-            .assert_pred(p);
-    }
-
-    /// Decides satisfiability of the asserted conjunction in the active
-    /// incremental session. Charged and accounted like
-    /// [`SmtSolver::check_sat`], and reports `Unknown` on exhaustion.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no session is active.
-    pub fn check_incremental(&mut self) -> SmtResult {
-        self.query(None, |smt, deadline| {
-            smt.obs.metrics().smt_scoped_checks.incr();
-            let session = smt
-                .session
-                .as_deref()
-                .expect("check_incremental: no active incremental session");
-            if smt.fault_fires(FaultPoint::SessionFail) {
-                // Injected mid-scope session failure: re-decide this check
-                // on a fresh one-shot session over the asserted
-                // conjunction (the session itself survives for later
-                // checks).
-                return smt.one_shot(session.env(), &session.conjunction(), deadline);
-            }
-            let session = smt.session.as_mut().expect("checked above");
-            session.check(&smt.config.budget, deadline)
-        })
-    }
-
     /// Decides validity of `antecedent ⇒ consequentᵢ` for every
     /// consequent, encoding and preprocessing the antecedent *once* and
     /// deciding each consequent under a pushed assertion scope.
@@ -461,7 +377,7 @@ impl SmtSolver {
                     smt.obs.metrics().smt_scoped_checks.incr();
                     session.push();
                     session.assert_pred(&Pred::not(consequent.clone()));
-                    let verdict = session.check(&smt.config.budget, deadline);
+                    let verdict = session.check(&smt.budget, deadline);
                     session.pop();
                     verdict
                 }))
@@ -528,10 +444,9 @@ impl SmtSolver {
         verdict
     }
 
-    /// Opens a session that serves several checks (a batch, or the
-    /// scope API), counted in the registry's `smt_sessions`. A one-shot
-    /// session is not.
-    fn open_session(&mut self, env: &SortEnv) -> Session {
+    /// Opens a session that serves several checks (a batch), counted in
+    /// the registry's `smt_sessions`. A one-shot session is not.
+    fn open_session<'env>(&mut self, env: &'env SortEnv) -> Session<'env> {
         self.obs.metrics().smt_sessions.incr();
         self.new_session(env)
     }
@@ -540,12 +455,12 @@ impl SmtSolver {
     fn one_shot(&self, env: &SortEnv, p: &Pred, deadline: Option<Instant>) -> SmtResult {
         let mut session = self.new_session(env);
         session.assert_pred(p);
-        session.check(&self.config.budget, deadline)
+        session.check(&self.budget, deadline)
     }
 
     /// An empty session over `env` with this solver's settings.
-    fn new_session(&self, env: &SortEnv) -> Session {
-        Session::new(env.clone(), self.config.array_axioms, self.config.certify)
+    fn new_session<'env>(&self, env: &'env SortEnv) -> Session<'env> {
+        Session::new(env, self.config.array_axioms, self.config.certify)
     }
 }
 
@@ -584,82 +499,10 @@ fn verdict_name(r: &SmtResult, validity: bool) -> &'static str {
     }
 }
 
-/// Replaces every term-level `if-then-else` with a fresh defined variable:
-/// `ite(c,t,e)` becomes `v` with the global definition
-/// `(c ⇒ v = t) ∧ (¬c ⇒ v = e)` (equisatisfiable in any polarity because
-/// `v` is fresh and totally defined).
-pub fn eliminate_ite(p: &Pred, env: &mut SortEnv) -> Pred {
-    let mut defs: Vec<Pred> = Vec::new();
-    let q = elim_pred(p, env, &mut defs);
-    if defs.is_empty() {
-        q
-    } else {
-        let mut parts = vec![q];
-        parts.extend(defs);
-        Pred::and(parts)
-    }
-}
-
-fn elim_pred(p: &Pred, env: &mut SortEnv, defs: &mut Vec<Pred>) -> Pred {
-    match p {
-        Pred::True | Pred::False => p.clone(),
-        Pred::Atom(rel, a, b) => Pred::Atom(*rel, elim_expr(a, env, defs), elim_expr(b, env, defs)),
-        Pred::And(ps) => Pred::And(ps.iter().map(|q| elim_pred(q, env, defs)).collect()),
-        Pred::Or(ps) => Pred::Or(ps.iter().map(|q| elim_pred(q, env, defs)).collect()),
-        Pred::Not(q) => Pred::Not(Box::new(elim_pred(q, env, defs))),
-        Pred::Imp(a, b) => Pred::Imp(
-            Box::new(elim_pred(a, env, defs)),
-            Box::new(elim_pred(b, env, defs)),
-        ),
-        Pred::Iff(a, b) => Pred::Iff(
-            Box::new(elim_pred(a, env, defs)),
-            Box::new(elim_pred(b, env, defs)),
-        ),
-        Pred::Term(e) => Pred::Term(elim_expr(e, env, defs)),
-    }
-}
-
-pub(crate) fn elim_expr(e: &Expr, env: &mut SortEnv, defs: &mut Vec<Pred>) -> Expr {
-    match e {
-        Expr::Var(_) | Expr::Int(_) | Expr::Bool(_) | Expr::SetEmpty => e.clone(),
-        Expr::Binop(op, a, b) => Expr::Binop(
-            *op,
-            Box::new(elim_expr(a, env, defs)),
-            Box::new(elim_expr(b, env, defs)),
-        ),
-        Expr::Neg(a) => Expr::Neg(Box::new(elim_expr(a, env, defs))),
-        Expr::Ite(c, t, f) => {
-            let c = elim_pred(c, env, defs);
-            let t = elim_expr(t, env, defs);
-            let f = elim_expr(f, env, defs);
-            let sort = env
-                .sort_of(&t)
-                .or_else(|| env.sort_of(&f))
-                .unwrap_or(Sort::Int);
-            let v = Symbol::fresh("ite");
-            env.bind(v, sort);
-            micro::add(MicroCounter::IteExpansions, 1);
-            let vexpr = Expr::Var(v);
-            defs.push(Pred::imp(c.clone(), Pred::eq(vexpr.clone(), t)));
-            defs.push(Pred::imp(Pred::not(c), Pred::eq(vexpr.clone(), f)));
-            vexpr
-        }
-        Expr::App(f, args) => Expr::App(*f, args.iter().map(|a| elim_expr(a, env, defs)).collect()),
-        Expr::Sel(m, i) => Expr::sel(elim_expr(m, env, defs), elim_expr(i, env, defs)),
-        Expr::Upd(m, i, v) => Expr::upd(
-            elim_expr(m, env, defs),
-            elim_expr(i, env, defs),
-            elim_expr(v, env, defs),
-        ),
-        Expr::SetSingle(a) => Expr::single(elim_expr(a, env, defs)),
-        Expr::SetUnion(a, b) => Expr::union(elim_expr(a, env, defs), elim_expr(b, env, defs)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsolve_logic::{parse_pred, FuncSort};
+    use dsolve_logic::{parse_pred, FuncSort, Sort, Symbol};
 
     fn env() -> SortEnv {
         let mut env = SortEnv::new();
@@ -812,13 +655,13 @@ mod tests {
     #[test]
     fn query_cap_reports_unknown() {
         let env = env();
-        let mut smt = SmtSolver::with_config(SolverConfig {
-            budget: Budget {
+        let mut smt = SmtSolver::with_config(
+            SolverConfig::default(),
+            Budget {
                 max_smt_queries: Some(1),
                 ..Budget::default()
             },
-            ..SolverConfig::default()
-        });
+        );
         let l = parse_pred("x < y").unwrap();
         let r = parse_pred("x <= y").unwrap();
         assert_eq!(smt.check_valid(&env, &l, &r), Validity::Valid);
@@ -841,13 +684,13 @@ mod tests {
         // query is a cache hit, does no solving, and must be served —
         // and charged nothing — even once the cap is exhausted.
         let env = env();
-        let (mut smt, obs) = observed(SmtSolver::with_config(SolverConfig {
-            budget: Budget {
+        let (mut smt, obs) = observed(SmtSolver::with_config(
+            SolverConfig::default(),
+            Budget {
                 max_smt_queries: Some(1),
                 ..Budget::default()
             },
-            ..SolverConfig::default()
-        }));
+        ));
         let l = parse_pred("x < y").unwrap();
         let r = parse_pred("x <= y").unwrap();
         assert_eq!(smt.check_valid(&env, &l, &r), Validity::Valid);
@@ -857,46 +700,6 @@ mod tests {
         }
         assert_eq!(smt.queries_charged(), 1, "cache hits burned query budget");
         assert_eq!(obs.metrics().smt_cache_hits.get(), 3);
-    }
-
-    #[test]
-    fn incremental_scope_api_roundtrip() {
-        let env = env();
-        let (mut smt, obs) = observed(SmtSolver::new());
-        smt.start_incremental(&env);
-        smt.assert_pred(&parse_pred("x < y").unwrap());
-        assert_eq!(smt.check_incremental(), SmtResult::Sat);
-        smt.push();
-        smt.assert_pred(&parse_pred("y < x").unwrap());
-        assert_eq!(smt.check_incremental(), SmtResult::Unsat);
-        smt.pop();
-        assert_eq!(smt.check_incremental(), SmtResult::Sat);
-        smt.push();
-        smt.assert_pred(&parse_pred("y < z && z < x").unwrap());
-        assert_eq!(smt.check_incremental(), SmtResult::Unsat);
-        smt.pop();
-        smt.push();
-        smt.assert_pred(&parse_pred("y < z").unwrap());
-        assert_eq!(smt.check_incremental(), SmtResult::Sat);
-        smt.pop();
-        // A scoped check takes the query-timeout fault like any other
-        // query: the armed occurrence is refused before it is charged,
-        // and the next check is decided.
-        smt.set_fault(Some(Arc::new(FaultPlan::parse("query-timeout@1").unwrap())));
-        match smt.check_incremental() {
-            SmtResult::Unknown(e) => {
-                assert_eq!(e.resource, Resource::Deadline);
-                assert_eq!(e.detail, "injected query-timeout");
-            }
-            other => panic!("expected Unknown, got {other:?}"),
-        }
-        assert_eq!(smt.check_incremental(), SmtResult::Sat);
-        smt.end_incremental();
-        let m = obs.metrics();
-        assert_eq!(m.smt_sessions.get(), 1);
-        assert_eq!(m.smt_scoped_checks.get(), 6);
-        assert_eq!((m.smt_queries.get(), m.smt_refused.get()), (6, 1));
-        assert_eq!(smt.queries_charged(), 6);
     }
 
     #[test]
@@ -920,6 +723,34 @@ mod tests {
             obs.metrics().smt_scoped_checks.get(),
             consequents.len() as u64
         );
+    }
+
+    #[test]
+    fn injected_query_timeout_refuses_one_batched_check() {
+        // A batched check takes the query-timeout fault like any other
+        // query: the armed occurrence is refused before it is charged or
+        // opens the session, and the next consequents are decided.
+        let env = env();
+        let (mut smt, obs) = observed(SmtSolver::new());
+        smt.set_fault(Some(Arc::new(FaultPlan::parse("query-timeout@1").unwrap())));
+        let antecedent = parse_pred("x < y").unwrap();
+        let consequents: Vec<Pred> = ["x != y", "y < x", "x <= y"]
+            .iter()
+            .map(|s| parse_pred(s).unwrap())
+            .collect();
+        let got = smt.check_valid_many(&env, &antecedent, &consequents);
+        match &got[0] {
+            Validity::Unknown(e) => {
+                assert_eq!(e.resource, Resource::Deadline);
+                assert_eq!(e.detail, "injected query-timeout");
+            }
+            other => panic!("expected Unknown, got {other:?}"),
+        }
+        assert_eq!(got[1..], [Validity::Invalid, Validity::Valid]);
+        let m = obs.metrics();
+        assert_eq!((m.smt_queries.get(), m.smt_refused.get()), (2, 1));
+        assert_eq!((m.smt_sessions.get(), m.smt_scoped_checks.get()), (1, 2));
+        assert_eq!(smt.queries_charged(), 2);
     }
 
     #[test]
@@ -988,10 +819,10 @@ mod tests {
     #[test]
     fn zero_timeout_budget_arms_lazily_and_reports_unknown() {
         let env = env();
-        let mut smt = SmtSolver::with_config(SolverConfig {
-            budget: Budget::with_timeout(std::time::Duration::from_secs(0)),
-            ..SolverConfig::default()
-        });
+        let mut smt = SmtSolver::with_config(
+            SolverConfig::default(),
+            Budget::with_timeout(std::time::Duration::from_secs(0)),
+        );
         let l = parse_pred("x < y").unwrap();
         let r = parse_pred("x <= y").unwrap();
         match smt.check_valid(&env, &l, &r) {
@@ -1006,13 +837,13 @@ mod tests {
         // x + x = 1 has a rational solution but no integer one; with no
         // branch-and-bound nodes the solver must admit it cannot tell.
         let env = env();
-        let mut smt = SmtSolver::with_config(SolverConfig {
-            budget: Budget {
+        let mut smt = SmtSolver::with_config(
+            SolverConfig::default(),
+            Budget {
                 max_bb_nodes: 0,
                 ..Budget::default()
             },
-            ..SolverConfig::default()
-        });
+        );
         let p = parse_pred("x + x = 1").unwrap();
         match smt.check_sat(&env, &p) {
             SmtResult::Unknown(e) => {
@@ -1029,13 +860,13 @@ mod tests {
     #[test]
     fn unknown_is_not_cached() {
         let env = env();
-        let (mut smt, obs) = observed(SmtSolver::with_config(SolverConfig {
-            budget: Budget {
+        let (mut smt, obs) = observed(SmtSolver::with_config(
+            SolverConfig::default(),
+            Budget {
                 max_bb_nodes: 0,
                 ..Budget::default()
             },
-            ..SolverConfig::default()
-        }));
+        ));
         let l = parse_pred("x + x = 1").unwrap();
         let r = parse_pred("false").unwrap();
         assert!(matches!(

@@ -5,12 +5,19 @@
 //! "atoms" are ids of non-arithmetic terms; everything else (measures,
 //! `Sel`/`Upd`, set constructors, non-linear products) becomes an
 //! uninterpreted application handled by congruence closure.
+//!
+//! An if-then-else term is lifted where flattening meets it: the arena
+//! gives each distinct `ite(c, t, f)` one fresh variable `v` and queues
+//! its definition (`c ⇒ v = t`, `¬c ⇒ v = f`), which the encoder emits
+//! as clauses. So every caller flattens raw terms, and an `ite` met again
+//! (in another assertion, a lemma or a certificate) is the same variable.
 
 use crate::Rat;
 use dsolve_logic::{Binop, Expr, Sort, SortEnv, Symbol};
+use dsolve_obs::{micro, MicroCounter};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a hash-consed term in a [`TermArena`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -30,7 +37,8 @@ pub enum Term {
     Int(i64),
     /// Boolean constant (an EUF individual; `true ≠ false` is built in).
     Bool(bool),
-    /// Free variable with its sort.
+    /// Free variable with its sort, or the variable a lifted `ite`
+    /// stands for.
     Var(Symbol, Sort),
     /// Uninterpreted application (measures, `Sel`, `Upd`, set ops,
     /// non-linear arithmetic). Reserved head symbols are produced by
@@ -80,6 +88,11 @@ pub struct TermArena {
     terms: Vec<Term>,
     sorts: Vec<Sort>,
     dedup: HashMap<Term, TermId>,
+    /// The variable each lifted `ite` term stands for.
+    ites: HashMap<Arc<Expr>, TermId>,
+    /// Lifted `ite` terms whose definitions the encoder has not taken
+    /// yet, with their variables, in lifting order.
+    undefined: Vec<(TermId, Arc<Expr>)>,
 }
 
 impl TermArena {
@@ -125,14 +138,13 @@ impl TermArena {
         (0..self.terms.len() as u32).map(TermId)
     }
 
-    /// Flattens a `logic` expression into the arena.
-    ///
-    /// `Ite` must have been eliminated by preprocessing.
+    /// Flattens a `logic` expression into the arena, lifting each `ite`
+    /// it meets (see the module docs).
     ///
     /// # Panics
     ///
-    /// Panics on `Expr::Ite` (the solver lifts those first) and on
-    /// variables missing from `env` (callers bind every free variable).
+    /// Panics on variables missing from `env` (callers bind every free
+    /// variable).
     pub fn flatten(&mut self, e: &Expr, env: &SortEnv) -> TermId {
         let h = heads();
         match e {
@@ -164,7 +176,21 @@ impl TermArena {
                 };
                 self.intern(Term::App(head, vec![ta, tb]), Sort::Int)
             }
-            Expr::Ite(..) => panic!("Ite must be eliminated before flattening"),
+            Expr::Ite(_, t, f) => {
+                if let Some(&v) = self.ites.get(e) {
+                    return v;
+                }
+                let sort = env
+                    .sort_of(t)
+                    .or_else(|| env.sort_of(f))
+                    .unwrap_or(Sort::Int);
+                let v = self.intern(Term::Var(Symbol::fresh("ite"), sort.clone()), sort);
+                micro::add(MicroCounter::IteExpansions, 1);
+                let ite = Arc::new(e.clone());
+                self.ites.insert(Arc::clone(&ite), v);
+                self.undefined.push((v, ite));
+                v
+            }
             Expr::App(f, args) => {
                 let targs: Vec<TermId> = args.iter().map(|a| self.flatten(a, env)).collect();
                 let ret = env
@@ -195,6 +221,13 @@ impl TermArena {
                 self.union(ta, tb)
             }
         }
+    }
+
+    /// Takes the `ite` terms lifted since the last call, each with the
+    /// variable that stands for it. Every one must be defined, since
+    /// flattening will not queue it again.
+    pub(crate) fn take_undefined(&mut self) -> Vec<(TermId, Arc<Expr>)> {
+        std::mem::take(&mut self.undefined)
     }
 
     /// The term `empty`.
@@ -456,6 +489,28 @@ mod tests {
             let id = a.flatten(&e, &env);
             assert_eq!(a.linear_form(id), a.linearize(&e, &env), "{src}");
         }
+    }
+
+    #[test]
+    fn an_ite_met_twice_is_lifted_once() {
+        let env = env();
+        let e = parse_expr("(if x < y then x else y) + (if x < y then x else y)").unwrap();
+        let mut a = TermArena::new();
+        micro::drain();
+        let sum = a.flatten(&e, &env);
+        let Term::App(_, args) = a.term(sum).clone() else {
+            panic!("a sum flattens to `$add`");
+        };
+        assert_eq!(args[0], args[1]);
+        assert!(matches!(a.term(args[0]), Term::Var(v, Sort::Int) if v.is_fresh()));
+        let undefined = a.take_undefined();
+        assert_eq!(undefined.len(), 1);
+        assert_eq!(undefined[0].0, args[0]);
+        assert_eq!(micro::drain().micro[MicroCounter::IteExpansions.index()], 1);
+        // Met again after its definition was taken, it is the same
+        // variable, and nothing is queued.
+        assert_eq!(a.flatten(&e, &env), sum);
+        assert!(a.take_undefined().is_empty());
     }
 
     #[test]

@@ -81,10 +81,10 @@ impl Default for TheoryBudget {
 pub enum TheoryResult {
     /// The assignment is theory-consistent.
     Sat,
-    /// Conflict; the payload lists indices into the assignment slice that
-    /// together are inconsistent (a confirmed explanation, or the whole
-    /// assignment when none was confirmed).
-    Unsat(Vec<usize>),
+    /// Conflict; the payload lists literals of the assignment that
+    /// together are inconsistent, in atom order (a confirmed
+    /// explanation, or the whole assignment when none was confirmed).
+    Unsat(Vec<(AtomId, bool)>),
     /// The check's budget ran out before consistency was decided; the
     /// payload names the exhausted resource.
     Unknown(Resource),
@@ -94,14 +94,14 @@ pub enum TheoryResult {
 #[derive(Clone, Debug)]
 enum Consistency {
     Sat,
-    /// Inconsistent; the payload is the explanation (sorted, unique
-    /// positions in the asserted-literal stack).
-    Unsat(Vec<usize>),
+    /// Inconsistent; the payload is the explanation, literals in atom
+    /// order.
+    Unsat(Vec<(AtomId, bool)>),
     /// Inconsistent over the integers only, refuted by branch-and-bound
     /// (see [`Simplex::conflict_searched`]), with its explanation. Fresh
     /// engines take it as `Unsat`; the context re-decides such a model on
     /// fresh engines rather than confirm one search by another.
-    Searched(Vec<usize>),
+    Searched(Vec<(AtomId, bool)>),
     Unknown(Resource),
 }
 
@@ -151,8 +151,7 @@ impl Fresh<'_> {
     /// Decides the whole model. The core is the closure's explanation
     /// once a second closure confirms it, and the whole model otherwise.
     fn decide(&self) -> TheoryResult {
-        let all: Vec<usize> = (0..self.assignment.len()).collect();
-        let explanation = match self.closure(&all) {
+        let explanation = match self.closure(self.assignment) {
             Consistency::Sat => return TheoryResult::Sat,
             // The full check could not be decided: neither verdict is safe.
             Consistency::Unknown(r) => return TheoryResult::Unknown(r),
@@ -162,28 +161,20 @@ impl Fresh<'_> {
             return TheoryResult::Unsat(explanation);
         }
         micro::add(MicroCounter::TheoryCoreFallbacks, 1);
+        let mut all = self.assignment.to_vec();
+        all.sort_unstable();
         TheoryResult::Unsat(all)
     }
 
-    /// The closure of the literals at `indices` (into the model), its
-    /// explanation mapped back to indices.
-    fn closure(&self, indices: &[usize]) -> Consistency {
-        let lits = indices.iter().map(|&i| self.assignment[i]);
-        // Fresh engines assert `indices` in order, so position p is
-        // `indices[p]`.
-        let to_indices =
-            |positions: Vec<usize>| positions.into_iter().map(|p| indices[p]).collect();
-        match Engines::default().assert_and_close(self.atoms, lits, self.budget) {
-            Consistency::Unsat(positions) => Consistency::Unsat(to_indices(positions)),
-            Consistency::Searched(positions) => Consistency::Searched(to_indices(positions)),
-            verdict => verdict,
-        }
+    /// The closure of `lits` on fresh engines.
+    fn closure(&self, lits: &[(AtomId, bool)]) -> Consistency {
+        Engines::default().assert_and_close(self.atoms, lits.iter().copied(), self.budget)
     }
 
-    /// Whether the literals at `indices` are inconsistent.
-    fn is_unsat(&self, indices: &[usize]) -> bool {
+    /// Whether `lits` are inconsistent.
+    fn is_unsat(&self, lits: &[(AtomId, bool)]) -> bool {
         matches!(
-            self.closure(indices),
+            self.closure(lits),
             Consistency::Unsat(_) | Consistency::Searched(_)
         )
     }
@@ -191,7 +182,7 @@ impl Fresh<'_> {
     /// Turns a context explanation into a core, but only once fresh
     /// engines confirm it is inconsistent; otherwise the model is
     /// re-decided on fresh engines.
-    fn confirm(&self, explanation: Vec<usize>) -> TheoryResult {
+    fn confirm(&self, explanation: Vec<(AtomId, bool)>) -> TheoryResult {
         if self.is_unsat(&explanation) {
             return TheoryResult::Unsat(explanation);
         }
@@ -237,10 +228,6 @@ impl TheoryContext {
     ) -> TheoryResult {
         micro::add(MicroCounter::TheoryAssignments, 1);
         let covered = self.sync_frames(atoms, root, budget);
-        let mut index = vec![usize::MAX; atoms.len()];
-        for (i, &(aid, _)) in assignment.iter().enumerate() {
-            index[aid.index()] = i;
-        }
         let top = self
             .frames
             .last()
@@ -248,8 +235,7 @@ impl TheoryContext {
         let verdict = match top {
             Some(Consistency::Sat) | None => {
                 let mut in_frames = vec![false; atoms.len()];
-                for &(aid, val) in &root[..covered] {
-                    debug_assert_eq!(assignment[index[aid.index()]], (aid, val));
+                for &(aid, _) in &root[..covered] {
                     in_frames[aid.index()] = true;
                 }
                 let rest: Vec<(AtomId, bool)> = assignment
@@ -262,17 +248,15 @@ impl TheoryContext {
                     if top.is_some() {
                         return TheoryResult::Sat;
                     }
-                    let verdict = self.close_top(atoms, budget);
-                    self.engines.in_model(verdict, &index)
+                    self.close_top(atoms, budget)
                 } else {
                     self.engines.push();
                     let verdict = self.engines.assert_and_close(atoms, rest, budget);
-                    let decided = self.engines.in_model(verdict, &index);
                     self.engines.pop();
-                    decided
+                    verdict
                 }
             }
-            Some(verdict) => self.engines.in_model(verdict, &index),
+            Some(verdict) => verdict,
         };
         let fresh = Fresh {
             atoms,
@@ -357,7 +341,7 @@ struct Engines {
     /// The difference rows' keys in creation order, to remove them with
     /// their scope.
     row_log: Vec<Vec<(usize, Rat)>>,
-    /// Asserted literals, in order; explanations are positions here.
+    /// Asserted literals, in order; reasons rest on positions here.
     lits: Vec<(AtomId, bool)>,
     /// The literal positions each engine reason tag rests on.
     reasons: Vec<Vec<usize>>,
@@ -426,23 +410,17 @@ impl Engines {
         out
     }
 
-    /// A closure's verdict with its explanation mapped from literal
-    /// positions to indices into the model, through `index` (the model
-    /// index of each atom).
-    fn in_model(&self, verdict: Consistency, index: &[usize]) -> Consistency {
-        let indices = |positions: Vec<usize>| {
-            let mut out: Vec<usize> = positions
-                .into_iter()
-                .map(|p| index[self.lits[p].0.index()])
-                .collect();
-            out.sort_unstable();
-            out
-        };
-        match verdict {
-            Consistency::Unsat(positions) => Consistency::Unsat(indices(positions)),
-            Consistency::Searched(positions) => Consistency::Searched(indices(positions)),
-            verdict => verdict,
-        }
+    /// The literals behind a set of reason tags, in atom order: an
+    /// explanation.
+    fn explain(&self, reasons: &[u32]) -> Vec<(AtomId, bool)> {
+        let mut out: Vec<(AtomId, bool)> = self
+            .expand(reasons)
+            .into_iter()
+            .map(|p| self.lits[p])
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     /// The simplex variable of `t`, created on first use (a fixed one for
@@ -523,7 +501,11 @@ impl Engines {
     /// Asserts one literal, its reason resting on the literal alone; on an
     /// immediate conflict — a constant literal false on its own, or a
     /// bound clashing with an earlier one — returns the explanation.
-    fn assert_lit(&mut self, atoms: &Atoms, (aid, val): (AtomId, bool)) -> Result<(), Vec<usize>> {
+    fn assert_lit(
+        &mut self,
+        atoms: &Atoms,
+        (aid, val): (AtomId, bool),
+    ) -> Result<(), Vec<(AtomId, bool)>> {
         let arena = &atoms.arena;
         let pos = self.lits.len();
         self.lits.push((aid, val));
@@ -553,7 +535,7 @@ impl Engines {
                 Ok(())
             }
         };
-        clash.map_err(|reasons| self.expand(&reasons))
+        clash.map_err(|reasons| self.explain(&reasons))
     }
 
     /// Asserts `lits`, stopping at the first immediate conflict.
@@ -561,7 +543,7 @@ impl Engines {
         &mut self,
         atoms: &Atoms,
         lits: impl IntoIterator<Item = (AtomId, bool)>,
-    ) -> Result<(), Vec<usize>> {
+    ) -> Result<(), Vec<(AtomId, bool)>> {
         lits.into_iter()
             .try_for_each(|lit| self.assert_lit(atoms, lit))
     }
@@ -629,10 +611,10 @@ impl Engines {
         // of the whole model, the search may not finish).
         loop {
             if micro::time(TheoryKind::Simplex, || self.simplex.check()) == LpResult::Unsat {
-                return Consistency::Unsat(self.expand(self.simplex.conflict()));
+                return Consistency::Unsat(self.explain(self.simplex.conflict()));
             }
             if micro::time(TheoryKind::Euf, || self.euf.check()) == EufResult::Unsat {
-                return Consistency::Unsat(self.expand(self.euf.conflict()));
+                return Consistency::Unsat(self.explain(self.euf.conflict()));
             }
             // EUF → simplex, each equality resting on its proof-forest
             // path.
@@ -648,7 +630,7 @@ impl Engines {
                 if !(self.simplex.assert_lower(row, Rat::ZERO, Some(why))
                     && self.simplex.assert_upper(row, Rat::ZERO, Some(why)))
                 {
-                    return Consistency::Unsat(self.expand(self.simplex.conflict()));
+                    return Consistency::Unsat(self.explain(self.simplex.conflict()));
                 }
                 changed = true;
             }
@@ -661,7 +643,7 @@ impl Engines {
             }) {
                 LpResult::Sat => {}
                 LpResult::Unsat => {
-                    let explanation = self.expand(self.simplex.conflict());
+                    let explanation = self.explain(self.simplex.conflict());
                     return if self.simplex.conflict_searched() {
                         Consistency::Searched(explanation)
                     } else {
@@ -868,16 +850,16 @@ mod tests {
             panic!("expected conflict");
         };
         // The z < w literal is irrelevant.
-        assert_eq!(core.len(), 2);
-        assert!(core.contains(&0) && core.contains(&2));
+        assert_eq!(core, vec![lits[0], lits[2]]);
     }
 
-    /// The core of an infeasible literal set, asserting that its
-    /// explanation passed confirmation. (Each test runs on its own
-    /// thread, so the thread-local counters hold this check alone.)
-    fn core_of(lits: &[&str]) -> Vec<usize> {
+    /// The core of an infeasible literal set, as the predicates its
+    /// literals came from, asserting that its explanation passed
+    /// confirmation. (Each test runs on its own thread, so the
+    /// thread-local counters hold this check alone.)
+    fn core_of<'a>(preds: &[&'a str]) -> Vec<&'a str> {
         let env = env();
-        let (atoms, lits) = lits_of(lits, &env);
+        let (atoms, lits) = lits_of(preds, &env);
         let result = check_assignment(&atoms, &lits, &TheoryBudget::default());
         let counts = micro::drain().micro;
         assert_eq!(
@@ -890,7 +872,9 @@ mod tests {
         let TheoryResult::Unsat(core) = result else {
             panic!("expected a conflict, got {result:?}");
         };
-        core
+        core.iter()
+            .map(|lit| preds[lits.iter().position(|l| l == lit).expect("a model literal")])
+            .collect()
     }
 
     #[test]
@@ -899,7 +883,7 @@ mod tests {
         // f(x) ≠ f(y); z < w is no part of it.
         assert_eq!(
             core_of(&["x <= y", "y <= x", "f(x) != f(y)", "z < w"]),
-            vec![0, 1, 2]
+            ["x <= y", "y <= x", "f(x) != f(y)"]
         );
     }
 
@@ -908,12 +892,18 @@ mod tests {
         // Both an EUF conflict (p = q, p ≠ q) and a bounds conflict
         // (x < y, y < x) are present; arithmetic is checked first, so
         // the core is the pair of bounds.
-        assert_eq!(core_of(&["p = q", "p != q", "x < y", "y < x"]), vec![2, 3]);
+        assert_eq!(
+            core_of(&["p = q", "p != q", "x < y", "y < x"]),
+            ["x < y", "y < x"]
+        );
     }
 
     #[test]
     fn euf_conflict_explained_through_congruence() {
-        assert_eq!(core_of(&["z < w", "x = y", "f(x) != f(y)"]), vec![1, 2]);
+        assert_eq!(
+            core_of(&["z < w", "x = y", "f(x) != f(y)"]),
+            ["x = y", "f(x) != f(y)"]
+        );
     }
 
     #[test]
@@ -922,7 +912,7 @@ mod tests {
         // on both bounds), so f(x) ≠ f(0) fails by congruence.
         assert_eq!(
             core_of(&["w < z", "x <= 0", "0 <= x", "f(x) != f(0)"]),
-            vec![1, 2, 3]
+            ["x <= 0", "0 <= x", "f(x) != f(0)"]
         );
     }
 
@@ -967,7 +957,7 @@ mod tests {
         let TheoryResult::Unsat(core) = ctx.check(&atoms, &second, &second[..1], &budget) else {
             panic!("0 < x < 1 has no integer solution");
         };
-        assert_eq!(core, vec![0, 1]);
+        assert_eq!(core, second);
         let counts = micro::drain().micro;
         assert_eq!(counts[MicroCounter::TheoryFrames.index()], 2);
         assert_eq!(counts[MicroCounter::TheoryCoreFallbacks.index()], 0);

@@ -1,24 +1,28 @@
 //! Differential tests: every SMT session — a scalar query's one-shot
-//! session, a batch, and the scope API — must agree with a scratch
-//! oracle on every verdict.
+//! session and a batch — must agree with a scratch oracle on every
+//! verdict. (Scoped assert/push/check/pop sequences through one session
+//! are held to one-shot sessions by the crate's own
+//! `session::tests::scoped_checks_match_one_shot`.)
 //!
 //! The oracle ([`scratch_sat`]) is built here from the public API and
 //! shares neither the session nor the persistent theory context: it
 //! preprocesses the whole formula at once (set canonicalization, with
 //! the set-saturation and array-axiom lemmas conjoined into it as
-//! predicates, then if-then-else lifting), encodes it in one step, and
-//! runs a CDCL search whose every model is checked on fresh theory
-//! engines, blocking the core of each inconsistent one.
+//! predicates), encodes it in one step (which lifts its if-then-else
+//! terms, as every encoding does), and runs a CDCL search whose every
+//! model is checked on fresh theory engines, blocking the core of each
+//! inconsistent one.
 //!
-//! Three surfaces are exercised over randomly generated well-sorted
+//! Two surfaces are exercised over randomly generated well-sorted
 //! predicates (linear arithmetic, booleans, uninterpreted functions,
 //! and finite sets):
 //!
 //! 1. `check_valid_many`, and scalar `check_valid`, vs the oracle per
 //!    consequent;
-//! 2. interleaved `push`/`pop`/`assert`/`check` sequences vs the oracle
-//!    on the conjunction of the live assertions at every check point;
-//! 3. repeated batches on one solver (session reuse + cache warmup).
+//! 2. repeated batches on one solver (session reuse + cache warmup).
+//!
+//! Known-answer cases then pin each kind of set lemma: each is decided
+//! by one lemma of one kind, so a session that drops it answers wrong.
 //!
 //! Case counts are deliberately small so `cargo test` stays fast; build
 //! with `--features slow-proptest` for a deeper local run.
@@ -27,7 +31,7 @@ use dsolve_logic::{
     parse_pred, Budget, Exhaustion, FuncSort, Phase, Pred, Resource, Sort, SortEnv, Symbol,
 };
 use dsolve_smt::{
-    array_axiom_lemmas, canonicalize_sets, check_assignment, eliminate_ite, encode_incremental,
+    array_axiom_lemmas, canonicalize_sets, check_assignment, encode_incremental,
     set_saturation_lemma_list, AtomId, Atoms, BVar, CdclSolver, EncodeCtx, Lit, SatResult,
     SmtResult, SmtSolver, TheoryBudget, TheoryResult, Validity,
 };
@@ -63,12 +67,10 @@ fn scratch_sat(env: &SortEnv, p: &Pred) -> SmtResult {
     let p = Pred::and(std::iter::once(p).chain(set_lemmas).collect());
     let array_lemmas = array_axiom_lemmas([&p]);
     let p = Pred::and(std::iter::once(p).chain(array_lemmas).collect());
-    let mut env = env.clone();
-    let p = eliminate_ite(&p, &mut env);
 
     let mut atoms = Atoms::new();
     let mut ctx = EncodeCtx::new();
-    let unit = encode_incremental(&p, &mut atoms, &env, &mut ctx);
+    let unit = encode_incremental(&p, &mut atoms, env, &mut ctx);
     let vars: Vec<BVar> = (0..atoms.len())
         .map(|i| ctx.var_of_atom(AtomId(i as u32)))
         .collect();
@@ -111,10 +113,7 @@ fn scratch_sat(env: &SortEnv, p: &Pred) -> SmtResult {
             TheoryResult::Unsat(core) => {
                 let block = core
                     .iter()
-                    .map(|&i| {
-                        let (aid, val) = model[i];
-                        Lit::new(vars[aid.index()], !val)
-                    })
+                    .map(|&(aid, val)| Lit::new(vars[aid.index()], !val))
                     .collect();
                 sat.reset_to_root();
                 sat.add_clause(block);
@@ -227,73 +226,6 @@ proptest! {
         }
     }
 
-    /// Interleaved push/pop/assert/check: at every check point the
-    /// incremental verdict must match the oracle's on the conjunction of
-    /// all live assertions.
-    #[test]
-    fn scoped_checks_match_scratch(
-        ops in prop::collection::vec((0u8..4, arb_pred()), 1..14),
-    ) {
-        let env = env();
-        let mut inc = SmtSolver::new();
-        inc.start_incremental(&env);
-        // Mirror of the solver's assertion stack: one frame per scope.
-        let mut frames: Vec<Vec<Pred>> = vec![Vec::new()];
-        let mut checks = 0u32;
-        for (op, p) in ops {
-            match op {
-                0 => {
-                    inc.push();
-                    frames.push(Vec::new());
-                }
-                1 => {
-                    if frames.len() > 1 {
-                        inc.pop();
-                        frames.pop();
-                    }
-                }
-                2 => {
-                    inc.assert_pred(&p);
-                    frames.last_mut().unwrap().push(p);
-                }
-                _ => {
-                    let conj =
-                        Pred::and(frames.iter().flatten().cloned().collect());
-                    let want = scratch_sat(&env, &conj);
-                    let got = inc.check_incremental();
-                    checks += 1;
-                    match (&got, &want) {
-                        (SmtResult::Sat, SmtResult::Sat)
-                        | (SmtResult::Unsat, SmtResult::Unsat) => {}
-                        other => prop_assert!(
-                            false,
-                            "incremental {:?} vs scratch {:?} on `{}`",
-                            other.0,
-                            other.1,
-                            conj
-                        ),
-                    }
-                }
-            }
-        }
-        // Always end with one check so every generated sequence tests
-        // something even when no explicit check op was drawn.
-        if checks == 0 {
-            let conj = Pred::and(frames.iter().flatten().cloned().collect());
-            let want = scratch_sat(&env, &conj);
-            let got = inc.check_incremental();
-            prop_assert_eq!(
-                std::mem::discriminant(&got),
-                std::mem::discriminant(&want),
-                "incremental {:?} vs scratch {:?} on `{}`",
-                got,
-                want,
-                conj
-            );
-        }
-        inc.end_incremental();
-    }
-
     /// Session reuse: two different batches issued on the *same* solver
     /// (second session, warm cache) still agree with the oracle.
     #[test]
@@ -319,36 +251,12 @@ proptest! {
     }
 }
 
-/// A fixed regression sequence covering the subtle pop interactions:
-/// lemma retention across pops and re-assertion of base facts encoded
-/// while a scope was open.
+/// A batch whose consequents are each asserted in a scope that is
+/// popped before the next: the antecedent's facts, encoded while the
+/// first scope was open, stay in force.
 #[test]
 fn pop_reassert_sequence_matches_scratch() {
     let env = env();
-    let mut inc = SmtSolver::new();
-    inc.start_incremental(&env);
-    inc.assert_pred(&parse_pred("x < y").unwrap());
-    assert_eq!(inc.check_incremental(), SmtResult::Sat);
-    inc.push();
-    inc.assert_pred(&parse_pred("y < x").unwrap());
-    assert_eq!(inc.check_incremental(), SmtResult::Unsat);
-    inc.pop();
-    // The base fact must still be in force after the pop.
-    inc.push();
-    inc.assert_pred(&parse_pred("y <= x").unwrap());
-    assert_eq!(inc.check_incremental(), SmtResult::Unsat);
-    inc.pop();
-    // Set facts across a scope boundary: the ACI1 identity is refuted
-    // inside the scope (its saturation lemmas are retained) and the
-    // base conjunction is satisfiable again after the pop.
-    inc.assert_pred(&parse_pred("s = union(t, single(x))").unwrap());
-    inc.push();
-    inc.assert_pred(&parse_pred("not (s = union(single(x), t))").unwrap());
-    assert_eq!(inc.check_incremental(), SmtResult::Unsat);
-    inc.pop();
-    assert_eq!(inc.check_incremental(), SmtResult::Sat);
-    inc.end_incremental();
-
     let mut batch = SmtSolver::new();
     let ant = parse_pred("x < y && s = union(t, empty)").unwrap();
     let cons: Vec<Pred> = ["s = t", "x <= y", "y <= x", "t = s"]
@@ -385,4 +293,56 @@ fn ite_leaf_lemma_matches_scratch() {
     );
     let batch = SmtSolver::new().check_valid_many(&env, &ant, &[cons.clone(), cons]);
     assert_eq!(batch, vec![Validity::Valid, Validity::Valid]);
+}
+
+/// Decides `antecedent ⇒ consequent` by a scalar query, a batch and the
+/// scratch oracle, and asserts that all three answer `want`. In the batch
+/// the consequent comes second, so the antecedent's lemmas are handed
+/// out by the first check and must still be in force in the second.
+fn known_answer(antecedent: &str, consequent: &str, want: Validity) {
+    let env = env();
+    let antecedent = parse_pred(antecedent).unwrap();
+    let consequent = parse_pred(consequent).unwrap();
+    assert_eq!(
+        scratch_valid(&env, &antecedent, &consequent),
+        want,
+        "scratch on `{antecedent} => {consequent}`"
+    );
+    assert_eq!(
+        SmtSolver::new().check_valid(&env, &antecedent, &consequent),
+        want,
+        "scalar on `{antecedent} => {consequent}`"
+    );
+    let first = parse_pred("x <= x").unwrap();
+    let batch = SmtSolver::new().check_valid_many(&env, &antecedent, &[first, consequent.clone()]);
+    assert_eq!(batch[1], want, "batch on `{antecedent} => {consequent}`");
+}
+
+/// A substitution lemma: `t = union(s, single(x)) ⇒ union(s, t) =
+/// union(s, single(x))`. Congruence alone cannot equate the two unions:
+/// replacing the leaf `t` re-flattens `union(s, union(s, single(x)))`,
+/// whose duplicate leaf only the canonical rewrite drops.
+#[test]
+fn substitution_lemma_reflattens_a_union() {
+    known_answer(
+        "t = union(s, single(x))",
+        "union(s, t) = union(s, single(x))",
+        Validity::Valid,
+    );
+}
+
+/// A non-emptiness lemma: a union with a singleton leaf is not `empty`.
+#[test]
+fn union_with_a_singleton_leaf_is_not_empty() {
+    known_answer(
+        "s = union(t, single(x))",
+        "not (s = empty)",
+        Validity::Valid,
+    );
+}
+
+/// An injectivity lemma: `single(x) = single(y) ⇒ x = y`.
+#[test]
+fn equal_singletons_have_equal_elements() {
+    known_answer("single(x) = single(y)", "x = y", Validity::Valid);
 }

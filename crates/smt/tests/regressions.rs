@@ -1,7 +1,7 @@
 //! Regression and edge-case tests for the SMT solver, collected from
 //! the verification-condition shapes the liquid engine generates.
 
-use dsolve_logic::{parse_pred, FuncSort, Sort, SortEnv, Symbol};
+use dsolve_logic::{parse_pred, Budget, FuncSort, Sort, SortEnv, Symbol};
 use dsolve_obs::Obs;
 use dsolve_smt::{SmtSolver, SolverConfig};
 
@@ -134,10 +134,13 @@ fn negated_equality_via_bounds() {
 #[test]
 fn array_axioms_toggle() {
     // With the axioms off, read-over-write facts are unavailable.
-    let mut off = SmtSolver::with_config(SolverConfig {
-        array_axioms: false,
-        ..SolverConfig::default()
-    });
+    let mut off = SmtSolver::with_config(
+        SolverConfig {
+            array_axioms: false,
+            ..SolverConfig::default()
+        },
+        Budget::default(),
+    );
     let e = env();
     let lhs = parse_pred("mp = Upd(m, k, 1)").unwrap();
     let rhs = parse_pred("Sel(mp, k) = 1").unwrap();
@@ -157,10 +160,13 @@ fn cache_toggle_same_answers() {
     let (cached_obs, uncached_obs) = (Obs::new(), Obs::new());
     let mut cached = SmtSolver::new();
     cached.set_obs(cached_obs.clone());
-    let mut uncached = SmtSolver::with_config(SolverConfig {
-        cache: false,
-        ..SolverConfig::default()
-    });
+    let mut uncached = SmtSolver::with_config(
+        SolverConfig {
+            cache: false,
+            ..SolverConfig::default()
+        },
+        Budget::default(),
+    );
     uncached.set_obs(uncached_obs.clone());
     let e = env();
     for (l, r, want) in cases {

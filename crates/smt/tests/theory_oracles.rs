@@ -7,7 +7,7 @@
 //! Case counts are deliberately small so `cargo test` stays fast; build
 //! with `--features slow-proptest` for a deeper local run.
 
-use dsolve_logic::{Expr, Pred, Rel, Sort, SortEnv, Symbol};
+use dsolve_logic::{Budget, Expr, Pred, Rel, Sort, SortEnv, Symbol};
 use dsolve_obs::MicroCounter;
 use dsolve_smt::{
     check_assignment, AtomId, Atoms, Euf, EufResult, LpResult, Rat, Simplex, SmtSolver,
@@ -423,11 +423,14 @@ proptest! {
         rhs_atom in arb_linear_atom(),
     ) {
         let obs = dsolve_obs::Obs::new();
-        let mut smt = SmtSolver::with_config(SolverConfig {
-            certify: true,
-            cache: false,
-            ..SolverConfig::default()
-        });
+        let mut smt = SmtSolver::with_config(
+            SolverConfig {
+                certify: true,
+                cache: false,
+                ..SolverConfig::default()
+            },
+            Budget::default(),
+        );
         smt.set_obs(obs.clone());
         let env = imp_env();
         let lhs = boxed_antecedent(&lhs_atoms);
@@ -600,6 +603,22 @@ fn core_feasible(lits: &[&CoreLit]) -> bool {
     false
 }
 
+/// The literals a core names, each as a literal of `model` it equals.
+fn of_model<'a>(
+    core: &[(AtomId, bool)],
+    model: &'a [((AtomId, bool), CoreLit)],
+) -> Vec<&'a CoreLit> {
+    core.iter()
+        .map(|lit| {
+            let (_, l) = model
+                .iter()
+                .find(|(m, _)| m == lit)
+                .expect("a core literal is a model literal");
+            l
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
@@ -630,7 +649,9 @@ proptest! {
         );
         if let TheoryResult::Unsat(core) = result {
             prop_assert!(!feasible, "Unsat on the feasible set {:?}", lits);
-            let core_lits: Vec<&CoreLit> = core.iter().map(|&i| &lits[i]).collect();
+            let model: Vec<((AtomId, bool), CoreLit)> =
+                assignment.iter().copied().zip(lits.iter().cloned()).collect();
+            let core_lits = of_model(&core, &model);
             prop_assert!(
                 !core_feasible(&core_lits),
                 "core {:?} of {:?} is feasible",
@@ -736,8 +757,7 @@ proptest! {
                     match (&got, &want) {
                         (TheoryResult::Sat, TheoryResult::Sat) => {}
                         (TheoryResult::Unsat(core), TheoryResult::Unsat(_)) => {
-                            let core_lits: Vec<&CoreLit> =
-                                core.iter().map(|&i| &model[i].1).collect();
+                            let core_lits = of_model(core, &model);
                             prop_assert!(
                                 !core_feasible(&core_lits),
                                 "core {:?} of {:?} is feasible",

@@ -30,6 +30,13 @@ cargo test --workspace -q
 echo "== cargo test -p dsolve-smt --test incremental_vs_scratch --test theory_oracles"
 cargo test -p dsolve-smt --test incremental_vs_scratch --test theory_oracles
 
+# Scopes: random assert/push/check/pop sequences through one session,
+# each check against a one-shot session on the live conjunction (which
+# the scratch oracle above pins), and a fixed sequence of the subtle pop
+# cases. By name for the same reason.
+echo "== cargo test -p dsolve-smt session::tests"
+cargo test -p dsolve-smt --lib session::tests
+
 # The session's set-saturation memo against the memo-less per-check
 # pass it replaced: at every check of random assert/push/check/pop
 # sequences, the clauses of the same lemmas new to the session, in the
