@@ -12,9 +12,10 @@
 //! reports `UNKNOWN (panic …)` and the suite keeps going. `--timeout`
 //! bounds every job's wall clock; exhausted budgets likewise surface as
 //! `UNKNOWN` rows instead of hanging the table. `--jobs` sets the
-//! fixpoint worker count (0 = one per CPU). `--certify` replays every
-//! definite SMT verdict through the independent certifier (the
-//! `certs_checked`/`certs_failed` counters land in each row's metrics).
+//! fixpoint worker count (0 = one per CPU). `--certify` certifies every
+//! definite SMT verdict (each countermodel against the asserted
+//! predicates; a Valid verdict by its confirmed theory cores), and the
+//! `certs_checked`/`certs_failed` counters land in each row's metrics.
 //! `--json` writes a machine-readable record per benchmark (wall time,
 //! SMT queries, cache hits, jobs, `Q★` size and time) for trend tracking — see
 //! `BENCH_figure10.json`. The `DSOLVE_FAULT` environment variable arms

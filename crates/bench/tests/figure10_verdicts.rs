@@ -221,8 +221,8 @@ fn parallel_incremental_is_deterministic() {
 
 /// The full {jobs 1, 4} × {certify on, off} cross-product on the
 /// fastest smoke benchmarks: every cell must produce the same observable
-/// surface as the base configuration. Certification replays each
-/// definite SMT verdict through the independent checker, so this is also
+/// surface as the base configuration. Certification checks each
+/// definite SMT verdict's certificate, so this is also
 /// the pin that certification never *changes* a verdict — it may only
 /// degrade one to UNKNOWN, and on these all-SAFE rows it must not even
 /// do that.

@@ -21,10 +21,12 @@
 //! `--jobs` sets the fixpoint worker count (default: one per available
 //! CPU; at `--jobs 1` every round runs on the calling thread).
 //!
-//! `--certify` replays every definite SMT verdict through an independent
-//! checker (countermodel evaluation for Invalid, theory-core replay for
-//! Valid); a certificate that fails to replay downgrades the answer to
-//! `UNKNOWN` rather than ever flipping it. `--inject-fault` (or the
+//! `--certify` certifies every definite SMT verdict: an Invalid answer's
+//! countermodel must satisfy the asserted predicates under an
+//! independent evaluator, and a Valid answer rests on theory cores that
+//! were each refuted on fresh engines before they blocked a model (a
+//! check that runs with or without the flag); a failed certificate
+//! downgrades the answer to `UNKNOWN` rather than ever flipping it. `--inject-fault` (or the
 //! `DSOLVE_FAULT` environment variable) arms one deterministic fault
 //! point — `worker-panic`, `job-panic`, `session-fail`, `cache-poison`,
 //! `trace-io`, or `query-timeout`, optionally `@N` for the N-th

@@ -134,7 +134,7 @@ fn worker_panic_degrades_not_aborts() {
 }
 
 /// Certification on a clean run must not change the verdict, and every
-/// definite verdict must carry a replayed certificate.
+/// definite verdict must carry a checked certificate.
 #[test]
 fn certify_preserves_smoke_verdicts() {
     for bench in ["ralist", "malloc"] {

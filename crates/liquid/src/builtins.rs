@@ -2,7 +2,7 @@
 //! polymorphic refinements *and* the McCarthy `Sel`/`Upd` strengthening
 //! of §5.2, plus `diverge` and `random`.
 
-use crate::rtype::{BaseTy, RScheme, RType, RVarDecl, Refinement};
+use crate::rtype::{RScheme, RType, RVarDecl, Refinement};
 use crate::template::map_key_binder;
 use dsolve_logic::{Expr, Pred, Subst, Symbol};
 use dsolve_nanoml::{MlType, Scheme, TypeEnv};
@@ -234,11 +234,6 @@ pub fn builtin_schemes() -> (TypeEnv, HashMap<Symbol, RScheme>) {
     );
 
     (ml, rt)
-}
-
-/// The refinement `{ν:bool | ν}` expected by `assert`.
-pub fn assert_arg_type() -> RType {
-    RType::Base(BaseTy::Bool, Refinement::pred(Pred::Term(Expr::nu())))
 }
 
 #[cfg(test)]

@@ -56,7 +56,7 @@ mod subtype;
 mod template;
 mod verify;
 
-pub use builtins::{assert_arg_type, builtin_schemes};
+pub use builtins::builtin_schemes;
 pub use constraint::{LiquidError, Origin, SubC};
 pub use env::{fresh_refinement, GlobalEnv, KEnv, KInfo, LiquidEnv};
 pub use gen::Gen;

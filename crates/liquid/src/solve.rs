@@ -848,8 +848,7 @@ fn check_obligations<'s>(
         .filter(|(_, ws)| *ws)
         .map(|(rhs, _)| rhs.clone())
         .collect();
-    let mut batched =
-        (rhss.len() > 1).then(|| smt.check_valid_many(sorts, &lhs_full, &rhss).into_iter());
+    let mut verdicts = smt.check_valid_many(sorts, &lhs_full, &rhss).into_iter();
     for (rhs, wellsorted) in obligations {
         if !wellsorted {
             errors.push(LiquidError {
@@ -858,11 +857,10 @@ fn check_obligations<'s>(
             });
             continue;
         }
-        let verdict = match batched.as_mut().and_then(Iterator::next) {
-            Some(v) => v,
-            None => smt.check_valid(sorts, &lhs_full, &rhs),
-        };
-        match verdict {
+        match verdicts
+            .next()
+            .expect("a verdict per well-sorted obligation")
+        {
             Validity::Valid => continue,
             Validity::Unknown(e) => {
                 // The obligation is neither proven nor refuted:
@@ -1077,13 +1075,13 @@ fn partition_round(round: Vec<usize>, writes: &[Vec<KVar>], jobs: usize) -> Vec<
 }
 
 /// Checks a group of candidate qualifiers against one antecedent,
-/// keeping the survivors. The all-survive case costs one (cacheable)
-/// conjunction query. A single candidate is one scalar query; a mixed
-/// group is decided candidate-by-candidate in a single SMT session — the
-/// antecedent is encoded once and each consequent checked under its own
-/// assertion scope. Pruning is a fast path, not a semantics: failures
-/// are retried against `full` (the unpruned antecedent, forced only
-/// then) before a qualifier is dropped for good.
+/// keeping the survivors. Two or more candidates first try their
+/// conjunction: one (cacheable) query settles the common all-survive
+/// case. Otherwise the group is one batch
+/// ([`SmtSolver::check_valid_many`]). Pruning is a fast path, not a
+/// semantics: the failures are retried as one batch against `full` (the
+/// unpruned antecedent, forced only then) before a qualifier is dropped
+/// for good.
 fn check_group(
     smt: &mut SmtSolver,
     sorts: &dsolve_logic::SortEnv,
@@ -1092,47 +1090,29 @@ fn check_group(
     group: &[(Pred, Pred)],
     kept: &mut Vec<Pred>,
 ) {
-    match group {
-        [] => {}
-        [(q, rhs_q)] => {
-            let mut ok = smt.is_valid(sorts, lhs, rhs_q);
-            if !ok {
-                let full: &Pred = full;
-                if full != lhs {
-                    ok = smt.is_valid(sorts, full, rhs_q);
-                }
-            }
-            if ok {
-                kept.push(q.clone());
-            }
+    let rhss: Vec<Pred> = group.iter().map(|(_, r)| r.clone()).collect();
+    if group.len() > 1 && smt.is_valid(sorts, lhs, &Pred::and(rhss.clone())) {
+        kept.extend(group.iter().map(|(q, _)| q.clone()));
+        return;
+    }
+    let verdicts = smt.check_valid_many(sorts, lhs, &rhss);
+    let mut failed: Vec<&(Pred, Pred)> = Vec::new();
+    for (pair, v) in group.iter().zip(&verdicts) {
+        if matches!(v, Validity::Valid) {
+            kept.push(pair.0.clone());
+        } else {
+            failed.push(pair);
         }
-        _ => {
-            let all = Pred::and(group.iter().map(|(_, r)| r.clone()).collect());
-            if smt.is_valid(sorts, lhs, &all) {
-                kept.extend(group.iter().map(|(q, _)| q.clone()));
-                return;
-            }
-            let rhss: Vec<Pred> = group.iter().map(|(_, r)| r.clone()).collect();
-            let verdicts = smt.check_valid_many(sorts, lhs, &rhss);
-            let mut failed: Vec<&(Pred, Pred)> = Vec::new();
-            for (pair, v) in group.iter().zip(&verdicts) {
-                if matches!(v, Validity::Valid) {
-                    kept.push(pair.0.clone());
-                } else {
-                    failed.push(pair);
-                }
-            }
-            let full: &Pred = full;
-            if failed.is_empty() || full == lhs {
-                return;
-            }
-            let retry: Vec<Pred> = failed.iter().map(|(_, r)| r.clone()).collect();
-            let verdicts = smt.check_valid_many(sorts, full, &retry);
-            for (pair, v) in failed.into_iter().zip(&verdicts) {
-                if matches!(v, Validity::Valid) {
-                    kept.push(pair.0.clone());
-                }
-            }
+    }
+    let full: &Pred = full;
+    if failed.is_empty() || full == lhs {
+        return;
+    }
+    let retry: Vec<Pred> = failed.iter().map(|(_, r)| r.clone()).collect();
+    let verdicts = smt.check_valid_many(sorts, full, &retry);
+    for (pair, v) in failed.into_iter().zip(&verdicts) {
+        if matches!(v, Validity::Valid) {
+            kept.push(pair.0.clone());
         }
     }
 }

@@ -74,8 +74,9 @@ pub enum Resource {
     FixpointIterations,
     /// The job panicked and was isolated by the driver.
     Panic,
-    /// An independent replay of the verdict's certificate failed, so the
-    /// verdict was withdrawn rather than reported unchecked.
+    /// The verdict's certificate (under `--certify`, an Invalid answer's
+    /// countermodel) failed, so the verdict was withdrawn rather than
+    /// reported unchecked.
     Certification,
 }
 

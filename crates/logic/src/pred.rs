@@ -127,11 +127,6 @@ impl Pred {
         Pred::Atom(Rel::Le, a, b)
     }
 
-    /// `a >= b`.
-    pub fn ge(a: Expr, b: Expr) -> Pred {
-        Pred::Atom(Rel::Ge, a, b)
-    }
-
     /// Set membership `e ∈ s`.
     pub fn mem(e: Expr, s: Expr) -> Pred {
         Pred::Atom(Rel::In, e, s)
@@ -345,7 +340,7 @@ mod tests {
     #[test]
     fn not_pushes_through_atoms() {
         let p = Pred::not(Pred::lt(Expr::var("x"), Expr::var("y")));
-        assert_eq!(p, Pred::ge(Expr::var("x"), Expr::var("y")));
+        assert_eq!(p, Pred::Atom(Rel::Ge, Expr::var("x"), Expr::var("y")));
         assert_eq!(Pred::not(Pred::not(Pred::True)), Pred::True);
     }
 

@@ -191,13 +191,6 @@ impl Obs {
         }
     }
 
-    /// Emits an instant event (no-op without a trace sink).
-    pub fn instant(&self, cat: &'static str, name: &str, args: &[(&str, Arg)]) {
-        if let Some(t) = &self.inner.trace {
-            t.emit_instant(name, cat, args);
-        }
-    }
-
     /// Records one solved SMT query: drains the thread's work
     /// accumulator ([`micro`]: theory time and micro-counters), updates
     /// the latency histogram, attributes cost to the origin, and (when
@@ -346,7 +339,7 @@ pub struct Snapshot {
     pub sessions: u64,
     /// Scoped checks inside sessions.
     pub scoped_checks: u64,
-    /// Verdicts whose certificate replayed successfully (`--certify`).
+    /// Definite verdicts certified (`--certify`).
     pub certs_checked: u64,
     /// Verdicts downgraded because their certificate failed (`--certify`).
     pub certs_failed: u64,

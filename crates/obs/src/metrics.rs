@@ -411,11 +411,11 @@ pub struct Metrics {
     pub smt_sessions: Counter,
     /// Push/pop-scoped checks inside incremental sessions.
     pub smt_scoped_checks: Counter,
-    /// Definite verdicts whose certificate replayed successfully
-    /// (`--certify` only).
+    /// Definite verdicts certified (`--certify` only): an Invalid one by
+    /// its countermodel, a Valid one by its confirmed theory cores.
     pub smt_certs_checked: Counter,
-    /// Definite verdicts downgraded to `Unknown` because their
-    /// certificate failed to replay (`--certify` only).
+    /// Invalid verdicts downgraded to `Unknown` because their
+    /// countermodel failed (`--certify` only).
     pub smt_certs_failed: Counter,
     /// Query-cache shard locks found poisoned and recovered.
     pub cache_poison_recoveries: Counter,

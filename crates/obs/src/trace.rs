@@ -90,7 +90,6 @@ pub struct TraceSink {
     w: Mutex<TraceWriter>,
     start: Instant,
     fail_io: std::sync::atomic::AtomicBool,
-    dropped: AtomicU64,
 }
 
 impl TraceSink {
@@ -107,7 +106,6 @@ impl TraceSink {
             }),
             start: Instant::now(),
             fail_io: std::sync::atomic::AtomicBool::new(false),
-            dropped: AtomicU64::new(0),
         };
         sink.emit_raw(
             "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
@@ -129,14 +127,8 @@ impl TraceSink {
         self.fail_io.store(true, Ordering::Relaxed);
     }
 
-    /// Events dropped because the writer was (simulated-)failing.
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
     fn emit_raw(&self, line: &str) {
         if self.fail_io.load(Ordering::Relaxed) {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
         let mut w = self.w.lock().unwrap_or_else(|e| e.into_inner());
@@ -201,19 +193,6 @@ impl TraceSink {
             ",\"ph\":\"X\",\"ts\":{},\"dur\":{}",
             self.ts_us(start),
             dur_us
-        );
-        Self::render_args(&mut line, args);
-        line.push('}');
-        self.emit_raw(&line);
-    }
-
-    /// Emits an instant (`"ph":"i"`) event.
-    pub fn emit_instant(&self, name: &str, cat: &str, args: &[(&str, Arg)]) {
-        let mut line = Self::render_common(name, cat, trace_tid());
-        let _ = write!(
-            line,
-            ",\"ph\":\"i\",\"s\":\"t\",\"ts\":{}",
-            self.ts_us(Instant::now())
         );
         Self::render_args(&mut line, args);
         line.push('}');

@@ -1,31 +1,52 @@
-//! Independent verdict certification.
+//! What certifies each definite verdict.
 //!
-//! With `--certify`, every definite answer the lazy-SMT loop produces is
-//! replayed through a checker that does *not* trust the CNF encoding or
-//! the CDCL search:
+//! With `--certify`, every definite answer the lazy-SMT loop produces
+//! carries a certificate that does *not* trust the CNF encoding or the
+//! CDCL search:
 //!
 //! * a **Sat** answer (an *Invalid* implication) carries its countermodel
-//!   — the truth value the SAT model assigns to every theory atom. The
-//!   [`eval_pred`] evaluator walks each asserted (preprocessed) predicate's
-//!   boolean structure, re-interning each leaf through the deterministic
-//!   [`Atoms`] table, and must find every one *true* under the model.
-//!   (For a validity query the solved formula is the negated implication
-//!   `antecedent ∧ ¬consequent`, so "true" means the implication is
-//!   falsified.) Theory consistency of the model was already established
-//!   by the theory check that accepted it.
-//! * an **Unsat** answer (a *Valid* implication) carries the theory
-//!   conflict cores learned along the way. [`certify_unsat`] re-submits
-//!   each core — a small set of atom/polarity literals — to the theory
-//!   stack, which must refute it again. This confirms every blocking
-//!   clause the propositional refutation leaned on was theory-justified.
+//!   — the truth value the SAT model assigns to every theory atom.
+//!   [`certify_model`] walks each asserted predicate's boolean structure
+//!   with the [`eval_pred`] evaluator, re-interning each leaf through the
+//!   deterministic [`Atoms`] table, and must find every one *true* under
+//!   the model. (For a validity query the solved formula is the negated
+//!   implication `antecedent ∧ ¬consequent`, so "true" means the
+//!   implication is falsified.) Theory consistency of the model was
+//!   already established by the theory check that accepted it.
+//! * an **Unsat** answer (a *Valid* implication) is certified by its
+//!   theory cores. Every core that blocks a model has already been
+//!   refuted by one closure on fresh engines
+//!   ([`crate::theory`]'s confirmation), with or without `--certify`, so
+//!   every blocking clause the propositional refutation leaned on is
+//!   theory-justified when the search ends. Replaying the cores after
+//!   the search would run the same closures on the same literals again;
+//!   nothing is replayed.
 //!
-//! A certificate that fails to replay never flips a verdict: the caller
+//! A certificate that fails never flips a verdict: the caller
 //! downgrades the answer to `Unknown` with
 //! [`dsolve_logic::Resource::Certification`].
 
 use crate::cnf::{AtomId, Atoms};
-use crate::theory::{refuted_on_fresh_engines, TheoryBudget};
 use dsolve_logic::{Pred, SortEnv};
+
+/// Certifies a `Sat` answer: every predicate of `asserted` must hold
+/// under `model` (an `ite` evaluates as the variable the arena lifted it
+/// to). Returns what failed otherwise.
+pub(crate) fn certify_model(
+    asserted: &[Pred],
+    atoms: &mut Atoms,
+    env: &SortEnv,
+    model: &[(AtomId, bool)],
+) -> Result<(), &'static str> {
+    for q in asserted {
+        match eval_pred(q, atoms, env, model) {
+            Some(true) => {}
+            Some(false) => return Err("countermodel does not satisfy an asserted predicate"),
+            None => return Err("countermodel leaves an asserted predicate undetermined"),
+        }
+    }
+    Ok(())
+}
 
 /// Truth value of `p` under a per-atom model, or `None` when a leaf has
 /// no model value.
@@ -37,12 +58,7 @@ use dsolve_logic::{Pred, SortEnv};
 /// fresh atoms with no value; connectives therefore evaluate in
 /// three-valued logic, so a determined connective never fails on an
 /// undetermined irrelevant operand.
-pub(crate) fn eval_pred(
-    p: &Pred,
-    atoms: &mut Atoms,
-    env: &SortEnv,
-    model: &[(AtomId, bool)],
-) -> Option<bool> {
+fn eval_pred(p: &Pred, atoms: &mut Atoms, env: &SortEnv, model: &[(AtomId, bool)]) -> Option<bool> {
     // Solver models are dense and ordered (entry `i` is atom `i`), so
     // indexing is the common case; the scan covers sparse test models.
     let value = |aid: AtomId| match model.get(aid.index()) {
@@ -101,43 +117,13 @@ pub(crate) fn eval_pred(
     }
 }
 
-/// Certifies an `Unsat` answer: every recorded theory core must still be
-/// refuted by the theory stack. Returns an error description on failure.
-///
-/// Each core replays as one closure on fresh engines, which decides it:
-/// the core is certified when that closure refutes it, whatever its
-/// explanation.
-pub(crate) fn certify_unsat(
-    atoms: &Atoms,
-    cores: &[Vec<(AtomId, bool)>],
-    budget: &TheoryBudget,
-) -> Result<(), String> {
-    for (i, core) in cores.iter().enumerate() {
-        match refuted_on_fresh_engines(atoms, core, budget) {
-            Ok(true) => {}
-            Ok(false) => {
-                return Err(format!(
-                    "theory core {i} of {} replayed satisfiable",
-                    cores.len()
-                ));
-            }
-            Err(r) => {
-                return Err(format!(
-                    "theory core {i} of {} could not be replayed ({r})",
-                    cores.len()
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cnf::{encode_incremental, EncodeCtx};
-    use dsolve_logic::{parse_pred, Sort, Symbol};
-    use dsolve_obs::{micro, MicroCounter};
+    use crate::{SmtSolver, SolverConfig, Validity};
+    use dsolve_logic::{parse_pred, Budget, Sort, Symbol};
+    use dsolve_obs::{micro, MicroCounter, Obs};
 
     fn env() -> SortEnv {
         let mut env = SortEnv::new();
@@ -184,27 +170,45 @@ mod tests {
         assert_eq!(eval_pred(&p, &mut atoms, &env, &[(aid, false)]), None);
     }
 
-    #[test]
-    fn unsat_core_replay() {
+    /// The closures and certificate counts of deciding `x < y ⇒ x ≠ y`
+    /// on a one-shot session, whose refutation blocks one model: `x < y`
+    /// with `x = y`.
+    fn closures_deciding_one_conflict(certify: bool) -> (Validity, u64, u64, u64) {
         let env = env();
-        let mut atoms = Atoms::new();
-        let p = parse_pred("x < y && y < x").unwrap();
-        let _ = encode_incremental(&p, &mut atoms, &env, &mut EncodeCtx::new());
-        // Both inequalities asserted true form a refutable core.
-        let core: Vec<(AtomId, bool)> =
-            (0..atoms.len()).map(|i| (AtomId(i as u32), true)).collect();
-        let budget = TheoryBudget {
-            bb_nodes: 400,
-            deadline: None,
-        };
+        let obs = Obs::new();
+        let mut smt = SmtSolver::with_config(
+            SolverConfig {
+                certify,
+                ..SolverConfig::default()
+            },
+            Budget::default(),
+        );
+        smt.set_obs(obs.clone());
+        // Each test runs on its own thread: nothing else is in its
+        // accumulator, which the query drains into `obs`.
         micro::drain();
-        assert!(certify_unsat(&atoms, std::slice::from_ref(&core), &budget).is_ok());
-        // One closure decides the replayed core. (Each test runs on its
-        // own thread, so the thread-local counters hold this replay.)
-        let counts = micro::drain().micro;
-        assert_eq!(counts[MicroCounter::TheoryChecks.index()], 1);
-        // A satisfiable "core" must be rejected.
-        let sat_core = vec![core[0]];
-        assert!(certify_unsat(&atoms, &[sat_core], &budget).is_err());
+        let verdict = smt.check_valid(
+            &env,
+            &parse_pred("x < y").unwrap(),
+            &parse_pred("x != y").unwrap(),
+        );
+        let snap = obs.snapshot(0);
+        (
+            verdict,
+            snap.micro[MicroCounter::TheoryChecks.index()],
+            snap.certs_checked,
+            snap.certs_failed,
+        )
+    }
+
+    /// A Valid answer's certificate is the confirmation its cores passed
+    /// in the search: certifying it runs no closure of its own.
+    #[test]
+    fn valid_answer_is_certified_by_its_confirmed_cores() {
+        let plain = closures_deciding_one_conflict(false);
+        let certified = closures_deciding_one_conflict(true);
+        // The model's closure and the one that confirms its explanation.
+        assert_eq!(plain, (Validity::Valid, 2, 0, 0));
+        assert_eq!(certified, (Validity::Valid, 2, 1, 0));
     }
 }

@@ -265,15 +265,18 @@ fn gcd(a: i128, b: i128) -> i128 {
 
 /// Persistent encoder state shared across incremental encoding steps.
 ///
-/// The atom → SAT-variable map, the variable counter, and the set of
+/// The atom ↔ SAT-variable tables, the variable counter, and the set of
 /// already-split integer equalities all grow monotonically; an
 /// assertion-scope pop never shrinks them (stale variables are merely
 /// unconstrained, and the eq-split clauses are emitted as retained
 /// lemmas, keeping `split_eqs` truthful across pops).
 #[derive(Default)]
 pub struct EncodeCtx {
-    atom_vars: HashMap<AtomId, BVar>,
-    num_vars: usize,
+    /// The SAT variable of each atom that has one, by atom index.
+    var_of_atom: Vec<Option<BVar>>,
+    /// The atom of each SAT variable, by variable index (`None` for a
+    /// Tseitin variable); its length is the number of variables.
+    atom_of_var: Vec<Option<AtomId>>,
     split_eqs: std::collections::HashSet<AtomId>,
 }
 
@@ -285,24 +288,43 @@ impl EncodeCtx {
 
     /// Total SAT variables allocated so far (atoms + Tseitin gates).
     pub fn num_vars(&self) -> usize {
-        self.num_vars
+        self.atom_of_var.len()
     }
 
     /// Allocates a fresh SAT variable.
     fn fresh(&mut self) -> BVar {
-        let v = BVar(u32::try_from(self.num_vars).expect("too many SAT variables"));
-        self.num_vars += 1;
+        let v = BVar(u32::try_from(self.num_vars()).expect("too many SAT variables"));
+        self.atom_of_var.push(None);
         v
     }
 
     /// The SAT variable of atom `a`, allocating one on first use.
     pub fn var_of_atom(&mut self, a: AtomId) -> BVar {
-        if let Some(&v) = self.atom_vars.get(&a) {
+        if let Some(&Some(v)) = self.var_of_atom.get(a.index()) {
             return v;
         }
         let v = self.fresh();
-        self.atom_vars.insert(a, v);
+        self.atom_of_var[v.0 as usize] = Some(a);
+        if self.var_of_atom.len() <= a.index() {
+            self.var_of_atom.resize(a.index() + 1, None);
+        }
+        self.var_of_atom[a.index()] = Some(v);
         v
+    }
+
+    /// The atom SAT variable `v` stands for; `None` for a Tseitin
+    /// variable.
+    pub fn atom_of_var(&self, v: BVar) -> Option<AtomId> {
+        self.atom_of_var[v.0 as usize]
+    }
+
+    /// Each atom that has a SAT variable, with its variable, in atom
+    /// order.
+    pub fn atom_vars(&self) -> impl Iterator<Item = (AtomId, BVar)> + '_ {
+        self.var_of_atom
+            .iter()
+            .enumerate()
+            .filter_map(|(i, v)| v.map(|v| (AtomId(i as u32), v)))
     }
 }
 

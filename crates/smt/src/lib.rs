@@ -18,14 +18,16 @@
 //!   them, one variable per distinct `ite` per session;
 //! * a Nelson–Oppen-style combination loop with equality propagation.
 //!
-//! Every incompleteness escape hatch (wall-clock deadline, query cap,
+//! Every query is a validity check of an implication. Every
+//! incompleteness escape hatch (wall-clock deadline, query cap,
 //! branch-and-bound budget, conflict budgets, saturation-lemma cap — see
 //! [`dsolve_logic::Budget`]) is *reported*: the three-valued
-//! [`SmtSolver::check_valid`] / [`SmtSolver::check_sat`] APIs return
-//! `Unknown` with a structured [`dsolve_logic::Exhaustion`] when a limit
-//! is hit. The boolean façades [`SmtSolver::is_valid`] /
-//! [`SmtSolver::is_sat`] resolve `Unknown` toward *rejecting* a
-//! verification condition, so a verifier built on them stays sound.
+//! [`SmtSolver::check_valid`] / [`SmtSolver::check_valid_many`] APIs
+//! return `Unknown` with a structured [`dsolve_logic::Exhaustion`] when
+//! a limit is hit. The boolean façade [`SmtSolver::is_valid`] resolves
+//! `Unknown` toward *rejecting* a verification condition, so a verifier
+//! built on it stays sound. (Satisfiability of `p` is the invalidity of
+//! `p ⇒ false`.)
 //!
 //! ## Example
 //!

@@ -33,8 +33,9 @@
 //! against a monotone seen-set (the instantiation watermark).
 
 use crate::arrays::array_axiom_lemmas;
+use crate::certify::certify_model;
 use crate::cnf::{encode_incremental, encode_ite_definitions, AtomId, Atoms, EncodeCtx};
-use crate::sat::{BVar, CdclSolver, Lit, SatResult};
+use crate::sat::{CdclSolver, Lit, SatResult};
 use crate::sets::{canonicalize_sets, LemmaClause, Saturation, SaturationMemo};
 use crate::solver::{certification_unknown, SmtResult};
 use crate::theory::{TheoryBudget, TheoryContext, TheoryResult};
@@ -64,19 +65,13 @@ pub(crate) struct Session<'env> {
     /// Monotone: retained lemma clauses survive pops, so this never
     /// shrinks.
     lemma_seen: HashSet<Pred>,
-    /// Whether to independently certify definite verdicts (replaying
-    /// `Sat` models through the predicate evaluator and `Unsat` theory
-    /// cores through the theory stack).
+    /// Whether to certify a `Sat` answer's countermodel against the
+    /// asserted predicates. (An `Unsat` answer is certified by the
+    /// confirmation every theory core passes before it blocks a model.)
     certify: bool,
     /// Theory engines for the session's lifetime, holding one frame per
     /// segment of the SAT core's root trail.
     theory: TheoryContext,
-    /// The SAT variable of each atom, in atom order, and the atom of
-    /// each SAT variable (`None` for Tseitin variables). Atoms and
-    /// variables are never removed, so each check only extends these
-    /// over the atoms added since the last one.
-    atom_vars: Vec<BVar>,
-    atom_of_var: Vec<Option<AtomId>>,
 }
 
 /// The theory lemmas of one check.
@@ -104,8 +99,6 @@ impl<'env> Session<'env> {
             lemma_seen: HashSet::new(),
             certify,
             theory: TheoryContext::new(),
-            atom_vars: Vec::new(),
-            atom_of_var: Vec::new(),
         }
     }
 
@@ -210,33 +203,27 @@ impl<'env> Session<'env> {
         // from popped scopes linger in the table; their values are
         // unconstrained, which is sound — the theory layer refutes any
         // inconsistent polarity with a blocking lemma, and a consistent
-        // polarity extension always exists). Blocking clauses add no
-        // atoms, so the tables serve every model of this check.
-        self.extend_atom_tables();
+        // polarity extension always exists). Variables go to atoms in
+        // atom order. Blocking clauses add no atoms, so every model of
+        // this check assigns the same variables.
+        for i in 0..self.atoms.len() {
+            self.ctx.var_of_atom(AtomId(i as u32));
+        }
+        self.grow_sat();
 
         let theory_budget = TheoryBudget {
             bb_nodes: budget.max_bb_nodes,
             deadline,
         };
-        // Certificate material for an eventual `Unsat`: the literal sets
-        // behind every theory blocking clause learned in this check.
-        let mut cores: Vec<Vec<(AtomId, bool)>> = Vec::new();
         let mut conflicts = 0u64;
         loop {
             let sat_verdict = micro::time(TheoryKind::Sat, || {
                 self.sat.solve_within(deadline, budget.max_sat_conflicts)
             });
             match sat_verdict {
-                SatResult::Unsat => {
-                    if self.certify {
-                        if let Err(why) =
-                            crate::certify::certify_unsat(&self.atoms, &cores, &theory_budget)
-                        {
-                            return certification_unknown(why);
-                        }
-                    }
-                    return SmtResult::Unsat;
-                }
+                // Every core that blocked a model was confirmed on fresh
+                // engines first: that is this answer's certificate.
+                SatResult::Unsat => return SmtResult::Unsat,
                 SatResult::Unknown => {
                     let resource = if deadline_expired(deadline) {
                         Resource::Deadline
@@ -247,12 +234,11 @@ impl<'env> Session<'env> {
                 }
                 SatResult::Sat => {
                     let assignment: Vec<(AtomId, bool)> = self
-                        .atom_vars
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &v)| (AtomId(i as u32), self.sat.model_value(v)))
+                        .ctx
+                        .atom_vars()
+                        .map(|(aid, v)| (aid, self.sat.model_value(v)))
                         .collect();
-                    let root = root_literals(&self.sat, &self.atom_of_var);
+                    let root = root_literals(&self.sat, &self.ctx);
                     match self
                         .theory
                         .check(&self.atoms, &assignment, &root, &theory_budget)
@@ -270,7 +256,12 @@ impl<'env> Session<'env> {
                         }
                         TheoryResult::Sat => {
                             if self.certify {
-                                if let Err(why) = self.certify_model(&assignment) {
+                                if let Err(why) = certify_model(
+                                    &self.asserted,
+                                    &mut self.atoms,
+                                    self.env,
+                                    &assignment,
+                                ) {
                                     return certification_unknown(why.into());
                                 }
                             }
@@ -293,11 +284,8 @@ impl<'env> Session<'env> {
                             // combination stays refuted in every scope.
                             let block: Vec<Lit> = core
                                 .iter()
-                                .map(|&(aid, val)| Lit::new(self.atom_vars[aid.index()], !val))
+                                .map(|&(aid, val)| Lit::new(self.ctx.var_of_atom(aid), !val))
                                 .collect();
-                            if self.certify {
-                                cores.push(core);
-                            }
                             self.sat.reset_to_root();
                             self.sat.add_lemma(block);
                         }
@@ -331,21 +319,6 @@ impl<'env> Session<'env> {
         CheckLemmas { sets, arrays }
     }
 
-    /// Gives every atom added since the last check a SAT variable, in
-    /// atom order, and records both directions of the mapping.
-    fn extend_atom_tables(&mut self) {
-        let known = self.atom_vars.len();
-        for i in known..self.atoms.len() {
-            let v = self.ctx.var_of_atom(AtomId(i as u32));
-            self.atom_vars.push(v);
-        }
-        self.grow_sat();
-        self.atom_of_var.resize(self.sat.num_vars(), None);
-        for (i, v) in self.atom_vars.iter().enumerate().skip(known) {
-            self.atom_of_var[v.0 as usize] = Some(AtomId(i as u32));
-        }
-    }
-
     /// Adds a lemma clause over the session's atoms as a retained clause.
     fn add_lemma_clause(&mut self, clause: &LemmaClause) {
         let lits = clause
@@ -364,26 +337,13 @@ impl<'env> Session<'env> {
             self.sat.add_lemma(c);
         }
     }
-
-    /// Certifies a `Sat` model: every asserted predicate must hold under
-    /// it (an `ite` evaluates as the variable the arena lifted it to).
-    fn certify_model(&mut self, model: &[(AtomId, bool)]) -> Result<(), &'static str> {
-        for q in &self.asserted {
-            match crate::certify::eval_pred(q, &mut self.atoms, self.env, model) {
-                Some(true) => {}
-                Some(false) => return Err("countermodel does not satisfy an asserted predicate"),
-                None => return Err("countermodel leaves an asserted predicate undetermined"),
-            }
-        }
-        Ok(())
-    }
 }
 
 /// The theory literals among the SAT core's root trail, in trail order.
-fn root_literals(sat: &CdclSolver, atom_of_var: &[Option<AtomId>]) -> Vec<(AtomId, bool)> {
+fn root_literals(sat: &CdclSolver, ctx: &EncodeCtx) -> Vec<(AtomId, bool)> {
     sat.root_trail()
         .iter()
-        .filter_map(|l| atom_of_var[l.var().0 as usize].map(|aid| (aid, l.sign())))
+        .filter_map(|l| ctx.atom_of_var(l.var()).map(|aid| (aid, l.sign())))
         .collect()
 }
 
@@ -398,8 +358,8 @@ mod tests {
     #[cfg(not(feature = "slow-proptest"))]
     const CASES: u32 = 32;
 
-    /// Integers, a boolean flag, a unary uninterpreted function, and
-    /// three set variables.
+    /// Integers, a boolean flag, a unary uninterpreted function, three
+    /// set variables and a map.
     fn env() -> SortEnv {
         let mut env = SortEnv::new();
         for v in ["x", "y", "z"] {
@@ -409,14 +369,16 @@ mod tests {
         for v in ["s", "t", "u"] {
             env.bind(Symbol::new(v), Sort::Set);
         }
+        env.bind(Symbol::new("m"), Sort::Map);
         env.declare_func(Symbol::new("f"), FuncSort::new(vec![Sort::Int], Sort::Int));
         env
     }
 
     /// The atom pool of the crate's scratch-oracle suite: arithmetic, UF
-    /// congruence, set facts whose verdicts need saturation lemmas, and
-    /// an `ite` inside a union.
-    const ATOMS: [&str; 20] = [
+    /// congruence, set facts whose verdicts need saturation lemmas, an
+    /// `ite` inside a union, and map reads through (nested) updates,
+    /// whose read-over-write instances a scope pop must not lose.
+    const ATOMS: [&str; 23] = [
         "x < y",
         "x <= y",
         "y < z",
@@ -437,6 +399,9 @@ mod tests {
         "s = t => t = union(s, t)",
         "u = union(t, single(x)) && t = union(u, single(x))",
         "s = union(single(x), (if x < y then t else u))",
+        "Sel(m, x) = y",
+        "Sel(Upd(m, x, y), z) = y",
+        "Sel(Upd(Upd(m, x, 1), y, 2), z) = Sel(m, z)",
     ];
 
     /// Atoms combined by ¬, ∧, ∨, ⇒ up to a small depth.

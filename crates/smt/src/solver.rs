@@ -1,14 +1,15 @@
-//! The public SMT interface: satisfiability and validity of
+//! The public SMT interface: validity of implications between
 //! quantifier-free EUFA + arrays + sets predicates.
 //!
 //! Architecture (lazy SMT): preprocess (set canonicalization, array axiom
 //! instantiation) → atomize + Tseitin-encode, lifting if-then-else terms
 //! as the term arena meets them → CDCL enumeration with full-model theory
 //! checks, each conflict blocked by its confirmed theory explanation.
-//! Every query runs that pipeline in a `Session`: a scalar query on a
-//! one-shot session, the consequents of a batch on one shared session;
-//! every query is accounted by one routine (`SmtSolver::query`). No
-//! session outlives the call that opened it.
+//! Every query runs that pipeline in a `Session` on the negated
+//! implication: a scalar query, or a batch of one consequent, on a
+//! one-shot session, the consequents of a larger batch on one shared
+//! session; every query is accounted by one routine
+//! (`SmtSolver::query`). No session outlives the call that opened it.
 
 use crate::cache::QueryCache;
 use crate::session::Session;
@@ -29,10 +30,11 @@ pub struct SolverConfig {
     pub cache: bool,
     /// Instantiate the McCarthy read-over-write axioms.
     pub array_axioms: bool,
-    /// Independently certify every definite verdict: replay `Sat`
-    /// countermodels through a structural predicate evaluator and `Unsat`
-    /// theory cores through the theory stack. A certificate that fails to
-    /// replay downgrades the answer to `Unknown` with
+    /// Certify every Invalid answer: its countermodel must satisfy the
+    /// asserted predicates under a structural predicate evaluator. (A
+    /// Valid answer needs no extra check: each of its theory cores was
+    /// refuted on fresh engines before it blocked a model.) A failed
+    /// certificate downgrades the answer to `Unknown` with
     /// [`Resource::Certification`]; it never flips it.
     pub certify: bool,
 }
@@ -276,22 +278,24 @@ impl SmtSolver {
     /// costs no query from `--max-smt-queries` (it does no solving),
     /// and is served even after the cap is exhausted.
     pub fn check_valid(&mut self, env: &SortEnv, antecedent: &Pred, consequent: &Pred) -> Validity {
-        validity(self.query(Some((antecedent, consequent)), |smt, deadline| {
+        self.query(antecedent, consequent, |smt, deadline| {
             smt.one_shot(env, &negation(antecedent, consequent), deadline)
-        }))
+        })
     }
 
     /// Rolls a certification outcome into metrics, logging failures with
-    /// query provenance. No-op unless `certify` is on.
-    fn note_certification(&self, verdict: &SmtResult) {
+    /// query provenance. No-op unless `certify` is on. Every definite
+    /// verdict counts as checked: an Invalid one by its countermodel, a
+    /// Valid one by its confirmed theory cores.
+    fn note_certification(&self, verdict: &Validity) {
         if !self.config.certify {
             return;
         }
         match verdict {
-            SmtResult::Sat | SmtResult::Unsat => {
+            Validity::Valid | Validity::Invalid => {
                 self.obs.metrics().smt_certs_checked.incr();
             }
-            SmtResult::Unknown(e) if e.resource == Resource::Certification => {
+            Validity::Unknown(e) if e.resource == Resource::Certification => {
                 self.obs.metrics().smt_certs_failed.incr();
                 match &self.origin {
                     Some(o) => log_error!(
@@ -305,14 +309,8 @@ impl SmtSolver {
                     None => log_error!("certification failed: {}", e.detail),
                 }
             }
-            SmtResult::Unknown(_) => {}
+            Validity::Unknown(_) => {}
         }
-    }
-
-    /// Decides satisfiability of `p` under `env`, reporting `Unknown`
-    /// when a budget runs out.
-    pub fn check_sat(&mut self, env: &SortEnv, p: &Pred) -> SmtResult {
-        self.query(None, |smt, deadline| smt.one_shot(env, p, deadline))
     }
 
     /// Decides validity of `antecedent ⇒ consequent` under `env`.
@@ -329,17 +327,11 @@ impl SmtSolver {
         )
     }
 
-    /// Decides satisfiability of `p` under `env`.
-    ///
-    /// Boolean façade over [`SmtSolver::check_sat`]: `Unknown` resolves
-    /// to *satisfiable* (the solver could not refute the formula).
-    pub fn is_sat(&mut self, env: &SortEnv, p: &Pred) -> bool {
-        !matches!(self.check_sat(env, p), SmtResult::Unsat)
-    }
-
     /// Decides validity of `antecedent ⇒ consequentᵢ` for every
     /// consequent, encoding and preprocessing the antecedent *once* and
-    /// deciding each consequent under a pushed assertion scope.
+    /// deciding each consequent under a pushed assertion scope. A batch
+    /// of one consequent has nothing to share, so it is decided as
+    /// [`SmtSolver::check_valid`] decides it, on a one-shot session.
     ///
     /// Verdicts agree with per-query [`SmtSolver::check_valid`] (both
     /// run the same session pipeline), and definite answers populate the
@@ -353,12 +345,15 @@ impl SmtSolver {
         antecedent: &Pred,
         consequents: &[Pred],
     ) -> Vec<Validity> {
+        if let [consequent] = consequents {
+            return vec![self.check_valid(env, antecedent, consequent)];
+        }
         // Opened by the first consequent this batch solves.
         let mut shared: Option<Session> = None;
         consequents
             .iter()
             .map(|consequent| {
-                validity(self.query(Some((antecedent, consequent)), |smt, deadline| {
+                self.query(antecedent, consequent, |smt, deadline| {
                     if smt.fault_fires(FaultPoint::SessionFail) {
                         // Injected session failure mid-batch: drop the
                         // shared session (later consequents reopen it) and
@@ -380,7 +375,7 @@ impl SmtSolver {
                     let verdict = session.check(&smt.budget, deadline);
                     session.pop();
                     verdict
-                }))
+                })
             })
             .collect()
     }
@@ -389,25 +384,28 @@ impl SmtSolver {
     /// budgets → the `query-timeout` fault → charge → `solve` (given the
     /// deadline) → certification note → trace record → cache insert.
     ///
-    /// `implication` names the `antecedent ⇒ consequent` of a validity
-    /// query, whose `solve` decides the negation (`Unsat` means valid)
-    /// and whose definite answers are cached; `None` is a
-    /// satisfiability query, never cached. Only definite answers are
-    /// cached: an `Unknown` under one budget may well be decidable under
-    /// a larger one.
+    /// `solve` decides the negation of `antecedent ⇒ consequent`
+    /// (`Unsat` means valid). Only definite answers are cached: an
+    /// `Unknown` under one budget may well be decidable under a larger
+    /// one.
     fn query(
         &mut self,
-        implication: Option<(&Pred, &Pred)>,
+        antecedent: &Pred,
+        consequent: &Pred,
         solve: impl FnOnce(&mut SmtSolver, Option<Instant>) -> SmtResult,
-    ) -> SmtResult {
+    ) -> Validity {
         self.obs.metrics().smt_checks.incr();
-        let cached = implication.filter(|_| self.config.cache);
-        if let Some(valid) = cached.and_then(|(a, c)| self.cache.get(a, c)) {
+        let cached = if self.config.cache {
+            self.cache.get(antecedent, consequent)
+        } else {
+            None
+        };
+        if let Some(valid) = cached {
             self.obs.metrics().smt_cache_hits.incr();
             return if valid {
-                SmtResult::Unsat
+                Validity::Valid
             } else {
-                SmtResult::Sat
+                Validity::Invalid
             };
         }
         let refused = self.entry_exhaustion().or_else(|| {
@@ -416,29 +414,34 @@ impl SmtSolver {
         });
         if let Some(e) = refused {
             self.obs.metrics().smt_refused.incr();
-            return SmtResult::Unknown(e);
+            return Validity::Unknown(e);
         }
         self.queries.fetch_add(1, Ordering::Relaxed);
         self.solved += 1;
         self.obs.metrics().smt_queries.incr();
         let deadline = self.effective_deadline();
         let qstart = Instant::now();
-        let verdict = solve(self, deadline);
+        let verdict = match solve(self, deadline) {
+            SmtResult::Unsat => Validity::Valid,
+            SmtResult::Sat => Validity::Invalid,
+            SmtResult::Unknown(e) => Validity::Unknown(e),
+        };
         self.note_certification(&verdict);
-        if let SmtResult::Unknown(e) = &verdict {
-            self.obs.metrics().smt_unknown.incr();
-            self.first_unknown.get_or_insert_with(|| e.clone());
-        }
-        self.obs.record_query(
-            self.origin.as_ref(),
-            qstart,
-            verdict_name(&verdict, implication.is_some()),
-        );
-        if let Some((a, c)) = cached {
+        let name = match &verdict {
+            Validity::Valid => "valid",
+            Validity::Invalid => "invalid",
+            Validity::Unknown(e) => {
+                self.obs.metrics().smt_unknown.incr();
+                self.first_unknown.get_or_insert_with(|| e.clone());
+                "unknown"
+            }
+        };
+        self.obs.record_query(self.origin.as_ref(), qstart, name);
+        if self.config.cache {
             match verdict {
-                SmtResult::Unsat => self.cache.insert(a, c, true),
-                SmtResult::Sat => self.cache.insert(a, c, false),
-                SmtResult::Unknown(_) => {}
+                Validity::Valid => self.cache.insert(antecedent, consequent, true),
+                Validity::Invalid => self.cache.insert(antecedent, consequent, false),
+                Validity::Unknown(_) => {}
             }
         }
         verdict
@@ -469,34 +472,13 @@ fn negation(antecedent: &Pred, consequent: &Pred) -> Pred {
     Pred::and(vec![antecedent.clone(), Pred::not(consequent.clone())])
 }
 
-/// The validity verdict of an implication whose negation was decided.
-fn validity(negation: SmtResult) -> Validity {
-    match negation {
-        SmtResult::Unsat => Validity::Valid,
-        SmtResult::Sat => Validity::Invalid,
-        SmtResult::Unknown(e) => Validity::Unknown(e),
-    }
-}
-
-/// The downgraded verdict for a certificate that failed to replay.
+/// The downgraded verdict for a certificate that failed.
 pub(crate) fn certification_unknown(why: String) -> SmtResult {
     SmtResult::Unknown(Exhaustion::with_detail(
         Phase::Smt,
         Resource::Certification,
         why,
     ))
-}
-
-/// Trace-event verdict name of a query: a validity query decided its
-/// negation, so `Unsat` means valid.
-fn verdict_name(r: &SmtResult, validity: bool) -> &'static str {
-    match (r, validity) {
-        (SmtResult::Unsat, true) => "valid",
-        (SmtResult::Sat, true) => "invalid",
-        (SmtResult::Sat, false) => "sat",
-        (SmtResult::Unsat, false) => "unsat",
-        (SmtResult::Unknown(_), _) => "unknown",
-    }
 }
 
 #[cfg(test)]
@@ -625,10 +607,9 @@ mod tests {
 
     #[test]
     fn sat_api() {
-        let env = env();
-        let mut smt = SmtSolver::new();
-        assert!(smt.is_sat(&env, &parse_pred("x < y && y < z").unwrap()));
-        assert!(!smt.is_sat(&env, &parse_pred("x < y && y < x").unwrap()));
+        // A formula is satisfiable exactly when it does not imply false.
+        assert!(!valid("x < y && y < z", "false"));
+        assert!(valid("x < y && y < x", "false"));
     }
 
     #[test]
@@ -807,13 +788,13 @@ mod tests {
         let mut smt = SmtSolver::new();
         smt.set_deadline(Some(Instant::now() - std::time::Duration::from_millis(1)));
         let p = parse_pred("x < y").unwrap();
-        match smt.check_sat(&env, &p) {
-            SmtResult::Unknown(e) => assert_eq!(e.resource, Resource::Deadline),
+        match smt.check_valid(&env, &p, &Pred::False) {
+            Validity::Unknown(e) => assert_eq!(e.resource, Resource::Deadline),
             other => panic!("expected Unknown, got {other:?}"),
         }
         // Clearing the deadline restores normal service.
         smt.set_deadline(None);
-        assert_eq!(smt.check_sat(&env, &p), SmtResult::Sat);
+        assert_eq!(smt.check_valid(&env, &p, &Pred::False), Validity::Invalid);
     }
 
     #[test]
@@ -845,16 +826,16 @@ mod tests {
             },
         );
         let p = parse_pred("x + x = 1").unwrap();
-        match smt.check_sat(&env, &p) {
-            SmtResult::Unknown(e) => {
+        match smt.check_valid(&env, &p, &Pred::False) {
+            Validity::Unknown(e) => {
                 assert_eq!(e.phase, Phase::Simplex);
                 assert_eq!(e.resource, Resource::BranchBoundNodes);
             }
             other => panic!("expected Unknown, got {other:?}"),
         }
-        // With the default budget the same query is refuted outright.
+        // With the default budget the same formula is refuted outright.
         let mut full = SmtSolver::new();
-        assert_eq!(full.check_sat(&env, &p), SmtResult::Unsat);
+        assert_eq!(full.check_valid(&env, &p, &Pred::False), Validity::Valid);
     }
 
     #[test]

@@ -46,7 +46,10 @@
 //! of Unknown and an integer conflict that branch-and-bound found: that
 //! explanation records one search, and the same search from a cold
 //! tableau may branch differently and run out of nodes, so it is not
-//! something a fresh check can reliably confirm.
+//! something a fresh check can reliably confirm. Every core is thus a
+//! literal set that one closure on fresh engines refuted on its own,
+//! with or without `--certify`: that confirmation is a Valid answer's
+//! certificate (`certify.rs`).
 
 use crate::cnf::{Atom, AtomId, Atoms};
 use crate::euf::{Euf, EufResult};
@@ -121,26 +124,10 @@ pub fn check_assignment(
     .decide()
 }
 
-/// Whether one closure on fresh engines refutes `lits`: `Ok(true)` when
-/// it finds them inconsistent (over the rationals, or by
-/// branch-and-bound), `Ok(false)` when it finds them consistent, and the
-/// exhausted resource when it cannot decide. This is how a conflict core
-/// replays on its own (as `--certify` does).
-pub(crate) fn refuted_on_fresh_engines(
-    atoms: &Atoms,
-    lits: &[(AtomId, bool)],
-    budget: &TheoryBudget,
-) -> Result<bool, Resource> {
-    match Engines::default().assert_and_close(atoms, lits.iter().copied(), budget) {
-        Consistency::Unsat(_) | Consistency::Searched(_) => Ok(true),
-        Consistency::Sat => Ok(false),
-        Consistency::Unknown(r) => Err(r),
-    }
-}
-
 /// Closures on fresh engines over subsets of one model: the model's own
-/// check and confirmation. A core is what these accept, so it replays on
-/// its own ([`refuted_on_fresh_engines`]).
+/// check and confirmation. A core is a literal set one of these closures
+/// refuted on its own, which makes it the certificate of a Valid answer
+/// (see `certify.rs`).
 struct Fresh<'a> {
     atoms: &'a Atoms,
     assignment: &'a [(AtomId, bool)],
@@ -181,7 +168,8 @@ impl Fresh<'_> {
 
     /// Turns a context explanation into a core, but only once fresh
     /// engines confirm it is inconsistent; otherwise the model is
-    /// re-decided on fresh engines.
+    /// re-decided on fresh engines, and the explanation is never the
+    /// core.
     fn confirm(&self, explanation: Vec<(AtomId, bool)>) -> TheoryResult {
         if self.is_unsat(&explanation) {
             return TheoryResult::Unsat(explanation);
@@ -851,6 +839,31 @@ mod tests {
         };
         // The z < w literal is irrelevant.
         assert_eq!(core, vec![lits[0], lits[2]]);
+    }
+
+    #[test]
+    fn unconfirmed_explanation_is_never_the_core() {
+        // x < y ∧ z < w is a satisfiable subset of an inconsistent model,
+        // as a wrong context explanation would be: confirmation rejects
+        // it, and the model's own closure on fresh engines gives the core.
+        let env = env();
+        let (atoms, lits) = lits_of(&["x < y", "z < w", "y < x"], &env);
+        let budget = TheoryBudget::default();
+        let fresh = Fresh {
+            atoms: &atoms,
+            assignment: &lits,
+            budget: &budget,
+        };
+        micro::drain();
+        let subset = vec![lits[0], lits[1]];
+        let TheoryResult::Unsat(core) = fresh.confirm(subset.clone()) else {
+            panic!("the model is inconsistent");
+        };
+        assert_ne!(core, subset);
+        assert_eq!(core, vec![lits[0], lits[2]]);
+        let counts = micro::drain().micro;
+        assert_eq!(counts[MicroCounter::TheoryCoreFallbacks.index()], 1);
+        assert!(fresh.is_unsat(&core), "the core must refute on its own");
     }
 
     /// The core of an infeasible literal set, as the predicates its

@@ -15,7 +15,7 @@
 //!
 //! Two surfaces are exercised over randomly generated well-sorted
 //! predicates (linear arithmetic, booleans, uninterpreted functions,
-//! and finite sets):
+//! finite sets and arrays):
 //!
 //! 1. `check_valid_many`, and scalar `check_valid`, vs the oracle per
 //!    consequent;
@@ -43,7 +43,7 @@ const CASES: u32 = 256;
 const CASES: u32 = 32;
 
 /// Fixed environment: integers, a boolean flag, a unary uninterpreted
-/// function, and three set variables.
+/// function, three set variables and a map.
 fn env() -> SortEnv {
     let mut env = SortEnv::new();
     for v in ["x", "y", "z"] {
@@ -53,6 +53,7 @@ fn env() -> SortEnv {
     env.bind(Symbol::new("s"), Sort::Set);
     env.bind(Symbol::new("t"), Sort::Set);
     env.bind(Symbol::new("u"), Sort::Set);
+    env.bind(Symbol::new("m"), Sort::Map);
     env.declare_func(Symbol::new("f"), FuncSort::new(vec![Sort::Int], Sort::Int));
     env
 }
@@ -141,16 +142,18 @@ fn scratch_valid(env: &SortEnv, antecedent: &Pred, consequent: &Pred) -> Validit
 }
 
 /// The atom pool. Every entry parses and is well-sorted under [`env`];
-/// together they cover arithmetic, UF congruence, and set reasoning.
-/// The two entries before the last are small set facts over equated set
+/// together they cover arithmetic, UF congruence, set reasoning and
+/// arrays. Entries 18 and 19 are small set facts over equated set
 /// variables whose verdicts need set-saturation lemmas, not just
 /// canonical forms and congruence: `union(s, t) = t` once `s = t`
 /// (idempotence), and `t = u` from the two unions over them. A session
-/// that drops those lemmas disagrees with the oracle on them. The last
+/// that drops those lemmas disagrees with the oracle on them. Entry 20
 /// puts an `ite` in a union, so set lemmas mention a union with an
 /// `ite` leaf, whose terms the session must build without flattening
-/// the `ite`.
-const ATOMS: [&str; 20] = [
+/// the `ite`. The last three read a map, once directly and twice through
+/// updates, one nested in another, so their verdicts can need
+/// read-over-write instances, of the inner update too.
+const ATOMS: [&str; 23] = [
     "x < y",
     "x <= y",
     "y < z",
@@ -171,6 +174,9 @@ const ATOMS: [&str; 20] = [
     "s = t => t = union(s, t)",
     "u = union(t, single(x)) && t = union(u, single(x))",
     "s = union(single(x), (if x < y then t else u))",
+    "Sel(m, x) = y",
+    "Sel(Upd(m, x, y), z) = y",
+    "Sel(Upd(Upd(m, x, 1), y, 2), z) = Sel(m, z)",
 ];
 
 fn arb_atom() -> BoxedStrategy<Pred> {
@@ -345,4 +351,33 @@ fn union_with_a_singleton_leaf_is_not_empty() {
 #[test]
 fn equal_singletons_have_equal_elements() {
     known_answer("single(x) = single(y)", "x = y", Validity::Valid);
+}
+
+/// A read-over-write hit: `Sel(Upd(m, x, y), z)` is `y` when `z = x`.
+#[test]
+fn read_over_write_hit() {
+    known_answer("z = x", "Sel(Upd(m, x, y), z) = y", Validity::Valid);
+}
+
+/// A read-over-write miss: an update at `x` leaves the map unchanged at
+/// any `z ≠ x`.
+#[test]
+fn read_over_write_miss() {
+    known_answer(
+        "z != x",
+        "Sel(Upd(m, x, y), z) = Sel(m, z)",
+        Validity::Valid,
+    );
+}
+
+/// A read through two nested updates: the outer update misses (`z ≠ y`),
+/// so the read reaches the inner update, whose own hit instance at `z`
+/// (or at its write index `x = z`) decides it.
+#[test]
+fn read_through_nested_updates_needs_the_inner_instances() {
+    known_answer(
+        "z = x && z != y",
+        "Sel(Upd(Upd(m, x, 1), y, 2), z) = 1",
+        Validity::Valid,
+    );
 }

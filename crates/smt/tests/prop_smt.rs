@@ -86,7 +86,8 @@ proptest! {
             .collect();
         let formula = boxed(conj);
         let mut smt = SmtSolver::new();
-        let solver_sat = smt.is_sat(&env(), &formula);
+        // Satisfiable exactly when it does not imply false.
+        let solver_sat = !smt.is_valid(&env(), &formula, &Pred::False);
         let brute_sat = brute_force_sat(&atoms);
         if brute_sat {
             prop_assert!(solver_sat, "solver claimed UNSAT for satisfiable `{formula}`");

@@ -411,12 +411,13 @@ proptest! {
 
     /// Under `--certify`, every definite verdict on a boxed linear
     /// implication must survive its own certificate — an `Invalid`
-    /// answer's countermodel replays to *true* on the negated
-    /// implication (it falsifies `antecedent ⇒ consequent`), a `Valid`
-    /// answer's theory cores all replay unsat — and the verdict itself
-    /// must agree with exhaustive enumeration. A failed certificate
-    /// would surface as an `Unknown` verdict and a nonzero
-    /// `certs_failed` counter; both are asserted impossible here.
+    /// answer's countermodel evaluates to *true* on the negated
+    /// implication (it falsifies `antecedent ⇒ consequent`), and a
+    /// `Valid` answer rests on theory cores each refuted on fresh engines
+    /// before it blocked a model — and the verdict itself must agree with
+    /// exhaustive enumeration. A failed certificate would surface as an
+    /// `Unknown` verdict and a nonzero `certs_failed` counter; both are
+    /// asserted impossible here.
     #[test]
     fn certified_verdicts_match_brute_force(
         lhs_atoms in prop::collection::vec(arb_linear_atom(), 1..4),

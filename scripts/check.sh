@@ -30,6 +30,13 @@ cargo test --workspace -q
 echo "== cargo test -p dsolve-smt --test incremental_vs_scratch --test theory_oracles"
 cargo test -p dsolve-smt --test incremental_vs_scratch --test theory_oracles
 
+# Arrays: a read-over-write hit, a miss, and a read through two nested
+# updates, each decided by one kind of axiom instance through a scalar
+# query, a batch and the scratch oracle. By name for the same reason.
+echo "== cargo test -p dsolve-smt --test incremental_vs_scratch (array known answers)"
+cargo test -p dsolve-smt --test incremental_vs_scratch -- read_over_write_hit \
+    read_over_write_miss read_through_nested_updates_needs_the_inner_instances
+
 # Scopes: random assert/push/check/pop sequences through one session,
 # each check against a one-shot session on the live conjunction (which
 # the scratch oracle above pins), and a fixed sequence of the subtle pop
@@ -104,7 +111,8 @@ echo "== cargo test -p dsolve --test fault_matrix"
 cargo test -p dsolve --test fault_matrix
 
 # Certification smoke: the smoke rows must stay SAFE with every definite
-# SMT verdict replayed through the independent checker.
+# SMT verdict certified (each countermodel evaluated against the asserted
+# predicates; each Valid verdict rests on cores confirmed in the search).
 echo "== dsolve --certify smoke"
 for b in ralist stablesort subvsolve malloc; do
     ./target/release/dsolve "benchmarks/$b.ml" --quiet --certify --timeout 60 --jobs "$JOBS"
