@@ -1090,11 +1090,14 @@ fn check_group(
     group: &[(Pred, Pred)],
     kept: &mut Vec<Pred>,
 ) {
-    let rhss: Vec<Pred> = group.iter().map(|(_, r)| r.clone()).collect();
-    if group.len() > 1 && smt.is_valid(sorts, lhs, &Pred::and(rhss.clone())) {
-        kept.extend(group.iter().map(|(q, _)| q.clone()));
-        return;
+    if group.len() > 1 {
+        let all = Pred::and(group.iter().map(|(_, r)| r.clone()).collect());
+        if smt.is_valid(sorts, lhs, &all) {
+            kept.extend(group.iter().map(|(q, _)| q.clone()));
+            return;
+        }
     }
+    let rhss: Vec<Pred> = group.iter().map(|(_, r)| r.clone()).collect();
     let verdicts = smt.check_valid_many(sorts, lhs, &rhss);
     let mut failed: Vec<&(Pred, Pred)> = Vec::new();
     for (pair, v) in group.iter().zip(&verdicts) {

@@ -314,13 +314,13 @@ impl EncodeCtx {
 
     /// The atom SAT variable `v` stands for; `None` for a Tseitin
     /// variable.
-    pub fn atom_of_var(&self, v: BVar) -> Option<AtomId> {
+    pub(crate) fn atom_of_var(&self, v: BVar) -> Option<AtomId> {
         self.atom_of_var[v.0 as usize]
     }
 
     /// Each atom that has a SAT variable, with its variable, in atom
     /// order.
-    pub fn atom_vars(&self) -> impl Iterator<Item = (AtomId, BVar)> + '_ {
+    pub(crate) fn atom_vars(&self) -> impl Iterator<Item = (AtomId, BVar)> + '_ {
         self.var_of_atom
             .iter()
             .enumerate()

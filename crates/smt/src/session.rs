@@ -31,6 +31,13 @@
 //! a set lemma only recombines the conjunction's own set terms) are
 //! regenerated at each check, encoded like assertions, and deduplicated
 //! against a monotone seen-set (the instantiation watermark).
+//!
+//! The atom ↔ SAT-variable map is the encoder's ([`EncodeCtx`]), which
+//! every model's assignment, root literals and blocking clause read. A
+//! check keeps no certificate of its own: each theory core was confirmed
+//! on fresh engines before it blocked a model, which certifies an
+//! `Unsat` answer, and under `--certify` a `Sat` answer's countermodel is
+//! evaluated against the asserted predicates (`certify.rs`).
 
 use crate::arrays::array_axiom_lemmas;
 use crate::certify::certify_model;
