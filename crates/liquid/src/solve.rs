@@ -1107,8 +1107,11 @@ fn check_group(
             failed.push(pair);
         }
     }
+    if failed.is_empty() {
+        return;
+    }
     let full: &Pred = full;
-    if failed.is_empty() || full == lhs {
+    if full == lhs {
         return;
     }
     let retry: Vec<Pred> = failed.iter().map(|(_, r)| r.clone()).collect();
