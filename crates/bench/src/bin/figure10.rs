@@ -5,8 +5,11 @@
 //! ```text
 //! cargo run --release -p dsolve-bench --bin figure10 \
 //!     [--timeout <secs>] [--jobs <n>] [--json <path>] [--stats]
-//!     [--certify] [names...]
+//!     [--certify] [rows...]
 //! ```
+//!
+//! Naming rows runs only those (in the table's order); an unknown row
+//! or option is a usage error (exit 3) that lists the rows.
 //!
 //! Each benchmark runs under panic isolation: a pathological module
 //! reports `UNKNOWN (panic …)` and the suite keeps going. `--timeout`
@@ -65,35 +68,28 @@ fn main() {
             "--certify" => certify = true,
             "--timeout" => match args.next().and_then(|s| s.parse::<u64>().ok()) {
                 Some(secs) => timeout = Some(secs),
-                None => {
-                    eprintln!("figure10: --timeout needs a number of seconds");
-                    std::process::exit(3);
-                }
+                None => usage("--timeout needs a number of seconds"),
             },
             "--jobs" => match args.next().and_then(|s| s.parse::<usize>().ok()) {
                 Some(n) => jobs = Some(n),
-                None => {
-                    eprintln!("figure10: --jobs needs a worker count");
-                    std::process::exit(3);
-                }
+                None => usage("--jobs needs a worker count"),
             },
             "--json" => match args.next() {
                 Some(p) => json_path = Some(p),
-                None => {
-                    eprintln!("figure10: --json needs a path");
-                    std::process::exit(3);
-                }
+                None => usage("--json needs a path"),
             },
-            _ => filter.push(a),
+            _ if BENCHMARKS.iter().any(|b| b.name == a) => filter.push(a),
+            _ => {
+                let rows: Vec<&str> = BENCHMARKS.iter().map(|b| b.name).collect();
+                let kind = if a.starts_with('-') { "option" } else { "row" };
+                usage(&format!("unknown {kind} `{a}` (rows: {})", rows.join(", ")));
+            }
         }
     }
 
     let fault = match FaultPlan::from_env() {
         Ok(plan) => plan.map(Arc::new),
-        Err(e) => {
-            eprintln!("figure10: {e}");
-            std::process::exit(3);
-        }
+        Err(e) => usage(&e),
     };
 
     let mut table = Table::new();
@@ -210,6 +206,12 @@ fn main() {
     if !table.all_safe() {
         std::process::exit(1);
     }
+}
+
+/// Reports a usage error and exits 3.
+fn usage(msg: &str) -> ! {
+    eprintln!("figure10: {msg}");
+    std::process::exit(3);
 }
 
 /// Renders the records as a JSON array (hand-rolled: the scalar fields

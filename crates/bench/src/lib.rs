@@ -3,7 +3,7 @@
 
 pub mod diff;
 
-use dsolve::{Job, JobError, JobResult};
+use dsolve::{Job, JobError};
 use std::path::{Path, PathBuf};
 
 /// One benchmark row: program, verified properties, and the numbers
@@ -126,15 +126,6 @@ pub fn benchmarks_dir() -> PathBuf {
 /// Fails when the benchmark's `.ml` file cannot be read.
 pub fn load(name: &str) -> Result<Job, JobError> {
     Job::from_path(benchmarks_dir().join(format!("{name}.ml")))
-}
-
-/// Runs one benchmark end to end.
-///
-/// # Errors
-///
-/// Front-end failures only; verification failures are in the result.
-pub fn run(name: &str) -> Result<JobResult, JobError> {
-    load(name)?.run()
 }
 
 #[cfg(test)]

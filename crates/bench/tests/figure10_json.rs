@@ -1,6 +1,8 @@
-//! The `figure10 --json` record of a row that fails: its `wall_s` is the
-//! time the row ran before failing, never a placeholder zero that a
-//! wall-time gate would read as an instant run.
+//! The `figure10` command line: the `--json` record of a row that fails
+//! (its `wall_s` is the time the row ran before failing, never a
+//! placeholder zero that a wall-time gate would read as an instant run),
+//! the embedding counters of a row that verifies, and the usage errors
+//! that keep a mistyped row or option from passing with an empty table.
 
 use dsolve_obs::parse_json;
 use std::process::Command;
@@ -70,5 +72,28 @@ fn verified_row_records_embedding_counters() {
     for key in ["embed_nodes_built", "embed_nodes_reused"] {
         let n = row.get(key).and_then(|v| v.as_num()).expect(key);
         assert!(n > 0.0, "{key} = {n}: {text}");
+    }
+}
+
+/// An argument that names no option and no row is a usage error (exit
+/// 3) that names it and lists the rows, never an empty table that exits
+/// 0 as though every row were SAFE.
+#[test]
+fn unknown_row_or_option_is_a_usage_error() {
+    for arg in ["--smoke", "ralsit"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_figure10"))
+            .arg(arg)
+            .output()
+            .expect("figure10 runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "`{arg}`: {stderr}");
+        assert!(stderr.contains(&format!("`{arg}`")), "`{arg}`: {stderr}");
+        for row in ["listsort", "ralist", "subvsolve"] {
+            assert!(
+                stderr.contains(row),
+                "`{arg}` does not list {row}: {stderr}"
+            );
+        }
+        assert!(out.stdout.is_empty(), "`{arg}` printed a table");
     }
 }

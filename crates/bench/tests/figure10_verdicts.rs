@@ -242,3 +242,27 @@ fn config_cross_product_agrees_on_smoke_set() {
         }
     }
 }
+
+/// Two malloc runs that must stay SAFE: with the query cache off, and
+/// with sixteen inert qualifiers added to `Q★` (each is instantiated,
+/// and the fixpoint weakens it away).
+#[test]
+fn malloc_stays_safe_without_the_cache_or_with_inert_qualifiers() {
+    let mut uncached = load("malloc").unwrap();
+    uncached.config.smt.cache = false;
+    let mut padded = load("malloc").unwrap();
+    for i in 0..16 {
+        padded
+            .quals
+            .push_str(&format!("\nqualif Pad{i} : VV <= _ + {i}"));
+    }
+    for (label, job) in [("the cache off", uncached), ("inert qualifiers", padded)] {
+        let res = job.run().unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert!(
+            matches!(res.outcome(), Outcome::Safe),
+            "malloc with {label}: {} ({:?})",
+            res.outcome(),
+            res.result.errors.first().map(ToString::to_string)
+        );
+    }
+}

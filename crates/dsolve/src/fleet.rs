@@ -157,12 +157,6 @@ impl MatrixEntry {
         }
     }
 
-    /// Whether this entry can degrade the verdict by design (injected
-    /// faults and certification may downgrade to `UNKNOWN`).
-    pub fn degradable(&self) -> bool {
-        self.fault.is_some() || self.certify
-    }
-
     /// Builds the [`SolveConfig`] for this entry. Fault plans are
     /// created fresh per run — their occurrence counters are stateful.
     pub fn config(&self, budget: Budget) -> SolveConfig {

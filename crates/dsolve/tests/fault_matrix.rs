@@ -10,7 +10,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-/// Per-row wall-clock budget, matching `run_figure10.sh --smoke`.
+/// Per-row wall-clock budget, matching the `figure10 --timeout 60` smoke
+/// in `scripts/check.sh`.
 const BUDGET_SECS: &str = "60";
 
 /// Every fault point, with an occurrence chosen to land inside a short

@@ -57,7 +57,6 @@ pub(crate) struct Session<'env> {
     atoms: Atoms,
     ctx: EncodeCtx,
     sat: CdclSolver,
-    array_axioms: bool,
     /// Canonicalized asserted predicates, in assertion order. Scopes
     /// truncate this on pop.
     asserted: Vec<Pred>,
@@ -92,13 +91,12 @@ pub(crate) struct CheckLemmas {
 
 impl<'env> Session<'env> {
     /// Creates an empty session over `env`.
-    pub(crate) fn new(env: &'env SortEnv, array_axioms: bool, certify: bool) -> Session<'env> {
+    pub(crate) fn new(env: &'env SortEnv, certify: bool) -> Session<'env> {
         Session {
             env,
             atoms: Atoms::new(),
             ctx: EncodeCtx::new(),
             sat: CdclSolver::new(),
-            array_axioms,
             asserted: Vec::new(),
             encoded_upto: 0,
             scopes: Vec::new(),
@@ -318,11 +316,7 @@ impl<'env> Session<'env> {
             self.saturation
                 .saturate(asserted, max_saturation_lemmas, &mut self.atoms, self.env)
         });
-        let arrays = if self.array_axioms {
-            micro::time(TheoryKind::Arrays, || array_axiom_lemmas(asserted))
-        } else {
-            Vec::new()
-        };
+        let arrays = micro::time(TheoryKind::Arrays, || array_axiom_lemmas(asserted));
         CheckLemmas { sets, arrays }
     }
 
@@ -431,7 +425,7 @@ mod tests {
     fn check_both(session: &mut Session, env: &SortEnv, frames: &[Vec<Pred>]) -> SmtResult {
         let budget = Budget::default();
         let conj = Pred::and(frames.concat());
-        let mut one_shot = Session::new(env, true, false);
+        let mut one_shot = Session::new(env, false);
         one_shot.assert_pred(&conj);
         let want = one_shot.check(&budget, None);
         let got = session.check(&budget, None);
@@ -456,7 +450,7 @@ mod tests {
             ops in prop::collection::vec((0u8..4, arb_pred()), 1..14),
         ) {
             let env = env();
-            let mut session = Session::new(&env, true, false);
+            let mut session = Session::new(&env, false);
             // Mirror of the session's assertion stack: one frame per scope.
             let mut frames: Vec<Vec<Pred>> = vec![Vec::new()];
             for (op, p) in ops {
@@ -491,7 +485,7 @@ mod tests {
     #[test]
     fn pop_reassert_sequence_matches_one_shot() {
         let env = env();
-        let mut session = Session::new(&env, true, false);
+        let mut session = Session::new(&env, false);
         let mut frames: Vec<Vec<Pred>> = vec![Vec::new()];
         let mut step = |session: &mut Session, op: &str, want: Option<SmtResult>| {
             match op {

@@ -879,7 +879,7 @@ mod tests {
         ) {
             let env = memo_env();
             for cap in [0, 1, 3, 200] {
-                let mut session = Session::new(&env, true, false);
+                let mut session = Session::new(&env, false);
                 let mut frames: Vec<Vec<Pred>> = vec![Vec::new()];
                 let mut offered = HashSet::new();
                 for (op, p) in &ops {

@@ -21,15 +21,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Configuration knobs (exposed for the ablation benchmarks). The
-/// resource limits are not among them: a solver takes its [`Budget`]
-/// apart ([`SmtSolver::with_config`]).
+/// Configuration knobs. The resource limits are not among them: a
+/// solver takes its [`Budget`] apart ([`SmtSolver::with_config`]).
 #[derive(Clone, Copy, Debug)]
 pub struct SolverConfig {
     /// Memoize validity queries (structural hash of the implication).
     pub cache: bool,
-    /// Instantiate the McCarthy read-over-write axioms.
-    pub array_axioms: bool,
     /// Certify every Invalid answer: its countermodel must satisfy the
     /// asserted predicates under a structural predicate evaluator. (A
     /// Valid answer needs no extra check: each of its theory cores was
@@ -43,7 +40,6 @@ impl Default for SolverConfig {
     fn default() -> SolverConfig {
         SolverConfig {
             cache: true,
-            array_axioms: true,
             certify: false,
         }
     }
@@ -463,7 +459,7 @@ impl SmtSolver {
 
     /// An empty session over `env` with this solver's settings.
     fn new_session<'env>(&self, env: &'env SortEnv) -> Session<'env> {
-        Session::new(env, self.config.array_axioms, self.config.certify)
+        Session::new(env, self.config.certify)
     }
 }
 
@@ -529,6 +525,7 @@ mod tests {
         assert!(valid("x <= y && y <= x", "x = y"));
         assert!(valid("x = y + 1", "y < x"));
         assert!(!valid("x <= y", "x < y"));
+        assert!(!valid("x <= y && y <= z", "x < z"));
         assert!(!valid("true", "x < y"));
     }
 
@@ -538,12 +535,15 @@ mod tests {
         assert!(valid("x < y", "x + 1 <= y"));
         // And x < y ∧ y < x + 2 pins y = x + 1.
         assert!(valid("x < y && y < x + 2", "y = x + 1"));
+        // Three strict steps over the integers: x + 3 <= w.
+        assert!(valid("x < y && y < z && z < w", "x + 2 < w"));
     }
 
     #[test]
     fn euf_validities() {
         assert!(valid("x = y", "len(xs) = len(xs)"));
         assert!(valid("xs = ys", "elts(xs) = elts(ys)"));
+        assert!(valid("x = y && len(xs) = x", "len(xs) = y"));
         assert!(!valid("elts(xs) = elts(ys)", "xs = ys"));
     }
 

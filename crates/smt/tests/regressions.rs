@@ -132,24 +132,6 @@ fn negated_equality_via_bounds() {
 }
 
 #[test]
-fn array_axioms_toggle() {
-    // With the axioms off, read-over-write facts are unavailable.
-    let mut off = SmtSolver::with_config(
-        SolverConfig {
-            array_axioms: false,
-            ..SolverConfig::default()
-        },
-        Budget::default(),
-    );
-    let e = env();
-    let lhs = parse_pred("mp = Upd(m, k, 1)").unwrap();
-    let rhs = parse_pred("Sel(mp, k) = 1").unwrap();
-    assert!(!off.is_valid(&e, &lhs, &rhs));
-    let mut on = SmtSolver::new();
-    assert!(on.is_valid(&e, &lhs, &rhs));
-}
-
-#[test]
 fn cache_toggle_same_answers() {
     let cases = [
         ("x < y", "x <= y", true),

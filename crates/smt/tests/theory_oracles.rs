@@ -2,12 +2,13 @@
 //! checked against brute-force reference implementations on randomly
 //! generated small instances, including through push/pop scopes; the
 //! conflict cores of the combined theory check held to the same oracles;
-//! and the persistent theory context held to fresh checks.
+//! the persistent theory context held to fresh checks; and map reads
+//! through updates decided by brute force over small finite maps.
 //!
 //! Case counts are deliberately small so `cargo test` stays fast; build
 //! with `--features slow-proptest` for a deeper local run.
 
-use dsolve_logic::{Budget, Expr, Pred, Rel, Sort, SortEnv, Symbol};
+use dsolve_logic::{parse_pred, Budget, Expr, Pred, Rel, Sort, SortEnv, Symbol};
 use dsolve_obs::MicroCounter;
 use dsolve_smt::{
     check_assignment, AtomId, Atoms, Euf, EufResult, LpResult, Rat, Simplex, SmtSolver,
@@ -428,7 +429,6 @@ proptest! {
             SolverConfig {
                 certify: true,
                 cache: false,
-                ..SolverConfig::default()
             },
             Budget::default(),
         );
@@ -776,6 +776,164 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Map reads vs brute force over maps on {0, 1, 2}.
+// ---------------------------------------------------------------------
+
+/// The index atoms: two of `x`, `y`, `z` are equal.
+const INDEX_ATOMS: [&str; 3] = ["x = y", "y = z", "x = z"];
+
+/// Map atoms over `x`, `y`, `z` and a map `m`. Every index and written
+/// value is `x`, `y`, `z` or a constant in {0, 1, 2}, and `m` itself is
+/// read only at `x`, `y` or `z`. Under the box (`0 ≤ v ≤ 2` and
+/// `0 ≤ Sel(m, v) ≤ 2` for each v) every value an atom observes is then
+/// in {0, 1, 2}, so an implication has a countermodel exactly when it
+/// has one among the 27 index assignments and 27 maps on {0, 1, 2}. The
+/// first three are the map atoms of the differential pool
+/// (incremental_vs_scratch.rs). The rest read through an update at its
+/// write index (decided by a hit instance), at an index the antecedent
+/// may make another (a miss instance), or through two nested updates
+/// (instances of the inner update).
+const MAP_ATOMS: &[&str] = &[
+    "Sel(m, x) = y",
+    "Sel(Upd(m, x, y), z) = y",
+    "Sel(Upd(Upd(m, x, 1), y, 2), z) = Sel(m, z)",
+    "Sel(Upd(m, x, y), x) = y",
+    "Sel(Upd(m, y, 0), x) = Sel(m, x)",
+    "Sel(Upd(m, x, 2), z) = Sel(m, z)",
+    "Sel(Upd(Upd(m, x, 1), y, 2), x) = 1",
+    "Sel(Upd(Upd(m, x, 1), y, 2), z) = 1",
+    "Sel(m, z) = 1",
+    "Sel(m, x) = Sel(m, z)",
+];
+
+fn map_env() -> SortEnv {
+    let mut env = imp_env();
+    env.bind(Symbol::new("m"), Sort::Map);
+    env
+}
+
+/// `atom` or its negation (a disequality: `Pred::not` pushes through
+/// atoms).
+fn literal(atom: &str, positive: bool) -> Pred {
+    let atom = parse_pred(atom).unwrap();
+    if positive {
+        atom
+    } else {
+        Pred::not(atom)
+    }
+}
+
+fn arb_map_lit() -> impl Strategy<Value = Pred> {
+    (0..MAP_ATOMS.len(), any::<bool>()).prop_map(|(i, positive)| literal(MAP_ATOMS[i], positive))
+}
+
+/// An antecedent's literals: each index atom asserted, negated or left
+/// out, then up to two map literals.
+fn arb_map_antecedent() -> impl Strategy<Value = Vec<Pred>> {
+    (
+        prop::collection::vec(0u8..3, INDEX_ATOMS.len()),
+        prop::collection::vec(arb_map_lit(), 0..3),
+    )
+        .prop_map(|(picks, maps)| {
+            INDEX_ATOMS
+                .iter()
+                .zip(picks)
+                .filter(|&(_, pick)| pick > 0)
+                .map(|(atom, pick)| literal(atom, pick == 1))
+                .chain(maps)
+                .collect()
+        })
+}
+
+/// The box that keeps every observed value in {0, 1, 2}.
+fn map_box() -> Vec<Pred> {
+    IMP_VARS
+        .iter()
+        .map(|v| {
+            parse_pred(&format!(
+                "0 <= {v} && {v} <= 2 && 0 <= Sel(m, {v}) && Sel(m, {v}) <= 2"
+            ))
+            .unwrap()
+        })
+        .collect()
+}
+
+/// The value of an integer term of the pool at indices `v` (of `x`, `y`,
+/// `z`) and map `m`.
+fn map_int(e: &Expr, v: &[i64; 3], m: &[i64; 3]) -> i64 {
+    match e {
+        Expr::Int(n) => *n,
+        Expr::Var(s) => v[IMP_VARS.iter().position(|n| s.as_str() == *n).unwrap()],
+        Expr::Sel(map, i) => map_value(map, v, m)[map_int(i, v, m) as usize],
+        _ => unreachable!("`{e}` is not an integer term of the pool"),
+    }
+}
+
+/// The map a map term of the pool denotes: `m` with the term's updates
+/// written into it, innermost first.
+fn map_value(e: &Expr, v: &[i64; 3], m: &[i64; 3]) -> [i64; 3] {
+    match e {
+        Expr::Var(_) => *m,
+        Expr::Upd(map, i, x) => {
+            let mut out = map_value(map, v, m);
+            out[map_int(i, v, m) as usize] = map_int(x, v, m);
+            out
+        }
+        _ => unreachable!("`{e}` is not a map term of the pool"),
+    }
+}
+
+fn map_holds(p: &Pred, v: &[i64; 3], m: &[i64; 3]) -> bool {
+    match p {
+        Pred::Atom(Rel::Eq, a, b) => map_int(a, v, m) == map_int(b, v, m),
+        Pred::Atom(Rel::Ne, a, b) => map_int(a, v, m) != map_int(b, v, m),
+        _ => unreachable!("`{p}` is not a literal of the pool"),
+    }
+}
+
+/// Whether `literals ⇒ consequent` holds at every index assignment and
+/// every map on {0, 1, 2}.
+fn map_valid(literals: &[Pred], consequent: &Pred) -> bool {
+    let point = |n: usize| [(n % 3) as i64, (n / 3 % 3) as i64, (n / 9) as i64];
+    (0..27).all(|vi| {
+        (0..27).all(|mi| {
+            let (v, m) = (point(vi), point(mi));
+            !literals.iter().all(|l| map_holds(l, &v, &m)) || map_holds(consequent, &v, &m)
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    /// A batch and a scalar query per consequent decide boxed
+    /// implications over map reads as brute force with true
+    /// read-over-write semantics does. The oracle shares no code with
+    /// the solver's array-axiom instantiation, so a session that drops
+    /// hit instances, miss instances or the instances of an inner update
+    /// answers Invalid where brute force finds no countermodel.
+    #[test]
+    fn map_reads_match_brute_force(
+        literals in arb_map_antecedent(),
+        consequents in prop::collection::vec(arb_map_lit(), 1..4),
+    ) {
+        let env = map_env();
+        let antecedent = Pred::and(literals.iter().cloned().chain(map_box()).collect());
+        let batch = SmtSolver::new().check_valid_many(&env, &antecedent, &consequents);
+        for (c, got) in consequents.iter().zip(&batch) {
+            let want = if map_valid(&literals, c) {
+                Validity::Valid
+            } else {
+                Validity::Invalid
+            };
+            prop_assert_eq!(got, &want, "batch on `{} => {}`", antecedent, c);
+            let scalar = SmtSolver::new().check_valid(&env, &antecedent, c);
+            prop_assert_eq!(&scalar, &want, "scalar on `{} => {}`", antecedent, c);
         }
     }
 }

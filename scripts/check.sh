@@ -1,9 +1,16 @@
 #!/bin/bash
-# Offline repository health check: release build, full test suite, and
-# lints, in that order. Needs no network — criterion/proptest are
-# vendored stubs and the benches are feature-gated.
+# Offline repository health check: formatting, release build, full
+# test suite, named suites, smoke runs of the CLIs and lints. Needs no
+# network: proptest is a vendored stub.
 set -e
 cd "$(dirname "$0")/.."
+
+# The Fig. 10 smoke rows: the fastest rows that reach SAFE, well inside
+# the smoke deadline. malloc doubles as the pin for the
+# spec-specialization renaming fix (it was once reported UNSAFE). The
+# certification smoke, the figure10 smoke and the bench_diff gate below
+# all run these, and scripts/bench_baseline_smoke.json records them.
+SMOKE_ROWS=(ralist stablesort subvsolve malloc)
 
 # One jobs setting for every dsolve invocation below, so the smoke suite
 # runs rounds split over several workers on multi-core hosts (and a
@@ -114,7 +121,7 @@ cargo test -p dsolve --test fault_matrix
 # SMT verdict certified (each countermodel evaluated against the asserted
 # predicates; each Valid verdict rests on cores confirmed in the search).
 echo "== dsolve --certify smoke"
-for b in ralist stablesort subvsolve malloc; do
+for b in "${SMOKE_ROWS[@]}"; do
     ./target/release/dsolve "benchmarks/$b.ml" --quiet --certify --timeout 60 --jobs "$JOBS"
 done
 
@@ -133,14 +140,13 @@ echo "== dsolve-fleet --seed 42 --count 50 --matrix full"
 echo "== cargo test --release --offline --manifest-path perfbench/Cargo.toml"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== cargo build --release -p dsolve-bench --features bench --benches"
-cargo build --release -p dsolve-bench --features bench --benches
-
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== ./run_figure10.sh --smoke --jobs $JOBS"
-./run_figure10.sh --smoke --jobs "$JOBS"
+# Whole-pipeline smoke: the smoke rows through the Fig. 10 runner under
+# a 60 s deadline; it exits 1 unless every row is SAFE.
+echo "== figure10 --timeout 60 --jobs $JOBS ${SMOKE_ROWS[*]}"
+./target/release/figure10 --timeout 60 --jobs "$JOBS" "${SMOKE_ROWS[@]}"
 
 # Regression gate: rerun the smoke rows through the JSON harness and
 # diff against the committed baseline. --smoke ignores wall times (they
@@ -152,8 +158,8 @@ echo "== ./run_figure10.sh --smoke --jobs $JOBS"
 echo "== bench_diff --smoke vs scripts/bench_baseline_smoke.json"
 BENCH_TMP=$(mktemp /tmp/dsolve-bench-smoke.XXXXXX.json)
 ./target/release/figure10 --timeout 60 --jobs 1 \
-    --json "$BENCH_TMP" ralist stablesort subvsolve malloc >/dev/null
-./scripts/bench_diff.sh --smoke scripts/bench_baseline_smoke.json "$BENCH_TMP"
+    --json "$BENCH_TMP" "${SMOKE_ROWS[@]}" >/dev/null
+./target/release/bench_diff --smoke scripts/bench_baseline_smoke.json "$BENCH_TMP"
 rm -f "$BENCH_TMP"
 
 echo "check.sh: all green"
